@@ -85,9 +85,9 @@ def cmd_sense(args) -> int:
     ensemble.save(out / "ensemble.npz")
     arrays = {}
     for t, x in enumerate(signals):
-        arrays[f"y{t:05d}"] = apply_phaseless(ensemble, x).y
-    meas0 = apply_phaseless(ensemble, signals[0])
-    header = {"offsets": meas0.offsets, "block_rows": meas0.block_rows}
+        meas = apply_phaseless(ensemble, x)
+        arrays[f"y{t:05d}"] = meas.y
+    header = {"offsets": meas.offsets, "block_rows": meas.block_rows}
     arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     np.savez_compressed(out / "measurements.npz", **arrays)
     print(f"wrote ensemble + {len(signals)} measurement vectors to {out}")

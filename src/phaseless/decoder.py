@@ -14,9 +14,10 @@ Stages, in order:
 6. assembly          - signed magnitudes on S2, un-flipping the ensemble's
                        D at the very end.
 
-Every stage reads measurements through block slices and the column inverted
-index, so the work after sensing is polynomial in k and log n, not in n;
-the diagnostics counters record exactly how much was touched.
+Every stage reads measurements through block slices and the columns of the
+candidates, which each block recomputes from its stream, so the work after
+sensing is polynomial in k and log n, not in n; the diagnostics counters
+record exactly how much was touched.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class DecodeDiagnostics:
     """Logical access counters for the decoding stages (not the sensing)."""
 
     y_reads: int = 0             # measurement entries read
-    index_reads: int = 0         # inverted-index entries touched
+    index_reads: int = 0         # column entries fetched
     rows_touched: int = 0        # measurement rows used in some estimate/test
     edges_sampled: int = 0       # F rows meeting S2 in exactly two spots
 
@@ -119,12 +120,14 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
     rows disjoint from S1.
 
     Conditioned on missing S1, a row's squared measurement has expectation
-    density * (energy outside S1), so the c1-scaled mean tracks
-    (1/k) * ||x restricted off S1||^2. Sub-blocks with no disjoint row are
+    density * (energy outside S1), so the mean scaled by c1 / (k * density)
+    tracks (1/k) * ||x restricted off S1||^2; that factor is c1 for every
+    k >= 2, where the density is 1/k. Sub-blocks with no disjoint row are
     dropped from the median; if all of them drop, construction constants
     were too small for this S1 and estimation fails.
     """
     cfg = ensemble.config
+    scale = cfg.c1 * (max(ensemble.k, 2) / ensemble.k)   # E density 1/max(k, 2)
     S1 = np.asarray(S1, dtype=np.int64)
     kept = []
     excluded = 0
@@ -146,7 +149,7 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
         if diagnostics is not None:
             diagnostics.y_reads += count
             diagnostics.rows_touched += count
-        kept.append(cfg.c1 * float(np.mean(yE[disjoint] ** 2)))
+        kept.append(scale * float(np.mean(yE[disjoint] ** 2)))
     if not kept:
         raise TailEstimationError(
             f"no E sub-block had a row disjoint from S1 (|S1|={S1.size}); "
@@ -213,8 +216,7 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
     diagnostics.edges_sampled += graph.pair_rows
     diagnostics.y_reads += graph.pair_rows
     diagnostics.rows_touched += graph.pair_rows
-    diagnostics.index_reads += sum(
-        ensemble.blocks[name].rows_of(int(j))[0].size for j in S2)
+    diagnostics.index_reads += graph.entries
     try:
         labels = recover_communities(graph)
     except Exception:

@@ -7,8 +7,8 @@ flip D applied to the signal:
       hash buckets split by the bits of the coordinate index, so a bucket's
       dominant coordinate can be read off by comparing magnitudes.
   B   bucket/sign hashing used for per-coordinate magnitude estimates.
-  E   a ladder of i.i.d. Bernoulli(1/k) sign blocks used to estimate the
-      energy of everything outside the candidate set.
+  E   a ladder of i.i.d. Bernoulli(min(1/k, 1/2)) sign blocks used to
+      estimate the energy of everything outside the candidate set.
   F   a ladder of levels, one per candidate-set scale 2^l, dense enough to
       sample coordinate pairs but sparse enough to keep per-row interference
       low; used for relative-sign tests.
@@ -16,7 +16,9 @@ flip D applied to the signal:
 Sensing computes y = |Phi x| block by block; nothing downstream ever sees a
 sign or phase. All randomness is drawn from counter-based streams keyed off
 one master seed, so a (n, k, config, seed) tuple reproduces the ensemble
-exactly, block by block.
+exactly, block by block. Building one therefore computes only D and the
+block keys: each block recomputes the columns a signal or a decode touches
+from its stream (see sparse.py), and saving one writes only its header.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .sparse import SparseSignMatrix
+from .sketch import build_countsketch_block, build_hh_block
+from .sparse import ColumnBlock, SparseSignMatrix, splitmix64
 
 __all__ = [
     "EnsembleConfig",
@@ -152,6 +155,10 @@ class EnsembleConfig:
 # structural helpers shared by builder and row-count planner
 # ---------------------------------------------------------------------------
 
+def _e_density(k: int) -> float:
+    """min(1/k, 1/2): at k = 1 a density of 1 would put S1 in every row."""
+    return 1.0 / max(k, 2)
+
 def _f_top_level(k: int) -> int:
     return math.ceil(math.log2(5 * k))
 
@@ -205,7 +212,7 @@ class SensingEnsemble:
     seed: int
     config: EnsembleConfig          # fully resolved
     D: np.ndarray                   # int8[n], +/-1 signs folded into sensing
-    blocks: dict[str, SparseSignMatrix]
+    blocks: dict[str, ColumnBlock]
     offsets: dict[str, int]
     total_rows: int
 
@@ -232,10 +239,10 @@ class SensingEnsemble:
     def apply_phaseless(self, x: np.ndarray) -> "Measurements":
         return apply_phaseless(self, x)
 
-    # -- serialization: versioned npz container ---------------------------
+    # -- serialization: a versioned header; the blocks are rebuilt ----------
 
     FORMAT = "phaseless-ensemble"
-    VERSION = 1
+    VERSION = 2
 
     def save(self, path) -> None:
         header = {
@@ -245,42 +252,22 @@ class SensingEnsemble:
             "k": self.k,
             "seed": self.seed,
             "config": asdict(self.config),
-            "block_order": list(self.blocks),
         }
-        arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-                  "D": self.D}
-        for name, blk in self.blocks.items():
-            arrays[f"{name}::indptr"] = blk.indptr
-            arrays[f"{name}::cols"] = blk.cols
-            arrays[f"{name}::signs"] = blk.signs
         with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez(fh, header=np.frombuffer(json.dumps(header).encode(),
+                                              dtype=np.uint8))
 
     @classmethod
     def load(cls, path) -> "SensingEnsemble":
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
-            if header.get("format") != cls.FORMAT:
-                raise EnsembleError(f"not an ensemble container: {header.get('format')}")
-            if header.get("version") != cls.VERSION:
-                raise EnsembleError(f"unsupported container version {header.get('version')}")
-            n = header["n"]
-            blocks, offsets, total = {}, {}, 0
-            for name in header["block_order"]:
-                blk = SparseSignMatrix(
-                    n_rows=int(data[f"{name}::indptr"].shape[0] - 1),
-                    n_cols=n,
-                    indptr=data[f"{name}::indptr"],
-                    cols=data[f"{name}::cols"],
-                    signs=data[f"{name}::signs"],
-                )
-                blocks[name] = blk
-                offsets[name] = total
-                total += blk.n_rows
-            return cls(n=n, k=header["k"], seed=header["seed"],
-                       config=EnsembleConfig(**header["config"]),
-                       D=data["D"], blocks=blocks, offsets=offsets,
-                       total_rows=total)
+        if header.get("format") != cls.FORMAT:
+            raise EnsembleError(f"not an ensemble container: {header.get('format')}")
+        if header.get("version") != cls.VERSION:
+            raise EnsembleError(f"unsupported container version {header.get('version')}")
+        return build_ensemble(header["n"], header["k"],
+                              config=EnsembleConfig(**header["config"]),
+                              rng_seed=header["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +336,6 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     if rng_seed is not None:
         cfg = replace(cfg, seed=seed)
 
-    from .sketch import build_countsketch_block, build_hh_block
-
     names: list[str] = ["A", "B"]
     names += [f"E{l}" for l in range(cfg.rep_log_n)]
     f_specs: list[tuple[str, int]] = []
@@ -363,17 +348,17 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     keys = _block_keys(seed, names)
 
     d_key = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
-    from ._kernels_py import splitmix64
-    D = ((splitmix64(d_key, 0, n) & np.uint64(1)).astype(np.int8) * 2 - 1)
+    D = (splitmix64(d_key, np.arange(n)) & np.uint64(1)).astype(np.int8) * 2 - 1
 
     buckets, bits, reps = _hh_geometry(n, cfg)
-    blocks: dict[str, SparseSignMatrix] = {}
+    blocks: dict[str, ColumnBlock] = {}
     blocks["A"] = build_hh_block(keys["A"], n, buckets, bits, reps)
     blocks["B"] = build_countsketch_block(keys["B"], n, cfg.countsketch_rows,
                                           cfg.countsketch_reps)
     e_rows = math.ceil(cfg.C1 * k)
     for l in range(cfg.rep_log_n):
-        blocks[f"E{l}"] = SparseSignMatrix.bernoulli(keys[f"E{l}"], e_rows, n, 1.0 / k)
+        blocks[f"E{l}"] = SparseSignMatrix.bernoulli(keys[f"E{l}"], e_rows, n,
+                                                     _e_density(k))
     for name, level in f_specs:
         p = _f_density(k, level, cfg.C0)
         if not p < 1.0:

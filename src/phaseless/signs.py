@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sketch import MagnitudeEstimates
-from .sparse import SparseSignMatrix
+from .sparse import ColumnBlock
 
 __all__ = [
     "SignGraph",
@@ -45,6 +45,7 @@ class SignGraph:
     weights: np.ndarray           # multiplicity of each edge
     level: int                    # F level exponent the rows came from
     pair_rows: int = 0            # rows whose support met the set in exactly 2
+    entries: int = 0              # column entries fetched for the set
 
     @property
     def n_edges(self) -> int:
@@ -65,7 +66,7 @@ class ClusterLabels:
         return self.labels[int(i)]
 
 
-def build_sign_graph(F_block: SparseSignMatrix, yF: np.ndarray,
+def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
                      S2: np.ndarray, estimates: MagnitudeEstimates,
                      level: int = -1) -> SignGraph:
     """Run the same-sign test on every row meeting S2 in exactly two spots."""
@@ -74,6 +75,7 @@ def build_sign_graph(F_block: SparseSignMatrix, yF: np.ndarray,
         return SignGraph(S2, np.empty(0, np.int64), np.empty(0, np.int64),
                          np.empty(0, np.int64), level, 0)
     rows, sigs, owners = F_block.rows_of_many(S2)
+    n_entries = int(rows.size)
     hits = np.bincount(rows, minlength=F_block.n_rows)
     pair_entry = hits[rows] == 2
     rows, sigs, owners = rows[pair_entry], sigs[pair_entry], owners[pair_entry]
@@ -97,7 +99,7 @@ def build_sign_graph(F_block: SparseSignMatrix, yF: np.ndarray,
         hi = uniq % F_block.n_cols
     else:
         w = np.empty(0, np.int64)
-    return SignGraph(S2, lo, hi, w, level, n_pair_rows)
+    return SignGraph(S2, lo, hi, w, level, n_pair_rows, n_entries)
 
 
 def _adjacency(g: SignGraph) -> np.ndarray:

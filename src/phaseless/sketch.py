@@ -19,14 +19,14 @@ phaseless-compatible variant and estimates |x_i| rather than x_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import splitmix64
-from .sparse import SparseSignMatrix
+from .sparse import ColumnBlock, splitmix64
 
 __all__ = [
+    "HashBlock",
     "HeavyHitterSketch",
     "MagnitudeEstimates",
     "SketchError",
@@ -44,44 +44,65 @@ class SketchError(ValueError):
     pass
 
 
-def _bucket_hash(key: int, n: int, reps: int, n_buckets: int):
-    """(reps, n) bucket assignment and sign arrays from one stream key."""
-    u = splitmix64(key, 0, reps * n).reshape(reps, n)
-    buckets = (u % np.uint64(n_buckets)).astype(np.int64)
-    signs = ((u >> np.uint64(1)) & np.uint64(1)).astype(np.int8) * 2 - 1
-    return buckets, signs
+@dataclass
+class HashBlock(ColumnBlock):
+    """Bucket/sign hash block, defined by its stream key.
+
+    In repetition r, column i falls in bucket h = u % n_buckets with sign
+    from bit 1 of u, where u is word r*n_cols + i of the key's stream.
+    Each bucket owns ``stride`` consecutive rows, repetitions laid out one
+    after another: with n_bits = 0 (the B block) just the bucket; with
+    n_bits > 0 (the A block) [whole bucket, bit0=0, bit0=1, bit1=0, ...],
+    where column i sits in the whole-bucket row and in one row per bit of
+    its index.
+    """
+
+    key: int
+    n_cols: int
+    n_buckets: int
+    reps: int
+    n_bits: int = 0
+
+    @property
+    def stride(self) -> int:
+        return 2 * self.n_bits + 1
+
+    @property
+    def n_rows(self) -> int:
+        return self.reps * self.n_buckets * self.stride
+
+    def hash(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(len(columns), reps) bucket ids and +/-1 signs."""
+        columns = np.asarray(columns, dtype=np.int64)
+        words = columns[:, None] + np.arange(self.reps) * self.n_cols
+        u = splitmix64(self.key, words)
+        buckets = (u % np.uint64(self.n_buckets)).astype(np.int64)
+        signs = ((u >> np.uint64(1)) & np.uint64(1)).astype(np.int8) * 2 - 1
+        return buckets, signs
+
+    def entries(self, columns: np.ndarray):
+        buckets, signs = self.hash(columns)
+        per_rep = np.zeros((columns.size, self.n_bits + 1), dtype=np.int64)
+        bits = (columns[:, None] >> np.arange(self.n_bits)) & 1
+        per_rep[:, 1:] = 1 + 2 * np.arange(self.n_bits) + bits
+        base = (np.arange(self.reps) * self.n_buckets + buckets) * self.stride
+        rows = base[:, :, None] + per_rep[:, None, :]
+        width = self.reps * (self.n_bits + 1)
+        return (np.full(columns.size, width, dtype=np.int64), rows.ravel(),
+                np.repeat(signs, self.n_bits + 1, axis=1).ravel())
 
 
 def build_hh_block(key: int, n: int, n_buckets: int, n_bits: int,
-                   reps: int) -> SparseSignMatrix:
-    """Rows per repetition r and bucket h, laid out contiguously:
-    [whole bucket, bit0=0, bit0=1, bit1=0, bit1=1, ...]."""
-    buckets, signs = _bucket_hash(key, n, reps, n_buckets)
-    stride = 2 * n_bits + 1
-    rows_per_rep = n_buckets * stride
-    idx = np.arange(n, dtype=np.int64)
-    row_chunks, col_chunks, sign_chunks = [], [], []
-    for r in range(reps):
-        base = r * rows_per_rep + buckets[r] * stride
-        row_chunks.append(base)
-        for t in range(n_bits):
-            bit = (idx >> t) & 1
-            row_chunks.append(base + 1 + 2 * t + bit)
-        cols = np.tile(idx, n_bits + 1)
-        col_chunks.append(cols)
-        sign_chunks.append(np.tile(signs[r], n_bits + 1))
-    return SparseSignMatrix.from_coo(
-        np.concatenate(row_chunks), np.concatenate(col_chunks),
-        np.concatenate(sign_chunks), rows_per_rep * reps, n)
+                   reps: int) -> HashBlock:
+    """Identification block: rows per repetition r and bucket h, laid out
+    contiguously: [whole bucket, bit0=0, bit0=1, bit1=0, bit1=1, ...]."""
+    return HashBlock(int(key), n, n_buckets, reps, n_bits)
 
 
 def build_countsketch_block(key: int, n: int, n_buckets: int,
-                            reps: int) -> SparseSignMatrix:
-    buckets, signs = _bucket_hash(key, n, reps, n_buckets)
-    idx = np.arange(n, dtype=np.int64)
-    rows = (np.arange(reps, dtype=np.int64)[:, None] * n_buckets + buckets).ravel()
-    return SparseSignMatrix.from_coo(rows, np.tile(idx, reps), signs.ravel(),
-                                     reps * n_buckets, n)
+                            reps: int) -> HashBlock:
+    """Estimation block: one row per repetition and bucket."""
+    return HashBlock(int(key), n, n_buckets, reps)
 
 
 @dataclass
@@ -109,34 +130,15 @@ class HeavyHitterSketch:
     n_buckets: int
     n_bits: int
     reps: int
-    block: SparseSignMatrix
-    _buckets_cache: np.ndarray | None = field(default=None, repr=False)
+    block: HashBlock
 
     @property
     def stride(self) -> int:
         return 2 * self.n_bits + 1
 
     def buckets_of(self, indices: np.ndarray) -> np.ndarray:
-        """(len(indices), reps) bucket ids, recovered from the block itself."""
-        indices = np.asarray(indices, dtype=np.int64)
-        rows, _, owners = self.block.rows_of_many(indices)
-        # whole-bucket rows are those at offset 0 within a bucket's group
-        local = rows % self.stride
-        whole = local == 0
-        rows = rows[whole]
-        owners = owners[whole]
-        rep = rows // (self.n_buckets * self.stride)
-        bucket = (rows % (self.n_buckets * self.stride)) // self.stride
-        out = np.empty((indices.size, self.reps), dtype=np.int64)
-        pos = {int(ix): j for j, ix in enumerate(indices)}
-        out[[pos[int(o)] for o in owners], rep] = bucket
-        return out
-
-    def whole_bucket_rows(self, indices: np.ndarray) -> np.ndarray:
-        """(len(indices), reps) global-in-block row ids of whole-bucket rows."""
-        buckets = self.buckets_of(indices)
-        rep_base = np.arange(self.reps, dtype=np.int64) * self.n_buckets * self.stride
-        return rep_base[None, :] + buckets * self.stride
+        """(len(indices), reps) bucket ids, from the block's hash."""
+        return self.block.hash(indices)[0]
 
 
 def hh_sketch_from_ensemble(ensemble) -> HeavyHitterSketch:
@@ -175,7 +177,7 @@ def identify_heavy(sketch: HeavyHitterSketch, yA: np.ndarray) -> np.ndarray:
     candidates = candidates[confirmed]
     if candidates.size == 0:
         return candidates
-    est = np.median(totals[rep_idx, sketch.buckets_of(candidates)], axis=1)
+    est = np.median(totals[rep_idx, buckets[confirmed]], axis=1)
     cap = CANDIDATE_CAP_FACTOR * sketch.K
     if candidates.size > cap:
         keep = np.argsort(-est, kind="stable")[:cap]
@@ -183,7 +185,7 @@ def identify_heavy(sketch: HeavyHitterSketch, yA: np.ndarray) -> np.ndarray:
     return candidates
 
 
-def _bucket_values(block: SparseSignMatrix, yB: np.ndarray,
+def _bucket_values(block: HashBlock, yB: np.ndarray,
                    indices: np.ndarray) -> np.ndarray:
     """(len(indices), reps) magnitudes of each index's bucket per repetition.
 
@@ -196,7 +198,7 @@ def _bucket_values(block: SparseSignMatrix, yB: np.ndarray,
     return yB[rows].reshape(len(indices), reps)
 
 
-def estimate_magnitude(B_block: SparseSignMatrix, yB: np.ndarray, i: int) -> float:
+def estimate_magnitude(B_block: HashBlock, yB: np.ndarray, i: int) -> float:
     """Median over repetitions of |bucket containing i|."""
     if not 0 <= i < B_block.n_cols:
         raise SketchError(f"index {i} out of range [0, {B_block.n_cols})")
@@ -204,7 +206,7 @@ def estimate_magnitude(B_block: SparseSignMatrix, yB: np.ndarray, i: int) -> flo
     return float(np.median(yB[rows]))
 
 
-def estimate_magnitudes(B_block: SparseSignMatrix, yB: np.ndarray,
+def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
                         indices: np.ndarray) -> MagnitudeEstimates:
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:

@@ -1,116 +1,176 @@
-"""Sparse +/-1 sign matrices stored in CSR form with a lazy column index.
+"""Stream-defined sparse +/-1 sign blocks.
 
-Every measurement block in the sensing ensemble is one of these. Rows hold
-(column, sign) pairs with signs in {-1, +1}; densities run as low as a few
-parts in ten thousand, so dense storage is never built. The column index
-(CSC ordering of the same entries) is what the decoder uses to answer
-"which rows touch coordinate j" without scanning the whole block; it is
-built on first use and cached.
+Every measurement block in the sensing ensemble is a function of a stream
+key and its shape: it stores no entries, and answers "which rows touch
+column j, with which signs" by recomputing column j from counter-based
+splitmix64 words. The decoder asks for the few columns it needs; sensing
+asks for the nonzero columns of the signal. Densities run as low as a few
+parts in ten thousand, so dense storage is never built.
+
+Both block kinds (the Bernoulli blocks here, the hash blocks in
+``sketch``) answer ``entries(columns)`` with (per-column counts, rows,
+signs), grouped by column in the order asked and with rows increasing
+within a column; ``ColumnBlock`` builds the rest of the interface on that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import apply_signed, sample_bernoulli, sort_by_col
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_U53 = 1.0 / 9007199254740992.0  # 2**-53
+_CHUNK_WORDS = 1 << 20            # stream words drawn per sampling pass
+# Words a column draws first: its mean entry count plus this many standard
+# deviations. Any value gives the same entries; a column that runs short
+# draws more.
+_SLACK_SD = 4.0
 
 
-@dataclass
-class SparseSignMatrix:
-    n_rows: int
-    n_cols: int
-    indptr: np.ndarray   # int64, length n_rows + 1
-    cols: np.ndarray     # int32, length nnz
-    signs: np.ndarray    # int8, entries in {-1, +1}
-    _col_view: tuple | None = field(default=None, repr=False, compare=False)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
 
-    @property
-    def nnz(self) -> int:
-        return int(self.cols.shape[0])
 
-    @classmethod
-    def bernoulli(cls, key: int, n_rows: int, n_cols: int, p: float) -> "SparseSignMatrix":
-        """i.i.d. pattern: each cell nonzero w.p. p, sign uniform +/-1.
+def splitmix64(key: int, idx) -> np.ndarray:
+    """Counter-mode splitmix64: word i of stream ``key`` depends only on
+    (key, i), so any words can be drawn in any order."""
+    return _mix64(np.uint64(key) + np.asarray(idx, dtype=np.uint64) * _GOLDEN)
 
-        p = 1 (every cell occupied, e.g. the unit-sparsity energy blocks) is
-        handled directly; the geometric-gap walk needs p < 1.
-        """
-        if p >= 1.0:
-            from ._backend import splitmix64
 
-            n_cells = n_rows * n_cols
-            u = splitmix64(int(key), 0, n_cells)
-            signs = (u & np.uint64(1)).astype(np.int8) * 2 - 1
-            cols = np.tile(np.arange(n_cols, dtype=np.int32), n_rows)
-            indptr = np.arange(n_rows + 1, dtype=np.int64) * n_cols
-            return cls(n_rows, n_cols, indptr, cols, signs)
-        indptr, cols, signs = sample_bernoulli(int(key), n_rows, n_cols, p)
-        return cls(n_rows, n_cols, indptr, cols, signs)
+def _walk(col_keys: np.ndarray, inv: float, width: int):
+    """Rows reached by the first ``width`` geometric gaps of each column's
+    stream, and the words that drew them; both (columns, width)."""
+    u = _mix64(col_keys[:, None] + np.arange(width, dtype=np.uint64) * _GOLDEN)
+    uniform = (u >> np.uint64(11)) * _U53
+    gaps = 1 + np.floor(np.log1p(-uniform) * inv)
+    return np.cumsum(gaps.astype(np.int64), axis=1) - 1, u
 
-    @classmethod
-    def from_coo(cls, rows: np.ndarray, cols: np.ndarray, signs: np.ndarray,
-                 n_rows: int, n_cols: int) -> "SparseSignMatrix":
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        return cls(n_rows, n_cols, indptr,
-                   cols[order].astype(np.int32), signs[order].astype(np.int8))
 
-    def row(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, signs) of row q, as views."""
-        s, e = self.indptr[q], self.indptr[q + 1]
-        return self.cols[s:e], self.signs[s:e]
+def sample_bernoulli(key: int, n_rows: int, p: float, columns):
+    """Entries of the given columns of an i.i.d. Bernoulli(p) sign block.
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Signed row sums: out[q] = sum_j sign * v[col]."""
-        if v.shape[0] != self.n_cols:
-            raise ValueError(f"vector length {v.shape[0]} != n_cols {self.n_cols}")
-        return apply_signed(self.indptr, self.cols, self.signs, v)
+    Column j walks its own stream, keyed by word j of the block's stream:
+    each word gives a geometric gap down the rows (top 53 bits) and a sign
+    (low bit). Returns (counts, rows, signs): entries per column, and the
+    int32 rows and int8 signs of all entries, grouped by column in the
+    order given.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"density must be in (0, 1), got {p}")
+    columns = np.asarray(columns, dtype=np.int64)
+    mean = n_rows * p
+    width = max(1, int(mean + _SLACK_SD * math.sqrt(mean)) + 2)
+    inv = 1.0 / math.log1p(-p)
+    counts, rows, signs = [], [], []
+    step = max(1, _CHUNK_WORDS // width)
+    for lo in range(0, columns.size, step):
+        keys = splitmix64(key, columns[lo:lo + step])
+        at, u = _walk(keys, inv, width)
+        short = np.flatnonzero(at[:, -1] < n_rows)
+        w = width
+        while short.size:   # rare: redraw only the short columns, wider
+            w *= 2
+            at_s, u_s = _walk(keys[short], inv, w)
+            pad = ((0, 0), (0, w - at.shape[1]))
+            at = np.pad(at, pad, constant_values=n_rows)
+            u = np.pad(u, pad)
+            at[short], u[short] = at_s, u_s
+            short = short[at_s[:, -1] < n_rows]
+        inside = at < n_rows
+        counts.append(inside.sum(axis=1))
+        rows.append(at[inside].astype(np.int32))
+        signs.append((u[inside] & np.uint64(1)).astype(np.int8) * 2 - 1)
+    if not counts:
+        return (np.zeros(0, np.int64), np.zeros(0, np.int32),
+                np.zeros(0, np.int8))
+    return np.concatenate(counts), np.concatenate(rows), np.concatenate(signs)
 
-    # -- column (inverted) index ------------------------------------------
 
-    def _ensure_col_view(self) -> tuple:
-        if self._col_view is None:
-            self._col_view = sort_by_col(self.indptr, self.cols, self.signs,
-                                         self.n_cols)
-        return self._col_view
+def apply_signed(n_rows: int, rows: np.ndarray, signs: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """out[q] = sum of sign * value over the entries in row q, adding in
+    entry order. ``values`` is a scratch array: it is multiplied by the
+    signs in place."""
+    values *= signs
+    return np.bincount(rows, weights=values, minlength=n_rows)
 
-    def rows_of(self, col: int) -> tuple[np.ndarray, np.ndarray]:
-        """(row ids, signs) of all entries in a column, as views."""
-        col_indptr, rows, signs = self._ensure_col_view()
-        s, e = col_indptr[col], col_indptr[col + 1]
-        return rows[s:e], signs[s:e]
 
-    def rows_of_many(self, columns: np.ndarray):
-        """Concatenated (row ids, signs, owning column) over several columns.
+class ColumnBlock:
+    """Column access and signed apply for a block that defines
+    ``entries(columns)``, ``n_rows`` and ``n_cols``."""
+
+    def rows_of_many(self, columns):
+        """Concatenated (row ids, signs, owning column) over several
+        columns, grouped by column in the order given.
 
         Cost is the number of returned entries, not the block size.
         """
-        col_indptr, rows, signs = self._ensure_col_view()
         columns = np.asarray(columns, dtype=np.int64)
-        starts = col_indptr[columns]
-        counts = col_indptr[columns + 1] - starts
-        take = _ranges(starts, counts)
-        return rows[take], signs[take], np.repeat(columns, counts)
+        counts, rows, signs = self.entries(columns)
+        return rows, signs, np.repeat(columns, counts)
 
-    def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation."""
-        if self.indptr.shape[0] != self.n_rows + 1 or self.indptr[0] != 0:
-            raise ValueError("malformed indptr")
-        if self.indptr[-1] != self.nnz or np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr does not partition entries")
-        if self.nnz:
-            if self.cols.min() < 0 or self.cols.max() >= self.n_cols:
-                raise ValueError("column index out of range")
-            if not np.all(np.abs(self.signs) == 1):
-                raise ValueError("signs must be exactly -1 or +1")
-        for q in range(self.n_rows):
-            c, _ = self.row(q)
-            if c.size != np.unique(c).size:
-                raise ValueError(f"duplicate column in row {q}")
+    def rows_of(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """(row ids, signs) of all entries in a column."""
+        _, rows, signs = self.entries(np.array([col], dtype=np.int64))
+        return rows, signs
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Signed row sums over the entries of v's nonzero columns."""
+        if v.shape[0] != self.n_cols:
+            raise ValueError(f"vector length {v.shape[0]} != n_cols {self.n_cols}")
+        cols = np.flatnonzero(v)
+        counts, rows, signs = self.entries(cols)
+        return apply_signed(self.n_rows, rows, signs, np.repeat(v[cols], counts))
+
+
+@dataclass
+class SparseSignMatrix(ColumnBlock):
+    """n_rows x n_cols block whose cells are i.i.d. Bernoulli(p), each
+    nonzero with a uniform +/-1 sign, defined by its stream key.
+
+    It holds no entries until a call needs every column (sensing a signal
+    with no zero entry); that call keeps its column-major result, and
+    later calls slice it instead of sampling.
+    """
+
+    key: int
+    n_rows: int
+    n_cols: int
+    p: float
+    _full: tuple | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def bernoulli(cls, key: int, n_rows: int, n_cols: int, p: float
+                  ) -> "SparseSignMatrix":
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"density must be in (0, 1), got {p}")
+        return cls(int(key), n_rows, n_cols, float(p))
+
+    def entries(self, columns: np.ndarray):
+        """(counts, rows, signs) of the columns: sampled, or sliced from
+        the kept full-width result."""
+        if self._full is None:
+            if columns.size < self.n_cols:
+                return sample_bernoulli(self.key, self.n_rows, self.p, columns)
+            counts, rows, signs = sample_bernoulli(
+                self.key, self.n_rows, self.p, np.arange(self.n_cols))
+            indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            self._full = (indptr, rows, signs)
+        indptr, rows, signs = self._full
+        if columns.size == self.n_cols and np.array_equal(
+                columns, np.arange(self.n_cols)):
+            return np.diff(indptr), rows, signs
+        starts = indptr[columns]
+        counts = indptr[columns + 1] - starts
+        take = _ranges(starts, counts)
+        return counts, rows[take], signs[take]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -7,15 +7,37 @@ import math
 import numpy as np
 
 from phaseless.signs import SignGraph
+from phaseless.sparse import ColumnBlock
+
+
+def block_entries(block):
+    """Every column's (rows, signs, owners), read through rows_of_many."""
+    return block.rows_of_many(np.arange(block.n_cols))
 
 
 def dense_block(block):
-    """Materialize a SparseSignMatrix for oracle comparisons."""
+    """Materialize a block for oracle comparisons from its column entries."""
+    rows, signs, owners = block_entries(block)
     out = np.zeros((block.n_rows, block.n_cols))
-    for q in range(block.n_rows):
-        c, s = block.row(q)
-        out[q, c] = s
+    out[rows, owners] = signs
     return out
+
+
+class ListBlock(ColumnBlock):
+    """A block given entry by entry, for hand-built test cases."""
+
+    def __init__(self, n_rows, n_cols, rows, cols, signs):
+        self.n_rows, self.n_cols = n_rows, n_cols
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.signs = np.asarray(signs, dtype=np.int8)
+
+    def entries(self, columns):
+        picked = [np.flatnonzero(self.cols == c) for c in columns]
+        picked = [p[np.argsort(self.rows[p], kind="stable")] for p in picked]
+        take = np.concatenate(picked) if picked else np.empty(0, np.int64)
+        counts = np.array([p.size for p in picked], dtype=np.int64)
+        return counts, self.rows[take], self.signs[take]
 
 
 def dense_det_matrix(n: int, k: int) -> np.ndarray:

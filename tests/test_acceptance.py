@@ -349,10 +349,13 @@ def test_criterion_11_invariant_suite():
         ok_chain &= res.S1.size <= ens.config.top_select
 
     twin = build_ensemble(1024, 8, rng_seed=4242)
+    every = np.arange(1024)
     ok_repro = all(
-        np.array_equal(ens.blocks[b].cols, twin.blocks[b].cols)
-        and np.array_equal(ens.blocks[b].signs, twin.blocks[b].signs)
-        for b in ens.blocks) and np.array_equal(ens.D, twin.D)
+        np.array_equal(x, y)
+        for b in ens.blocks
+        for x, y in zip(ens.blocks[b].rows_of_many(every),
+                        twin.blocks[b].rows_of_many(every))
+    ) and np.array_equal(ens.D, twin.D)
 
     spec = TrialSpec(n=512, k=4, trials=3, seed=77)
     r1 = [{k2: v for k2, v in r.items() if k2 != "wall_time"}

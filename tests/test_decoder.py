@@ -176,6 +176,19 @@ def test_decode_exact_sparse_mini_rate():
     assert ok >= 16
 
 
+@pytest.mark.parametrize("n", [256, 4096])
+def test_decode_one_sparse_signals(n):
+    # k = 1 used to give E density 1, so every E row met S1 and the tail
+    # estimate always raised
+    ok = 0
+    for t in range(30):
+        ens = build_ensemble(n, 1, rng_seed=11_000 + t)
+        x, _ = exact_sparse(np.random.default_rng(12_000 + t), n, 1)
+        res = decode(ens, apply_phaseless(ens, x))
+        ok += min_flip_error_sq(x, res.to_dense()) == 0.0
+    assert ok >= 27, ok
+
+
 def test_decode_signs_failure_still_returns_magnitudes():
     # C0 large enough that F rows almost never pair up: edgeless graph
     ens = build(7, C0=50.0, c_F=0.01)
@@ -195,6 +208,16 @@ def test_decode_diagnostics_counters_positive():
     d = res.diagnostics
     assert d.y_reads > 0 and d.index_reads > 0
     assert d.total_touches() == d.y_reads + d.index_reads
+    # index reads = the B, E and F column entries of S0, S1 and S2
+    cfg = ens.config
+    expect = res.S0.size * cfg.countsketch_reps
+    expect += sum(ens.blocks[name].rows_of_many(res.S1)[0].size
+                  for name in ens.e_block_names)
+    if res.S2.size > 1:
+        level = min(max(0, math.ceil(math.log2(res.S2.size))), ens.f_top_level)
+        F = ens.blocks[ens.f_level_names(level)[0]]
+        expect += sum(F.rows_of(int(j))[0].size for j in res.S2)
+    assert d.index_reads == expect
 
 
 # -- amplified ----------------------------------------------------------------

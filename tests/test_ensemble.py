@@ -1,5 +1,6 @@
 """Ensemble construction, sensing, and serialization contracts."""
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from phaseless import (EnsembleConfig, EnsembleError, Measurements,
                        SensingEnsemble, apply_phaseless, build_ensemble,
                        planned_row_counts, row_count)
 
-from helpers import exact_sparse
+from helpers import block_entries, exact_sparse
 
 N, K, SEED = 1024, 8, 314
 
@@ -54,7 +55,8 @@ def test_e_block_density_within_3_sigma(ens):
         block = ens.blocks[name]
         cells = block.n_rows * block.n_cols
         sigma = math.sqrt(cells * p * (1 - p))
-        assert abs(block.nnz - cells * p) < 3 * sigma
+        nnz = block_entries(block)[0].size
+        assert abs(nnz - cells * p) < 3 * sigma
 
 
 def test_f_block_density_within_4_sigma(ens):
@@ -65,7 +67,8 @@ def test_f_block_density_within_4_sigma(ens):
         p = 1.0 / (ens.config.C0 * 2 ** level * (log5k - level + 2) ** 2)
         cells = block.n_rows * block.n_cols
         sigma = math.sqrt(cells * p * (1 - p))
-        assert abs(block.nnz - cells * p) < 4 * sigma, name
+        nnz = block_entries(block)[0].size
+        assert abs(nnz - cells * p) < 4 * sigma, name
 
 
 def test_f_levels_for_k_equal_one():
@@ -74,6 +77,14 @@ def test_f_levels_for_k_equal_one():
     widths = sorted(int(name[1:].split(".")[0])
                     for name in e.blocks if name.startswith("F"))
     assert widths == [1, 2, 4, 8]
+
+
+def test_e_density_is_capped_at_one_half():
+    # at k = 1 a density of 1/k = 1 would put every coordinate in every row
+    e = build_ensemble(4096, 1, rng_seed=0)
+    for name in e.e_block_names:
+        assert e.blocks[name].p == 0.5
+    assert build_ensemble(4096, 3, rng_seed=0).blocks["E0"].p == 1.0 / 3
 
 
 def test_f_family_rows_obey_series_bound(ens):
@@ -114,10 +125,9 @@ def test_rebuild_is_bit_identical(ens):
     assert np.array_equal(again.D, ens.D)
     assert list(again.blocks) == list(ens.blocks)
     for name in ens.blocks:
-        a, b = ens.blocks[name], again.blocks[name]
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.cols, b.cols)
-        assert np.array_equal(a.signs, b.signs)
+        a, b = block_entries(ens.blocks[name]), block_entries(again.blocks[name])
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
 
 def test_sign_blindness_is_exact(ens):
@@ -170,15 +180,33 @@ def test_sign_blindness_property(seed):
 def test_ensemble_serialization_round_trip(tmp_path, ens):
     path = tmp_path / "ens.npz"
     ens.save(path)
+    with np.load(path) as data:
+        assert data.files == ["header"]     # no block arrays, no D
     loaded = SensingEnsemble.load(path)
     assert loaded.n == ens.n and loaded.k == ens.k
     assert loaded.config == ens.config
     assert np.array_equal(loaded.D, ens.D)
+    cols = np.array([0, 99, 1023])
     for name in ens.blocks:
-        assert np.array_equal(loaded.blocks[name].cols, ens.blocks[name].cols)
+        for a, b in zip(loaded.blocks[name].rows_of_many(cols),
+                        ens.blocks[name].rows_of_many(cols)):
+            assert np.array_equal(a, b)
     x, _ = exact_sparse(np.random.default_rng(3), N, K)
     assert np.array_equal(apply_phaseless(loaded, x).y,
                           apply_phaseless(ens, x).y)
+    dense = np.random.default_rng(3).standard_normal(N)
+    assert np.array_equal(apply_phaseless(loaded, dense).y,
+                          apply_phaseless(ens, dense).y)
+
+
+def test_ensemble_load_rejects_other_versions(tmp_path, ens):
+    path = tmp_path / "old.npz"
+    header = {"format": SensingEnsemble.FORMAT, "version": 1, "n": N, "k": K,
+              "seed": SEED, "config": {}}
+    np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
+                                        dtype=np.uint8))
+    with pytest.raises(EnsembleError, match="version"):
+        SensingEnsemble.load(path)
 
 
 def test_measurements_serialization_round_trip(tmp_path, ens):

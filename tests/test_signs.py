@@ -8,16 +8,12 @@ from phaseless.bench import edge_error_experiment
 from phaseless.signs import (ClusterLabels, SignGraph, assign_signs,
                              build_sign_graph, recover_communities)
 from phaseless.sketch import MagnitudeEstimates
-from phaseless.sparse import SparseSignMatrix
 
-from helpers import bisection_accuracy, sample_sbm
+from helpers import ListBlock, bisection_accuracy, sample_sbm
 
 
 def one_row_block(n, support, signs):
-    return SparseSignMatrix.from_coo(
-        np.zeros(len(support), dtype=np.int64),
-        np.array(support, dtype=np.int32),
-        np.array(signs, dtype=np.int8), 1, n)
+    return ListBlock(1, n, np.zeros(len(support)), support, signs)
 
 
 def test_zero_estimates_give_no_edges():
@@ -58,7 +54,7 @@ def test_rows_meeting_set_in_one_or_three_spots_are_ignored():
     rows = np.array([0, 0, 0, 1], dtype=np.int64)
     cols = np.array([1, 2, 3, 1], dtype=np.int32)
     signs = np.ones(4, dtype=np.int8)
-    block = SparseSignMatrix.from_coo(rows, cols, signs, 2, n)
+    block = ListBlock(2, n, rows, cols, signs)
     est = MagnitudeEstimates({1: 1.0, 2: 1.0, 3: 1.0})
     g = build_sign_graph(block, np.array([3.0, 1.0]), np.array([1, 2, 3]), est)
     assert g.pair_rows == 0 and g.n_edges == 0
@@ -66,10 +62,9 @@ def test_rows_meeting_set_in_one_or_three_spots_are_ignored():
 
 def test_graph_is_undirected_and_weighted():
     n = 8
-    block = SparseSignMatrix.from_coo(
-        np.array([0, 0, 1, 1], dtype=np.int64),
-        np.array([4, 6, 6, 4], dtype=np.int32),  # same pair twice, swapped
-        np.ones(4, dtype=np.int8), 2, n)
+    block = ListBlock(2, n, [0, 0, 1, 1],
+                      [4, 6, 6, 4],  # same pair twice, swapped
+                      np.ones(4))
     est = MagnitudeEstimates({4: 1.0, 6: 2.0})
     g = build_sign_graph(block, np.array([3.0, 3.0]), np.array([4, 6]), est)
     assert g.edge_u.tolist() == [4] and g.edge_v.tolist() == [6]

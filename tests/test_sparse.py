@@ -1,36 +1,26 @@
 import numpy as np
-import pytest
 
-from phaseless.sparse import SparseSignMatrix
+from phaseless import sparse
+from phaseless.sparse import SparseSignMatrix, sample_bernoulli
 
 from helpers import dense_block
 
 
-def test_validate_accepts_sampled_matrix():
-    SparseSignMatrix.bernoulli(1, 60, 200, 0.05).validate()
-
-
-def test_validate_rejects_bad_sign():
-    m = SparseSignMatrix.bernoulli(1, 10, 50, 0.2)
-    m.signs = m.signs.copy()
-    m.signs[0] = 2
-    with pytest.raises(ValueError, match="signs"):
-        m.validate()
-
-
-def test_validate_rejects_duplicate_column():
-    m = SparseSignMatrix(
-        n_rows=1, n_cols=4,
-        indptr=np.array([0, 2], dtype=np.int64),
-        cols=np.array([1, 1], dtype=np.int32),
-        signs=np.array([1, -1], dtype=np.int8))
-    with pytest.raises(ValueError, match="duplicate"):
-        m.validate()
+def test_sampled_columns_are_well_formed():
+    m = SparseSignMatrix.bernoulli(1, 60, 200, 0.05)
+    for col in range(m.n_cols):
+        rows, signs = m.rows_of(col)
+        assert rows.dtype == np.int32 and signs.dtype == np.int8
+        assert np.all(np.diff(rows) > 0)           # strictly increasing
+        assert rows.size == 0 or (rows[0] >= 0 and rows[-1] < m.n_rows)
+        assert np.all(np.abs(signs) == 1)
 
 
 def test_rows_of_matches_dense():
+    # the dense oracle samples every column in one pass; rows_of samples
+    # one column of a fresh block at a time
+    dense = dense_block(SparseSignMatrix.bernoulli(4, 80, 120, 0.06))
     m = SparseSignMatrix.bernoulli(4, 80, 120, 0.06)
-    dense = dense_block(m)
     for col in [0, 17, 63, 119]:
         rows, signs = m.rows_of(col)
         expected = np.where(dense[:, col] != 0)[0]
@@ -53,13 +43,20 @@ def test_rows_of_many_is_grouped_in_input_order():
     assert cursor == rows.size
 
 
-def test_from_coo_round_trip():
-    rng = np.random.default_rng(2)
-    cells = rng.choice(9 * 30, 40, replace=False)
-    rows, cols = cells // 30, (cells % 30).astype(np.int32)
-    signs = rng.choice([-1, 1], 40).astype(np.int8)
-    m = SparseSignMatrix.from_coo(rows, cols, signs, 9, 30)
-    assert m.nnz == 40
-    dense = np.zeros((9, 30))
-    dense[rows, cols] = signs
-    assert np.array_equal(dense_block(m), dense)
+def test_short_first_draw_never_truncates_a_column(monkeypatch):
+    # with too few words drawn first, columns run short and must keep
+    # drawing until they pass the last row
+    cols = np.arange(300)
+    full = sample_bernoulli(21, 50, 0.3, cols)
+    for slack in (-100.0, -2.0, 0.0):
+        monkeypatch.setattr(sparse, "_SLACK_SD", slack)
+        short = sample_bernoulli(21, 50, 0.3, cols)
+        for a, b in zip(full, short):
+            assert np.array_equal(a, b)
+
+
+def test_column_does_not_depend_on_its_batch():
+    a = sample_bernoulli(5, 400, 0.02, [9, 3, 77])
+    b = sample_bernoulli(5, 400, 0.02, [77])
+    assert np.array_equal(a[1][-a[0][-1]:], b[1])
+    assert np.array_equal(a[2][-a[0][-1]:], b[2])
