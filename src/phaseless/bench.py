@@ -371,9 +371,7 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
         meas = apply_phaseless(ens, x)
         support = np.sort(np.argsort(-np.abs(x))[:k])
         est = MagnitudeEstimates({int(i): float(abs(x[i])) for i in support})
-        level = max(0, math.ceil(math.log2(max(support.size, 1))))
-        level = min(level, ens.f_top_level)
-        name = ens.f_level_names(level)[0]
+        level, name = ens.f_block(support.size)
         graph = build_sign_graph(ens.blocks[name], meas.block(name), support,
                                  est, level=level)
         planted = np.sign(ens.D * x)

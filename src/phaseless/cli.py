@@ -6,7 +6,9 @@ Subcommands:
   decode     decode measurements back into sparse estimates (JSON)
   bench      run a TrialSpec file end to end, write CSV + JSON reports
   calibrate  grid-search constants against a target success rate
-  prony      Monte-Carlo of the deterministic 4k-1 scheme
+
+``bench --pipeline prony`` runs the Monte-Carlo of the deterministic 4k-1
+scheme.
 
 Exit status is 0 only if no trial-level hard errors occurred (and, for
 calibrate, the target was met).
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,13 +86,9 @@ def cmd_sense(args) -> int:
     ensemble = build_ensemble(args.n, args.k, config=_load_config(args.config),
                               rng_seed=args.seed)
     ensemble.save(out / "ensemble.npz")
-    arrays = {}
-    for t, x in enumerate(signals):
-        meas = apply_phaseless(ensemble, x)
-        arrays[f"y{t:05d}"] = meas.y
-    header = {"offsets": meas.offsets, "block_rows": meas.block_rows}
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez_compressed(out / "measurements.npz", **arrays)
+    batch = [apply_phaseless(ensemble, x) for x in signals]
+    replace(batch[0], y=np.stack([meas.y for meas in batch])).save(
+        out / "measurements.npz")
     print(f"wrote ensemble + {len(signals)} measurement vectors to {out}")
     return 0
 
@@ -98,21 +97,16 @@ def cmd_decode(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ensemble = SensingEnsemble.load(Path(args.ensemble))
-    with np.load(Path(args.measurements)) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        names = sorted(key for key in data.files if key.startswith("y"))
-        failures = 0
-        for name in names:
-            meas = Measurements(y=data[name], offsets=header["offsets"],
-                                block_rows=header["block_rows"])
-            try:
-                result = decode(ensemble, meas)
-                (out / f"result_{name}.json").write_text(result.to_json())
-            except Exception as exc:
-                failures += 1
-                (out / f"result_{name}.json").write_text(
-                    json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-    print(f"decoded {len(names)} measurement vectors ({failures} failures)")
+    batch = Measurements.load(Path(args.measurements))
+    failures = 0
+    for t, y in enumerate(batch.y):
+        path = out / f"result_y{t:05d}.json"
+        try:
+            path.write_text(decode(ensemble, replace(batch, y=y)).to_json())
+        except Exception as exc:
+            failures += 1
+            path.write_text(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
+    print(f"decoded {len(batch.y)} measurement vectors ({failures} failures)")
     return 1 if failures else 0
 
 
@@ -152,19 +146,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_prony(args) -> int:
-    spec = TrialSpec(n=args.n, k=args.k, trials=args.trials, seed=args.seed,
-                     pipeline="prony")
-    report = run_trials(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(report.to_csv())
-    (out / "report.json").write_text(report.to_json())
-    agg = report.aggregates()
-    print(json.dumps(agg, indent=2))
-    return 1 if agg["hard_errors"] else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="phaseless",
                                      description=__doc__.split("\n")[0])
@@ -198,10 +179,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="JSON dict: config field -> list of values")
     p.add_argument("--target", type=float, default=0.9)
     p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("prony", help="deterministic-scheme Monte-Carlo")
-    _add_common(p)
-    p.set_defaults(func=cmd_prony)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -31,8 +31,7 @@ import numpy as np
 from .ensemble import Measurements, SensingEnsemble
 from .signs import ClusterLabels, SignGraph, assign_signs, build_sign_graph, \
     recover_communities
-from .sketch import MagnitudeEstimates, estimate_magnitudes, \
-    hh_sketch_from_ensemble, identify_heavy
+from .sketch import MagnitudeEstimates, estimate_magnitudes, identify_heavy
 
 __all__ = [
     "TailEnergyEstimate",
@@ -55,9 +54,6 @@ class TailEnergyEstimate:
     L: float
     per_rep: np.ndarray          # kept sub-block values, median of which is L
     n_excluded: int = 0          # sub-blocks with no disjoint row
-
-    def __float__(self) -> float:
-        return self.L
 
 
 @dataclass
@@ -195,12 +191,6 @@ def _select_top(S0: np.ndarray, estimates: MagnitudeEstimates,
     return np.sort(S0[order[:cap]])
 
 
-def _sign_level(ensemble: SensingEnsemble, size: int) -> int:
-    """Smallest level l with size <= 2^l, clamped to the built ladder."""
-    level = max(0, math.ceil(math.log2(max(size, 1))))
-    return min(level, ensemble.f_top_level)
-
-
 def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
                 S2: np.ndarray, estimates: MagnitudeEstimates,
                 diagnostics: DecodeDiagnostics
@@ -209,8 +199,7 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
         return None, None, False
     if S2.size == 1:
         return ClusterLabels({int(S2[0]): 1}, flagged=True), None, False
-    level = _sign_level(ensemble, S2.size)
-    name = ensemble.f_level_names(level)[0]
+    level, name = ensemble.f_block(S2.size)
     graph = build_sign_graph(ensemble.blocks[name], measurements.block(name),
                              S2, estimates, level=level)
     diagnostics.edges_sampled += graph.pair_rows
@@ -230,9 +219,8 @@ def decode(ensemble: SensingEnsemble, measurements: Measurements
     diagnostics = DecodeDiagnostics()
     cfg = ensemble.config
 
-    sketch = hh_sketch_from_ensemble(ensemble)
     yA = measurements.block("A")
-    S0 = identify_heavy(sketch, yA)
+    S0 = identify_heavy(ensemble.blocks["A"], cfg.heavy_K, yA)
     diagnostics.y_reads += yA.size
     diagnostics.rows_touched += yA.size
 
@@ -267,9 +255,10 @@ def decode(ensemble: SensingEnsemble, measurements: Measurements
 def decode_amplified(ensembles: list[SensingEnsemble],
                      y_list: list[Measurements]) -> RecoveryResult:
     """Majority-vote variant: candidate sets, magnitudes and pruning come
-    from the first ensemble; every ensemble (and every inner copy of the
-    selected F level) casts one vote per coordinate for its relative sign
-    against the anchor, the largest-magnitude member of S2.
+    from the first ensemble; every ensemble casts one vote per coordinate
+    for its relative sign against the anchor, the largest-magnitude member
+    of S2. The first ensemble votes with the labels ``decode`` found; each
+    other one runs the sign stage on S2, and its reads are counted too.
 
     Votes are cast in signal space: each replica's label pair is un-flipped
     by that replica's own D before voting, so replicas with different D
@@ -285,32 +274,20 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     estimates = MagnitudeEstimates(
         {int(i): abs(float(v)) for i, v in zip(base.indices, base.values)})
     mags = estimates.array_for(S2)
-    anchor = int(S2[int(np.argmax(mags))])
+    anchor = int(np.argmax(mags))            # position of the anchor in S2
 
     diagnostics = base.diagnostics
-    votes = {int(i): 0.0 for i in S2}
-    any_labels = False
-    for ens, meas in zip(ensembles, y_list):
-        level = _sign_level(ens, S2.size)
-        for name in ens.f_level_names(level):
-            graph = build_sign_graph(ens.blocks[name], meas.block(name),
-                                     S2, estimates, level=level)
-            diagnostics.edges_sampled += graph.pair_rows
-            try:
-                labels = recover_communities(graph)
-            except Exception:
-                continue
-            any_labels = True
-            anchor_sign = ens.D[anchor] * labels[anchor]
-            for i in S2:
-                rel = (ens.D[int(i)] * labels[int(i)]) * anchor_sign
-                votes[int(i)] += rel
-    if not any_labels:
-        return base
-    indices = S2
-    rel_signs = np.array([1 if votes[int(i)] >= 0 else -1 for i in S2])
-    values = rel_signs * estimates.array_for(S2)
-    return RecoveryResult(n=primary.n, indices=indices, values=values,
+    voters = [(primary, base.labels)]
+    for ens, meas in zip(ensembles[1:], y_list[1:]):
+        labels, _, _ = _sign_stage(ens, meas, S2, estimates, diagnostics)
+        if labels is not None:
+            voters.append((ens, labels))
+    votes = np.zeros(S2.size)
+    for ens, labels in voters:
+        signed = ens.D[S2] * np.array([labels[i] for i in S2])
+        votes += signed * signed[anchor]
+    rel_signs = np.where(votes >= 0, 1, -1)
+    return RecoveryResult(n=primary.n, indices=S2, values=rel_signs * mags,
                           S0=base.S0, S1=base.S1, S2=S2,
                           tail_energy=base.tail_energy, labels=base.labels,
                           signs_failed=False, diagnostics=diagnostics)

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .sketch import build_countsketch_block, build_hh_block
+from . import sketch
 from .sparse import ColumnBlock, SparseSignMatrix, splitmix64
 
 __all__ = [
@@ -78,8 +78,6 @@ class EnsembleConfig:
                      tail-estimate rows cheaper).
     hh_bucket_factor buckets per unit of heavy_K in the identification block.
     hh_reps          identification repetitions.
-    f_inner_reps     copies of each small F level (2^l <= sqrt(k)), majority
-                     voted by the amplified decoder; 1 = plain pipeline.
     seed    master RNG seed; every block derives its own stream from it.
     """
 
@@ -94,7 +92,6 @@ class EnsembleConfig:
     top_select: int | None = None
     hh_bucket_factor: float = 1.5
     hh_reps: int | None = None
-    f_inner_reps: int = 1
     seed: int = 0
 
     def resolve(self, n: int, k: int) -> "EnsembleConfig":
@@ -125,7 +122,6 @@ class EnsembleConfig:
             "heavy_K": self.heavy_K,
             "top_select": self.top_select,
             "hh_reps": self.hh_reps,
-            "f_inner_reps": self.f_inner_reps,
         }
         for name, value in counts.items():
             if value is None or value < 1:
@@ -162,6 +158,10 @@ def _e_density(k: int) -> float:
 def _f_top_level(k: int) -> int:
     return math.ceil(math.log2(5 * k))
 
+def _f_name(level: int) -> str:
+    """One F block per level, named after its candidate-set width 2^l."""
+    return f"F{2 ** level}"
+
 def _f_log_term(k: int, level: int) -> float:
     return math.log2(5 * k) - level + 2
 
@@ -170,14 +170,6 @@ def _f_density(k: int, level: int, C0: float) -> float:
 
 def _f_rows(k: int, level: int, c_F: float) -> int:
     return math.ceil(c_F * max(level, 1) * (2 ** level) * _f_log_term(k, level) ** 4)
-
-def _f_copies(k: int, level: int, f_inner_reps: int) -> int:
-    """Small levels (2^l <= smallest power of two above sqrt(k)) carry the
-    inner replication used by the amplified sign vote."""
-    if f_inner_reps <= 1 or level < 1:
-        return 1
-    top = 2 ** (math.floor(math.log2(math.sqrt(k))) + 1) if k > 1 else 2
-    return f_inner_reps if (2 ** level) <= top else 1
 
 def _hh_geometry(n: int, cfg: EnsembleConfig) -> tuple[int, int, int]:
     """(buckets, bits, reps) of the identification block."""
@@ -194,8 +186,7 @@ def planned_row_counts(n: int, k: int, config: EnsembleConfig | None = None) -> 
         "A": buckets * (2 * bits + 1) * reps,
         "B": cfg.countsketch_rows * cfg.countsketch_reps,
         "E": cfg.rep_log_n * math.ceil(cfg.C1 * k),
-        "F": sum(_f_rows(k, l, cfg.c_F) * _f_copies(k, l, cfg.f_inner_reps)
-                 for l in range(_f_top_level(k) + 1)),
+        "F": sum(_f_rows(k, l, cfg.c_F) for l in range(_f_top_level(k) + 1)),
     }
     counts["total"] = sum(counts.values())
     return counts
@@ -216,33 +207,24 @@ class SensingEnsemble:
     offsets: dict[str, int]
     total_rows: int
 
-    def block_slice(self, name: str) -> slice:
-        start = self.offsets[name]
-        return slice(start, start + self.blocks[name].n_rows)
-
     @property
     def e_block_names(self) -> list[str]:
         return [f"E{l}" for l in range(self.config.rep_log_n)]
-
-    def f_level_names(self, level: int) -> list[str]:
-        width = 2 ** level
-        copies = _f_copies(self.k, level, self.config.f_inner_reps)
-        return [f"F{width}" if c == 0 else f"F{width}.{c}" for c in range(copies)]
 
     @property
     def f_top_level(self) -> int:
         return _f_top_level(self.k)
 
-    def hh_geometry(self) -> tuple[int, int, int]:
-        return _hh_geometry(self.n, self.config)
-
-    def apply_phaseless(self, x: np.ndarray) -> "Measurements":
-        return apply_phaseless(self, x)
+    def f_block(self, size: int) -> tuple[int, str]:
+        """(level, block name) of the F level that tests a candidate set of
+        ``size``: the smallest l with size <= 2^l, clamped to the ladder."""
+        level = min(max(0, math.ceil(math.log2(max(size, 1)))), self.f_top_level)
+        return level, _f_name(level)
 
     # -- serialization: a versioned header; the blocks are rebuilt ----------
 
     FORMAT = "phaseless-ensemble"
-    VERSION = 2
+    VERSION = 3
 
     def save(self, path) -> None:
         header = {
@@ -276,7 +258,11 @@ class SensingEnsemble:
 
 @dataclass
 class Measurements:
-    """y = |Phi x|, plus the block partition needed to address it."""
+    """y = |Phi x|, plus the block partition needed to address it.
+
+    ``y`` holds one signal's rows, or a batch as a (signals, rows) array;
+    ``block`` slices the last axis either way.
+    """
 
     y: np.ndarray
     offsets: dict[str, int]
@@ -284,12 +270,7 @@ class Measurements:
 
     def block(self, name: str) -> np.ndarray:
         start = self.offsets[name]
-        return self.y[start:start + self.block_rows[name]]
-
-    def global_index(self, name: str, local_row: int) -> int:
-        if not 0 <= local_row < self.block_rows[name]:
-            raise IndexError(f"row {local_row} outside block {name}")
-        return self.offsets[name] + local_row
+        return self.y[..., start:start + self.block_rows[name]]
 
     FORMAT = "phaseless-measurements"
     VERSION = 1
@@ -308,6 +289,9 @@ class Measurements:
             header = json.loads(bytes(data["header"]).decode())
             if header.get("format") != cls.FORMAT:
                 raise EnsembleError(f"not a measurements container: {header.get('format')}")
+            if header.get("version") != cls.VERSION:
+                raise EnsembleError(
+                    f"unsupported measurements version {header.get('version')}")
             return cls(y=data["y"], offsets=header["offsets"],
                        block_rows=header["block_rows"])
 
@@ -338,13 +322,8 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
 
     names: list[str] = ["A", "B"]
     names += [f"E{l}" for l in range(cfg.rep_log_n)]
-    f_specs: list[tuple[str, int]] = []
-    for level in range(_f_top_level(k) + 1):
-        width = 2 ** level
-        for c in range(_f_copies(k, level, cfg.f_inner_reps)):
-            name = f"F{width}" if c == 0 else f"F{width}.{c}"
-            names.append(name)
-            f_specs.append((name, level))
+    f_levels = range(_f_top_level(k) + 1)
+    names += [_f_name(level) for level in f_levels]
     keys = _block_keys(seed, names)
 
     d_key = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
@@ -352,17 +331,20 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
 
     buckets, bits, reps = _hh_geometry(n, cfg)
     blocks: dict[str, ColumnBlock] = {}
-    blocks["A"] = build_hh_block(keys["A"], n, buckets, bits, reps)
-    blocks["B"] = build_countsketch_block(keys["B"], n, cfg.countsketch_rows,
-                                          cfg.countsketch_reps)
+    # the hash-block builders are looked up on their module at call time, so
+    # a tracer that wraps them there times these calls too
+    blocks["A"] = sketch.build_hh_block(keys["A"], n, buckets, bits, reps)
+    blocks["B"] = sketch.build_countsketch_block(
+        keys["B"], n, cfg.countsketch_rows, cfg.countsketch_reps)
     e_rows = math.ceil(cfg.C1 * k)
     for l in range(cfg.rep_log_n):
         blocks[f"E{l}"] = SparseSignMatrix.bernoulli(keys[f"E{l}"], e_rows, n,
                                                      _e_density(k))
-    for name, level in f_specs:
+    for level in f_levels:
         p = _f_density(k, level, cfg.C0)
         if not p < 1.0:
             raise EnsembleError(f"F level {level} density {p} >= 1; increase C0")
+        name = _f_name(level)
         blocks[name] = SparseSignMatrix.bernoulli(keys[name], _f_rows(k, level, cfg.c_F),
                                                   n, p)
 

@@ -5,10 +5,14 @@ z_0..z_{2k-1}, plus the 2k-1 running sums |z_0 + ... + z_a| for a >= 1.
 Decoding anchors the phase of the first nonzero coefficient at zero and
 walks the remaining coefficients in order: knowing the partial sum s, the
 magnitude |z_j|, and |s + z_j| pins z_j down to at most two candidates (the
-law-of-cosines angle is determined up to sign). Candidate prefixes that
-contradict a later running-sum measurement are pruned; every surviving
-branch is handed to the annihilating-polynomial solver and validated by
-re-measuring. The winner is exact up to a global phase times the inherent
+law-of-cosines angle is determined up to sign). The running-sum checks do
+not prune in practice: for every signal measured with k = 1..8 the walk
+ended with exactly 4^(k-1) leaves, so the search grows 4x per unit of k,
+and every k >= 10 exceeds the BRANCH_CAP of 65536 branches and raises
+NumericalFailure. Each leaf is screened by an annihilating filter on the
+n-point grid, and the survivors are handed to the annihilating-polynomial
+solver and validated by re-measuring. The winner is exact up to a global
+phase times the inherent
 conjugate-reflection symmetry of magnitude measurements (t -> -t mod n with
 conjugated values produces identical measurements, so no decoder can split
 that pair).
@@ -40,6 +44,11 @@ __all__ = [
 ]
 
 
+ZERO_TOL = 1e-9       # relative to max(y): first-nonzero detection
+BRANCH_TOL = 1e-6     # relative to max(y): running-sum consistency
+BRANCH_CAP = 65536    # phase-chain branches before giving up
+
+
 class PhaseUnderdetermined(ValueError):
     """|x| and |x + a| with a = 0 leave the phase of x free."""
 
@@ -61,9 +70,6 @@ class ComplexSignal:
     def n(self) -> int:
         return int(self.values.shape[0])
 
-    def support(self, tol: float = 0.0) -> np.ndarray:
-        return np.where(np.abs(self.values) > tol)[0]
-
 
 @dataclass(frozen=True)
 class DeterministicScheme:
@@ -71,9 +77,6 @@ class DeterministicScheme:
 
     n: int
     k: int
-    zero_tol: float = 1e-9       # relative: first-nonzero detection
-    branch_tol: float = 1e-6     # relative: running-sum consistency pruning
-    branch_cap: int = 65536      # surviving-prefix limit before giving up
 
     def __post_init__(self):
         if not 1 <= 2 * self.k <= self.n:
@@ -82,12 +85,6 @@ class DeterministicScheme:
     @property
     def n_measurements(self) -> int:
         return 4 * self.k - 1
-
-    def measure(self, x: np.ndarray) -> np.ndarray:
-        return det_measure(self, x)
-
-    def recover(self, y: np.ndarray) -> ComplexSignal:
-        return det_recover(self, y)
 
 
 def det_measure(scheme: DeterministicScheme, x: np.ndarray) -> np.ndarray:
@@ -256,9 +253,9 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                 split = np.zeros_like(split)  # conjugate-twin cut
             minus = zm * unit[split] * (cos_val[split] - 1j * sin_val[split])
             n_new = state.shape[0] + int(split.sum())
-            if n_new > scheme.branch_cap:
+            if n_new > BRANCH_CAP:
                 raise NumericalFailure(
-                    f"phase search exceeded {scheme.branch_cap} branches")
+                    f"phase search exceeded {BRANCH_CAP} branches")
             new_coeffs = np.concatenate([coeffs, coeffs[split]], axis=0)
             new_coeffs[: state.shape[0], j] = plus
             new_coeffs[state.shape[0]:, j] = minus
@@ -327,8 +324,8 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
     scale = float(np.max(y))
     if scale == 0:
         return ComplexSignal(np.zeros(scheme.n, dtype=np.complex128), 0)
-    tol_zero = scheme.zero_tol * scale
-    tol_branch = scheme.branch_tol * scale
+    tol_zero = ZERO_TOL * scale
+    tol_branch = BRANCH_TOL * scale
     z_mag = y[:two_k]
     sum_mag = y[two_k:]
 

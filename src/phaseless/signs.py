@@ -51,11 +51,6 @@ class SignGraph:
     def n_edges(self) -> int:
         return int(self.weights.sum())
 
-    def to_edgelist_text(self) -> str:
-        lines = [f"{u} {v} {w}" for u, v, w in
-                 zip(self.edge_u, self.edge_v, self.weights)]
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 @dataclass
 class ClusterLabels:
@@ -113,11 +108,12 @@ def _adjacency(g: SignGraph) -> np.ndarray:
     return W
 
 
-def recover_communities(g: SignGraph, seed: int = 0) -> ClusterLabels:
+def recover_communities(g: SignGraph) -> ClusterLabels:
     """Bisect the graph into the two sign classes.
 
-    Deterministic given (graph, seed). Isolated vertices default to +1 and
-    flag the result as low-confidence.
+    Deterministic given the graph: power iteration starts from one fixed
+    random vector. Isolated vertices default to +1 and flag the result as
+    low-confidence.
     """
     n = g.vertices.size
     if n == 0:
@@ -130,8 +126,7 @@ def recover_communities(g: SignGraph, seed: int = 0) -> ClusterLabels:
     flagged = bool(isolated.any())
 
     mean_w = W.sum() / (n * n)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+    v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     max_iter = max(8, math.ceil(10 * math.log2(n)))
     for _ in range(max_iter):

@@ -27,13 +27,11 @@ from .sparse import ColumnBlock, splitmix64
 
 __all__ = [
     "HashBlock",
-    "HeavyHitterSketch",
     "MagnitudeEstimates",
     "SketchError",
     "build_hh_block",
     "build_countsketch_block",
     "identify_heavy",
-    "estimate_magnitude",
     "estimate_magnitudes",
 ]
 
@@ -114,63 +112,33 @@ class MagnitudeEstimates:
     def __getitem__(self, i: int) -> float:
         return self.entries[i]
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.entries
-
     def array_for(self, indices: np.ndarray) -> np.ndarray:
         return np.array([self.entries[int(i)] for i in indices], dtype=np.float64)
 
 
-@dataclass
-class HeavyHitterSketch:
-    """Decoder-side view over the A block."""
-
-    K: int
-    n: int
-    n_buckets: int
-    n_bits: int
-    reps: int
-    block: HashBlock
-
-    @property
-    def stride(self) -> int:
-        return 2 * self.n_bits + 1
-
-    def buckets_of(self, indices: np.ndarray) -> np.ndarray:
-        """(len(indices), reps) bucket ids, from the block's hash."""
-        return self.block.hash(indices)[0]
-
-
-def hh_sketch_from_ensemble(ensemble) -> HeavyHitterSketch:
-    buckets, bits, reps = ensemble.hh_geometry()
-    return HeavyHitterSketch(K=ensemble.config.heavy_K, n=ensemble.n,
-                             n_buckets=buckets, n_bits=bits, reps=reps,
-                             block=ensemble.blocks["A"])
-
-
-def identify_heavy(sketch: HeavyHitterSketch, yA: np.ndarray) -> np.ndarray:
-    """Candidate superset of the heavy coordinates, from the A measurements.
+def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
+    """Candidate superset of the heavy coordinates, from the measurements
+    ``yA`` of the identification block ``block``.
 
     Returns a sorted index array of size <= 2K. Reads the whole (K polylog)
     A block and nothing else.
     """
-    expected = sketch.reps * sketch.n_buckets * sketch.stride
-    if yA.shape != (expected,):
-        raise SketchError(f"A-block slice has {yA.shape}, expected ({expected},)")
-    y = yA.reshape(sketch.reps, sketch.n_buckets, sketch.stride)
+    if yA.shape != (block.n_rows,):
+        raise SketchError(f"A-block slice has {yA.shape}, expected ({block.n_rows},)")
+    y = yA.reshape(block.reps, block.n_buckets, block.stride)
     totals = y[:, :, 0]
     low = y[:, :, 1::2]   # bit = 0 sub-buckets
     high = y[:, :, 2::2]  # bit = 1 sub-buckets
     bits = (high > low).astype(np.int64)
-    weights = 1 << np.arange(sketch.n_bits, dtype=np.int64)
+    weights = 1 << np.arange(block.n_bits, dtype=np.int64)
     decoded = bits @ weights                      # (reps, n_buckets)
-    live = (totals > 0) & (decoded < sketch.n)
+    live = (totals > 0) & (decoded < block.n_cols)
     candidates = np.unique(decoded[live])
     if candidates.size == 0:
         return candidates
     # keep only candidates whose index hashes back to a bucket that decoded it
-    buckets = sketch.buckets_of(candidates)       # (m, reps)
-    rep_idx = np.arange(sketch.reps)[None, :]
+    buckets = block.hash(candidates)[0]           # (m, reps)
+    rep_idx = np.arange(block.reps)[None, :]
     decoded_here = decoded[rep_idx, buckets] == candidates[:, None]
     alive_here = live[rep_idx, buckets]
     confirmed = np.any(decoded_here & alive_here, axis=1)
@@ -178,7 +146,7 @@ def identify_heavy(sketch: HeavyHitterSketch, yA: np.ndarray) -> np.ndarray:
     if candidates.size == 0:
         return candidates
     est = np.median(totals[rep_idx, buckets[confirmed]], axis=1)
-    cap = CANDIDATE_CAP_FACTOR * sketch.K
+    cap = CANDIDATE_CAP_FACTOR * K
     if candidates.size > cap:
         keep = np.argsort(-est, kind="stable")[:cap]
         candidates = np.sort(candidates[keep])
@@ -198,18 +166,14 @@ def _bucket_values(block: HashBlock, yB: np.ndarray,
     return yB[rows].reshape(len(indices), reps)
 
 
-def estimate_magnitude(B_block: HashBlock, yB: np.ndarray, i: int) -> float:
-    """Median over repetitions of |bucket containing i|."""
-    if not 0 <= i < B_block.n_cols:
-        raise SketchError(f"index {i} out of range [0, {B_block.n_cols})")
-    rows, _ = B_block.rows_of(i)
-    return float(np.median(yB[rows]))
-
-
 def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
                         indices: np.ndarray) -> MagnitudeEstimates:
+    """Per index, the median over repetitions of |bucket containing it|."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         return MagnitudeEstimates({})
+    outside = indices[(indices < 0) | (indices >= B_block.n_cols)]
+    if outside.size:
+        raise SketchError(f"index {outside[0]} out of range [0, {B_block.n_cols})")
     med = np.median(_bucket_values(B_block, yB, indices), axis=1)
     return MagnitudeEstimates({int(i): float(v) for i, v in zip(indices, med)})

@@ -115,11 +115,6 @@ class ColumnBlock:
         counts, rows, signs = self.entries(columns)
         return rows, signs, np.repeat(columns, counts)
 
-    def rows_of(self, col: int) -> tuple[np.ndarray, np.ndarray]:
-        """(row ids, signs) of all entries in a column."""
-        _, rows, signs = self.entries(np.array([col], dtype=np.int64))
-        return rows, signs
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Signed row sums over the entries of v's nonzero columns."""
         if v.shape[0] != self.n_cols:

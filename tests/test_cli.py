@@ -68,7 +68,7 @@ def test_gen_complex_signals_use_interleaved_format(tmp_path):
 
 def test_prony_subcommand(tmp_path):
     out = tmp_path / "prony"
-    assert main(["prony", "--n", "64", "--k", "3", "--trials", "4",
+    assert main(["bench", "--pipeline", "prony", "--n", "64", "--k", "3", "--trials", "4",
                  "--seed", "1", "--out", str(out)]) == 0
     agg = json.loads((out / "report.json").read_text())["aggregates"]
     assert agg["success_rate"] == 1.0

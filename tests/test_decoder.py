@@ -9,6 +9,7 @@ from phaseless import (EnsembleConfig, TailEstimationError, apply_phaseless,
                        build_ensemble, decode, decode_amplified,
                        estimate_tail_energy, prune)
 from phaseless.bench import min_flip_error_sq
+from phaseless.signs import build_sign_graph
 from phaseless.sketch import MagnitudeEstimates
 
 from helpers import exact_sparse, spikes_plus_tail
@@ -215,8 +216,8 @@ def test_decode_diagnostics_counters_positive():
                   for name in ens.e_block_names)
     if res.S2.size > 1:
         level = min(max(0, math.ceil(math.log2(res.S2.size))), ens.f_top_level)
-        F = ens.blocks[ens.f_level_names(level)[0]]
-        expect += sum(F.rows_of(int(j))[0].size for j in res.S2)
+        F = ens.blocks[f"F{2 ** level}"]
+        expect += sum(F.rows_of_many([j])[0].size for j in res.S2)
     assert d.index_reads == expect
 
 
@@ -246,14 +247,33 @@ def test_amplified_absorbs_one_corrupted_replica():
     bad = corrupted.y.copy()
     for name in ensembles[1].blocks:
         if name.startswith("F"):
-            sl = ensembles[1].block_slice(name)
-            bad[sl] = np.random.default_rng(0).uniform(0, 10, sl.stop - sl.start)
+            start, rows = corrupted.offsets[name], corrupted.block_rows[name]
+            bad[start:start + rows] = np.random.default_rng(0).uniform(0, 10, rows)
     measurements_bad = [measurements[0],
                         type(corrupted)(y=bad, offsets=corrupted.offsets,
                                         block_rows=corrupted.block_rows),
                         measurements[2]]
     out = decode_amplified(ensembles, measurements_bad).to_dense()
     assert np.array_equal(out, clean) or np.array_equal(out, -clean)
+
+
+def test_amplified_counts_every_replicas_reads():
+    ensembles, measurements, _ = amplified_setup(24)
+    base = decode(ensembles[0], measurements[0])
+    assert base.S2.size > 1 and base.labels is not None
+    estimates = MagnitudeEstimates(
+        {int(i): abs(float(v)) for i, v in zip(base.indices, base.values)})
+    expect = base.diagnostics.as_dict()
+    level = min(math.ceil(math.log2(base.S2.size)), ensembles[0].f_top_level)
+    for ens, meas in zip(ensembles[1:], measurements[1:]):
+        name = f"F{2 ** level}"
+        graph = build_sign_graph(ens.blocks[name], meas.block(name), base.S2,
+                                 estimates, level=level)
+        for counter in ("y_reads", "rows_touched", "edges_sampled"):
+            expect[counter] += graph.pair_rows
+        expect["index_reads"] += graph.entries
+    amp = decode_amplified(ensembles, measurements)
+    assert amp.diagnostics.as_dict() == expect
 
 
 def test_amplified_validates_inputs():

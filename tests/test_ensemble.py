@@ -62,7 +62,7 @@ def test_e_block_density_within_3_sigma(ens):
 def test_f_block_density_within_4_sigma(ens):
     log5k = math.log2(5 * K)
     for level in range(ens.f_top_level + 1):
-        name = ens.f_level_names(level)[0]
+        name = f"F{2 ** level}"
         block = ens.blocks[name]
         p = 1.0 / (ens.config.C0 * 2 ** level * (log5k - level + 2) ** 2)
         cells = block.n_rows * block.n_cols
@@ -74,9 +74,10 @@ def test_f_block_density_within_4_sigma(ens):
 def test_f_levels_for_k_equal_one():
     # ceil(log2(5)) = 3, so levels run 0..3 regardless of n
     e = build_ensemble(4096, 1, rng_seed=0)
-    widths = sorted(int(name[1:].split(".")[0])
-                    for name in e.blocks if name.startswith("F"))
-    assert widths == [1, 2, 4, 8]
+    assert [name for name in e.blocks if name.startswith("F")] == \
+        ["F1", "F2", "F4", "F8"]
+    assert [e.f_block(size) for size in (1, 2, 3, 8, 9, 1000)] == \
+        [(0, "F1"), (1, "F2"), (2, "F4"), (3, "F8"), (3, "F8"), (3, "F8")]
 
 
 def test_e_density_is_capped_at_one_half():
@@ -153,9 +154,7 @@ def test_measurements_nonnegative_and_sized(ens):
     meas = apply_phaseless(ens, x)
     assert meas.y.shape == (ens.total_rows,)
     assert np.all(meas.y >= 0)
-    assert meas.global_index("B", 0) == ens.offsets["B"]
-    with pytest.raises(IndexError):
-        meas.global_index("B", ens.blocks["B"].n_rows)
+    assert meas.block("B").shape == (ens.blocks["B"].n_rows,)
 
 
 def test_apply_rejects_bad_signals(ens):
@@ -201,12 +200,15 @@ def test_ensemble_serialization_round_trip(tmp_path, ens):
 
 def test_ensemble_load_rejects_other_versions(tmp_path, ens):
     path = tmp_path / "old.npz"
-    header = {"format": SensingEnsemble.FORMAT, "version": 1, "n": N, "k": K,
-              "seed": SEED, "config": {}}
-    np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
-                                        dtype=np.uint8))
-    with pytest.raises(EnsembleError, match="version"):
-        SensingEnsemble.load(path)
+    # version 2 headers still carried the config field f_inner_reps
+    for version in (1, 2):
+        header = {"format": SensingEnsemble.FORMAT, "version": version,
+                  "n": N, "k": K, "seed": SEED,
+                  "config": {"f_inner_reps": 1}}
+        np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
+                                            dtype=np.uint8))
+        with pytest.raises(EnsembleError, match="version"):
+            SensingEnsemble.load(path)
 
 
 def test_measurements_serialization_round_trip(tmp_path, ens):
@@ -218,3 +220,26 @@ def test_measurements_serialization_round_trip(tmp_path, ens):
     assert np.array_equal(loaded.y, meas.y)
     assert loaded.offsets == meas.offsets
     assert np.array_equal(loaded.block("E0"), meas.block("E0"))
+
+
+def test_measurement_batch_blocks_slice_the_last_axis(tmp_path, ens):
+    rng = np.random.default_rng(5)
+    batch = [apply_phaseless(ens, exact_sparse(rng, N, K)[0]) for _ in range(3)]
+    path = tmp_path / "batch.npz"
+    Measurements(y=np.stack([meas.y for meas in batch]), offsets=ens.offsets,
+                 block_rows=batch[0].block_rows).save(path)
+    loaded = Measurements.load(path)
+    assert loaded.y.shape == (3, ens.total_rows)
+    for t, meas in enumerate(batch):
+        for name in ens.blocks:
+            assert np.array_equal(loaded.block(name)[t], meas.block(name))
+
+
+def test_measurements_load_rejects_other_versions(tmp_path):
+    path = tmp_path / "old.npz"
+    header = {"format": Measurements.FORMAT, "version": 0,
+              "offsets": {}, "block_rows": {}}
+    np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
+                                        dtype=np.uint8), y=np.zeros(3))
+    with pytest.raises(EnsembleError, match="version"):
+        Measurements.load(path)

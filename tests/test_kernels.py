@@ -91,10 +91,10 @@ def test_hash_block_rows_follow_the_stream_words():
     A = build_hh_block(17, n, buckets, bits, reps)
     stride = 2 * bits + 1
     for i in (0, 5, 199):
-        rows, signs = B.rows_of(i)
+        rows, signs, _ = B.rows_of_many([i])
         assert rows.tolist() == [r * buckets + bucket[r, i] for r in range(reps)]
         assert signs.tolist() == sign[:, i].tolist()
-        rows, signs = A.rows_of(i)
+        rows, signs, _ = A.rows_of_many([i])
         expect = []
         for r in range(reps):
             base = (r * buckets + bucket[r, i]) * stride

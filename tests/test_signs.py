@@ -69,8 +69,6 @@ def test_graph_is_undirected_and_weighted():
     g = build_sign_graph(block, np.array([3.0, 3.0]), np.array([4, 6]), est)
     assert g.edge_u.tolist() == [4] and g.edge_v.tolist() == [6]
     assert g.weights.tolist() == [2]
-    text = g.to_edgelist_text()
-    assert text == "4 6 2\n"
 
 
 def test_small_vertex_sets():
@@ -162,8 +160,7 @@ def test_edge_rate_separation_with_planted_signs():
         meas = apply_phaseless(ens, x)
         support = np.sort(np.argsort(-np.abs(x))[:k])
         est = MagnitudeEstimates({int(i): float(abs(x[i])) for i in support})
-        level = min(max(0, math.ceil(math.log2(k))), ens.f_top_level)
-        name = ens.f_level_names(level)[0]
+        level, name = ens.f_block(k)
         g = build_sign_graph(ens.blocks[name], meas.block(name), support, est,
                              level=level)
         planted = np.sign(ens.D * x)

@@ -9,7 +9,7 @@ from helpers import dense_block
 def test_sampled_columns_are_well_formed():
     m = SparseSignMatrix.bernoulli(1, 60, 200, 0.05)
     for col in range(m.n_cols):
-        rows, signs = m.rows_of(col)
+        rows, signs, _ = m.rows_of_many([col])
         assert rows.dtype == np.int32 and signs.dtype == np.int8
         assert np.all(np.diff(rows) > 0)           # strictly increasing
         assert rows.size == 0 or (rows[0] >= 0 and rows[-1] < m.n_rows)
@@ -17,12 +17,12 @@ def test_sampled_columns_are_well_formed():
 
 
 def test_rows_of_matches_dense():
-    # the dense oracle samples every column in one pass; rows_of samples
-    # one column of a fresh block at a time
+    # the dense oracle samples every column in one pass; here each column
+    # of a fresh block is sampled on its own
     dense = dense_block(SparseSignMatrix.bernoulli(4, 80, 120, 0.06))
     m = SparseSignMatrix.bernoulli(4, 80, 120, 0.06)
     for col in [0, 17, 63, 119]:
-        rows, signs = m.rows_of(col)
+        rows, signs, _ = m.rows_of_many([col])
         expected = np.where(dense[:, col] != 0)[0]
         assert np.array_equal(rows, expected)
         assert np.array_equal(signs, dense[expected, col])
@@ -34,7 +34,7 @@ def test_rows_of_many_is_grouped_in_input_order():
     rows, signs, owners = m.rows_of_many(query)
     cursor = 0
     for col in query:
-        r, s = m.rows_of(int(col))
+        r, s, _ = m.rows_of_many([col])
         span = slice(cursor, cursor + r.size)
         assert np.array_equal(rows[span], r)
         assert np.array_equal(signs[span], s)
