@@ -202,7 +202,7 @@ def from_interleaved(a: np.ndarray) -> np.ndarray:
 
 def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                  sum_mag: np.ndarray, anchor: int, tol_zero: float,
-                 tol_branch: float) -> np.ndarray:
+                 tol_branch: float) -> tuple[np.ndarray, np.ndarray]:
     """All coefficient sequences consistent with every magnitude measurement.
 
     Branches are carried as arrays (one row per surviving prefix) so a step
@@ -213,17 +213,22 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     running sum is still real, the minus branch is the entrywise conjugate
     of the plus branch, which is the twin the scheme cannot distinguish
     anyway.
+
+    Returns (leaves, parent): leaves with equal parent came from one prefix
+    and differ only in the last coefficient.
     """
     two_k = 2 * scheme.k
     coeffs = np.zeros((1, two_k), dtype=np.complex128)
     coeffs[0, anchor] = z_mag[anchor]
     state = np.array([z_mag[anchor]], dtype=np.complex128)
     state_real = True
+    parent = np.zeros(1, dtype=np.int64)
     for j in range(anchor + 1, two_k):
         target = float(sum_mag[j - 1])  # measured |z_0 + ... + z_j|
+        parent = np.arange(state.shape[0])
         if z_mag[j] <= tol_zero:
             keep = np.abs(np.abs(state) - target) <= tol_branch
-            coeffs, state = coeffs[keep], state[keep]
+            coeffs, state, parent = coeffs[keep], state[keep], parent[keep]
         else:
             zm = float(z_mag[j])
             abs_s = np.abs(state)
@@ -232,6 +237,7 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                 # a vanished running sum leaves the next phase free; those
                 # prefixes cannot be continued discretely
                 coeffs, state, abs_s = coeffs[live], state[live], abs_s[live]
+                parent = parent[live]
             if state.shape[0] == 0:
                 raise NumericalFailure(
                     f"running sum vanished before coefficient {j}; "
@@ -241,6 +247,7 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                 / (2 * zm * abs_s)
             feasible = np.abs(cos_val) <= 1.0 + slack
             coeffs, state = coeffs[feasible], state[feasible]
+            parent = parent[feasible]
             cos_val = np.clip(cos_val[feasible], -1.0, 1.0)
             if state.shape[0] == 0:
                 raise InconsistentMeasurements(
@@ -260,56 +267,63 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
             new_coeffs[: state.shape[0], j] = plus
             new_coeffs[state.shape[0]:, j] = minus
             state = np.concatenate([state + plus, state[split] + minus])
+            parent = np.concatenate([parent, parent[split]])
             coeffs = new_coeffs
             if np.any(np.abs(state.imag) > tol_zero):
                 state_real = False
         if state.shape[0] == 0:
             raise InconsistentMeasurements(
                 f"no candidate prefix survives measurement {j}")
-    return coeffs
+    return coeffs, parent
 
 
-def _grid_annihilator_filter(leaves: np.ndarray, n: int, k: int
-                             ) -> tuple[np.ndarray, list[int]]:
+def _grid_annihilator_filter(leaves: np.ndarray, parent: np.ndarray, n: int,
+                             k: int) -> tuple[np.ndarray, list[int]]:
     """Rank leaves by how well an order-k recurrence with all roots on the
     n-point unit-circle grid annihilates them.
+
+    The leading Hankel block of a leaf holds every coefficient but the last,
+    so it is factored once per prefix (see _phase_chain) and the last
+    coefficient enters the recurrence linearly: p = p0 + z_last * q.
 
     Returns (indices of leaves whose annihilator has >= k grid roots,
     indices whose leading Hankel block was singular and need the slow path).
     """
-    L = leaves.shape[0]
-    lead = np.empty((L, k, k), dtype=np.complex128)
-    for a in range(k):
-        lead[:, a, :] = leaves[:, a: a + k]
-    rhs = -leaves[:, k: 2 * k]
+    _, first, inv = np.unique(parent, return_index=True, return_inverse=True)
+    heads = leaves[first]
+    lead = np.lib.stride_tricks.sliding_window_view(
+        heads[:, : 2 * k - 1], k, axis=1)
+    rhs = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
+    rhs[:, : k - 1, 0] = -heads[:, k: 2 * k - 1]
+    rhs[:, k - 1, 1] = -1.0
     dets = np.linalg.det(lead)
-    scale = np.max(np.abs(leaves), axis=1) ** k
-    degenerate = np.abs(dets) <= 1e-13 * np.maximum(scale, 1e-300)
-    solvable = ~degenerate
+    # siblings share |z_last|, so the head's scale is every sibling's
+    scale = np.max(np.abs(heads), axis=1) ** k
+    solvable = np.abs(dets) > 1e-13 * np.maximum(scale, 1e-300)
+    sol = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
+    try:
+        sol[solvable] = np.linalg.solve(lead[solvable], rhs[solvable])
+    except np.linalg.LinAlgError:
+        # a pivot-level singularity slipped past the determinant screen;
+        # redo the heads one by one and push failures to the slow path
+        for h in np.where(solvable)[0]:
+            try:
+                sol[h] = np.linalg.solve(lead[h], rhs[h])
+            except np.linalg.LinAlgError:
+                solvable[h] = False
+    solvable = solvable[inv]
+    p = sol[inv, :, 0] + leaves[:, 2 * k - 1, None] * sol[inv, :, 1]
+    p = p[solvable]
     candidates = np.empty(0, dtype=np.int64)
-    if np.any(solvable):
-        try:
-            p = np.linalg.solve(lead[solvable], rhs[solvable][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # a pivot-level singularity slipped past the determinant screen;
-            # redo the survivors one by one and push failures to the slow path
-            idx_solvable = np.where(solvable)[0]
-            p = np.zeros((idx_solvable.size, k), dtype=np.complex128)
-            for row, leaf_idx in enumerate(idx_solvable):
-                try:
-                    p[row] = np.linalg.solve(lead[leaf_idx], rhs[leaf_idx])
-                except np.linalg.LinAlgError:
-                    solvable[leaf_idx] = False
-                    degenerate[leaf_idx] = True
-            p = p[solvable[idx_solvable]]
+    if p.shape[0]:
         poly = np.concatenate([p, np.ones((p.shape[0], 1))], axis=1)
-        grid = np.exp(-2j * math.pi * np.arange(n) / n)
-        powers = np.power.outer(grid, np.arange(k + 1)).T  # (k+1, n)
-        values = np.abs(poly @ powers)
+        # the polynomial at every grid point exp(-2 pi i t / n) is the
+        # length-n DFT of its zero-padded coefficients
+        values = np.abs(np.fft.fft(poly, n=n, axis=1))
         thresh = 1e-8 * np.maximum(1.0, values.max(axis=1, keepdims=True))
         enough = (values <= thresh).sum(axis=1) >= k
         candidates = np.where(solvable)[0][enough]
-    return candidates, list(np.where(degenerate)[0])
+    return candidates, list(np.where(~solvable)[0])
 
 
 def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
@@ -334,8 +348,10 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
         return ComplexSignal(np.zeros(scheme.n, dtype=np.complex128), 0)
     anchor = int(nonzero[0])
 
-    leaves = _phase_chain(scheme, z_mag, sum_mag, anchor, tol_zero, tol_branch)
-    candidates, slow = _grid_annihilator_filter(leaves, scheme.n, scheme.k)
+    leaves, parent = _phase_chain(scheme, z_mag, sum_mag, anchor, tol_zero,
+                                  tol_branch)
+    candidates, slow = _grid_annihilator_filter(leaves, parent, scheme.n,
+                                                scheme.k)
 
     last_err = None
     for idx in list(candidates) + slow:
