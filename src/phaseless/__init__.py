@@ -25,8 +25,7 @@ from .prony import (ComplexSignal, DeterministicScheme,
                     to_interleaved)
 from .signs import (ClusterLabels, SignGraph, assign_signs, build_sign_graph,
                     recover_communities)
-from .sketch import (MagnitudeEstimates, SketchError, estimate_magnitudes,
-                     identify_heavy)
+from .sketch import SketchError, estimate_magnitudes, identify_heavy
 from .sparse import SparseSignMatrix
 
 __version__ = "0.1.0"
@@ -39,8 +38,7 @@ __all__ = [
     "SparseSignMatrix",
     "EnsembleConfig", "SensingEnsemble", "Measurements", "EnsembleError",
     "build_ensemble", "apply_phaseless", "row_count", "planned_row_counts",
-    "MagnitudeEstimates", "SketchError", "identify_heavy",
-    "estimate_magnitudes",
+    "SketchError", "identify_heavy", "estimate_magnitudes",
     "TailEnergyEstimate", "TailEstimationError", "DecodeDiagnostics",
     "RecoveryResult", "estimate_tail_energy", "prune", "decode",
     "decode_amplified",

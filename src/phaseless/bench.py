@@ -29,7 +29,6 @@ from .ensemble import EnsembleConfig, apply_phaseless, build_ensemble, \
 from .prony import DeterministicScheme, conjugate_reflection, det_measure, \
     det_recover
 from .signs import build_sign_graph
-from .sketch import MagnitudeEstimates
 
 __all__ = [
     "TrialSpec",
@@ -310,9 +309,10 @@ def run_trials(spec: TrialSpec, workers: int = 1) -> TrialReport:
 # calibration
 # ---------------------------------------------------------------------------
 
-def _config_grid(grid: dict[str, list]) -> list[EnsembleConfig]:
+def _config_grid(grid: dict[str, list], base: EnsembleConfig
+                 ) -> list[EnsembleConfig]:
     keys = sorted(grid)
-    configs = [EnsembleConfig()]
+    configs = [base]
     for key in keys:
         configs = [replace(c, **{key: v}) for c in configs for v in grid[key]]
     return configs
@@ -321,6 +321,7 @@ def _config_grid(grid: dict[str, list]) -> list[EnsembleConfig]:
 def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
               out_path=None) -> tuple[EnsembleConfig | None, list[dict]]:
     """Smallest-measurement config on the grid meeting the target rate.
+    The grid varies ``base_spec.config`` one field per grid key.
 
     Returns (winner or None, per-config summaries, sorted by measurement
     count ascending). Writes a versioned defaults file when a winner exists
@@ -328,7 +329,7 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("empty calibration grid")
-    configs = _config_grid(grid)
+    configs = _config_grid(grid, base_spec.config)
     configs.sort(key=lambda c: planned_row_counts(base_spec.n, base_spec.k, c)["total"])
     summaries = []
     winner = None
@@ -370,13 +371,11 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
                              rng_seed=_ensemble_seed(seed, t))
         meas = apply_phaseless(ens, x)
         support = np.sort(np.argsort(-np.abs(x))[:k])
-        est = MagnitudeEstimates({int(i): float(abs(x[i])) for i in support})
         level, name = ens.f_block(support.size)
         graph = build_sign_graph(ens.blocks[name], meas.block(name), support,
-                                 est, level=level)
+                                 np.abs(x[support]), level=level)
         planted = np.sign(ens.D * x)
-        for u, v, w in zip(graph.edge_u, graph.edge_v, graph.weights):
-            total += int(w)
-            if planted[int(u)] != planted[int(v)]:
-                wrong += int(w)
+        total += int(graph.weights.sum())
+        wrong += int(graph.weights[planted[graph.edge_u]
+                                   != planted[graph.edge_v]].sum())
     return wrong / total if total else 0.0

@@ -132,7 +132,7 @@ def cmd_calibrate(args) -> int:
     grid = json.loads(Path(args.grid).read_text())
     base = TrialSpec(n=args.n, k=args.k, signal_model=args.model,
                      trials=args.trials, seed=args.seed,
-                     pipeline=args.pipeline)
+                     config=_load_config(args.config), pipeline=args.pipeline)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     winner, summaries = calibrate(grid, base, args.target,

@@ -6,7 +6,8 @@ Stages, in order:
 2. estimation        - magnitude estimates on S0 from the B block;
                        S1 = largest ``top_select`` of them.
 3. tail energy       - L, a guarded estimate of (1/k) * energy outside S1,
-                       from E-block rows whose support misses S1 entirely.
+                       from rows of E whose support misses S1 entirely:
+                       the median over E's bands of their scaled means.
 4. pruning           - S2 = members of S1 whose estimated magnitude clears a
                        level-dependent threshold built from L; keeps the
                        relative-sign tests above the interference floor.
@@ -17,7 +18,9 @@ Stages, in order:
 Every stage reads measurements through block slices and the columns of the
 candidates, which each block recomputes from its stream, so the work after
 sensing is polynomial in k and log n, not in n; the diagnostics counters
-record exactly how much was touched.
+record exactly how much was touched. The candidate sets are sorted index
+arrays, and the magnitude estimates an array aligned to S0 that later
+stages index through ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from .ensemble import Measurements, SensingEnsemble
 from .signs import ClusterLabels, SignGraph, assign_signs, build_sign_graph, \
     recover_communities
-from .sketch import MagnitudeEstimates, estimate_magnitudes, identify_heavy
+from .sketch import estimate_magnitudes, identify_heavy
 
 __all__ = [
     "TailEnergyEstimate",
@@ -46,14 +49,14 @@ __all__ = [
 
 
 class TailEstimationError(RuntimeError):
-    """Every E sub-block was hit by S1; the E row budget is misconfigured."""
+    """Every band of E was hit by S1; the E row budget is misconfigured."""
 
 
 @dataclass
 class TailEnergyEstimate:
     L: float
-    per_rep: np.ndarray          # kept sub-block values, median of which is L
-    n_excluded: int = 0          # sub-blocks with no disjoint row
+    per_rep: np.ndarray          # kept bands' values, median of which is L
+    n_excluded: int = 0          # bands of E with no disjoint row
 
 
 @dataclass
@@ -112,93 +115,74 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
                          S1: np.ndarray,
                          diagnostics: DecodeDiagnostics | None = None
                          ) -> TailEnergyEstimate:
-    """Median over E sub-blocks of the scaled mean squared measurement of
+    """Median over the bands of E of the scaled mean squared measurement of
     rows disjoint from S1.
 
+    E's rows split into ``rep_log_n`` bands of ceil(C1 * k) rows each.
     Conditioned on missing S1, a row's squared measurement has expectation
-    density * (energy outside S1), so the mean scaled by c1 / (k * density)
-    tracks (1/k) * ||x restricted off S1||^2; that factor is c1 for every
-    k >= 2, where the density is 1/k. Sub-blocks with no disjoint row are
-    dropped from the median; if all of them drop, construction constants
-    were too small for this S1 and estimation fails.
+    density * (energy outside S1), so a band's mean scaled by
+    c1 / (k * density) tracks (1/k) * ||x restricted off S1||^2; that factor
+    is c1 for every k >= 2, where the density is 1/k. Bands with no
+    disjoint row are dropped from the median; if all of them drop,
+    construction constants were too small for this S1 and estimation fails.
     """
     cfg = ensemble.config
     scale = cfg.c1 * (max(ensemble.k, 2) / ensemble.k)   # E density 1/max(k, 2)
-    S1 = np.asarray(S1, dtype=np.int64)
-    kept = []
-    excluded = 0
-    for name in ensemble.e_block_names:
-        block = ensemble.blocks[name]
-        yE = measurements.block(name)
-        if S1.size:
-            hit_rows, _, _ = block.rows_of_many(S1)
-            if diagnostics is not None:
-                diagnostics.index_reads += int(hit_rows.size)
-            disjoint = np.ones(block.n_rows, dtype=bool)
-            disjoint[hit_rows] = False
-        else:
-            disjoint = np.ones(block.n_rows, dtype=bool)
-        count = int(disjoint.sum())
-        if count == 0:
-            excluded += 1
-            continue
-        if diagnostics is not None:
-            diagnostics.y_reads += count
-            diagnostics.rows_touched += count
-        kept.append(scale * float(np.mean(yE[disjoint] ** 2)))
-    if not kept:
+    block = ensemble.blocks["E"]
+    hit_rows, _, _ = block.rows_of_many(np.asarray(S1, dtype=np.int64))
+    disjoint = np.ones(block.n_rows, dtype=bool)
+    disjoint[hit_rows] = False
+    disjoint = disjoint.reshape(cfg.rep_log_n, -1)
+    yE = measurements.block("E").reshape(disjoint.shape)
+    count = disjoint.sum(axis=1)
+    kept = count > 0
+    if diagnostics is not None:
+        diagnostics.index_reads += int(hit_rows.size)
+        diagnostics.y_reads += int(count.sum())
+        diagnostics.rows_touched += int(count.sum())
+    if not kept.any():
         raise TailEstimationError(
-            f"no E sub-block had a row disjoint from S1 (|S1|={S1.size}); "
+            f"no band of E had a row disjoint from S1 (|S1|={len(S1)}); "
             "increase C1 or rep_log_n")
-    per_rep = np.array(kept)
+    sums = np.where(disjoint, yE ** 2, 0.0).sum(axis=1)
+    per_rep = scale * (sums[kept] / count[kept])
     return TailEnergyEstimate(L=float(np.median(per_rep)), per_rep=per_rep,
-                              n_excluded=excluded)
+                              n_excluded=int(np.sum(~kept)))
 
 
-def prune(S1: np.ndarray, estimates: MagnitudeEstimates, L: float, k: int,
+def prune(S1: np.ndarray, estimates: np.ndarray, L: float, k: int,
           C0: float) -> np.ndarray:
     """Keep the largest prefix of S1 (by estimated magnitude) that clears the
     level-dependent threshold  k*L / (C0 * 2^l0 * (log2(5k) - l0 + 2)^2),
-    where 2^l0 < m <= 2^(l0+1) for prefix length m. Ties at the cut are all
-    kept. Empty result is legal and means the zero vector."""
+    where 2^l0 < m <= 2^(l0+1) for prefix length m. ``S1`` is sorted and
+    ``estimates`` is aligned to it. Ties at the cut are all kept. Empty
+    result is legal and means the zero vector."""
     S1 = np.asarray(S1, dtype=np.int64)
-    if S1.size == 0:
-        return S1
-    z = estimates.array_for(S1)
-    order = np.argsort(-z, kind="stable")
-    z_sorted = z[order]
-    log5k = math.log2(5 * k)
-    best_m = 0
-    for m in range(1, S1.size + 1):
-        l0 = math.ceil(math.log2(m)) - 1 if m > 1 else -1
-        threshold = k * L / (C0 * (2.0 ** l0) * (log5k - l0 + 2) ** 2)
-        if z_sorted[m - 1] ** 2 > threshold:
-            best_m = m
-    if best_m == 0:
+    z_sorted = -np.sort(-estimates)
+    l0 = np.ceil(np.log2(np.arange(1, S1.size + 1))) - 1
+    threshold = k * L / (C0 * 2.0 ** l0 * (math.log2(5 * k) - l0 + 2) ** 2)
+    passing = np.flatnonzero(z_sorted ** 2 > threshold)
+    if passing.size == 0:
         return np.empty(0, dtype=np.int64)
-    cut = z_sorted[best_m - 1]
-    return np.sort(S1[z >= cut])
+    return S1[estimates >= z_sorted[passing[-1]]]
 
 
-def _select_top(S0: np.ndarray, estimates: MagnitudeEstimates,
-                cap: int) -> np.ndarray:
-    """Largest ``cap`` candidates by estimate; ties broken by lower index."""
-    S0 = np.asarray(S0, dtype=np.int64)
+def _select_top(S0: np.ndarray, estimates: np.ndarray, cap: int) -> np.ndarray:
+    """Largest ``cap`` candidates by estimate (aligned to the sorted S0);
+    ties broken by lower index."""
     if S0.size <= cap:
-        return np.sort(S0)
-    est = estimates.array_for(S0)
-    order = np.lexsort((S0, -est))
-    return np.sort(S0[order[:cap]])
+        return S0
+    return np.sort(S0[np.lexsort((S0, -estimates))[:cap]])
 
 
 def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
-                S2: np.ndarray, estimates: MagnitudeEstimates,
+                S2: np.ndarray, estimates: np.ndarray,
                 diagnostics: DecodeDiagnostics
                 ) -> tuple[ClusterLabels | None, SignGraph | None, bool]:
     if S2.size == 0:
         return None, None, False
     if S2.size == 1:
-        return ClusterLabels({int(S2[0]): 1}, flagged=True), None, False
+        return ClusterLabels(np.ones(1, dtype=np.int64), flagged=True), None, False
     level, name = ensemble.f_block(S2.size)
     graph = build_sign_graph(ensemble.blocks[name], measurements.block(name),
                              S2, estimates, level=level)
@@ -231,20 +215,22 @@ def decode(ensemble: SensingEnsemble, measurements: Measurements
 
     S1 = _select_top(S0, estimates, cfg.top_select)
     tail = estimate_tail_energy(ensemble, measurements, S1, diagnostics)
-    S2 = prune(S1, estimates, tail.L, ensemble.k, cfg.C0)
+    S2 = prune(S1, estimates[np.searchsorted(S0, S1)], tail.L, ensemble.k,
+               cfg.C0)
+    est2 = estimates[np.searchsorted(S0, S2)]
 
-    labels, _, signs_failed = _sign_stage(ensemble, measurements, S2,
-                                          estimates, diagnostics)
+    labels, _, signs_failed = _sign_stage(ensemble, measurements, S2, est2,
+                                          diagnostics)
     if S2.size == 0:
         indices = S2
         values = np.empty(0)
     elif labels is None or signs_failed:
         # sign stage failed: report bare magnitudes, flagged, no sign games
         indices = S2
-        values = estimates.array_for(S2)
+        values = est2
         signs_failed = True
     else:
-        indices, values = assign_signs(labels, estimates, S2)
+        indices, values = assign_signs(labels, est2, S2)
         values = values * ensemble.D[indices]  # undo the sensing-side flip
     return RecoveryResult(n=ensemble.n, indices=indices, values=values,
                           S0=S0, S1=S1, S2=S2, tail_energy=tail,
@@ -271,20 +257,18 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     S2 = base.S2
     if S2.size <= 1 or base.labels is None:
         return base
-    estimates = MagnitudeEstimates(
-        {int(i): abs(float(v)) for i, v in zip(base.indices, base.values)})
-    mags = estimates.array_for(S2)
+    mags = np.abs(base.values)               # base.indices is S2
     anchor = int(np.argmax(mags))            # position of the anchor in S2
 
     diagnostics = base.diagnostics
     voters = [(primary, base.labels)]
     for ens, meas in zip(ensembles[1:], y_list[1:]):
-        labels, _, _ = _sign_stage(ens, meas, S2, estimates, diagnostics)
+        labels, _, _ = _sign_stage(ens, meas, S2, mags, diagnostics)
         if labels is not None:
             voters.append((ens, labels))
     votes = np.zeros(S2.size)
     for ens, labels in voters:
-        signed = ens.D[S2] * np.array([labels[i] for i in S2])
+        signed = ens.D[S2] * labels.labels
         votes += signed * signed[anchor]
     rel_signs = np.where(votes >= 0, 1, -1)
     return RecoveryResult(n=primary.n, indices=S2, values=rel_signs * mags,

@@ -7,8 +7,10 @@ flip D applied to the signal:
       hash buckets split by the bits of the coordinate index, so a bucket's
       dominant coordinate can be read off by comparing magnitudes.
   B   bucket/sign hashing used for per-coordinate magnitude estimates.
-  E   a ladder of i.i.d. Bernoulli(min(1/k, 1/2)) sign blocks used to
-      estimate the energy of everything outside the candidate set.
+  E   one i.i.d. Bernoulli(min(1/k, 1/2)) sign block used to estimate the
+      energy of everything outside the candidate set; its rows split into
+      rep_log_n bands of ceil(C1 * k) rows, the repetitions the estimate
+      takes its median over.
   F   a ladder of levels, one per candidate-set scale 2^l, dense enough to
       sample coordinate pairs but sparse enough to keep per-row interference
       low; used for relative-sign tests.
@@ -63,12 +65,13 @@ class EnsembleConfig:
 
     C0      density constant of the F levels (level density
             1 / (C0 * 2^l * (log2(5k) - l + 2)^2)).
-    C1      rows per E sub-block, in units of k.
+    C1      rows per band of E, in units of k.
     c1      scale applied to the mean squared disjoint-row measurement when
             forming the tail-energy estimate.
     c_F     row-count constant of the F levels; default 12 * C0^2 keeps the
             pair-sampling yield per level roughly constant in C0.
-    rep_log_n        number of E sub-blocks (and of tail-estimate medians).
+    rep_log_n        number of bands of E (the repetitions the tail
+                     estimate takes its median over).
     countsketch_rows buckets per magnitude-estimation repetition.
     countsketch_reps magnitude-estimation repetitions (median over these).
     heavy_K          heaviness parameter of the identification block
@@ -208,10 +211,6 @@ class SensingEnsemble:
     total_rows: int
 
     @property
-    def e_block_names(self) -> list[str]:
-        return [f"E{l}" for l in range(self.config.rep_log_n)]
-
-    @property
     def f_top_level(self) -> int:
         return _f_top_level(self.k)
 
@@ -224,7 +223,7 @@ class SensingEnsemble:
     # -- serialization: a versioned header; the blocks are rebuilt ----------
 
     FORMAT = "phaseless-ensemble"
-    VERSION = 3
+    VERSION = 4
 
     def save(self, path) -> None:
         header = {
@@ -273,7 +272,7 @@ class Measurements:
         return self.y[..., start:start + self.block_rows[name]]
 
     FORMAT = "phaseless-measurements"
-    VERSION = 1
+    VERSION = 2
 
     def save(self, path) -> None:
         header = {"format": self.FORMAT, "version": self.VERSION,
@@ -300,12 +299,6 @@ class Measurements:
 # operations
 # ---------------------------------------------------------------------------
 
-def _block_keys(seed: int, names: list[str]) -> dict[str, int]:
-    words = np.random.SeedSequence(seed).generate_state(len(names) + 1, dtype=np.uint64)
-    # words[0] reserved for D
-    return {name: int(words[i + 1]) for i, name in enumerate(names)}
-
-
 def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
                    rng_seed: int | None = None) -> SensingEnsemble:
     """Construct the full sensing ensemble for an n-dimensional, k-sparse
@@ -320,14 +313,14 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     if rng_seed is not None:
         cfg = replace(cfg, seed=seed)
 
-    names: list[str] = ["A", "B"]
-    names += [f"E{l}" for l in range(cfg.rep_log_n)]
     f_levels = range(_f_top_level(k) + 1)
-    names += [_f_name(level) for level in f_levels]
-    keys = _block_keys(seed, names)
-
-    d_key = int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
-    D = (splitmix64(d_key, np.arange(n)) & np.uint64(1)).astype(np.int8) * 2 - 1
+    words = np.random.SeedSequence(seed).generate_state(
+        4 + cfg.rep_log_n + f_levels[-1], dtype=np.uint64)
+    # stream words: D 0, A 1, B 2, E 3, F{2^l} 3 + rep_log_n + l
+    keys = {"A": words[1], "B": words[2], "E": words[3]}
+    keys.update({_f_name(l): words[3 + cfg.rep_log_n + l] for l in f_levels})
+    D = (splitmix64(int(words[0]), np.arange(n)) & np.uint64(1)).astype(np.int8)
+    D = D * 2 - 1
 
     buckets, bits, reps = _hh_geometry(n, cfg)
     blocks: dict[str, ColumnBlock] = {}
@@ -336,10 +329,8 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     blocks["A"] = sketch.build_hh_block(keys["A"], n, buckets, bits, reps)
     blocks["B"] = sketch.build_countsketch_block(
         keys["B"], n, cfg.countsketch_rows, cfg.countsketch_reps)
-    e_rows = math.ceil(cfg.C1 * k)
-    for l in range(cfg.rep_log_n):
-        blocks[f"E{l}"] = SparseSignMatrix.bernoulli(keys[f"E{l}"], e_rows, n,
-                                                     _e_density(k))
+    blocks["E"] = SparseSignMatrix.bernoulli(
+        keys["E"], cfg.rep_log_n * math.ceil(cfg.C1 * k), n, _e_density(k))
     for level in f_levels:
         p = _f_density(k, level, cfg.C0)
         if not p < 1.0:
@@ -349,7 +340,7 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
                                                   n, p)
 
     offsets, total = {}, 0
-    for name in names:
+    for name in blocks:
         offsets[name] = total
         total += blocks[name].n_rows
     return SensingEnsemble(n=n, k=k, seed=seed, config=cfg, D=D,

@@ -253,6 +253,10 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                 raise InconsistentMeasurements(
                     f"no candidate prefix survives measurement {j}")
             sin_val = np.sqrt(np.maximum(0.0, 1.0 - cos_val * cos_val))
+            # the two branches lie 2 * zm * sin apart; that close, they are
+            # one tangent branch, and a roundoff sin would move its leaf
+            # off the grid
+            sin_val[zm * sin_val <= tol_branch] = 0.0
             unit = state / np.abs(state)
             plus = zm * unit * (cos_val + 1j * sin_val)
             split = sin_val > 1e-14

@@ -13,6 +13,10 @@ Community recovery is spectral bisection (power iteration on the centered
 weighted adjacency) followed by weighted local-majority sweeps to a
 fixpoint. The returned labels are arbitrary up to a global flip, which is
 all the magnitude-only model can promise anyway.
+
+The candidate set is a sorted index array; its magnitude estimates and the
+returned labels are arrays aligned to it, and edge endpoints are mapped to
+positions with ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import MagnitudeEstimates
 from .sparse import ColumnBlock
 
 __all__ = [
@@ -54,17 +57,18 @@ class SignGraph:
 
 @dataclass
 class ClusterLabels:
-    labels: dict[int, int]        # coordinate -> +1 / -1
+    labels: np.ndarray            # +1 / -1 per vertex, aligned to the vertices
     flagged: bool = False         # isolated vertices or degenerate spectrum
-
-    def __getitem__(self, i: int) -> int:
-        return self.labels[int(i)]
 
 
 def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
-                     S2: np.ndarray, estimates: MagnitudeEstimates,
+                     S2: np.ndarray, estimates: np.ndarray,
                      level: int = -1) -> SignGraph:
-    """Run the same-sign test on every row meeting S2 in exactly two spots."""
+    """Run the same-sign test on every row meeting S2 in exactly two spots.
+
+    ``S2`` is sorted and ``estimates`` holds its magnitude estimates,
+    aligned to it.
+    """
     S2 = np.asarray(S2, dtype=np.int64)
     if S2.size < 2:
         return SignGraph(S2, np.empty(0, np.int64), np.empty(0, np.int64),
@@ -79,8 +83,8 @@ def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
     u, v = owners[0::2], owners[1::2]
     su, sv = sigs[0::2], sigs[1::2]
     yq = yF[rows[0::2]]
-    eu = estimates.array_for(u)
-    ev = estimates.array_for(v)
+    eu = estimates[np.searchsorted(S2, u)]
+    ev = estimates[np.searchsorted(S2, v)]
     d_same = np.abs(yq - (eu + ev))
     d_diff = np.abs(yq - np.abs(eu - ev))
     add = np.where(su == sv, d_same < d_diff, d_same > d_diff)
@@ -98,13 +102,10 @@ def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
 
 
 def _adjacency(g: SignGraph) -> np.ndarray:
-    n = g.vertices.size
-    pos = {int(c): i for i, c in enumerate(g.vertices)}
-    W = np.zeros((n, n))
-    for u, v, w in zip(g.edge_u, g.edge_v, g.weights):
-        i, j = pos[int(u)], pos[int(v)]
-        W[i, j] += w
-        W[j, i] += w
+    i = np.searchsorted(g.vertices, g.edge_u)
+    j = np.searchsorted(g.vertices, g.edge_v)
+    W = np.zeros((g.vertices.size, g.vertices.size))
+    np.add.at(W, (np.r_[i, j], np.r_[j, i]), np.r_[g.weights, g.weights])
     return W
 
 
@@ -119,7 +120,7 @@ def recover_communities(g: SignGraph) -> ClusterLabels:
     if n == 0:
         raise ValueError("empty vertex set")
     if n == 1:
-        return ClusterLabels({int(g.vertices[0]): 1}, flagged=True)
+        return ClusterLabels(np.ones(1, dtype=np.int64), flagged=True)
     W = _adjacency(g)
     degree = W.sum(axis=1)
     isolated = degree == 0
@@ -154,16 +155,14 @@ def recover_communities(g: SignGraph) -> ClusterLabels:
         if not changed:
             break
     labels[isolated] = 1
-    return ClusterLabels({int(c): int(l) for c, l in zip(g.vertices, labels)},
-                         flagged=flagged)
+    return ClusterLabels(labels, flagged=flagged)
 
 
-def assign_signs(labels: ClusterLabels, estimates: MagnitudeEstimates,
+def assign_signs(labels: ClusterLabels, estimates: np.ndarray,
                  S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sparse estimate on S2: value_i = label_i * |est_i|.
+    """Signed sparse estimate on S2: value_i = label_i * |est_i|, with the
+    labels and estimates both aligned to S2.
 
     Global orientation is arbitrary; both are accepted downstream.
     """
-    S2 = np.asarray(S2, dtype=np.int64)
-    values = np.array([labels[int(i)] * estimates[int(i)] for i in S2])
-    return S2, values
+    return np.asarray(S2, dtype=np.int64), labels.labels * estimates

@@ -27,7 +27,6 @@ from .sparse import ColumnBlock, splitmix64
 
 __all__ = [
     "HashBlock",
-    "MagnitudeEstimates",
     "SketchError",
     "build_hh_block",
     "build_countsketch_block",
@@ -103,19 +102,6 @@ def build_countsketch_block(key: int, n: int, n_buckets: int,
     return HashBlock(int(key), n, n_buckets, reps)
 
 
-@dataclass
-class MagnitudeEstimates:
-    """Nonnegative per-coordinate magnitude estimates |x_i|."""
-
-    entries: dict[int, float]
-
-    def __getitem__(self, i: int) -> float:
-        return self.entries[i]
-
-    def array_for(self, indices: np.ndarray) -> np.ndarray:
-        return np.array([self.entries[int(i)] for i in indices], dtype=np.float64)
-
-
 def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     """Candidate superset of the heavy coordinates, from the measurements
     ``yA`` of the identification block ``block``.
@@ -167,13 +153,13 @@ def _bucket_values(block: HashBlock, yB: np.ndarray,
 
 
 def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
-                        indices: np.ndarray) -> MagnitudeEstimates:
-    """Per index, the median over repetitions of |bucket containing it|."""
+                        indices: np.ndarray) -> np.ndarray:
+    """Per index, the median over repetitions of |bucket containing it|,
+    as a float array aligned to ``indices``."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
-        return MagnitudeEstimates({})
+        return np.empty(0)
     outside = indices[(indices < 0) | (indices >= B_block.n_cols)]
     if outside.size:
         raise SketchError(f"index {outside[0]} out of range [0, {B_block.n_cols})")
-    med = np.median(_bucket_values(B_block, yB, indices), axis=1)
-    return MagnitudeEstimates({int(i): float(v) for i, v in zip(indices, med)})
+    return np.median(_bucket_values(B_block, yB, indices), axis=1)

@@ -95,6 +95,6 @@ def sample_sbm(N: int, a: float, b: float, rng) -> tuple[SignGraph, np.ndarray]:
 
 
 def bisection_accuracy(labels_out, truth: np.ndarray) -> float:
-    pred = np.array([labels_out[i] for i in range(truth.size)])
+    pred = labels_out.labels
     agree = float(np.mean(pred == truth))
     return max(agree, 1.0 - agree)

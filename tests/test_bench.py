@@ -116,14 +116,24 @@ def test_calibrate_single_config_meets_target(tmp_path):
 
 
 def test_calibrate_unattainable_target_reports_best():
-    grid = {"C0": [0.125, 0.25]}
+    # a tail estimate scaled by c1 >= 1e6 makes prune keep nothing, so every
+    # trial returns zero: error^2 = 200 > 1.8 * tail^2 (about 180)
+    grid = {"c1": [1e6, 2e6]}
     base = TrialSpec(n=512, k=4, trials=3, seed=29,
                      signal_model="spikes-plus-tail", tail_norm=10.0,
-                     spike_energy_ratio=1.0)  # hopeless signals
+                     spike_energy_ratio=1.0)
     winner, summaries = calibrate(grid, base, target_rate=1.0)
     assert winner is None
     assert len(summaries) == 2
     assert all(0.0 <= s["success_rate"] <= 1.0 for s in summaries)
+
+
+def test_calibrate_grid_starts_from_the_base_config():
+    base = TrialSpec(n=512, k=4, trials=2, seed=31,
+                     config=EnsembleConfig(hh_reps=3))
+    _, summaries = calibrate({"C0": [0.125, 0.25]}, base, target_rate=1.1)
+    assert [s["config"]["hh_reps"] for s in summaries] == [3, 3]
+    assert sorted(s["config"]["C0"] for s in summaries) == [0.125, 0.25]
 
 
 def test_calibrate_rejects_empty_grid():

@@ -84,9 +84,13 @@ def test_calibrate_exit_codes(tmp_path):
     assert (out / "defaults.json").exists()
 
     out2 = tmp_path / "calib2"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hh_reps": 3}))
     assert main(["calibrate", "--grid", str(grid), "--n", "512", "--k", "4",
                  "--trials", "3", "--seed", "4", "--target", "1.01",
-                 "--out", str(out2)]) == 1
+                 "--config", str(cfg), "--out", str(out2)]) == 1
+    summaries = json.loads((out2 / "calibration.json").read_text())
+    assert [s["config"]["hh_reps"] for s in summaries] == [3]
 
 
 def test_config_file_is_honored(tmp_path):

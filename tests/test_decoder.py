@@ -10,7 +10,6 @@ from phaseless import (EnsembleConfig, TailEstimationError, apply_phaseless,
                        estimate_tail_energy, prune)
 from phaseless.bench import min_flip_error_sq
 from phaseless.signs import build_sign_graph
-from phaseless.sketch import MagnitudeEstimates
 
 from helpers import exact_sparse, spikes_plus_tail
 
@@ -33,7 +32,7 @@ def test_tail_energy_zero_for_covered_support():
 
 
 def test_tail_energy_unbiased_concentration():
-    """With c1 = 1 and a row budget giving ~200 disjoint rows per sub-block,
+    """With c1 = 1 and a row budget giving ~200 disjoint rows per band of E,
     L/(energy off S1 / k) lands in [0.8, 1.2] in >= 99% of seeded trials
     (unit i.i.d. tail outside S1)."""
     hits = 0
@@ -75,7 +74,7 @@ def test_tail_energy_all_blocks_excluded_raises():
 
 def prune_oracle(S1, estimates, L, k, C0):
     """Literal transcription of the threshold scan, kept independent."""
-    z = sorted((estimates[int(i)] for i in S1), reverse=True)
+    z = sorted(estimates.tolist(), reverse=True)
     best = 0
     for m in range(1, len(z) + 1):
         l0 = -1
@@ -87,19 +86,19 @@ def prune_oracle(S1, estimates, L, k, C0):
     if best == 0:
         return np.empty(0, dtype=np.int64)
     cut = z[best - 1]
-    return np.sort([int(i) for i in S1 if estimates[int(i)] >= cut])
+    return np.sort([int(i) for i, e in zip(S1, estimates) if e >= cut])
 
 
 def test_prune_zero_threshold_keeps_positive_estimates():
     S1 = np.arange(6)
-    est = MagnitudeEstimates({0: 3.0, 1: 2.0, 2: 0.0, 3: 1.0, 4: 0.0, 5: 0.5})
+    est = np.array([3.0, 2.0, 0.0, 1.0, 0.0, 0.5])
     kept = prune(S1, est, L=0.0, k=4, C0=1.0)
     assert kept.tolist() == [0, 1, 3, 5]
 
 
 def test_prune_everything_below_threshold_is_empty():
     S1 = np.arange(4)
-    est = MagnitudeEstimates({i: 0.01 for i in range(4)})
+    est = np.full(4, 0.01)
     kept = prune(S1, est, L=100.0, k=4, C0=1.0)
     assert kept.size == 0
 
@@ -107,7 +106,7 @@ def test_prune_everything_below_threshold_is_empty():
 def test_prune_matches_exhaustive_oracle_geometric():
     k, C0 = 10, 1.0
     S1 = np.arange(20)
-    est = MagnitudeEstimates({i: 2.0 ** (-i) for i in range(20)})
+    est = 2.0 ** -np.arange(20)
     for L in [0.0, 1e-6, 1e-4, 1e-2, 0.3, 2.0]:
         got = prune(S1, est, L, k, C0)
         want = prune_oracle(S1, est, L, k, C0)
@@ -116,7 +115,7 @@ def test_prune_matches_exhaustive_oracle_geometric():
 
 def test_prune_includes_ties_at_the_cut():
     S1 = np.arange(5)
-    est = MagnitudeEstimates({0: 5.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0})
+    est = np.array([5.0, 1.0, 1.0, 1.0, 1.0])
     # threshold chosen so m = 2 qualifies but not m = 5
     k, C0 = 4, 1.0
     log5k = math.log2(20)
@@ -130,8 +129,7 @@ def test_prune_random_agrees_with_oracle():
     for t in range(25):
         size = int(rng.integers(1, 30))
         S1 = np.sort(rng.choice(200, size, replace=False))
-        est = MagnitudeEstimates(
-            {int(i): float(abs(rng.standard_normal())) for i in S1})
+        est = np.abs(rng.standard_normal(size))
         L = float(abs(rng.standard_normal()) * 0.1)
         got = prune(S1, est, L, 10, 0.5)
         want = prune_oracle(S1, est, L, 10, 0.5)
@@ -212,8 +210,7 @@ def test_decode_diagnostics_counters_positive():
     # index reads = the B, E and F column entries of S0, S1 and S2
     cfg = ens.config
     expect = res.S0.size * cfg.countsketch_reps
-    expect += sum(ens.blocks[name].rows_of_many(res.S1)[0].size
-                  for name in ens.e_block_names)
+    expect += ens.blocks["E"].rows_of_many(res.S1)[0].size
     if res.S2.size > 1:
         level = min(max(0, math.ceil(math.log2(res.S2.size))), ens.f_top_level)
         F = ens.blocks[f"F{2 ** level}"]
@@ -261,8 +258,7 @@ def test_amplified_counts_every_replicas_reads():
     ensembles, measurements, _ = amplified_setup(24)
     base = decode(ensembles[0], measurements[0])
     assert base.S2.size > 1 and base.labels is not None
-    estimates = MagnitudeEstimates(
-        {int(i): abs(float(v)) for i, v in zip(base.indices, base.values)})
+    estimates = np.abs(base.values)   # aligned to base.indices == base.S2
     expect = base.diagnostics.as_dict()
     level = min(math.ceil(math.log2(base.S2.size)), ensembles[0].f_top_level)
     for ens, meas in zip(ensembles[1:], measurements[1:]):

@@ -49,14 +49,16 @@ def test_planned_counts_match_measured(ens):
 
 
 def test_e_block_density_within_3_sigma(ens):
-    # each E entry is nonzero with probability 1/k
+    # each E entry is nonzero with probability 1/k, in every band of E
     p = 1.0 / K
-    for name in ens.e_block_names:
-        block = ens.blocks[name]
-        cells = block.n_rows * block.n_cols
-        sigma = math.sqrt(cells * p * (1 - p))
-        nnz = block_entries(block)[0].size
-        assert abs(nnz - cells * p) < 3 * sigma
+    block = ens.blocks["E"]
+    bands = ens.config.rep_log_n
+    band_rows = block.n_rows // bands
+    assert band_rows * bands == block.n_rows
+    cells = band_rows * block.n_cols
+    sigma = math.sqrt(cells * p * (1 - p))
+    nnz = np.bincount(block_entries(block)[0] // band_rows, minlength=bands)
+    assert np.all(np.abs(nnz - cells * p) < 3 * sigma), nnz
 
 
 def test_f_block_density_within_4_sigma(ens):
@@ -83,9 +85,8 @@ def test_f_levels_for_k_equal_one():
 def test_e_density_is_capped_at_one_half():
     # at k = 1 a density of 1/k = 1 would put every coordinate in every row
     e = build_ensemble(4096, 1, rng_seed=0)
-    for name in e.e_block_names:
-        assert e.blocks[name].p == 0.5
-    assert build_ensemble(4096, 3, rng_seed=0).blocks["E0"].p == 1.0 / 3
+    assert e.blocks["E"].p == 0.5
+    assert build_ensemble(4096, 3, rng_seed=0).blocks["E"].p == 1.0 / 3
 
 
 def test_f_family_rows_obey_series_bound(ens):
@@ -200,8 +201,9 @@ def test_ensemble_serialization_round_trip(tmp_path, ens):
 
 def test_ensemble_load_rejects_other_versions(tmp_path, ens):
     path = tmp_path / "old.npz"
-    # version 2 headers still carried the config field f_inner_reps
-    for version in (1, 2):
+    # version 2 headers still carried the config field f_inner_reps, and
+    # version 3 ones built E as rep_log_n separate blocks
+    for version in (1, 2, 3):
         header = {"format": SensingEnsemble.FORMAT, "version": version,
                   "n": N, "k": K, "seed": SEED,
                   "config": {"f_inner_reps": 1}}
@@ -219,7 +221,7 @@ def test_measurements_serialization_round_trip(tmp_path, ens):
     loaded = Measurements.load(path)
     assert np.array_equal(loaded.y, meas.y)
     assert loaded.offsets == meas.offsets
-    assert np.array_equal(loaded.block("E0"), meas.block("E0"))
+    assert np.array_equal(loaded.block("E"), meas.block("E"))
 
 
 def test_measurement_batch_blocks_slice_the_last_axis(tmp_path, ens):
@@ -237,9 +239,11 @@ def test_measurement_batch_blocks_slice_the_last_axis(tmp_path, ens):
 
 def test_measurements_load_rejects_other_versions(tmp_path):
     path = tmp_path / "old.npz"
-    header = {"format": Measurements.FORMAT, "version": 0,
-              "offsets": {}, "block_rows": {}}
-    np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
-                                        dtype=np.uint8), y=np.zeros(3))
-    with pytest.raises(EnsembleError, match="version"):
-        Measurements.load(path)
+    # version 1 files name the bands of E as blocks E0, E1, ...
+    for version, offsets in ((0, {}), (1, {"E0": 0, "E1": 1, "E2": 2})):
+        header = {"format": Measurements.FORMAT, "version": version,
+                  "offsets": offsets, "block_rows": dict.fromkeys(offsets, 1)}
+        np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
+                                            dtype=np.uint8), y=np.zeros(3))
+        with pytest.raises(EnsembleError, match="version"):
+            Measurements.load(path)

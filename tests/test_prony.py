@@ -203,6 +203,17 @@ def test_recover_round_trip_mixed_k():
     assert ok >= 39
 
 
+def test_recover_near_tangent_one_sparse_signal():
+    # criterion 1's trial 392: a k=1 signal at index 0, whose running sums
+    # meet a tangent step with sin off zero by roundoff only
+    rng = np.random.default_rng(1_000_392)
+    x, support = random_complex_sparse(rng, 64, 1)
+    assert support.tolist() == [0]
+    scheme = DeterministicScheme(64, 1)
+    out = det_recover(scheme, det_measure(scheme, x))
+    assert twin_phase_error(out.values, x) < 1e-8 * np.linalg.norm(x)
+
+
 def test_phase_shifted_signals_give_identical_recovery():
     rng = np.random.default_rng(7)
     x, _ = random_complex_sparse(rng, 64, 3)

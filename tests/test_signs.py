@@ -7,7 +7,6 @@ from phaseless.ensemble import EnsembleConfig
 from phaseless.bench import edge_error_experiment
 from phaseless.signs import (ClusterLabels, SignGraph, assign_signs,
                              build_sign_graph, recover_communities)
-from phaseless.sketch import MagnitudeEstimates
 
 from helpers import ListBlock, bisection_accuracy, sample_sbm
 
@@ -19,7 +18,7 @@ def one_row_block(n, support, signs):
 def test_zero_estimates_give_no_edges():
     # both distances coincide, and the test is strict
     block = one_row_block(10, [2, 5], [1, 1])
-    est = MagnitudeEstimates({2: 0.0, 5: 0.0})
+    est = np.array([0.0, 0.0])
     g = build_sign_graph(block, np.array([3.7]), np.array([2, 5]), est)
     assert g.n_edges == 0 and g.pair_rows == 1
 
@@ -27,7 +26,7 @@ def test_zero_estimates_give_no_edges():
 def test_noiseless_same_sign_pair_adds_edge():
     # x = (3, 4), same true signs, matched row signs: y = 7 and 0 < 6
     block = one_row_block(10, [2, 5], [1, 1])
-    est = MagnitudeEstimates({2: 3.0, 5: 4.0})
+    est = np.array([3.0, 4.0])
     g = build_sign_graph(block, np.array([7.0]), np.array([2, 5]), est)
     assert g.n_edges == 1
     assert (g.edge_u[0], g.edge_v[0]) == (2, 5)
@@ -35,7 +34,7 @@ def test_noiseless_same_sign_pair_adds_edge():
 
 def test_noiseless_opposite_sign_pair_adds_no_edge():
     block = one_row_block(10, [2, 5], [1, 1])
-    est = MagnitudeEstimates({2: 3.0, 5: 4.0})
+    est = np.array([3.0, 4.0])
     g = build_sign_graph(block, np.array([1.0]), np.array([2, 5]), est)
     assert g.n_edges == 0
 
@@ -44,7 +43,7 @@ def test_mismatched_row_signs_reverse_the_test():
     # same true signs but sigma_u != sigma_v: y = |3-4| = 1, and the
     # reversed inequality 6 > 0 holds, so the edge is added
     block = one_row_block(10, [2, 5], [1, -1])
-    est = MagnitudeEstimates({2: 3.0, 5: 4.0})
+    est = np.array([3.0, 4.0])
     g = build_sign_graph(block, np.array([1.0]), np.array([2, 5]), est)
     assert g.n_edges == 1
 
@@ -55,7 +54,7 @@ def test_rows_meeting_set_in_one_or_three_spots_are_ignored():
     cols = np.array([1, 2, 3, 1], dtype=np.int32)
     signs = np.ones(4, dtype=np.int8)
     block = ListBlock(2, n, rows, cols, signs)
-    est = MagnitudeEstimates({1: 1.0, 2: 1.0, 3: 1.0})
+    est = np.array([1.0, 1.0, 1.0])
     g = build_sign_graph(block, np.array([3.0, 1.0]), np.array([1, 2, 3]), est)
     assert g.pair_rows == 0 and g.n_edges == 0
 
@@ -65,7 +64,7 @@ def test_graph_is_undirected_and_weighted():
     block = ListBlock(2, n, [0, 0, 1, 1],
                       [4, 6, 6, 4],  # same pair twice, swapped
                       np.ones(4))
-    est = MagnitudeEstimates({4: 1.0, 6: 2.0})
+    est = np.array([1.0, 2.0])
     g = build_sign_graph(block, np.array([3.0, 3.0]), np.array([4, 6]), est)
     assert g.edge_u.tolist() == [4] and g.edge_v.tolist() == [6]
     assert g.weights.tolist() == [2]
@@ -80,7 +79,7 @@ def test_small_vertex_sets():
     single = SignGraph(np.array([9]), np.empty(0, np.int64),
                        np.empty(0, np.int64), np.empty(0, np.int64), -1)
     labels = recover_communities(single)
-    assert labels[9] == 1 and labels.flagged
+    assert labels.labels.tolist() == [1] and labels.flagged
 
 
 def test_two_disjoint_cliques_recover_exactly():
@@ -92,8 +91,8 @@ def test_two_disjoint_cliques_recover_exactly():
     g = SignGraph(verts, u, v, np.ones(u.size, np.int64), -1)
     labels = recover_communities(g)
     assert not labels.flagged
-    first = {labels[i] for i in range(5)}
-    second = {labels[i] for i in range(5, 10)}
+    first = set(labels.labels[:5])
+    second = set(labels.labels[5:])
     assert len(first) == 1 and len(second) == 1 and first != second
 
 
@@ -102,7 +101,7 @@ def test_isolated_vertex_flagged_and_defaulted():
                   np.array([3]), -1)
     labels = recover_communities(g)
     assert labels.flagged
-    assert labels[2] == 1
+    assert labels.labels[2] == 1
 
 
 def test_recovery_is_deterministic():
@@ -110,7 +109,7 @@ def test_recovery_is_deterministic():
     g, _ = sample_sbm(128, 9, 1, rng)
     a = recover_communities(g)
     b = recover_communities(g)
-    assert a.labels == b.labels
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_sbm_at_threshold_quick():
@@ -123,11 +122,11 @@ def test_sbm_at_threshold_quick():
 
 
 def test_assign_signs_and_flip_invariance():
-    est = MagnitudeEstimates({3: 2.0, 8: 1.5})
-    labels = ClusterLabels({3: 1, 8: -1})
+    est = np.array([2.0, 1.5])
+    labels = ClusterLabels(np.array([1, -1]))
     idx, vals = assign_signs(labels, est, np.array([3, 8]))
     assert vals.tolist() == [2.0, -1.5]
-    flipped = ClusterLabels({3: -1, 8: 1})
+    flipped = ClusterLabels(np.array([-1, 1]))
     _, vals_f = assign_signs(flipped, est, np.array([3, 8]))
     x = np.zeros(10)
     x[3], x[8] = 2.0, -1.5
@@ -159,7 +158,7 @@ def test_edge_rate_separation_with_planted_signs():
         ens = build_ensemble(n, k, rng_seed=_ensemble_seed(71, t))
         meas = apply_phaseless(ens, x)
         support = np.sort(np.argsort(-np.abs(x))[:k])
-        est = MagnitudeEstimates({int(i): float(abs(x[i])) for i in support})
+        est = np.abs(x[support])
         level, name = ens.f_block(k)
         g = build_sign_graph(ens.blocks[name], meas.block(name), support, est,
                              level=level)

@@ -19,7 +19,7 @@ def make_block(key, n, K, reps=5):
 
 
 def estimate_one(block, y, i):
-    return estimate_magnitudes(block, y, [i])[i]
+    return estimate_magnitudes(block, y, [i])[0]
 
 
 def test_single_spike_is_identified():
@@ -114,9 +114,9 @@ def test_estimate_error_bound_planted_spikes():
         block = build_countsketch_block(40_000 + t, n, 1024, 5)
         y = np.abs(block.apply(x))
         est = estimate_magnitudes(block, y, pos)
-        for i in pos:
+        for i, e in zip(pos, est):
             total += 1
-            within += abs(est[int(i)] - abs(x[int(i)])) <= 0.5 / np.sqrt(100)
+            within += abs(e - abs(x[int(i)])) <= 0.5 / np.sqrt(100)
     assert within / total >= 0.95, within / total
 
 
@@ -128,8 +128,8 @@ def test_estimates_are_sign_blind():
     ya = np.abs(block.apply(x))
     yb = np.abs(block.apply(-x))
     idx = np.arange(0, n, 37)
-    assert estimate_magnitudes(block, ya, idx).entries == \
-        estimate_magnitudes(block, yb, idx).entries
+    assert np.array_equal(estimate_magnitudes(block, ya, idx),
+                          estimate_magnitudes(block, yb, idx))
 
 
 def test_median_absorbs_single_corrupted_repetition():
