@@ -355,11 +355,13 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
 def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
                           seed: int, tail_norm: float = 1.0,
                           spike_energy_ratio: float = 100.0) -> float:
-    """Fraction of sign-graph edges that contradict the planted signs.
+    """Fraction of sign-graph votes that contradict the planted signs: an
+    agree vote (+1) on a cross-sign pair or a differ vote (-1) on a
+    same-sign pair.
 
     Isolates the pair-test stage: the candidate set and magnitudes are taken
     from the planted truth so that only measurement interference produces
-    wrong edges. Used to check that raising C0 lowers edge noise.
+    wrong votes. Used to check that raising C0 lowers vote noise.
     """
     spec = TrialSpec(n=n, k=k, signal_model="spikes-plus-tail", trials=trials,
                      seed=seed, config=config, tail_norm=tail_norm,
@@ -375,7 +377,7 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
         graph = build_sign_graph(ens.blocks[name], meas.block(name), support,
                                  np.abs(x[support]), level=level)
         planted = np.sign(ens.D * x)
-        total += int(graph.weights.sum())
-        wrong += int(graph.weights[planted[graph.edge_u]
-                                   != planted[graph.edge_v]].sum())
+        relation = planted[graph.edge_u] * planted[graph.edge_v]
+        total += graph.weights.size
+        wrong += int(np.sum(graph.weights != relation))
     return wrong / total if total else 0.0

@@ -11,9 +11,11 @@ Stages, in order:
 4. pruning           - S2 = members of S1 whose estimated magnitude clears a
                        level-dependent threshold built from L; keeps the
                        relative-sign tests above the interference floor.
-5. relative signs    - sign-class bisection of S2 (signs.py).
+5. relative signs    - agree/differ votes on pairs of S2, read off as two
+                       sign classes by one eigenvector (signs.py).
 6. assembly          - signed magnitudes on S2, un-flipping the ensemble's
-                       D at the very end.
+                       D at the very end; a member of S2 that no pair test
+                       reached keeps its bare magnitude.
 
 Every stage reads measurements through block slices and the columns of the
 candidates, which each block recomputes from its stream, so the work after
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import Measurements, SensingEnsemble
-from .signs import ClusterLabels, SignGraph, assign_signs, build_sign_graph, \
+from .signs import ClusterLabels, assign_signs, build_sign_graph, \
     recover_communities
 from .sketch import estimate_magnitudes, identify_heavy
 
@@ -87,7 +89,7 @@ class RecoveryResult:
     S2: np.ndarray
     tail_energy: TailEnergyEstimate | None
     labels: ClusterLabels | None
-    signs_failed: bool
+    signs_failed: bool           # |S2| > 1 and some member of S2 is isolated
     diagnostics: DecodeDiagnostics = field(default_factory=DecodeDiagnostics)
 
     def to_dense(self) -> np.ndarray:
@@ -177,12 +179,7 @@ def _select_top(S0: np.ndarray, estimates: np.ndarray, cap: int) -> np.ndarray:
 
 def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
                 S2: np.ndarray, estimates: np.ndarray,
-                diagnostics: DecodeDiagnostics
-                ) -> tuple[ClusterLabels | None, SignGraph | None, bool]:
-    if S2.size == 0:
-        return None, None, False
-    if S2.size == 1:
-        return ClusterLabels(np.ones(1, dtype=np.int64), flagged=True), None, False
+                diagnostics: DecodeDiagnostics) -> ClusterLabels:
     level, name = ensemble.f_block(S2.size)
     graph = build_sign_graph(ensemble.blocks[name], measurements.block(name),
                              S2, estimates, level=level)
@@ -190,11 +187,7 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
     diagnostics.y_reads += graph.pair_rows
     diagnostics.rows_touched += graph.pair_rows
     diagnostics.index_reads += graph.entries
-    try:
-        labels = recover_communities(graph)
-    except Exception:
-        return None, graph, True
-    return labels, graph, labels.flagged and graph.n_edges == 0
+    return recover_communities(graph)
 
 
 def decode(ensemble: SensingEnsemble, measurements: Measurements
@@ -219,20 +212,16 @@ def decode(ensemble: SensingEnsemble, measurements: Measurements
                cfg.C0)
     est2 = estimates[np.searchsorted(S0, S2)]
 
-    labels, _, signs_failed = _sign_stage(ensemble, measurements, S2, est2,
-                                          diagnostics)
-    if S2.size == 0:
-        indices = S2
-        values = np.empty(0)
-    elif labels is None or signs_failed:
-        # sign stage failed: report bare magnitudes, flagged, no sign games
-        indices = S2
-        values = est2
-        signs_failed = True
-    else:
-        indices, values = assign_signs(labels, est2, S2)
-        values = values * ensemble.D[indices]  # undo the sensing-side flip
-    return RecoveryResult(n=ensemble.n, indices=indices, values=values,
+    labels = None
+    values = np.empty(0)
+    if S2.size:
+        labels = _sign_stage(ensemble, measurements, S2, est2, diagnostics)
+        _, signed = assign_signs(labels, est2, S2)
+        # undo the sensing-side flip; a vertex no test reached keeps its
+        # bare magnitude
+        values = np.where(labels.isolated, est2, signed * ensemble.D[S2])
+    signs_failed = S2.size > 1 and labels.flagged
+    return RecoveryResult(n=ensemble.n, indices=S2, values=values,
                           S0=S0, S1=S1, S2=S2, tail_energy=tail,
                           labels=labels, signs_failed=signs_failed,
                           diagnostics=diagnostics)
@@ -248,30 +237,35 @@ def decode_amplified(ensembles: list[SensingEnsemble],
 
     Votes are cast in signal space: each replica's label pair is un-flipped
     by that replica's own D before voting, so replicas with different D
-    agree on what they are voting about.
+    agree on what they are voting about. A replica votes only with
+    evidence: not on the vertices its sign graph left isolated, and not at
+    all when the anchor is isolated. ``signs_failed`` is set when some
+    member of S2 received no vote.
     """
     if not ensembles or len(ensembles) != len(y_list):
         raise ValueError("need matching, nonempty ensemble and measurement lists")
     primary = ensembles[0]
     base = decode(primary, y_list[0])
     S2 = base.S2
-    if S2.size <= 1 or base.labels is None:
+    if S2.size <= 1:
         return base
     mags = np.abs(base.values)               # base.indices is S2
     anchor = int(np.argmax(mags))            # position of the anchor in S2
 
     diagnostics = base.diagnostics
-    voters = [(primary, base.labels)]
-    for ens, meas in zip(ensembles[1:], y_list[1:]):
-        labels, _, _ = _sign_stage(ens, meas, S2, mags, diagnostics)
-        if labels is not None:
-            voters.append((ens, labels))
     votes = np.zeros(S2.size)
-    for ens, labels in voters:
+    heard = np.zeros(S2.size, dtype=bool)
+    for r, (ens, meas) in enumerate(zip(ensembles, y_list)):
+        labels = base.labels if r == 0 else \
+            _sign_stage(ens, meas, S2, mags, diagnostics)
+        if labels.isolated[anchor]:
+            continue
         signed = ens.D[S2] * labels.labels
-        votes += signed * signed[anchor]
+        votes += np.where(labels.isolated, 0, signed * signed[anchor])
+        heard |= ~labels.isolated
     rel_signs = np.where(votes >= 0, 1, -1)
     return RecoveryResult(n=primary.n, indices=S2, values=rel_signs * mags,
                           S0=base.S0, S1=base.S1, S2=S2,
                           tail_energy=base.tail_energy, labels=base.labels,
-                          signs_failed=False, diagnostics=diagnostics)
+                          signs_failed=not heard.all(),
+                          diagnostics=diagnostics)

@@ -146,14 +146,21 @@ def prony_solve(fourier_coeffs: np.ndarray, n: int, k: int) -> ComplexSignal:
         raise ValueError(f"need exactly 2k = {2 * k} coefficients, got {g.shape}")
     if k == 0 or np.max(np.abs(g)) == 0:
         return ComplexSignal(np.zeros(n, dtype=np.complex128), 0)
-    H = np.empty((k, k + 1), dtype=np.complex128)
-    for a in range(k):
-        H[a] = g[a: a + k + 1]
-    lead = H[:, :k]
-    sing = np.linalg.svd(lead, compute_uv=False)
+    sing = np.linalg.svd(_hankel(g, k)[:, :k], compute_uv=False)
     if sing[0] == 0 or sing[-1] / sing[0] < 1e-10:
         return prony_solve(g[: 2 * (k - 1)], n, k - 1)
-    p = np.linalg.solve(lead, -H[:, k]) if k > 1 else -H[:, 1] / H[:, 0]
+    return _prony_full_rank(g, n, k)
+
+
+def _hankel(g: np.ndarray, k: int) -> np.ndarray:
+    """The k x (k+1) Hankel system H[a] = g[a : a + k + 1]."""
+    return np.lib.stride_tricks.sliding_window_view(g, k + 1)
+
+
+def _prony_full_rank(g: np.ndarray, n: int, k: int) -> ComplexSignal:
+    """prony_solve at order k, whatever the rank of the Hankel block."""
+    H = _hankel(g, k)
+    p = np.linalg.solve(H[:, :k], -H[:, k]) if k > 1 else -H[:, 1] / H[:, 0]
     poly = np.concatenate([[1.0 + 0j], p[::-1]])
     roots = np.roots(poly)
 
@@ -357,14 +364,21 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
     candidates, slow = _grid_annihilator_filter(leaves, parent, scheme.n,
                                                 scheme.k)
 
+    def fits(cand: ComplexSignal) -> bool:
+        return np.max(np.abs(det_measure(scheme, cand.values) - y)) <= tol_branch
+
     last_err = None
     for idx in list(candidates) + slow:
         try:
             cand = prony_solve(leaves[idx], scheme.n, scheme.k)
+            if cand.sparsity < scheme.k and not fits(cand):
+                # a clustered support can put the true leaf's Hankel block
+                # under prony_solve's rank cut; solve it at full rank
+                cand = _prony_full_rank(leaves[idx], scheme.n, scheme.k)
         except (NumericalFailure, np.linalg.LinAlgError) as exc:
             last_err = exc
             continue
-        if np.max(np.abs(det_measure(scheme, cand.values) - y)) <= tol_branch:
+        if fits(cand):
             return cand
     if last_err is not None:
         raise NumericalFailure(f"no branch reconstructed: {last_err}")

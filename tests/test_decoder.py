@@ -8,7 +8,7 @@ import pytest
 from phaseless import (EnsembleConfig, TailEstimationError, apply_phaseless,
                        build_ensemble, decode, decode_amplified,
                        estimate_tail_energy, prune)
-from phaseless.bench import min_flip_error_sq
+from phaseless.bench import SUCCESS_FACTOR, min_flip_error_sq, tail_norm_sq
 from phaseless.signs import build_sign_graph
 
 from helpers import exact_sparse, spikes_plus_tail
@@ -188,6 +188,25 @@ def test_decode_one_sparse_signals(n):
     assert ok >= 27, ok
 
 
+@pytest.mark.parametrize("n, k, model", [(n, k, exact_sparse)
+                                         for n in (256, 4096)
+                                         for k in (2, 3, 4, 5)]
+                         + [(4096, 3, spikes_plus_tail)])
+def test_decode_small_k(n, k, model):
+    # at small k a sign class is often reached only through "differ" votes,
+    # so every decisive pair test must count. One ensemble serves all 40
+    # signals: its first dense signal keeps the E/F columns, so the
+    # spikes-plus-tail point does not resample them for every trial
+    ens = build_ensemble(n, k, rng_seed=13_000 + 100 * k)
+    ok = 0
+    for t in range(40):
+        x, _ = model(np.random.default_rng(14_000 + 100 * k + t), n, k)
+        res = decode(ens, apply_phaseless(ens, x))
+        ok += min_flip_error_sq(x, res.to_dense()) \
+            <= SUCCESS_FACTOR * tail_norm_sq(x, k)
+    assert ok >= 36, ok
+
+
 def test_decode_signs_failure_still_returns_magnitudes():
     # C0 large enough that F rows almost never pair up: edgeless graph
     ens = build(7, C0=50.0, c_F=0.01)
@@ -270,6 +289,25 @@ def test_amplified_counts_every_replicas_reads():
         expect["index_reads"] += graph.entries
     amp = decode_amplified(ensembles, measurements)
     assert amp.diagnostics.as_dict() == expect
+
+
+def test_amplified_replicas_without_evidence_do_not_vote():
+    # the replicas' sign graphs are edgeless, so every vertex is isolated
+    # there; their default +1 labels must not outvote the primary
+    lean = EnsembleConfig(C0=50.0, c_F=0.01)
+    for t in range(20):
+        x, _ = exact_sparse(np.random.default_rng(15_000 + t), N, K)
+        ensembles = [build(16_000 + t)]
+        ensembles += [build_ensemble(N, K, config=lean,
+                                     rng_seed=17_000 + 10 * t + r)
+                      for r in range(4)]
+        measurements = [apply_phaseless(e, x) for e in ensembles]
+        plain = decode(ensembles[0], measurements[0])
+        amp = decode_amplified(ensembles, measurements)
+        assert min_flip_error_sq(x, amp.to_dense()) \
+            <= min_flip_error_sq(x, plain.to_dense()), t
+        # a vertex only the primary could reach is flagged by both
+        assert amp.signs_failed == plain.signs_failed, t
 
 
 def test_amplified_validates_inputs():

@@ -5,8 +5,9 @@ import pytest
 
 from phaseless.ensemble import EnsembleConfig
 from phaseless.bench import edge_error_experiment
-from phaseless.signs import (ClusterLabels, SignGraph, assign_signs,
-                             build_sign_graph, recover_communities)
+from phaseless.signs import (ClusterLabels, SignGraph, _adjacency,
+                             assign_signs, build_sign_graph,
+                             recover_communities)
 
 from helpers import ListBlock, bisection_accuracy, sample_sbm
 
@@ -32,20 +33,23 @@ def test_noiseless_same_sign_pair_adds_edge():
     assert (g.edge_u[0], g.edge_v[0]) == (2, 5)
 
 
-def test_noiseless_opposite_sign_pair_adds_no_edge():
+def test_noiseless_opposite_sign_pair_votes_differ():
+    # x = (3, -4), matched row signs: y = 1, nearer |3 - 4| than 3 + 4
     block = one_row_block(10, [2, 5], [1, 1])
     est = np.array([3.0, 4.0])
     g = build_sign_graph(block, np.array([1.0]), np.array([2, 5]), est)
-    assert g.n_edges == 0
+    assert g.signed and g.n_edges == 1
+    assert g.weights.tolist() == [-1]
 
 
 def test_mismatched_row_signs_reverse_the_test():
     # same true signs but sigma_u != sigma_v: y = |3-4| = 1, and the
-    # reversed inequality 6 > 0 holds, so the edge is added
+    # reversed inequality 6 > 0 holds, so the pair votes agree
     block = one_row_block(10, [2, 5], [1, -1])
     est = np.array([3.0, 4.0])
     g = build_sign_graph(block, np.array([1.0]), np.array([2, 5]), est)
     assert g.n_edges == 1
+    assert g.weights.tolist() == [1]
 
 
 def test_rows_meeting_set_in_one_or_three_spots_are_ignored():
@@ -66,8 +70,9 @@ def test_graph_is_undirected_and_weighted():
                       np.ones(4))
     est = np.array([1.0, 2.0])
     g = build_sign_graph(block, np.array([3.0, 3.0]), np.array([4, 6]), est)
-    assert g.edge_u.tolist() == [4] and g.edge_v.tolist() == [6]
-    assert g.weights.tolist() == [2]
+    assert g.weights.tolist() == [1, 1]
+    assert sorted(zip(g.edge_u.tolist(), g.edge_v.tolist())) == [(4, 6)] * 2
+    assert _adjacency(g).tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
 
 def test_small_vertex_sets():
@@ -80,6 +85,7 @@ def test_small_vertex_sets():
                        np.empty(0, np.int64), np.empty(0, np.int64), -1)
     labels = recover_communities(single)
     assert labels.labels.tolist() == [1] and labels.flagged
+    assert labels.isolated.tolist() == [True]
 
 
 def test_two_disjoint_cliques_recover_exactly():
@@ -101,6 +107,7 @@ def test_isolated_vertex_flagged_and_defaulted():
                   np.array([3]), -1)
     labels = recover_communities(g)
     assert labels.flagged
+    assert labels.isolated.tolist() == [False, False, True]
     assert labels.labels[2] == 1
 
 
@@ -123,10 +130,11 @@ def test_sbm_at_threshold_quick():
 
 def test_assign_signs_and_flip_invariance():
     est = np.array([2.0, 1.5])
-    labels = ClusterLabels(np.array([1, -1]))
+    none = np.zeros(2, dtype=bool)
+    labels = ClusterLabels(np.array([1, -1]), none)
     idx, vals = assign_signs(labels, est, np.array([3, 8]))
     assert vals.tolist() == [2.0, -1.5]
-    flipped = ClusterLabels(np.array([-1, 1]))
+    flipped = ClusterLabels(np.array([-1, 1]), none)
     _, vals_f = assign_signs(flipped, est, np.array([3, 8]))
     x = np.zeros(10)
     x[3], x[8] = 2.0, -1.5
@@ -140,9 +148,9 @@ def test_assign_signs_and_flip_invariance():
 
 
 def test_edge_rate_separation_with_planted_signs():
-    """Per sampled pair, same-sign pairs pass the test strictly more often
+    """Per sampled pair, same-sign pairs vote agree strictly more often
     than cross-sign pairs; accumulated over >= 1000 pair rows. Pair sampling
-    is sign-blind, so comparing per-pair edge yields is fair."""
+    is sign-blind, so comparing per-pair agree-vote yields is fair."""
     import numpy as np
     from phaseless.bench import TrialSpec, gen_signal, _ensemble_seed
     from phaseless.ensemble import build_ensemble, apply_phaseless
@@ -169,6 +177,8 @@ def test_edge_rate_separation_with_planted_signs():
         cross_pairs += n_plus * (k - n_plus)
         pair_rows += g.pair_rows
         for u, v, w in zip(g.edge_u, g.edge_v, g.weights):
+            if w < 0:
+                continue
             if planted[int(u)] == planted[int(v)]:
                 same_edges += int(w)
             else:
