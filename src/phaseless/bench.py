@@ -193,7 +193,7 @@ RECORD_FIELDS = [
     "trial", "pipeline", "n", "k", "error_sq", "tail_sq", "success",
     "rel_error", "s0_size", "s1_size", "s2_size", "L", "sign_accuracy",
     "sign_errors", "signs_failed", "rows_total", "touches", "wall_time",
-    "error",
+    "leaves", "error",
 ]
 
 
@@ -207,10 +207,10 @@ def _run_one(spec: TrialSpec, t: int) -> dict:
         if spec.pipeline == "prony":
             scheme = DeterministicScheme(spec.n, spec.k)
             y = det_measure(scheme, x)
-            x_hat = det_recover(scheme, y).values
-            rel = twin_phase_error(x_hat, x) / float(np.linalg.norm(x))
+            out = det_recover(scheme, y)
+            rel = twin_phase_error(out.values, x) / float(np.linalg.norm(x))
             record.update(rel_error=rel, success=bool(rel < PRONY_TOL),
-                          rows_total=scheme.n_measurements)
+                          rows_total=scheme.n_measurements, leaves=out.leaves)
         else:
             tail_sq = tail_norm_sq(x, spec.k)
             if spec.pipeline == "cphase":
@@ -270,6 +270,9 @@ class TrialReport:
         rels = [r["rel_error"] for r in self.records if r["rel_error"] is not None]
         if rels:
             agg["median_rel_error"] = float(np.median(rels))
+        leaves = [r["leaves"] for r in self.records if r["leaves"] is not None]
+        if leaves:
+            agg["median_leaves"] = float(np.median(leaves))
         accs = [r["sign_accuracy"] for r in self.records
                 if r["sign_accuracy"] is not None]
         if accs:

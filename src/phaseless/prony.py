@@ -3,19 +3,20 @@
 The scheme measures 4k-1 magnitudes: the first 2k unitary DFT coefficients
 z_0..z_{2k-1}, plus the 2k-1 running sums |z_0 + ... + z_a| for a >= 1.
 Decoding anchors the phase of the first nonzero coefficient at zero and
-walks the remaining coefficients in order: knowing the partial sum s, the
-magnitude |z_j|, and |s + z_j| pins z_j down to at most two candidates (the
-law-of-cosines angle is determined up to sign). The running-sum checks do
-not prune in practice: for every signal measured with k = 1..8 the walk
-ended with exactly 4^(k-1) leaves, so the search grows 4x per unit of k,
-and every k >= 10 exceeds the BRANCH_CAP of 65536 branches and raises
-NumericalFailure. Each leaf is screened by an annihilating filter on the
-n-point grid, and the survivors are handed to the annihilating-polynomial
-solver and validated by re-measuring. The winner is exact up to a global
-phase times the inherent
-conjugate-reflection symmetry of magnitude measurements (t -> -t mod n with
-conjugated values produces identical measurements, so no decoder can split
-that pair).
+walks the remaining coefficients in order: the partial sum s, |z_j| and
+|s + z_j| pin z_j down to at most two candidates (the law-of-cosines angle
+up to sign). The running-sum checks do not prune in practice, so the walk
+has 4^(k-1) leaves. It runs depth first in prefix-aligned chunks of at most
+_CHUNK_LEAVES leaves; each chunk is screened by an annihilating filter on
+the n-point grid, its survivors go to the annihilating-polynomial solver,
+and the first leaf that re-measures to y is returned. Memory is set by the
+chunk size, time by where the true leaf lies: at n=64, on one x86 core
+(BENCH_prony-stream.json), k = 9, 10, 11 took a median 0.10, 1.0, 5.0 s.
+BRANCH_CAP bounds the leaves one recovery may walk and is checked before
+walking, so every k >= 12 raises NumericalFailure at once. The winner is
+exact up to a global phase times the conjugate-reflection symmetry of
+magnitude measurements (t -> -t mod n with conjugated values gives
+identical measurements, so no decoder can split that pair).
 
 The annihilating-polynomial solver recovers a k-sparse vector from 2k
 consecutive DFT coefficients in O(k^3): solve the k x (k+1) Hankel system
@@ -46,7 +47,8 @@ __all__ = [
 
 ZERO_TOL = 1e-9       # relative to max(y): first-nonzero detection
 BRANCH_TOL = 1e-6     # relative to max(y): running-sum consistency
-BRANCH_CAP = 65536    # phase-chain branches before giving up
+BRANCH_CAP = 4 ** 10  # phase-chain leaves one recovery may walk
+_CHUNK_LEAVES = 1024  # leaves filtered and solved at once
 
 
 class PhaseUnderdetermined(ValueError):
@@ -65,10 +67,7 @@ class NumericalFailure(RuntimeError):
 class ComplexSignal:
     values: np.ndarray           # complex128, length n
     sparsity: int
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
+    leaves: int = 0              # phase-chain leaves det_recover walked
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,9 @@ def from_interleaved(a: np.ndarray) -> np.ndarray:
 
 def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                  sum_mag: np.ndarray, anchor: int, tol_zero: float,
-                 tol_branch: float) -> tuple[np.ndarray, np.ndarray]:
-    """All coefficient sequences consistent with every magnitude measurement.
+                 tol_branch: float):
+    """Every coefficient sequence consistent with every magnitude measurement,
+    yielded depth first as (leaves, parent) chunks of at most _CHUNK_LEAVES.
 
     Branches are carried as arrays (one row per surviving prefix) so a step
     costs a handful of vector operations regardless of how many prefixes
@@ -219,18 +219,14 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     truth. The very first two-way split is cut to one branch: while the
     running sum is still real, the minus branch is the entrywise conjugate
     of the plus branch, which is the twin the scheme cannot distinguish
-    anyway.
-
-    Returns (leaves, parent): leaves with equal parent came from one prefix
-    and differ only in the last coefficient.
+    anyway. A frontier whose rows * 2^(coefficients left) exceed
+    _CHUNK_LEAVES is split into row halves, the first walked first. Splits
+    happen before the last step, so leaves with equal parent (one prefix,
+    differing only in the last coefficient) share a chunk.
     """
     two_k = 2 * scheme.k
-    coeffs = np.zeros((1, two_k), dtype=np.complex128)
-    coeffs[0, anchor] = z_mag[anchor]
-    state = np.array([z_mag[anchor]], dtype=np.complex128)
-    state_real = True
-    parent = np.zeros(1, dtype=np.int64)
-    for j in range(anchor + 1, two_k):
+
+    def step(j, coeffs, state, state_real):
         target = float(sum_mag[j - 1])  # measured |z_0 + ... + z_j|
         parent = np.arange(state.shape[0])
         if z_mag[j] <= tol_zero:
@@ -256,9 +252,6 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
             coeffs, state = coeffs[feasible], state[feasible]
             parent = parent[feasible]
             cos_val = np.clip(cos_val[feasible], -1.0, 1.0)
-            if state.shape[0] == 0:
-                raise InconsistentMeasurements(
-                    f"no candidate prefix survives measurement {j}")
             sin_val = np.sqrt(np.maximum(0.0, 1.0 - cos_val * cos_val))
             # the two branches lie 2 * zm * sin apart; that close, they are
             # one tangent branch, and a roundoff sin would move its leaf
@@ -270,10 +263,6 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
             if state_real and state.shape[0] == 1 and bool(split[0]):
                 split = np.zeros_like(split)  # conjugate-twin cut
             minus = zm * unit[split] * (cos_val[split] - 1j * sin_val[split])
-            n_new = state.shape[0] + int(split.sum())
-            if n_new > BRANCH_CAP:
-                raise NumericalFailure(
-                    f"phase search exceeded {BRANCH_CAP} branches")
             new_coeffs = np.concatenate([coeffs, coeffs[split]], axis=0)
             new_coeffs[: state.shape[0], j] = plus
             new_coeffs[state.shape[0]:, j] = minus
@@ -285,7 +274,31 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
         if state.shape[0] == 0:
             raise InconsistentMeasurements(
                 f"no candidate prefix survives measurement {j}")
-    return coeffs, parent
+        return coeffs, state, state_real, parent
+
+    coeffs = np.zeros((1, two_k), dtype=np.complex128)
+    coeffs[0, anchor] = z_mag[anchor]
+    state = np.array([z_mag[anchor]], dtype=np.complex128)
+    stack = [(anchor + 1, coeffs, state, True, np.zeros(1, dtype=np.int64))]
+    reached, dead = False, (-1, False, None)
+    while stack:
+        j, coeffs, state, state_real, parent = stack.pop()
+        rows = state.shape[0]
+        if j == two_k:
+            reached = True
+            yield coeffs, parent
+        elif rows > 1 and rows << (two_k - j) > _CHUNK_LEAVES:
+            stack += [(j, coeffs[h], state[h], state_real, parent[h])
+                      for h in (slice(rows // 2, None), slice(rows // 2))]
+        else:
+            try:
+                stack.append((j + 1, *step(j, coeffs, state, state_real)))
+            except (InconsistentMeasurements, NumericalFailure) as exc:
+                # fail as one frontier would: deepest death, inconsistent first
+                dead = max(dead, (j, isinstance(exc, InconsistentMeasurements),
+                                  exc), key=lambda d: d[:2])
+    if not reached:
+        raise dead[2]
 
 
 def _grid_annihilator_filter(leaves: np.ndarray, parent: np.ndarray, n: int,
@@ -347,8 +360,6 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
         raise ValueError("measurements must be nonnegative")
     two_k = 2 * scheme.k
     scale = float(np.max(y))
-    if scale == 0:
-        return ComplexSignal(np.zeros(scheme.n, dtype=np.complex128), 0)
     tol_zero = ZERO_TOL * scale
     tol_branch = BRANCH_TOL * scale
     z_mag = y[:two_k]
@@ -358,28 +369,34 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
     if nonzero.size == 0:
         return ComplexSignal(np.zeros(scheme.n, dtype=np.complex128), 0)
     anchor = int(nonzero[0])
-
-    leaves, parent = _phase_chain(scheme, z_mag, sum_mag, anchor, tol_zero,
-                                  tol_branch)
-    candidates, slow = _grid_annihilator_filter(leaves, parent, scheme.n,
-                                                scheme.k)
+    # past the anchor, each nonzero coefficient may split every leaf in two,
+    # except the first, whose split is the conjugate-twin cut
+    if 1 << max(nonzero.size - 2, 0) > BRANCH_CAP:
+        raise NumericalFailure(
+            f"phase search may walk 2^{nonzero.size - 2} leaves > BRANCH_CAP")
 
     def fits(cand: ComplexSignal) -> bool:
         return np.max(np.abs(det_measure(scheme, cand.values) - y)) <= tol_branch
 
-    last_err = None
-    for idx in list(candidates) + slow:
-        try:
-            cand = prony_solve(leaves[idx], scheme.n, scheme.k)
-            if cand.sparsity < scheme.k and not fits(cand):
-                # a clustered support can put the true leaf's Hankel block
-                # under prony_solve's rank cut; solve it at full rank
-                cand = _prony_full_rank(leaves[idx], scheme.n, scheme.k)
-        except (NumericalFailure, np.linalg.LinAlgError) as exc:
-            last_err = exc
-            continue
-        if fits(cand):
-            return cand
+    last_err, walked = None, 0
+    for leaves, parent in _phase_chain(scheme, z_mag, sum_mag, anchor,
+                                       tol_zero, tol_branch):
+        walked += leaves.shape[0]
+        candidates, slow = _grid_annihilator_filter(leaves, parent, scheme.n,
+                                                    scheme.k)
+        for idx in list(candidates) + slow:
+            try:
+                cand = prony_solve(leaves[idx], scheme.n, scheme.k)
+                if cand.sparsity < scheme.k and not fits(cand):
+                    # a clustered support can put the true leaf's Hankel
+                    # block under prony_solve's rank cut; solve it at full rank
+                    cand = _prony_full_rank(leaves[idx], scheme.n, scheme.k)
+            except (NumericalFailure, np.linalg.LinAlgError) as exc:
+                last_err = exc
+                continue
+            if fits(cand):
+                cand.leaves = walked
+                return cand
     if last_err is not None:
         raise NumericalFailure(f"no branch reconstructed: {last_err}")
     raise InconsistentMeasurements(

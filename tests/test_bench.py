@@ -103,6 +103,18 @@ def test_prony_pipeline_records_relative_error():
     assert all(r["rows_total"] == 11 for r in report.records)
 
 
+def test_prony_pipeline_records_leaves_walked():
+    # fails at the parent, whose records have no leaves column
+    k = 7
+    report = run_trials(TrialSpec(n=64, k=k, trials=6, seed=18,
+                                  pipeline="prony"))
+    leaves = [r["leaves"] for r in report.records]
+    assert all(r["success"] for r in report.records)
+    assert all(1 <= v <= 4 ** (k - 1) for v in leaves)
+    assert report.aggregates()["median_leaves"] == np.median(leaves)
+    assert "leaves" in report.to_csv().splitlines()[0].split(",")
+
+
 def test_calibrate_single_config_meets_target(tmp_path):
     grid = {"C0": [0.125]}
     base = TrialSpec(n=512, k=4, trials=5, seed=23)

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseless import (DeterministicScheme, InconsistentMeasurements,
-                       PhaseUnderdetermined, conjugate_reflection, det_measure,
-                       det_recover, prony_solve, resolve_phase)
+                       NumericalFailure, PhaseUnderdetermined,
+                       conjugate_reflection, det_measure, det_recover,
+                       prony, prony_solve, resolve_phase)
 from phaseless.bench import twin_phase_error
 
 from helpers import dense_det_matrix, random_complex_sparse
@@ -255,5 +256,75 @@ def test_recover_flags_inconsistent_measurements():
     x[[3, 11]] = [1.0, 2.0]
     y = det_measure(scheme, x)
     y[5] *= 3.0  # break one running sum
-    with pytest.raises((InconsistentMeasurements, Exception)):
+    with pytest.raises(InconsistentMeasurements):
         det_recover(scheme, y)
+
+
+# -- streamed phase chain -----------------------------------------------------
+
+def chain_chunks(scheme, x):
+    """The (leaves, parent) chunks det_recover walks for signal x."""
+    y = det_measure(scheme, x)
+    scale = float(np.max(y))
+    z_mag, sum_mag = y[: 2 * scheme.k], y[2 * scheme.k:]
+    anchor = int(np.where(z_mag > prony.ZERO_TOL * scale)[0][0])
+    return list(prony._phase_chain(scheme, z_mag, sum_mag, anchor,
+                                   prony.ZERO_TOL * scale,
+                                   prony.BRANCH_TOL * scale))
+
+
+def sorted_rows(leaves):
+    return leaves[np.lexsort(np.concatenate([leaves.real, leaves.imag], 1).T)]
+
+
+def test_chunks_are_bounded_and_keep_siblings_together():
+    # fails at the parent, whose walk is one array of every leaf
+    rng = np.random.default_rng(8)
+    scheme = DeterministicScheme(64, 7)
+    x, _ = random_complex_sparse(rng, 64, 7)
+    chunks = chain_chunks(scheme, x)
+    assert len(chunks) > 1
+    seen = set()
+    for leaves, parent in chunks:
+        assert leaves.shape[0] <= prony._CHUNK_LEAVES
+        prefixes = [leaf[:-1].tobytes() for leaf in leaves]
+        # equal parent <=> equal prefix, and no prefix spans two chunks
+        pairs = set(zip(parent.tolist(), prefixes))
+        assert len(pairs) == len(set(parent.tolist())) == len(set(prefixes))
+        assert seen.isdisjoint(prefixes)
+        seen.update(prefixes)
+
+
+def test_chunks_union_is_the_one_chunk_walk(monkeypatch):
+    # fails at the parent, which has no chunks
+    rng = np.random.default_rng(9)
+    k = 6
+    scheme = DeterministicScheme(64, k)
+    x, _ = random_complex_sparse(rng, 64, k)
+    streamed = np.concatenate([leaves for leaves, _ in chain_chunks(scheme, x)])
+    monkeypatch.setattr(prony, "_CHUNK_LEAVES", 4 ** (k - 1))
+    (whole, _), = chain_chunks(scheme, x)
+    assert whole.shape[0] == 4 ** (k - 1)
+    assert np.array_equal(sorted_rows(streamed), sorted_rows(whole))
+
+
+def test_recover_k10_at_n64():
+    # fails at the parent: every k >= 10 hit its 65536-branch cap
+    scheme = DeterministicScheme(64, 10)
+    for seed in (10_064, 10_065):
+        x, _ = random_complex_sparse(np.random.default_rng(seed), 64, 10)
+        out = det_recover(scheme, det_measure(scheme, x))
+        assert twin_phase_error(out.values, x) < 1e-8 * np.linalg.norm(x)
+        assert 0 < out.leaves <= 4 ** 9
+
+
+def test_k12_raises_before_walking(monkeypatch):
+    # fails at the parent, which walked until its branch cap
+    def no_walk(*args):
+        raise AssertionError("walked the phase chain")
+
+    monkeypatch.setattr(prony, "_phase_chain", no_walk)
+    scheme = DeterministicScheme(64, 12)
+    x, _ = random_complex_sparse(np.random.default_rng(12), 64, 12)
+    with pytest.raises(NumericalFailure, match="BRANCH_CAP"):
+        det_recover(scheme, det_measure(scheme, x))
