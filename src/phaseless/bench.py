@@ -89,7 +89,7 @@ class TrialSpec:
         cfg = d.pop("config", None)
         spec = cls(**d)
         if cfg is not None:
-            spec = replace(spec, config=EnsembleConfig(**cfg))
+            spec = replace(spec, config=EnsembleConfig.from_dict(cfg))
         return spec
 
 

@@ -37,7 +37,7 @@ def _load_config(path: str | None) -> EnsembleConfig:
     data = json.loads(text)
     if isinstance(data, dict) and "config" in data:  # defaults file
         data = data["config"]
-    return EnsembleConfig(**data)
+    return EnsembleConfig.from_dict(data)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Measurements, SensingEnsemble
+from .ensemble import EnsembleError, Measurements, SensingEnsemble
 from .signs import ClusterLabels, assign_signs, build_sign_graph, \
     recover_communities
 from .sketch import estimate_magnitudes, identify_heavy
@@ -67,7 +67,6 @@ class DecodeDiagnostics:
 
     y_reads: int = 0             # measurement entries read
     index_reads: int = 0         # column entries fetched
-    rows_touched: int = 0        # measurement rows used in some estimate/test
     edges_sampled: int = 0       # F rows meeting S2 in exactly two spots
 
     def total_touches(self) -> int:
@@ -75,7 +74,6 @@ class DecodeDiagnostics:
 
     def as_dict(self) -> dict:
         return {"y_reads": self.y_reads, "index_reads": self.index_reads,
-                "rows_touched": self.rows_touched,
                 "edges_sampled": self.edges_sampled}
 
 
@@ -141,7 +139,6 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
     if diagnostics is not None:
         diagnostics.index_reads += int(hit_rows.size)
         diagnostics.y_reads += int(count.sum())
-        diagnostics.rows_touched += int(count.sum())
     if not kept.any():
         raise TailEstimationError(
             f"no band of E had a row disjoint from S1 (|S1|={len(S1)}); "
@@ -185,7 +182,6 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
                              S2, estimates, level=level)
     diagnostics.edges_sampled += graph.pair_rows
     diagnostics.y_reads += graph.pair_rows
-    diagnostics.rows_touched += graph.pair_rows
     diagnostics.index_reads += graph.entries
     return recover_communities(graph)
 
@@ -193,18 +189,18 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
 def decode(ensemble: SensingEnsemble, measurements: Measurements
            ) -> RecoveryResult:
     """Run the full pipeline on one set of measurements."""
+    if not np.all(np.isfinite(measurements.y)):
+        raise EnsembleError("measurements must be finite")
     diagnostics = DecodeDiagnostics()
     cfg = ensemble.config
 
     yA = measurements.block("A")
     S0 = identify_heavy(ensemble.blocks["A"], cfg.heavy_K, yA)
     diagnostics.y_reads += yA.size
-    diagnostics.rows_touched += yA.size
 
     estimates = estimate_magnitudes(ensemble.blocks["B"], measurements.block("B"), S0)
     diagnostics.y_reads += S0.size * cfg.countsketch_reps
     diagnostics.index_reads += S0.size * cfg.countsketch_reps
-    diagnostics.rows_touched += S0.size * cfg.countsketch_reps
 
     S1 = _select_top(S0, estimates, cfg.top_select)
     tail = estimate_tail_energy(ensemble, measurements, S1, diagnostics)
@@ -244,6 +240,9 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     """
     if not ensembles or len(ensembles) != len(y_list):
         raise ValueError("need matching, nonempty ensemble and measurement lists")
+    # decode checks the primary's measurements
+    if not all(np.all(np.isfinite(meas.y)) for meas in y_list[1:]):
+        raise EnsembleError("measurements must be finite")
     primary = ensembles[0]
     base = decode(primary, y_list[0])
     S2 = base.S2

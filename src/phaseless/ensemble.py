@@ -142,12 +142,15 @@ class EnsembleConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "EnsembleConfig":
-        data = json.loads(text)
+    def from_dict(cls, data: dict) -> "EnsembleConfig":
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise EnsembleError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
+
+    @classmethod
+    def from_json(cls, text: str) -> "EnsembleConfig":
+        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,7 @@ class SensingEnsemble:
         if header.get("version") != cls.VERSION:
             raise EnsembleError(f"unsupported container version {header.get('version')}")
         return build_ensemble(header["n"], header["k"],
-                              config=EnsembleConfig(**header["config"]),
+                              config=EnsembleConfig.from_dict(header["config"]),
                               rng_seed=header["seed"])
 
 

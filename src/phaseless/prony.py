@@ -3,13 +3,16 @@
 The scheme measures 4k-1 magnitudes: the first 2k unitary DFT coefficients
 z_0..z_{2k-1}, plus the 2k-1 running sums |z_0 + ... + z_a| for a >= 1.
 Decoding anchors the phase of the first nonzero coefficient at zero and
-walks the remaining coefficients in order: the partial sum s, |z_j| and
-|s + z_j| pin z_j down to at most two candidates (the law-of-cosines angle
-up to sign). The running-sum checks do not prune in practice, so the walk
-has 4^(k-1) leaves. It runs depth first in prefix-aligned chunks of at most
-_CHUNK_LEAVES leaves; each chunk is screened by an annihilating filter on
-the n-point grid, its survivors go to the annihilating-polynomial solver,
-and the first leaf that re-measures to y is returned. Memory is set by the
+resolves the remaining coefficients in order: in the frame of the running
+sum s before z_j, |s|, |z_j| and |s + z_j| are all measured, so they pin
+z_j down to at most two candidates (the law-of-cosines angle up to sign).
+Each running-sum check depends on y alone, so it is made once, before the
+walk, and prunes no branch: the leaves are the sign vectors over the
+coefficients that split, 4^(k-1) of them for a generic signal. They are
+walked depth first in prefix-aligned chunks of at most _CHUNK_LEAVES
+leaves; each chunk is screened by an annihilating filter on the n-point
+grid, its survivors go to the annihilating-polynomial solver, and the
+first leaf that re-measures to y is returned. Memory is set by the
 chunk size, time by where the true leaf lies: at n=64, on one x86 core
 (BENCH_prony-stream.json), k = 9, 10, 11 took a median 0.10, 1.0, 5.0 s.
 BRANCH_CAP bounds the leaves one recovery may walk and is checked before
@@ -101,7 +104,9 @@ def resolve_phase(mag_x: float, a: complex, mag_sum: float,
     """All x with |x| = mag_x and |x + a| = mag_sum, given a.
 
     Generically two candidates, reflections of each other about a's
-    direction; collinear cases collapse to one. Raises
+    direction. They lie 2 * mag_x * sin apart; when mag_x * sin <= tol they
+    are one tangent candidate on a's line (sin = 0), so that a roundoff sin
+    neither splits a collinear case nor moves it off that line. Raises
     PhaseUnderdetermined when a = 0 and mag_x > 0 (any phase works), and
     InconsistentMeasurements when the triangle inequality is violated
     beyond tol.
@@ -126,11 +131,10 @@ def resolve_phase(mag_x: float, a: complex, mag_sum: float,
         cos_val = math.copysign(1.0, cos_val)
     sin_val = math.sqrt(max(0.0, 1.0 - cos_val * cos_val))
     unit = a / abs_a
-    first = mag_x * unit * complex(cos_val, sin_val)
-    if sin_val == 0.0:
-        return [complex(first)]
-    second = mag_x * unit * complex(cos_val, -sin_val)
-    return [complex(first), complex(second)]
+    if mag_x * sin_val <= tol:
+        return [complex(mag_x * unit * cos_val)]
+    return [complex(mag_x * unit * complex(cos_val, s))
+            for s in (sin_val, -sin_val)]
 
 
 def prony_solve(fourier_coeffs: np.ndarray, n: int, k: int) -> ComplexSignal:
@@ -210,95 +214,60 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                  sum_mag: np.ndarray, anchor: int, tol_zero: float,
                  tol_branch: float):
     """Every coefficient sequence consistent with every magnitude measurement,
-    yielded depth first as (leaves, parent) chunks of at most _CHUNK_LEAVES.
+    yielded as (leaves, parent) chunks of at most _CHUNK_LEAVES.
 
-    Branches are carried as arrays (one row per surviving prefix) so a step
-    costs a handful of vector operations regardless of how many prefixes
-    are alive. Every prefix here satisfies its measurements exactly; only
-    the sparse-on-grid structure, applied later, tells impostors from the
-    truth. The very first two-way split is cut to one branch: while the
-    running sum is still real, the minus branch is the entrywise conjugate
-    of the plus branch, which is the twin the scheme cannot distinguish
-    anyway. A frontier whose rows * 2^(coefficients left) exceed
-    _CHUNK_LEAVES is split into row halves, the first walked first. Splits
-    happen before the last step, so leaves with equal parent (one prefix,
+    In the frame of the running sum S_{j-1}, whose magnitude is measured,
+    z_j is one of resolve_phase's candidates and the minus candidate is the
+    conjugate of the plus one. So each step's check, candidates and turn
+    arg S_j - arg S_{j-1} depend on y alone and are resolved once, before
+    the first chunk; a step's errors are raised there. A leaf's phases are
+    the sum of every step's contribution (its coefficient's angle in its
+    frame, and its turn, which every later coefficient inherits), and the
+    minus branch of a split step negates that step's contribution. So the
+    leaves are the sign vectors over the split steps. The first split is
+    cut to its plus branch: its minus branch is the entrywise conjugate of
+    every leaf, the twin the scheme cannot distinguish anyway. Leaf i takes
+    the minus branch at the b-th remaining split when bit b of i, counted
+    from the highest, is set, which is depth-first, plus-first order.
+    Chunks are aligned ranges of i, so siblings (leaves with equal parent,
     differing only in the last coefficient) share a chunk.
     """
     two_k = 2 * scheme.k
-
-    def step(j, coeffs, state, state_real):
-        target = float(sum_mag[j - 1])  # measured |z_0 + ... + z_j|
-        parent = np.arange(state.shape[0])
-        if z_mag[j] <= tol_zero:
-            keep = np.abs(np.abs(state) - target) <= tol_branch
-            coeffs, state, parent = coeffs[keep], state[keep], parent[keep]
-        else:
-            zm = float(z_mag[j])
-            abs_s = np.abs(state)
-            live = abs_s > tol_zero
-            if not np.all(live):
-                # a vanished running sum leaves the next phase free; those
-                # prefixes cannot be continued discretely
-                coeffs, state, abs_s = coeffs[live], state[live], abs_s[live]
-                parent = parent[live]
-            if state.shape[0] == 0:
-                raise NumericalFailure(
-                    f"running sum vanished before coefficient {j}; "
-                    "phase chain breaks")
-            cos_val = (target ** 2 - zm ** 2 - abs_s ** 2) / (2 * zm * abs_s)
-            slack = tol_branch * np.maximum(1.0, target + zm + abs_s) \
-                / (2 * zm * abs_s)
-            feasible = np.abs(cos_val) <= 1.0 + slack
-            coeffs, state = coeffs[feasible], state[feasible]
-            parent = parent[feasible]
-            cos_val = np.clip(cos_val[feasible], -1.0, 1.0)
-            sin_val = np.sqrt(np.maximum(0.0, 1.0 - cos_val * cos_val))
-            # the two branches lie 2 * zm * sin apart; that close, they are
-            # one tangent branch, and a roundoff sin would move its leaf
-            # off the grid
-            sin_val[zm * sin_val <= tol_branch] = 0.0
-            unit = state / np.abs(state)
-            plus = zm * unit * (cos_val + 1j * sin_val)
-            split = sin_val > 1e-14
-            if state_real and state.shape[0] == 1 and bool(split[0]):
-                split = np.zeros_like(split)  # conjugate-twin cut
-            minus = zm * unit[split] * (cos_val[split] - 1j * sin_val[split])
-            new_coeffs = np.concatenate([coeffs, coeffs[split]], axis=0)
-            new_coeffs[: state.shape[0], j] = plus
-            new_coeffs[state.shape[0]:, j] = minus
-            state = np.concatenate([state + plus, state[split] + minus])
-            parent = np.concatenate([parent, parent[split]])
-            coeffs = new_coeffs
-            if np.any(np.abs(state.imag) > tol_zero):
-                state_real = False
-        if state.shape[0] == 0:
-            raise InconsistentMeasurements(
-                f"no candidate prefix survives measurement {j}")
-        return coeffs, state, state_real, parent
-
-    coeffs = np.zeros((1, two_k), dtype=np.complex128)
-    coeffs[0, anchor] = z_mag[anchor]
-    state = np.array([z_mag[anchor]], dtype=np.complex128)
-    stack = [(anchor + 1, coeffs, state, True, np.zeros(1, dtype=np.int64))]
-    reached, dead = False, (-1, False, None)
-    while stack:
-        j, coeffs, state, state_real, parent = stack.pop()
-        rows = state.shape[0]
-        if j == two_k:
-            reached = True
-            yield coeffs, parent
-        elif rows > 1 and rows << (two_k - j) > _CHUNK_LEAVES:
-            stack += [(j, coeffs[h], state[h], state_real, parent[h])
-                      for h in (slice(rows // 2, None), slice(rows // 2))]
-        else:
-            try:
-                stack.append((j + 1, *step(j, coeffs, state, state_real)))
-            except (InconsistentMeasurements, NumericalFailure) as exc:
-                # fail as one frontier would: deepest death, inconsistent first
-                dead = max(dead, (j, isinstance(exc, InconsistentMeasurements),
-                                  exc), key=lambda d: d[:2])
-    if not reached:
-        raise dead[2]
+    frame = np.zeros(two_k, dtype=np.complex128)  # plus z_j in S_{j-1}'s frame
+    frame[anchor] = z_mag[anchor]
+    turn = np.zeros(two_k)
+    splits = []
+    prev = float(z_mag[anchor])                   # |S_{j-1}|
+    for j in range(anchor + 1, two_k):
+        mag = float(z_mag[j]) if z_mag[j] > tol_zero else 0.0
+        if mag > 0 and prev <= tol_zero:
+            raise NumericalFailure(
+                f"running sum vanished before coefficient {j}; "
+                "phase chain breaks")
+        cands = resolve_phase(mag, prev, float(sum_mag[j - 1]), tol_branch)
+        frame[j] = cands[0]
+        turn[j] = np.angle(prev + cands[0])
+        if len(cands) == 2:
+            splits.append(j)
+        prev = float(sum_mag[j - 1])
+    splits = splits[1:]  # conjugate-twin cut
+    # row j: step j's share of every phase, its angle at j, its turn after j
+    contrib = np.triu(np.tile(turn[:, None], two_k), 1)
+    contrib += np.diag(np.angle(frame))
+    base, flip = contrib.sum(axis=0), -2 * contrib[splits]
+    shifts = np.arange(len(splits))[::-1]
+    last = int(two_k - 1 in splits)  # siblings differ in the last bit
+    mag, total = np.abs(frame), 1 << len(splits)
+    for start in range(0, total, _CHUNK_LEAVES):
+        i = np.arange(start, min(start + _CHUNK_LEAVES, total))
+        # in place, holding only the chunk across the yield: more temporaries
+        # tipped glibc's malloc into trimming and regrowing the heap per chunk
+        phases = ((i[:, None] >> shifts) & 1) @ flip
+        phases += base
+        leaves = np.exp(1j * phases)
+        del phases
+        leaves *= mag
+        yield leaves, i >> last
 
 
 def _grid_annihilator_filter(leaves: np.ndarray, parent: np.ndarray, n: int,
@@ -356,8 +325,8 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
     if y.shape != (scheme.n_measurements,):
         raise ValueError(
             f"need {scheme.n_measurements} measurements, got {y.shape}")
-    if np.any(y < 0):
-        raise ValueError("measurements must be nonnegative")
+    if not np.all(np.isfinite(y) & (y >= 0)):
+        raise ValueError("measurements must be finite and nonnegative")
     two_k = 2 * scheme.k
     scale = float(np.max(y))
     tol_zero = ZERO_TOL * scale

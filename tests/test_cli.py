@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from phaseless import EnsembleError
 from phaseless.cli import main
 
 
@@ -101,3 +102,13 @@ def test_config_file_is_honored(tmp_path):
                  "--seed", "2", "--config", str(cfg), "--out", str(out)]) == 0
     spec = json.loads((out / "report.json").read_text())["spec"]
     assert spec["config"]["C0"] == 0.5
+
+
+def test_config_file_rejects_unknown_keys(tmp_path):
+    # an unknown key once escaped as a bare TypeError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nope": 1}))
+    with pytest.raises(EnsembleError, match="nope"):
+        main(["bench", "--n", "512", "--k", "4", "--trials", "2",
+              "--seed", "2", "--config", str(cfg),
+              "--out", str(tmp_path / "bench")])

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from phaseless import (EnsembleConfig, TailEstimationError, apply_phaseless,
-                       build_ensemble, decode, decode_amplified,
-                       estimate_tail_energy, prune)
+from phaseless import (EnsembleConfig, EnsembleError, Measurements,
+                       TailEstimationError, apply_phaseless, build_ensemble,
+                       decode, decode_amplified, estimate_tail_energy, prune)
 from phaseless.bench import SUCCESS_FACTOR, min_flip_error_sq, tail_norm_sq
 from phaseless.signs import build_sign_graph
 
@@ -219,6 +219,17 @@ def test_decode_signs_failure_still_returns_magnitudes():
                            np.sort(np.abs(x[res.indices])), atol=1e-12)
 
 
+def test_decode_rejects_non_finite_measurements():
+    # all-NaN y once decoded to an empty estimate without an error
+    ens = build(9)
+    x, _ = exact_sparse(np.random.default_rng(13), N, K)
+    clean = apply_phaseless(ens, x)
+    for bad in (np.nan, np.inf):
+        y = np.full_like(clean.y, bad)
+        with pytest.raises(EnsembleError, match="finite"):
+            decode(ens, Measurements(y, clean.offsets, clean.block_rows))
+
+
 def test_decode_diagnostics_counters_positive():
     ens = build(8)
     x, _ = exact_sparse(np.random.default_rng(12), N, K)
@@ -284,7 +295,7 @@ def test_amplified_counts_every_replicas_reads():
         name = f"F{2 ** level}"
         graph = build_sign_graph(ens.blocks[name], meas.block(name), base.S2,
                                  estimates, level=level)
-        for counter in ("y_reads", "rows_touched", "edges_sampled"):
+        for counter in ("y_reads", "edges_sampled"):
             expect[counter] += graph.pair_rows
         expect["index_reads"] += graph.entries
     amp = decode_amplified(ensembles, measurements)
@@ -316,3 +327,9 @@ def test_amplified_validates_inputs():
         decode_amplified(ensembles, measurements[:2])
     with pytest.raises(ValueError):
         decode_amplified([], [])
+    # a NaN replica must not cast votes
+    replica = measurements[1]
+    nan = Measurements(np.full_like(replica.y, np.nan), replica.offsets,
+                       replica.block_rows)
+    with pytest.raises(EnsembleError, match="finite"):
+        decode_amplified(ensembles, [measurements[0], nan, measurements[2]])

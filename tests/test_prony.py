@@ -88,6 +88,16 @@ def test_resolve_phase_error_cases():
         resolve_phase(0.0, 2.0 + 0j, 5.0)
 
 
+def test_resolve_phase_near_tangent_is_one_candidate():
+    # a roundoff-sized sin must not split a tangent case in two
+    mag_x, a, mag_sum, tol = 1.0, 3.0 + 4.0j, np.nextafter(6.0, 0.0), 1e-6
+    cos_val = (mag_sum ** 2 - mag_x ** 2 - abs(a) ** 2) / (2 * mag_x * abs(a))
+    sin_val = math.sqrt(1.0 - cos_val ** 2)
+    assert 0.0 < 2 * mag_x * sin_val < tol
+    (cand,) = resolve_phase(mag_x, a, mag_sum, tol)
+    assert abs(cand - a / abs(a)) < 1e-12  # on a's line
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.1, 10), st.floats(0.1, 10), st.floats(-np.pi, np.pi),
        st.floats(-np.pi, np.pi))
@@ -246,8 +256,9 @@ def test_recover_rejects_malformed_input():
     scheme = DeterministicScheme(32, 2)
     with pytest.raises(ValueError):
         det_recover(scheme, np.zeros(6))
-    with pytest.raises(ValueError):
-        det_recover(scheme, -np.ones(7))
+    for bad in (-np.ones(7), np.full(7, np.nan), np.full(7, np.inf)):
+        with pytest.raises(ValueError):
+            det_recover(scheme, bad)
 
 
 def test_recover_flags_inconsistent_measurements():
@@ -306,6 +317,37 @@ def test_chunks_union_is_the_one_chunk_walk(monkeypatch):
     (whole, _), = chain_chunks(scheme, x)
     assert whole.shape[0] == 4 ** (k - 1)
     assert np.array_equal(sorted_rows(streamed), sorted_rows(whole))
+
+
+def test_every_leaf_meets_every_magnitude():
+    # _phase_chain's contract: every leaf meets every magnitude measurement
+    rng = np.random.default_rng(10)
+    k = 6
+    scheme = DeterministicScheme(64, k)
+    x, _ = random_complex_sparse(rng, 64, k)
+    y = det_measure(scheme, x)
+    tol_branch = prony.BRANCH_TOL * float(np.max(y))
+    leaves = np.concatenate([leaves for leaves, _ in chain_chunks(scheme, x)])
+    assert leaves.shape[0] == 4 ** (k - 1)
+    assert np.all(np.abs(np.abs(leaves) - y[: 2 * k]) <= tol_branch)
+    sums = np.abs(np.cumsum(leaves, axis=1)[:, 1:])
+    assert np.all(np.abs(sums - y[2 * k:]) <= tol_branch)
+
+
+def test_broken_running_sum_raises_before_any_chunk():
+    # every check depends on y alone, so it fails before any chunk
+    rng = np.random.default_rng(11)
+    k = 7
+    scheme = DeterministicScheme(64, k)
+    x, _ = random_complex_sparse(rng, 64, k)
+    y = det_measure(scheme, x)
+    z_mag, sum_mag = y[: 2 * k], y[2 * k:]
+    sum_mag[-1] = sum_mag[-2] + z_mag[-1] + 1.0  # past the triangle bound
+    scale = float(np.max(y))
+    chain = prony._phase_chain(scheme, z_mag, sum_mag, 0,
+                               prony.ZERO_TOL * scale, prony.BRANCH_TOL * scale)
+    with pytest.raises(InconsistentMeasurements):
+        next(chain)
 
 
 def test_recover_k10_at_n64():
