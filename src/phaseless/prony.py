@@ -1,4 +1,4 @@
-"""Deterministic magnitude-only recovery of exactly k-sparse complex signals.
+"""Deterministic magnitude-only recovery of k-sparse complex signals.
 
 The scheme measures 4k-1 magnitudes: the first 2k unitary DFT coefficients
 z_0..z_{2k-1}, plus the 2k-1 running sums |z_0 + ... + z_a| for a >= 1.
@@ -6,25 +6,31 @@ Decoding anchors the phase of the first nonzero coefficient at zero and
 resolves the remaining coefficients in order: in the frame of the running
 sum s before z_j, |s|, |z_j| and |s + z_j| are all measured, so they pin
 z_j down to at most two candidates (the law-of-cosines angle up to sign).
-Each running-sum check depends on y alone, so it is made once, before the
-walk, and prunes no branch: the leaves are the sign vectors over the
-coefficients that split, 4^(k-1) of them for a generic signal. They are
-walked depth first in prefix-aligned chunks of at most _CHUNK_LEAVES
-leaves; each chunk is screened by an annihilating filter on the n-point
-grid, its survivors go to the annihilating-polynomial solver, and the
-first leaf that re-measures to y is returned. Memory is set by the
-chunk size, time by where the true leaf lies: at n=64, on one x86 core
-(BENCH_prony-stream.json), k = 9, 10, 11 took a median 0.10, 1.0, 5.0 s.
-BRANCH_CAP bounds the leaves one recovery may walk and is checked before
-walking, so every k >= 12 raises NumericalFailure at once. The winner is
-exact up to a global phase times the conjugate-reflection symmetry of
-magnitude measurements (t -> -t mod n with conjugated values gives
-identical measurements, so no decoder can split that pair).
+These checks depend on y alone, so they are made once and prune no branch:
+the leaves are the sign vectors over the coefficients that split, 4^(k-1)
+for a generic signal, walked depth first in prefix-aligned chunks of at
+most _CHUNK_LEAVES. At n=64 on one x86 core (BENCH_prony-stream.json),
+k = 9, 10, 11 took a median 0.10, 1.0, 5.0 s. BRANCH_CAP is checked before
+walking, so every k >= 12 raises NumericalFailure at once.
 
-The annihilating-polynomial solver recovers a k-sparse vector from 2k
-consecutive DFT coefficients in O(k^3): solve the k x (k+1) Hankel system
-for the polynomial whose roots are the support's roots of unity, snap
-companion-matrix eigenvalues to the grid, then least-squares the values.
+A leaf becomes a signal one way, annihilating-filter support recovery
+(Vetterli, Marziliano, Blu, IEEE TSP 2002), which is all prony_solve does:
+the annihilating polynomial is evaluated on the n-point grid of roots of
+unity, the support is where its k smallest values lie, and the values are
+the least-squares fit of the 2k coefficients there. The walk fits only
+leaves whose k-th smallest value is far below the (k+1)-th, takes the
+first fit that re-measures within BRANCH_TOL of y, and polishes it by
+Gauss-Newton on the 4k-1 magnitudes.
+
+The result is exact up to a global phase times the conjugate reflection
+(t -> -t mod n with conjugated values), which no magnitude can tell apart.
+That pins down random (generic) k-sparse signals, as criterion 1 shows,
+but not every k-sparse one: at n=64, k=4 the spike 1.3 delta_2 and the
+4-sparse 0.65 (delta_1 + delta_33 + e^{i pi/32} (delta_63 - delta_31))
+have identical measurements and lie 1.84 apart up to twin and phase. A
+spike at t with (a + 1) t = 0 mod n, for a running sum a followed by a
+nonzero coefficient, zeroes that sum and leaves the next phase free:
+NumericalFailure ("running sum vanished"), e.g. t = 32 at k = 2.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ ZERO_TOL = 1e-9       # relative to max(y): first-nonzero detection
 BRANCH_TOL = 1e-6     # relative to max(y): running-sum consistency
 BRANCH_CAP = 4 ** 10  # phase-chain leaves one recovery may walk
 _CHUNK_LEAVES = 1024  # leaves filtered and solved at once
+_GAP_RATIO = 1e-3     # k-th over (k+1)-th smallest |annihilator| on the grid
 
 
 class PhaseUnderdetermined(ValueError):
@@ -63,13 +70,13 @@ class InconsistentMeasurements(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """Root snapping or branch search fell apart (ill-conditioned input)."""
+    """The phase chain broke at a vanished running sum, or the walk would
+    exceed BRANCH_CAP."""
 
 
 @dataclass
 class ComplexSignal:
     values: np.ndarray           # complex128, length n
-    sparsity: int
     leaves: int = 0              # phase-chain leaves det_recover walked
 
 
@@ -140,51 +147,41 @@ def resolve_phase(mag_x: float, a: complex, mag_sum: float,
 def prony_solve(fourier_coeffs: np.ndarray, n: int, k: int) -> ComplexSignal:
     """Recover a <=k-sparse x from its first 2k unitary DFT coefficients.
 
-    Rank-deficient Hankel systems (effective sparsity below k) are retried
-    at the smaller size; roots that refuse to snap onto the n-point unit
-    circle grid raise NumericalFailure.
+    The support is where the Hankel null vector's annihilating polynomial
+    is smallest on the n-point grid, and the values are the least-squares
+    fit on it. A sparser x leaves its spare support positions at round-off.
     """
     g = np.asarray(fourier_coeffs, dtype=np.complex128)
     if g.shape != (2 * k,):
         raise ValueError(f"need exactly 2k = {2 * k} coefficients, got {g.shape}")
     if k == 0 or np.max(np.abs(g)) == 0:
-        return ComplexSignal(np.zeros(n, dtype=np.complex128), 0)
-    sing = np.linalg.svd(_hankel(g, k)[:, :k], compute_uv=False)
-    if sing[0] == 0 or sing[-1] / sing[0] < 1e-10:
-        return prony_solve(g[: 2 * (k - 1)], n, k - 1)
-    return _prony_full_rank(g, n, k)
+        return ComplexSignal(np.zeros(n, dtype=np.complex128))
+    support = np.sort(np.argsort(_grid_values(_null_vectors(g, k), n))[:k])
+    x = np.zeros(n, dtype=np.complex128)
+    x[support] = _fit(g, support, n)[1]
+    return ComplexSignal(x)
 
 
-def _hankel(g: np.ndarray, k: int) -> np.ndarray:
-    """The k x (k+1) Hankel system H[a] = g[a : a + k + 1]."""
-    return np.lib.stride_tricks.sliding_window_view(g, k + 1)
+def _null_vectors(g: np.ndarray, k: int) -> np.ndarray:
+    """Annihilating polynomials of g's rows, lowest coefficient first: null
+    vectors of their k x (k+1) Hankel systems H[a] = g[a : a + k + 1]."""
+    hankel = np.lib.stride_tricks.sliding_window_view(g, k + 1, axis=-1)
+    return np.linalg.svd(hankel)[2][..., -1, :].conj()
 
 
-def _prony_full_rank(g: np.ndarray, n: int, k: int) -> ComplexSignal:
-    """prony_solve at order k, whatever the rank of the Hankel block."""
-    H = _hankel(g, k)
-    p = np.linalg.solve(H[:, :k], -H[:, k]) if k > 1 else -H[:, 1] / H[:, 0]
-    poly = np.concatenate([[1.0 + 0j], p[::-1]])
-    roots = np.roots(poly)
+def _grid_values(poly: np.ndarray, n: int) -> np.ndarray:
+    """|P| at every grid point exp(-2 pi i t / n), where a support position
+    t is a root: the length-n DFT of the zero-padded coefficients."""
+    return np.abs(np.fft.fft(poly, n=n, axis=-1))
 
-    mags = np.abs(roots)
-    if np.any(mags == 0):
-        raise NumericalFailure("zero annihilator root")
-    on_circle = roots / mags
-    # angle -2*pi*t/n  ->  support position t
-    t = np.round((-np.angle(on_circle)) * n / (2 * math.pi)).astype(np.int64) % n
-    snapped = np.exp(-2j * math.pi * t / n)
-    snap_residual = float(np.max(np.abs(on_circle - snapped)))
-    if snap_residual > 2 * math.sin(math.pi / (2 * n)) * 1.5:
-        raise NumericalFailure(
-            f"root snap residual {snap_residual:.3e} exceeds half the grid gap")
-    support = np.unique(t)
-    V = np.power.outer(np.exp(-2j * math.pi * support / n),
-                       np.arange(2 * k)).T
-    coeffs, *_ = np.linalg.lstsq(V, g, rcond=None)
-    values = np.zeros(n, dtype=np.complex128)
-    values[support] = coeffs * math.sqrt(n)
-    return ComplexSignal(values, int(support.size))
+
+def _fit(g: np.ndarray, support: np.ndarray, n: int):
+    """Phi's columns at support (2k DFT rows, then 2k-1 running sums), and
+    the values there whose DFT rows best fit the coefficients g."""
+    dft = np.exp(-2j * math.pi * np.outer(np.arange(g.size), support) / n)
+    dft /= math.sqrt(n)
+    rows = np.concatenate([dft, np.cumsum(dft, axis=0)[1:]])
+    return rows, np.linalg.lstsq(dft, g, rcond=None)[0]
 
 
 def conjugate_reflection(x: np.ndarray) -> np.ndarray:
@@ -271,16 +268,17 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
 
 
 def _grid_annihilator_filter(leaves: np.ndarray, parent: np.ndarray, n: int,
-                             k: int) -> tuple[np.ndarray, list[int]]:
-    """Rank leaves by how well an order-k recurrence with all roots on the
-    n-point unit-circle grid annihilates them.
+                             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves worth fitting, and the supports (rows) their annihilating
+    polynomials P read off the n-point grid: where the k smallest |P| lie.
 
     The leading Hankel block of a leaf holds every coefficient but the last,
     so it is factored once per prefix (see _phase_chain) and the last
-    coefficient enters the recurrence linearly: p = p0 + z_last * q.
-
-    Returns (indices of leaves whose annihilator has >= k grid roots,
-    indices whose leading Hankel block was singular and need the slow path).
+    coefficient enters the recurrence linearly: p = p0 + z_last * q. Such a
+    leaf is kept when its k-th smallest |P| is at most _GAP_RATIO times the
+    (k+1)-th. A leaf whose leading block is singular takes its Hankel null
+    vector instead and is always kept, ahead of the others: a signal
+    sparser than k has no gap at order k, and is the preimage to prefer.
     """
     _, first, inv = np.unique(parent, return_index=True, return_inverse=True)
     heads = leaves[first]
@@ -292,31 +290,23 @@ def _grid_annihilator_filter(leaves: np.ndarray, parent: np.ndarray, n: int,
     dets = np.linalg.det(lead)
     # siblings share |z_last|, so the head's scale is every sibling's
     scale = np.max(np.abs(heads), axis=1) ** k
-    solvable = np.abs(dets) > 1e-13 * np.maximum(scale, 1e-300)
+    solvable = np.abs(dets) > 1e-10 * np.maximum(scale, 1e-300)
     sol = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
     try:
         sol[solvable] = np.linalg.solve(lead[solvable], rhs[solvable])
     except np.linalg.LinAlgError:
-        # a pivot-level singularity slipped past the determinant screen;
-        # redo the heads one by one and push failures to the slow path
-        for h in np.where(solvable)[0]:
-            try:
-                sol[h] = np.linalg.solve(lead[h], rhs[h])
-            except np.linalg.LinAlgError:
-                solvable[h] = False
+        # a pivot-level singularity slipped past the determinant screen
+        solvable[:] = False
     solvable = solvable[inv]
-    p = sol[inv, :, 0] + leaves[:, 2 * k - 1, None] * sol[inv, :, 1]
-    p = p[solvable]
-    candidates = np.empty(0, dtype=np.int64)
-    if p.shape[0]:
-        poly = np.concatenate([p, np.ones((p.shape[0], 1))], axis=1)
-        # the polynomial at every grid point exp(-2 pi i t / n) is the
-        # length-n DFT of its zero-padded coefficients
-        values = np.abs(np.fft.fft(poly, n=n, axis=1))
-        thresh = 1e-8 * np.maximum(1.0, values.max(axis=1, keepdims=True))
-        enough = (values <= thresh).sum(axis=1) >= k
-        candidates = np.where(solvable)[0][enough]
-    return candidates, list(np.where(~solvable)[0])
+    poly = np.ones((leaves.shape[0], k + 1), dtype=np.complex128)
+    poly[:, :k] = sol[inv, :, 0] + leaves[:, 2 * k - 1, None] * sol[inv, :, 1]
+    poly[~solvable] = _null_vectors(leaves[~solvable], k)
+    values = _grid_values(poly, n)
+    ranked = np.sort(values, axis=1)
+    gapped = ranked[:, k - 1] <= _GAP_RATIO * ranked[:, k]
+    kept = np.where(~solvable | gapped)[0]
+    kept = kept[np.argsort(solvable[kept], kind="stable")]
+    return kept, np.sort(np.argsort(values[kept], axis=1)[:, :k], axis=1)
 
 
 def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
@@ -336,7 +326,7 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
 
     nonzero = np.where(z_mag > tol_zero)[0]
     if nonzero.size == 0:
-        return ComplexSignal(np.zeros(scheme.n, dtype=np.complex128), 0)
+        return ComplexSignal(np.zeros(scheme.n, dtype=np.complex128))
     anchor = int(nonzero[0])
     # past the anchor, each nonzero coefficient may split every leaf in two,
     # except the first, whose split is the conjugate-twin cut
@@ -344,29 +334,38 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
         raise NumericalFailure(
             f"phase search may walk 2^{nonzero.size - 2} leaves > BRANCH_CAP")
 
-    def fits(cand: ComplexSignal) -> bool:
-        return np.max(np.abs(det_measure(scheme, cand.values) - y)) <= tol_branch
-
-    last_err, walked = None, 0
+    walked = 0
     for leaves, parent in _phase_chain(scheme, z_mag, sum_mag, anchor,
                                        tol_zero, tol_branch):
         walked += leaves.shape[0]
-        candidates, slow = _grid_annihilator_filter(leaves, parent, scheme.n,
-                                                    scheme.k)
-        for idx in list(candidates) + slow:
-            try:
-                cand = prony_solve(leaves[idx], scheme.n, scheme.k)
-                if cand.sparsity < scheme.k and not fits(cand):
-                    # a clustered support can put the true leaf's Hankel
-                    # block under prony_solve's rank cut; solve it at full rank
-                    cand = _prony_full_rank(leaves[idx], scheme.n, scheme.k)
-            except (NumericalFailure, np.linalg.LinAlgError) as exc:
-                last_err = exc
-                continue
-            if fits(cand):
-                cand.leaves = walked
-                return cand
-    if last_err is not None:
-        raise NumericalFailure(f"no branch reconstructed: {last_err}")
+        for idx, support in zip(*_grid_annihilator_filter(
+                leaves, parent, scheme.n, scheme.k)):
+            rows, v = _fit(leaves[idx], support, scheme.n)
+            if np.max(np.abs(np.abs(rows @ v) - y)) <= tol_branch:
+                x = np.zeros(scheme.n, dtype=np.complex128)
+                x[support] = _polish(rows, v, y)
+                return ComplexSignal(x, walked)
     raise InconsistentMeasurements(
         "no branch re-measures to the given y; y was not produced by this scheme")
+
+
+def _polish(rows: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the magnitudes y = |rows @ v|, keeping each step only
+    while it lowers the re-measurement gap. A leaf built at a tangent step
+    can sit about BRANCH_TOL off the truth, and so does its fit; one step
+    brings it to round-off. Only the winner is polished, so the verdict
+    judges each leaf's own fit."""
+    u = rows @ v
+    gap = np.max(np.abs(np.abs(u) - y))
+    while gap > np.finfo(float).eps * np.max(y):  # above round-off
+        # d|u| / d(Re v, Im v) = (Re w, -Im w) with w = conj(u) / |u| * rows
+        w = np.exp(-1j * np.angle(u))[:, None] * rows
+        step = np.linalg.lstsq(np.concatenate([w.real, -w.imag], axis=1),
+                               y - np.abs(u), rcond=None)[0]
+        trial = v + step[: v.size] + 1j * step[v.size:]
+        u = rows @ trial
+        trial_gap = np.max(np.abs(np.abs(u) - y))
+        if not trial_gap < gap:
+            break
+        v, gap = trial, trial_gap
+    return v
