@@ -178,8 +178,11 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
                 S2: np.ndarray, estimates: np.ndarray,
                 diagnostics: DecodeDiagnostics) -> ClusterLabels:
     level, name = ensemble.f_block(S2.size)
-    graph = build_sign_graph(ensemble.blocks[name], measurements.block(name),
-                             S2, estimates, level=level)
+    # a single candidate has no pair to test, and top_select = 1 builds no
+    # F level at all
+    F, yF = (ensemble.blocks[name], measurements.block(name)) if S2.size > 1 \
+        else (None, None)
+    graph = build_sign_graph(F, yF, S2, estimates, level=level)
     diagnostics.edges_sampled += graph.pair_rows
     diagnostics.y_reads += graph.pair_rows
     diagnostics.index_reads += graph.entries

@@ -13,7 +13,9 @@ flip D applied to the signal:
       takes its median over.
   F   a ladder of levels, one per candidate-set scale 2^l, dense enough to
       sample coordinate pairs but sparse enough to keep per-row interference
-      low; used for relative-sign tests.
+      low; used for relative-sign tests. The levels run over
+      l = 1 .. min(ceil(log2 top_select), ceil(log2 5k)), the only ones the
+      sign stage can pick: it tests sets of 2 to top_select candidates.
 
 Sensing computes y = |Phi x| block by block; nothing downstream ever sees a
 sign or phase. All randomness is drawn from counter-based streams keyed off
@@ -64,7 +66,8 @@ class EnsembleConfig:
     up to "large enough").
 
     C0      density constant of the F levels (level density
-            1 / (C0 * 2^l * (log2(5k) - l + 2)^2)).
+            1 / (C0 * 2^l * (log2(5k) - l + 2)^2), for the levels
+            l = 1 .. min(ceil(log2 top_select), ceil(log2 5k))).
     C1      rows per band of E, in units of k.
     c1      scale applied to the mean squared disjoint-row measurement when
             forming the tail-energy estimate.
@@ -161,8 +164,10 @@ def _e_density(k: int) -> float:
     """min(1/k, 1/2): at k = 1 a density of 1 would put S1 in every row."""
     return 1.0 / max(k, 2)
 
-def _f_top_level(k: int) -> int:
-    return math.ceil(math.log2(5 * k))
+def _f_levels(k: int, top_select: int) -> range:
+    """The F levels the sign stage can pick: 2 to top_select candidates."""
+    top = min(math.ceil(math.log2(top_select)), math.ceil(math.log2(5 * k)))
+    return range(1, top + 1)
 
 def _f_name(level: int) -> str:
     """One F block per level, named after its candidate-set width 2^l."""
@@ -175,7 +180,7 @@ def _f_density(k: int, level: int, C0: float) -> float:
     return 1.0 / (C0 * (2 ** level) * _f_log_term(k, level) ** 2)
 
 def _f_rows(k: int, level: int, c_F: float) -> int:
-    return math.ceil(c_F * max(level, 1) * (2 ** level) * _f_log_term(k, level) ** 4)
+    return math.ceil(c_F * level * (2 ** level) * _f_log_term(k, level) ** 4)
 
 def _hh_geometry(n: int, cfg: EnsembleConfig) -> tuple[int, int, int]:
     """(buckets, bits, reps) of the identification block."""
@@ -192,7 +197,7 @@ def planned_row_counts(n: int, k: int, config: EnsembleConfig | None = None) -> 
         "A": buckets * (2 * bits + 1) * reps,
         "B": cfg.countsketch_rows * cfg.countsketch_reps,
         "E": cfg.rep_log_n * math.ceil(cfg.C1 * k),
-        "F": sum(_f_rows(k, l, cfg.c_F) for l in range(_f_top_level(k) + 1)),
+        "F": sum(_f_rows(k, l, cfg.c_F) for l in _f_levels(k, cfg.top_select)),
     }
     counts["total"] = sum(counts.values())
     return counts
@@ -215,18 +220,20 @@ class SensingEnsemble:
 
     @property
     def f_top_level(self) -> int:
-        return _f_top_level(self.k)
+        """Highest F level built; 0 when there is none (top_select = 1)."""
+        return max(_f_levels(self.k, self.config.top_select), default=0)
 
     def f_block(self, size: int) -> tuple[int, str]:
         """(level, block name) of the F level that tests a candidate set of
-        ``size``: the smallest l with size <= 2^l, clamped to the ladder."""
-        level = min(max(0, math.ceil(math.log2(max(size, 1)))), self.f_top_level)
+        ``size``: the smallest l with size <= 2^l, clamped to the ladder and
+        to level 1, so a single candidate names a block it never reads."""
+        level = max(1, min(math.ceil(math.log2(max(size, 1))), self.f_top_level))
         return level, _f_name(level)
 
     # -- serialization: a versioned header; the blocks are rebuilt ----------
 
     FORMAT = "phaseless-ensemble"
-    VERSION = 4
+    VERSION = 5
 
     def save(self, path) -> None:
         header = {
@@ -275,7 +282,7 @@ class Measurements:
         return self.y[..., start:start + self.block_rows[name]]
 
     FORMAT = "phaseless-measurements"
-    VERSION = 2
+    VERSION = 3
 
     def save(self, path) -> None:
         header = {"format": self.FORMAT, "version": self.VERSION,
@@ -316,9 +323,9 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     if rng_seed is not None:
         cfg = replace(cfg, seed=seed)
 
-    f_levels = range(_f_top_level(k) + 1)
+    f_levels = _f_levels(k, cfg.top_select)
     words = np.random.SeedSequence(seed).generate_state(
-        4 + cfg.rep_log_n + f_levels[-1], dtype=np.uint64)
+        3 + cfg.rep_log_n + f_levels.stop, dtype=np.uint64)
     # stream words: D 0, A 1, B 2, E 3, F{2^l} 3 + rep_log_n + l
     keys = {"A": words[1], "B": words[2], "E": words[3]}
     keys.update({_f_name(l): words[3 + cfg.rep_log_n + l] for l in f_levels})

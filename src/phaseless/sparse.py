@@ -27,7 +27,7 @@ _U53 = 1.0 / 9007199254740992.0  # 2**-53
 _CHUNK_WORDS = 1 << 20            # stream words drawn per sampling pass
 # Words a column draws first: its mean entry count plus this many standard
 # deviations. Any value gives the same entries; a column that runs short
-# draws more.
+# continues its walk with its next words.
 _SLACK_SD = 4.0
 
 
@@ -43,13 +43,23 @@ def splitmix64(key: int, idx) -> np.ndarray:
     return _mix64(np.uint64(key) + np.asarray(idx, dtype=np.uint64) * _GOLDEN)
 
 
-def _walk(col_keys: np.ndarray, inv: float, width: int):
-    """Rows reached by the first ``width`` geometric gaps of each column's
-    stream, and the words that drew them; both (columns, width)."""
-    u = _mix64(col_keys[:, None] + np.arange(width, dtype=np.uint64) * _GOLDEN)
+def _walk(col_keys: np.ndarray, inv: float, first: int, width: int, last):
+    """Rows reached by words ``first`` .. ``first + width - 1`` of each
+    column's stream, walking geometric gaps down from row ``last``, and the
+    words that drew them; both (columns, width)."""
+    idx = np.arange(first, first + width, dtype=np.uint64)
+    u = _mix64(col_keys[:, None] + idx * _GOLDEN)
     uniform = (u >> np.uint64(11)) * _U53
     gaps = 1 + np.floor(np.log1p(-uniform) * inv)
-    return np.cumsum(gaps.astype(np.int64), axis=1) - 1, u
+    return np.cumsum(gaps.astype(np.int64), axis=1) + last, u
+
+
+def _signs(u: np.ndarray) -> np.ndarray:
+    return (u & np.uint64(1)).astype(np.int8) * 2 - 1
+
+
+def _draw_width(mean: float) -> int:
+    return max(1, int(mean + _SLACK_SD * math.sqrt(mean)) + 2)
 
 
 def sample_bernoulli(key: int, n_rows: int, p: float, columns):
@@ -64,28 +74,41 @@ def sample_bernoulli(key: int, n_rows: int, p: float, columns):
     if not 0.0 < p < 1.0:
         raise ValueError(f"density must be in (0, 1), got {p}")
     columns = np.asarray(columns, dtype=np.int64)
-    mean = n_rows * p
-    width = max(1, int(mean + _SLACK_SD * math.sqrt(mean)) + 2)
+    width = _draw_width(n_rows * p)
     inv = 1.0 / math.log1p(-p)
     counts, rows, signs = [], [], []
     step = max(1, _CHUNK_WORDS // width)
     for lo in range(0, columns.size, step):
         keys = splitmix64(key, columns[lo:lo + step])
-        at, u = _walk(keys, inv, width)
-        short = np.flatnonzero(at[:, -1] < n_rows)
-        w = width
-        while short.size:   # rare: redraw only the short columns, wider
-            w *= 2
-            at_s, u_s = _walk(keys[short], inv, w)
-            pad = ((0, 0), (0, w - at.shape[1]))
-            at = np.pad(at, pad, constant_values=n_rows)
-            u = np.pad(u, pad)
-            at[short], u[short] = at_s, u_s
-            short = short[at_s[:, -1] < n_rows]
+        at, u = _walk(keys, inv, 0, width, -1)
         inside = at < n_rows
-        counts.append(inside.sum(axis=1))
-        rows.append(at[inside].astype(np.int32))
-        signs.append((u[inside] & np.uint64(1)).astype(np.int8) * 2 - 1)
+        count = inside.sum(axis=1)
+        r = at[inside].astype(np.int32)
+        s = _signs(u[inside])
+        # rare: a column still above the last row continues its walk from
+        # its last row with its next words
+        short = np.flatnonzero(inside[:, -1])
+        last, word = at[short, -1:], width
+        more_cols, more_rows, more_signs = [], [], []
+        while short.size:
+            w = _draw_width((n_rows - 1 - last.min()) * p)
+            at, u = _walk(keys[short], inv, word, w, last)
+            inside = at < n_rows
+            more_cols.append(np.repeat(short, inside.sum(axis=1)))
+            more_rows.append(at[inside])
+            more_signs.append(u[inside])
+            keep = inside[:, -1]
+            short, last, word = short[keep], at[keep, -1:], word + w
+        if more_cols:
+            cols = np.concatenate(more_cols)
+            order = np.argsort(cols, kind="stable")   # by column, walk order
+            before = np.cumsum(count)[cols[order]]   # end of each main walk
+            r = np.insert(r, before, np.concatenate(more_rows)[order])
+            s = np.insert(s, before, _signs(np.concatenate(more_signs)[order]))
+            count += np.bincount(cols, minlength=count.size)
+        counts.append(count)
+        rows.append(r)
+        signs.append(s)
     if not counts:
         return (np.zeros(0, np.int64), np.zeros(0, np.int32),
                 np.zeros(0, np.int8))
@@ -96,9 +119,11 @@ def apply_signed(n_rows: int, rows: np.ndarray, signs: np.ndarray,
                  values: np.ndarray) -> np.ndarray:
     """out[q] = sum of sign * value over the entries in row q, adding in
     entry order. ``values`` is a scratch array: it is multiplied by the
-    signs in place."""
+    signs in place. The scatter reads int32 rows as they are."""
     values *= signs
-    return np.bincount(rows, weights=values, minlength=n_rows)
+    out = np.zeros(n_rows)
+    np.add.at(out, rows, values)
+    return out
 
 
 class ColumnBlock:
@@ -129,9 +154,9 @@ class SparseSignMatrix(ColumnBlock):
     """n_rows x n_cols block whose cells are i.i.d. Bernoulli(p), each
     nonzero with a uniform +/-1 sign, defined by its stream key.
 
-    It holds no entries until a call needs every column (sensing a signal
-    with no zero entry); that call keeps its column-major result, and
-    later calls slice it instead of sampling.
+    It holds no entries until a call asks for every column in order
+    (sensing a signal with no zero entry); that call keeps its result for
+    the next such call. Every other call samples its columns.
     """
 
     key: int
@@ -148,37 +173,11 @@ class SparseSignMatrix(ColumnBlock):
         return cls(int(key), n_rows, n_cols, float(p))
 
     def entries(self, columns: np.ndarray):
-        """(counts, rows, signs) of the columns: sampled, or sliced from
-        the kept full-width result."""
-        if self._full is None:
-            if columns.size < self.n_cols:
-                return sample_bernoulli(self.key, self.n_rows, self.p, columns)
-            counts, rows, signs = sample_bernoulli(
-                self.key, self.n_rows, self.p, np.arange(self.n_cols))
-            indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            self._full = (indptr, rows, signs)
-        indptr, rows, signs = self._full
-        if columns.size == self.n_cols and np.array_equal(
+        """(counts, rows, signs) of the columns: sampled, or the kept
+        result when the columns are exactly 0 .. n_cols - 1."""
+        if columns.size != self.n_cols or not np.array_equal(
                 columns, np.arange(self.n_cols)):
-            return np.diff(indptr), rows, signs
-        starts = indptr[columns]
-        counts = indptr[columns + 1] - starts
-        take = _ranges(starts, counts)
-        return counts, rows[take], signs[take]
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices [s0, s0+1, ..., s0+c0-1, s1, ...] without a Python loop."""
-    keep = counts > 0
-    starts = starts[keep]
-    counts = counts[keep]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(counts)[:-1]
-    out[boundaries] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    np.cumsum(out, out=out)
-    return out
+            return sample_bernoulli(self.key, self.n_rows, self.p, columns)
+        if self._full is None:
+            self._full = sample_bernoulli(self.key, self.n_rows, self.p, columns)
+        return self._full

@@ -242,7 +242,7 @@ def test_decode_diagnostics_counters_positive():
     expect = res.S0.size * cfg.countsketch_reps
     expect += ens.blocks["E"].rows_of_many(res.S1)[0].size
     if res.S2.size > 1:
-        level = min(max(0, math.ceil(math.log2(res.S2.size))), ens.f_top_level)
+        level = min(math.ceil(math.log2(res.S2.size)), ens.f_top_level)
         F = ens.blocks[f"F{2 ** level}"]
         expect += sum(F.rows_of_many([j])[0].size for j in res.S2)
     assert d.index_reads == expect

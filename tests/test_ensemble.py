@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from phaseless import (EnsembleConfig, EnsembleError, Measurements,
                        SensingEnsemble, apply_phaseless, build_ensemble,
-                       planned_row_counts, row_count)
+                       decode, planned_row_counts, row_count)
 
 from helpers import block_entries, exact_sparse
 
@@ -63,7 +63,7 @@ def test_e_block_density_within_3_sigma(ens):
 
 def test_f_block_density_within_4_sigma(ens):
     log5k = math.log2(5 * K)
-    for level in range(ens.f_top_level + 1):
+    for level in range(1, ens.f_top_level + 1):
         name = f"F{2 ** level}"
         block = ens.blocks[name]
         p = 1.0 / (ens.config.C0 * 2 ** level * (log5k - level + 2) ** 2)
@@ -74,12 +74,35 @@ def test_f_block_density_within_4_sigma(ens):
 
 
 def test_f_levels_for_k_equal_one():
-    # ceil(log2(5)) = 3, so levels run 0..3 regardless of n
+    # top_select = 2k = 2, so the ladder is level 1 alone, regardless of n
     e = build_ensemble(4096, 1, rng_seed=0)
-    assert [name for name in e.blocks if name.startswith("F")] == \
-        ["F1", "F2", "F4", "F8"]
+    assert [name for name in e.blocks if name.startswith("F")] == ["F2"]
     assert [e.f_block(size) for size in (1, 2, 3, 8, 9, 1000)] == \
-        [(0, "F1"), (1, "F2"), (2, "F4"), (3, "F8"), (3, "F8"), (3, "F8")]
+        [(1, "F2")] * 6
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("select", [1, 2, 5])
+def test_f_ladder_is_exactly_the_reachable_levels(k, select):
+    # the sign stage tests sets of 2 .. top_select candidates, so those
+    # sizes name every built F level and no other
+    cfg = EnsembleConfig(top_select=select * k)
+    e = build_ensemble(4096, k, config=cfg, rng_seed=0)
+    built = {name for name in e.blocks if name.startswith("F")}
+    assert {e.f_block(s)[1] for s in range(2, select * k + 1)} == built
+    planned = planned_row_counts(4096, k, cfg)
+    assert planned["F"] == sum(e.blocks[name].n_rows for name in built)
+    assert planned["total"] == e.total_rows
+
+
+def test_top_select_one_builds_no_f_level_and_decodes():
+    e = build_ensemble(4096, 1, config=EnsembleConfig(top_select=1),
+                       rng_seed=2)
+    assert not any(name.startswith("F") for name in e.blocks)
+    x = np.zeros(4096)
+    x[77] = -3.0
+    res = decode(e, apply_phaseless(e, x))
+    assert res.S2.tolist() == [77] and np.allclose(np.abs(res.values), 3.0)
 
 
 def test_e_density_is_capped_at_one_half():
@@ -201,9 +224,10 @@ def test_ensemble_serialization_round_trip(tmp_path, ens):
 
 def test_ensemble_load_rejects_other_versions(tmp_path, ens):
     path = tmp_path / "old.npz"
-    # version 2 headers still carried the config field f_inner_reps, and
-    # version 3 ones built E as rep_log_n separate blocks
-    for version in (1, 2, 3):
+    # version 2 headers still carried the config field f_inner_reps,
+    # version 3 ones built E as rep_log_n separate blocks, and version 4
+    # ones built F levels 0 .. ceil(log2 5k)
+    for version in (1, 2, 3, 4):
         header = {"format": SensingEnsemble.FORMAT, "version": version,
                   "n": N, "k": K, "seed": SEED,
                   "config": {"f_inner_reps": 1}}
@@ -239,8 +263,10 @@ def test_measurement_batch_blocks_slice_the_last_axis(tmp_path, ens):
 
 def test_measurements_load_rejects_other_versions(tmp_path):
     path = tmp_path / "old.npz"
-    # version 1 files name the bands of E as blocks E0, E1, ...
-    for version, offsets in ((0, {}), (1, {"E0": 0, "E1": 1, "E2": 2})):
+    # version 1 files name the bands of E as blocks E0, E1, ..., and
+    # version 2 ones hold the F1 level and the levels above top_select
+    for version, offsets in ((0, {}), (1, {"E0": 0, "E1": 1, "E2": 2}),
+                             (2, {"F1": 0, "F2": 1, "F64": 2})):
         header = {"format": Measurements.FORMAT, "version": version,
                   "offsets": offsets, "block_rows": dict.fromkeys(offsets, 1)}
         np.savez(path, header=np.frombuffer(json.dumps(header).encode(),

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from phaseless import sparse
 from phaseless.sketch import build_countsketch_block, build_hh_block
-from phaseless.sparse import (SparseSignMatrix, _ranges, sample_bernoulli,
-                              splitmix64)
+from phaseless.sparse import SparseSignMatrix, sample_bernoulli, splitmix64
 
 from helpers import dense_block
 
@@ -60,17 +60,29 @@ def test_sampler_rejects_degenerate_density():
 def test_apply_matches_dense_oracle():
     dense = dense_block(SparseSignMatrix.bernoulli(5, 300, 700, 0.04))
     rng = np.random.default_rng(0)
+    block = SparseSignMatrix.bernoulli(5, 300, 700, 0.04)
+    kept = None
     for _ in range(3):
         v = rng.standard_normal(700)
         sparse_v = v * (rng.random(700) < 0.02)
-        # a fresh block samples the nonzero columns on the fly ...
-        fresh = SparseSignMatrix.bernoulli(5, 300, 700, 0.04)
-        assert np.allclose(fresh.apply(sparse_v), dense @ sparse_v, atol=1e-10)
-        assert fresh._full is None
-        # ... and a full-width apply keeps every column for later calls
-        assert np.allclose(fresh.apply(v), dense @ v, atol=1e-10)
-        assert fresh._full is not None
-        assert np.allclose(fresh.apply(sparse_v), dense @ sparse_v, atol=1e-10)
+        # a signal with zero entries samples its nonzero columns ...
+        assert np.allclose(block.apply(sparse_v), dense @ sparse_v, atol=1e-10)
+        assert block._full is kept
+        # ... and one with none keeps every column for the next such call
+        assert np.allclose(block.apply(v), dense @ v, atol=1e-10)
+        assert block._full is not None and (kept is None or block._full is kept)
+        kept = block._full
+
+
+def test_apply_signed_matches_bincount_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for n_rows, size in ((1, 10), (50, 0), (300, 5000), (4096, 200000)):
+        rows = rng.integers(0, n_rows, size).astype(np.int32)
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size)
+        values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+        want = np.bincount(rows, weights=values * signs, minlength=n_rows)
+        got = sparse.apply_signed(n_rows, rows, signs, values.copy())
+        assert got.shape == (n_rows,) and np.array_equal(got, want)
 
 
 def test_hash_blocks_apply_matches_dense_oracle():
@@ -114,17 +126,18 @@ def test_apply_empty_rows_are_zero():
 
 def test_cached_columns_match_on_the_fly_sample():
     cached = SparseSignMatrix.bernoulli(11, 123, 457, 0.07)
-    cached.apply(np.ones(457))          # full width: keeps every column
-    assert cached._full is not None
+    cached.apply(np.ones(457))          # every column in order: kept
+    kept = cached._full
+    assert kept is not None
     fresh = SparseSignMatrix.bernoulli(11, 123, 457, 0.07)
-    for query in ([0], [456, 3, 3, 200], np.arange(457), np.arange(457)[::-1]):
+    for query in ([0], [456, 3, 3, 200], np.arange(457)[::-1], np.arange(457)):
         for a, b in zip(cached.rows_of_many(query), fresh.rows_of_many(query)):
             assert np.array_equal(a, b) and a.dtype == b.dtype
-    assert fresh._full is not None      # asking for every column fills it too
-
-
-def test_ranges_handles_zero_counts():
-    starts = np.array([5, 100, 7, 30])
-    counts = np.array([2, 0, 3, 0])
-    assert np.array_equal(_ranges(starts, counts), [5, 6, 7, 8, 9])
-    assert _ranges(np.array([3]), np.array([0])).size == 0
+    # every other request samples; exactly 0 .. n_cols - 1 reuses the result
+    assert cached._full is kept
+    assert all(a is b for a, b in zip(cached.entries(np.arange(457)), kept))
+    assert fresh._full is not None      # asking for every column fills it
+    other = SparseSignMatrix.bernoulli(11, 123, 457, 0.07)
+    other.rows_of_many(np.arange(457)[::-1])
+    other.rows_of_many(np.arange(456))
+    assert other._full is None
