@@ -21,9 +21,8 @@ from .ensemble import (EnsembleConfig, EnsembleError, Measurements,
 from .prony import (ComplexSignal, DeterministicScheme,
                     InconsistentMeasurements, NumericalFailure,
                     PhaseUnderdetermined, conjugate_reflection, det_measure,
-                    det_recover, from_interleaved, prony_solve, resolve_phase,
-                    to_interleaved)
-from .signs import (ClusterLabels, SignGraph, assign_signs, build_sign_graph,
+                    det_recover, prony_solve, resolve_phase)
+from .signs import (ClusterLabels, SignGraph, build_sign_graph,
                     recover_communities)
 from .sketch import SketchError, estimate_magnitudes, identify_heavy
 from .sparse import SparseSignMatrix
@@ -43,9 +42,7 @@ __all__ = [
     "RecoveryResult", "estimate_tail_energy", "prune", "decode",
     "decode_amplified",
     "SignGraph", "ClusterLabels", "build_sign_graph", "recover_communities",
-    "assign_signs",
     "ComplexSignal", "DeterministicScheme", "det_measure", "det_recover",
     "resolve_phase", "prony_solve", "conjugate_reflection",
-    "to_interleaved", "from_interleaved",
     "PhaseUnderdetermined", "InconsistentMeasurements", "NumericalFailure",
 ]

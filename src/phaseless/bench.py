@@ -327,8 +327,8 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
     The grid varies ``base_spec.config`` one field per grid key.
 
     Returns (winner or None, per-config summaries, sorted by measurement
-    count ascending). Writes a versioned defaults file when a winner exists
-    and out_path is given.
+    count ascending). Writes the winner as a config file (``to_json``) when
+    a winner exists and out_path is given.
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("empty calibration grid")
@@ -347,11 +347,8 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
             winner = cfg.resolve(base_spec.n, base_spec.k)
             break
     if winner is not None and out_path is not None:
-        payload = {"format": "phaseless-defaults", "version": 1,
-                   "n": base_spec.n, "k": base_spec.k,
-                   "target_rate": target_rate, "config": asdict(winner)}
         with open(out_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write(winner.to_json())
     return winner, summaries
 
 
@@ -376,9 +373,9 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
                              rng_seed=_ensemble_seed(seed, t))
         meas = apply_phaseless(ens, x)
         support = np.sort(np.argsort(-np.abs(x))[:k])
-        level, name = ens.f_block(support.size)
-        graph = build_sign_graph(ens.blocks[name], meas.block(name), support,
-                                 np.abs(x[support]), level=level)
+        name = ens.f_block(support.size)
+        graph = build_sign_graph(ens.blocks[name], meas.y[ens.rows(name)],
+                                 support, np.abs(x[support]))
         planted = np.sign(ens.D * x)
         relation = planted[graph.edge_u] * planted[graph.edge_v]
         total += graph.weights.size

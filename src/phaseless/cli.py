@@ -2,8 +2,10 @@
 
 Subcommands:
   gen        write a batch of signals (npz) from a signal model
-  sense      build an ensemble and measure signals into a measurements file
-  decode     decode measurements back into sparse estimates (JSON)
+  sense      build an ensemble and measure real signals into one
+             measurements file, which also names the ensemble
+  decode     rebuild that ensemble and decode the file into sparse
+             estimates (JSON)
   bench      run a TrialSpec file end to end, write CSV + JSON reports
   calibrate  grid-search constants against a target success rate
 
@@ -26,18 +28,14 @@ import numpy as np
 
 from .bench import TrialSpec, calibrate, gen_signal, run_trials
 from .decoder import decode
-from .ensemble import EnsembleConfig, Measurements, SensingEnsemble, \
-    apply_phaseless, build_ensemble
+from .ensemble import EnsembleConfig, Measurements, apply_phaseless, \
+    build_ensemble
 
 
 def _load_config(path: str | None) -> EnsembleConfig:
     if path is None:
         return EnsembleConfig()
-    text = Path(path).read_text()
-    data = json.loads(text)
-    if isinstance(data, dict) and "config" in data:  # defaults file
-        data = data["config"]
-    return EnsembleConfig.from_dict(data)
+    return EnsembleConfig.from_json(Path(path).read_text())
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -61,14 +59,7 @@ def cmd_gen(args) -> int:
     signals = np.stack([gen_signal(spec, t) for t in range(spec.trials)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if np.iscomplexobj(signals):
-        from .prony import to_interleaved
-
-        np.savez_compressed(out / "signals.npz",
-                            signals=np.stack([to_interleaved(x) for x in signals]),
-                            complex_interleaved=np.array(True))
-    else:
-        np.savez_compressed(out / "signals.npz", signals=signals)
+    np.savez_compressed(out / "signals.npz", signals=signals)
     (out / "trialspec.json").write_text(spec.to_json())
     print(f"wrote {spec.trials} signals to {out / 'signals.npz'}")
     return 0
@@ -78,26 +69,25 @@ def cmd_sense(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with np.load(Path(args.signals)) as data:
-        if "complex_interleaved" in data.files:
-            print("sense drives the randomized (real-signal) pipeline; this "
-                  "file holds complex signals for the deterministic one")
-            return 1
         signals = data["signals"]
+    if np.iscomplexobj(signals):
+        print("sense drives the randomized (real-signal) pipeline; this "
+              "file holds complex signals for the deterministic one")
+        return 1
     ensemble = build_ensemble(args.n, args.k, config=_load_config(args.config),
                               rng_seed=args.seed)
-    ensemble.save(out / "ensemble.npz")
-    batch = [apply_phaseless(ensemble, x) for x in signals]
-    replace(batch[0], y=np.stack([meas.y for meas in batch])).save(
+    y = np.stack([apply_phaseless(ensemble, x).y for x in signals])
+    Measurements(y, ensemble.n, ensemble.k, ensemble.config).save(
         out / "measurements.npz")
-    print(f"wrote ensemble + {len(signals)} measurement vectors to {out}")
+    print(f"wrote {len(signals)} measurement vectors to {out / 'measurements.npz'}")
     return 0
 
 
 def cmd_decode(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ensemble = SensingEnsemble.load(Path(args.ensemble))
     batch = Measurements.load(Path(args.measurements))
+    ensemble = build_ensemble(batch.n, batch.k, config=batch.config)
     failures = 0
     for t, y in enumerate(batch.y):
         path = out / f"result_y{t:05d}.json"
@@ -162,7 +152,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("decode", help="decode measurement files")
     _add_common(p)
-    p.add_argument("--ensemble", type=str, required=True)
     p.add_argument("--measurements", type=str, required=True)
     p.set_defaults(func=cmd_decode)
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import EnsembleError, Measurements, SensingEnsemble
-from .signs import ClusterLabels, assign_signs, build_sign_graph, \
-    recover_communities
+from .signs import ClusterLabels, build_sign_graph, recover_communities
 from .sketch import estimate_magnitudes, identify_heavy
 
 __all__ = [
@@ -126,6 +125,7 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
     disjoint row are dropped from the median; if all of them drop,
     construction constants were too small for this S1 and estimation fails.
     """
+    ensemble.check(measurements)
     cfg = ensemble.config
     scale = cfg.c1 * (max(ensemble.k, 2) / ensemble.k)   # E density 1/max(k, 2)
     block = ensemble.blocks["E"]
@@ -133,7 +133,7 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
     disjoint = np.ones(block.n_rows, dtype=bool)
     disjoint[hit_rows] = False
     disjoint = disjoint.reshape(cfg.rep_log_n, -1)
-    yE = measurements.block("E").reshape(disjoint.shape)
+    yE = measurements.y[ensemble.rows("E")].reshape(disjoint.shape)
     count = disjoint.sum(axis=1)
     kept = count > 0
     if diagnostics is not None:
@@ -177,12 +177,12 @@ def _select_top(S0: np.ndarray, estimates: np.ndarray, cap: int) -> np.ndarray:
 def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
                 S2: np.ndarray, estimates: np.ndarray,
                 diagnostics: DecodeDiagnostics) -> ClusterLabels:
-    level, name = ensemble.f_block(S2.size)
+    name = ensemble.f_block(S2.size)
     # a single candidate has no pair to test, and top_select = 1 builds no
     # F level at all
-    F, yF = (ensemble.blocks[name], measurements.block(name)) if S2.size > 1 \
-        else (None, None)
-    graph = build_sign_graph(F, yF, S2, estimates, level=level)
+    F, yF = (ensemble.blocks[name], measurements.y[ensemble.rows(name)]) \
+        if S2.size > 1 else (None, None)
+    graph = build_sign_graph(F, yF, S2, estimates)
     diagnostics.edges_sampled += graph.pair_rows
     diagnostics.y_reads += graph.pair_rows
     diagnostics.index_reads += graph.entries
@@ -192,16 +192,18 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
 def decode(ensemble: SensingEnsemble, measurements: Measurements
            ) -> RecoveryResult:
     """Run the full pipeline on one set of measurements."""
+    ensemble.check(measurements)
     if not np.all(np.isfinite(measurements.y)):
         raise EnsembleError("measurements must be finite")
     diagnostics = DecodeDiagnostics()
     cfg = ensemble.config
 
-    yA = measurements.block("A")
+    yA = measurements.y[ensemble.rows("A")]
     S0 = identify_heavy(ensemble.blocks["A"], cfg.heavy_K, yA)
     diagnostics.y_reads += yA.size
 
-    estimates = estimate_magnitudes(ensemble.blocks["B"], measurements.block("B"), S0)
+    estimates = estimate_magnitudes(ensemble.blocks["B"],
+                                    measurements.y[ensemble.rows("B")], S0)
     diagnostics.y_reads += S0.size * cfg.countsketch_reps
     diagnostics.index_reads += S0.size * cfg.countsketch_reps
 
@@ -215,10 +217,10 @@ def decode(ensemble: SensingEnsemble, measurements: Measurements
     values = np.empty(0)
     if S2.size:
         labels = _sign_stage(ensemble, measurements, S2, est2, diagnostics)
-        _, signed = assign_signs(labels, est2, S2)
         # undo the sensing-side flip; a vertex no test reached keeps its
         # bare magnitude
-        values = np.where(labels.isolated, est2, signed * ensemble.D[S2])
+        values = np.where(labels.isolated, est2,
+                          labels.labels * est2 * ensemble.D[S2])
     signs_failed = S2.size > 1 and labels.flagged
     return RecoveryResult(n=ensemble.n, indices=S2, values=values,
                           S0=S0, S1=S1, S2=S2, tail_energy=tail,
@@ -244,8 +246,10 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     if not ensembles or len(ensembles) != len(y_list):
         raise ValueError("need matching, nonempty ensemble and measurement lists")
     # decode checks the primary's measurements
-    if not all(np.all(np.isfinite(meas.y)) for meas in y_list[1:]):
-        raise EnsembleError("measurements must be finite")
+    for ens, meas in zip(ensembles[1:], y_list[1:]):
+        ens.check(meas)
+        if not np.all(np.isfinite(meas.y)):
+            raise EnsembleError("measurements must be finite")
     primary = ensembles[0]
     base = decode(primary, y_list[0])
     S2 = base.S2

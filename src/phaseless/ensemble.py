@@ -19,10 +19,16 @@ flip D applied to the signal:
 
 Sensing computes y = |Phi x| block by block; nothing downstream ever sees a
 sign or phase. All randomness is drawn from counter-based streams keyed off
-one master seed, so a (n, k, config, seed) tuple reproduces the ensemble
-exactly, block by block. Building one therefore computes only D and the
-block keys: each block recomputes the columns a signal or a decode touches
-from its stream (see sparse.py), and saving one writes only its header.
+the config's master seed, so an (n, k, config) triple reproduces the
+ensemble exactly, block by block. Building one therefore computes only D
+and the block keys: each block recomputes the columns a signal or a decode
+touches from its stream (see sparse.py).
+
+The built ensemble owns the row layout: ``SensingEnsemble.rows`` slices a
+block's rows out of y. Measurements carry only y and the (n, k, resolved
+config) that identifies their ensemble, so a measurements file is the whole
+record of a sensing run: ``build_ensemble`` rebuilds its ensemble, and every
+decode entry point checks that identity by value.
 """
 
 from __future__ import annotations
@@ -134,8 +140,8 @@ class EnsembleConfig:
                 raise EnsembleError(f"{name} must be >= 1, got {value}")
         for name in ("C0", "C1", "c1", "c_F", "hh_bucket_factor"):
             value = getattr(self, name)
-            if value is None or value <= 0:
-                raise EnsembleError(f"{name} must be > 0, got {value}")
+            if value is None or not (0 < value < math.inf):
+                raise EnsembleError(f"{name} must be finite and > 0, got {value}")
         if self.heavy_K < k:
             raise EnsembleError(f"heavy_K={self.heavy_K} < k={k}")
         if self.top_select < k:
@@ -157,7 +163,7 @@ class EnsembleConfig:
 
 
 # ---------------------------------------------------------------------------
-# structural helpers shared by builder and row-count planner
+# structural helpers of the builder
 # ---------------------------------------------------------------------------
 
 def _e_density(k: int) -> float:
@@ -182,26 +188,6 @@ def _f_density(k: int, level: int, C0: float) -> float:
 def _f_rows(k: int, level: int, c_F: float) -> int:
     return math.ceil(c_F * level * (2 ** level) * _f_log_term(k, level) ** 4)
 
-def _hh_geometry(n: int, cfg: EnsembleConfig) -> tuple[int, int, int]:
-    """(buckets, bits, reps) of the identification block."""
-    buckets = max(2, math.ceil(cfg.hh_bucket_factor * cfg.heavy_K))
-    bits = max(1, math.ceil(math.log2(max(n, 2))))
-    return buckets, bits, cfg.hh_reps
-
-
-def planned_row_counts(n: int, k: int, config: EnsembleConfig | None = None) -> dict[str, int]:
-    """Exact per-family row counts of the ensemble, without building it."""
-    cfg = (config or EnsembleConfig()).resolve(n, k)
-    buckets, bits, reps = _hh_geometry(n, cfg)
-    counts = {
-        "A": buckets * (2 * bits + 1) * reps,
-        "B": cfg.countsketch_rows * cfg.countsketch_reps,
-        "E": cfg.rep_log_n * math.ceil(cfg.C1 * k),
-        "F": sum(_f_rows(k, l, cfg.c_F) for l in _f_levels(k, cfg.top_select)),
-    }
-    counts["total"] = sum(counts.values())
-    return counts
-
 
 # ---------------------------------------------------------------------------
 # ensemble
@@ -211,8 +197,7 @@ def planned_row_counts(n: int, k: int, config: EnsembleConfig | None = None) -> 
 class SensingEnsemble:
     n: int
     k: int
-    seed: int
-    config: EnsembleConfig          # fully resolved
+    config: EnsembleConfig          # fully resolved; its seed keys every stream
     D: np.ndarray                   # int8[n], +/-1 signs folded into sensing
     blocks: dict[str, ColumnBlock]
     offsets: dict[str, int]
@@ -223,42 +208,37 @@ class SensingEnsemble:
         """Highest F level built; 0 when there is none (top_select = 1)."""
         return max(_f_levels(self.k, self.config.top_select), default=0)
 
-    def f_block(self, size: int) -> tuple[int, str]:
-        """(level, block name) of the F level that tests a candidate set of
-        ``size``: the smallest l with size <= 2^l, clamped to the ladder and
-        to level 1, so a single candidate names a block it never reads."""
-        level = max(1, min(math.ceil(math.log2(max(size, 1))), self.f_top_level))
-        return level, _f_name(level)
+    def f_block(self, size: int) -> str:
+        """Name of the F level that tests a candidate set of ``size``: the
+        smallest l with size <= 2^l, clamped to the ladder and to level 1,
+        so a single candidate names a block it never reads."""
+        return _f_name(max(1, min(math.ceil(math.log2(max(size, 1))),
+                                  self.f_top_level)))
 
-    # -- serialization: a versioned header; the blocks are rebuilt ----------
+    def rows(self, name: str) -> slice:
+        """The rows of block ``name`` in y (the last axis of a batch)."""
+        start = self.offsets[name]
+        return slice(start, start + self.blocks[name].n_rows)
 
-    FORMAT = "phaseless-ensemble"
-    VERSION = 5
+    def check(self, measurements: "Measurements") -> None:
+        """Raise EnsembleError unless ``measurements`` were sensed by an
+        ensemble with this (n, k, config). Values are compared, not
+        objects: a rebuild reproduces the ensemble exactly."""
+        mine = (self.n, self.k, self.config)
+        theirs = (measurements.n, measurements.k, measurements.config)
+        if theirs != mine:
+            mine, theirs = _identity(*mine), _identity(*theirs)
+            raise EnsembleError("measurements come from another ensemble: "
+                                + ", ".join(f"{key}={theirs[key]!r} (ensemble: "
+                                            f"{mine[key]!r})" for key in mine
+                                            if theirs[key] != mine[key]))
+        if measurements.y.shape[-1:] != (self.total_rows,):
+            raise EnsembleError(f"measurements have {measurements.y.shape[-1:]} "
+                                f"rows, the ensemble {self.total_rows}")
 
-    def save(self, path) -> None:
-        header = {
-            "format": self.FORMAT,
-            "version": self.VERSION,
-            "n": self.n,
-            "k": self.k,
-            "seed": self.seed,
-            "config": asdict(self.config),
-        }
-        with open(path, "wb") as fh:
-            np.savez(fh, header=np.frombuffer(json.dumps(header).encode(),
-                                              dtype=np.uint8))
 
-    @classmethod
-    def load(cls, path) -> "SensingEnsemble":
-        with np.load(path) as data:
-            header = json.loads(bytes(data["header"]).decode())
-        if header.get("format") != cls.FORMAT:
-            raise EnsembleError(f"not an ensemble container: {header.get('format')}")
-        if header.get("version") != cls.VERSION:
-            raise EnsembleError(f"unsupported container version {header.get('version')}")
-        return build_ensemble(header["n"], header["k"],
-                              config=EnsembleConfig.from_dict(header["config"]),
-                              rng_seed=header["seed"])
+def _identity(n: int, k: int, config: EnsembleConfig) -> dict:
+    return {"n": n, "k": k, **asdict(config)}
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +247,23 @@ class SensingEnsemble:
 
 @dataclass
 class Measurements:
-    """y = |Phi x|, plus the block partition needed to address it.
+    """y = |Phi x|, and the (n, k, resolved config) of the ensemble that
+    sensed it; ``SensingEnsemble.rows`` addresses its blocks.
 
-    ``y`` holds one signal's rows, or a batch as a (signals, rows) array;
-    ``block`` slices the last axis either way.
+    ``y`` holds one signal's rows, or a batch as a (signals, rows) array.
     """
 
     y: np.ndarray
-    offsets: dict[str, int]
-    block_rows: dict[str, int]
-
-    def block(self, name: str) -> np.ndarray:
-        start = self.offsets[name]
-        return self.y[..., start:start + self.block_rows[name]]
+    n: int
+    k: int
+    config: EnsembleConfig
 
     FORMAT = "phaseless-measurements"
-    VERSION = 3
+    VERSION = 4
 
     def save(self, path) -> None:
         header = {"format": self.FORMAT, "version": self.VERSION,
-                  "offsets": self.offsets, "block_rows": self.block_rows}
+                  **_identity(self.n, self.k, self.config)}
         with open(path, "wb") as fh:
             np.savez_compressed(
                 fh, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
@@ -296,13 +273,14 @@ class Measurements:
     def load(cls, path) -> "Measurements":
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
-            if header.get("format") != cls.FORMAT:
-                raise EnsembleError(f"not a measurements container: {header.get('format')}")
-            if header.get("version") != cls.VERSION:
-                raise EnsembleError(
-                    f"unsupported measurements version {header.get('version')}")
-            return cls(y=data["y"], offsets=header["offsets"],
-                       block_rows=header["block_rows"])
+            if header.pop("format", None) != cls.FORMAT:
+                raise EnsembleError("not a measurements container")
+            version = header.pop("version", None)
+            if version != cls.VERSION:
+                raise EnsembleError(f"unsupported measurements version {version}")
+            n, k = header.pop("n"), header.pop("k")
+            return cls(y=data["y"], n=n, k=k,
+                       config=EnsembleConfig.from_dict(header))
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +297,11 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     if k > n / 20:
         raise EnsembleError(f"k={k} too large for n={n} (need k <= n/20)")
     cfg = (config or EnsembleConfig()).resolve(n, k)
-    seed = int(cfg.seed if rng_seed is None else rng_seed)
     if rng_seed is not None:
-        cfg = replace(cfg, seed=seed)
+        cfg = replace(cfg, seed=int(rng_seed))
 
     f_levels = _f_levels(k, cfg.top_select)
-    words = np.random.SeedSequence(seed).generate_state(
+    words = np.random.SeedSequence(cfg.seed).generate_state(
         3 + cfg.rep_log_n + f_levels.stop, dtype=np.uint64)
     # stream words: D 0, A 1, B 2, E 3, F{2^l} 3 + rep_log_n + l
     keys = {"A": words[1], "B": words[2], "E": words[3]}
@@ -332,11 +309,12 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     D = (splitmix64(int(words[0]), np.arange(n)) & np.uint64(1)).astype(np.int8)
     D = D * 2 - 1
 
-    buckets, bits, reps = _hh_geometry(n, cfg)
     blocks: dict[str, ColumnBlock] = {}
     # the hash-block builders are looked up on their module at call time, so
     # a tracer that wraps them there times these calls too
-    blocks["A"] = sketch.build_hh_block(keys["A"], n, buckets, bits, reps)
+    blocks["A"] = sketch.build_hh_block(
+        keys["A"], n, max(2, math.ceil(cfg.hh_bucket_factor * cfg.heavy_K)),
+        max(1, math.ceil(math.log2(max(n, 2)))), cfg.hh_reps)
     blocks["B"] = sketch.build_countsketch_block(
         keys["B"], n, cfg.countsketch_rows, cfg.countsketch_reps)
     blocks["E"] = SparseSignMatrix.bernoulli(
@@ -353,8 +331,8 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     for name in blocks:
         offsets[name] = total
         total += blocks[name].n_rows
-    return SensingEnsemble(n=n, k=k, seed=seed, config=cfg, D=D,
-                           blocks=blocks, offsets=offsets, total_rows=total)
+    return SensingEnsemble(n=n, k=k, config=cfg, D=D, blocks=blocks,
+                           offsets=offsets, total_rows=total)
 
 
 def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
@@ -366,12 +344,9 @@ def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
         raise EnsembleError("signal must be finite")
     dx = ensemble.D * x
     y = np.empty(ensemble.total_rows, dtype=np.float64)
-    block_rows = {}
     for name, blk in ensemble.blocks.items():
-        start = ensemble.offsets[name]
-        y[start:start + blk.n_rows] = np.abs(blk.apply(dx))
-        block_rows[name] = blk.n_rows
-    return Measurements(y=y, offsets=dict(ensemble.offsets), block_rows=block_rows)
+        y[ensemble.rows(name)] = np.abs(blk.apply(dx))
+    return Measurements(y, ensemble.n, ensemble.k, ensemble.config)
 
 
 def row_count(ensemble: SensingEnsemble) -> dict[str, int]:
@@ -384,3 +359,10 @@ def row_count(ensemble: SensingEnsemble) -> dict[str, int]:
     out.update({f"{fam}_family": rows for fam, rows in families.items()})
     out["total"] = sum(per_block.values())
     return out
+
+
+def planned_row_counts(n: int, k: int, config: EnsembleConfig | None = None) -> dict[str, int]:
+    """Per-family row counts of the (n, k, config) ensemble. Building one
+    computes only D and the block keys, so the planner counts a build."""
+    counts = row_count(build_ensemble(n, k, config))
+    return {fam: counts[f"{fam}_family"] for fam in "ABEF"} | {"total": counts["total"]}

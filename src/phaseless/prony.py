@@ -191,22 +191,6 @@ def conjugate_reflection(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_interleaved(x: np.ndarray) -> np.ndarray:
-    """Wire format for complex vectors: [re0, im0, re1, im1, ...] float64."""
-    x = np.asarray(x, dtype=np.complex128)
-    out = np.empty(2 * x.shape[-1], dtype=np.float64)
-    out[0::2] = x.real
-    out[1::2] = x.imag
-    return out
-
-
-def from_interleaved(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape[-1] % 2:
-        raise ValueError("interleaved array must have even length")
-    return a[0::2] + 1j * a[1::2]
-
-
 def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                  sum_mag: np.ndarray, anchor: int, tol_zero: float,
                  tol_branch: float):

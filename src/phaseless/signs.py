@@ -31,7 +31,6 @@ __all__ = [
     "ClusterLabels",
     "build_sign_graph",
     "recover_communities",
-    "assign_signs",
 ]
 
 
@@ -41,7 +40,6 @@ class SignGraph:
     edge_u: np.ndarray            # per edge, one endpoint
     edge_v: np.ndarray            # per edge, the other endpoint
     weights: np.ndarray           # per edge; repeated pairs add up
-    level: int                    # F level exponent the rows came from
     pair_rows: int = 0            # rows whose support met the set in exactly 2
     entries: int = 0              # column entries fetched for the set
     signed: bool = False          # weights are votes: +1 agree, -1 differ
@@ -62,8 +60,7 @@ class ClusterLabels:
 
 
 def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
-                     S2: np.ndarray, estimates: np.ndarray,
-                     level: int = -1) -> SignGraph:
+                     S2: np.ndarray, estimates: np.ndarray) -> SignGraph:
     """Vote on the relative sign of every pair that a row meets S2 in.
 
     ``S2`` is sorted and ``estimates`` holds its magnitude estimates,
@@ -72,7 +69,7 @@ def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
     S2 = np.asarray(S2, dtype=np.int64)
     if S2.size < 2:
         return SignGraph(S2, np.empty(0, np.int64), np.empty(0, np.int64),
-                         np.empty(0, np.int64), level, signed=True)
+                         np.empty(0, np.int64), signed=True)
     rows, sigs, owners = F_block.rows_of_many(S2)
     n_entries = int(rows.size)
     hits = np.bincount(rows, minlength=F_block.n_rows)
@@ -88,8 +85,8 @@ def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
     d_diff = np.abs(yq - np.abs(eu - ev))
     vote = (np.sign(d_diff - d_same) * sigs[0::2] * sigs[1::2]).astype(np.int64)
     cast = vote != 0
-    return SignGraph(S2, u[cast], v[cast], vote[cast], level, int(u.size),
-                     n_entries, signed=True)
+    return SignGraph(S2, u[cast], v[cast], vote[cast], int(u.size), n_entries,
+                     signed=True)
 
 
 def _adjacency(g: SignGraph) -> np.ndarray:
@@ -123,12 +120,3 @@ def recover_communities(g: SignGraph) -> ClusterLabels:
     labels[isolated] = 1
     return ClusterLabels(labels, isolated)
 
-
-def assign_signs(labels: ClusterLabels, estimates: np.ndarray,
-                 S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed sparse estimate on S2: value_i = label_i * |est_i|, with the
-    labels and estimates both aligned to S2.
-
-    Global orientation is arbitrary; both are accepted downstream.
-    """
-    return np.asarray(S2, dtype=np.int64), labels.labels * estimates

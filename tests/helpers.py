@@ -89,8 +89,7 @@ def sample_sbm(N: int, a: float, b: float, rng) -> tuple[SignGraph, np.ndarray]:
     p = np.where(labels[iu] == labels[ju], a * logn / N, b * logn / N)
     keep = rng.random(iu.size) < p
     u, v = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
-    graph = SignGraph(np.arange(N), u, v, np.ones(u.size, dtype=np.int64),
-                      level=-1)
+    graph = SignGraph(np.arange(N), u, v, np.ones(u.size, dtype=np.int64))
     return graph, labels
 
 

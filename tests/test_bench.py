@@ -121,9 +121,10 @@ def test_calibrate_single_config_meets_target(tmp_path):
     winner, summaries = calibrate(grid, base, target_rate=0.2,
                                   out_path=tmp_path / "defaults.json")
     assert winner is not None
-    data = json.loads((tmp_path / "defaults.json").read_text())
-    assert data["format"] == "phaseless-defaults"
-    assert data["config"]["C0"] == 0.125
+    # the defaults file is a plain config file
+    assert EnsembleConfig.from_json((tmp_path / "defaults.json").read_text()) \
+        == winner
+    assert winner.C0 == 0.125
     assert len(summaries) == 1
 
 

@@ -1,12 +1,12 @@
 """Pipeline-stage contracts: tail energy, pruning, full decode, voting."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from phaseless import (EnsembleConfig, EnsembleError, Measurements,
-                       TailEstimationError, apply_phaseless, build_ensemble,
+from phaseless import (EnsembleConfig, EnsembleError, TailEstimationError, apply_phaseless, build_ensemble,
                        decode, decode_amplified, estimate_tail_energy, prune)
 from phaseless.bench import SUCCESS_FACTOR, min_flip_error_sq, tail_norm_sq
 from phaseless.signs import build_sign_graph
@@ -227,7 +227,7 @@ def test_decode_rejects_non_finite_measurements():
     for bad in (np.nan, np.inf):
         y = np.full_like(clean.y, bad)
         with pytest.raises(EnsembleError, match="finite"):
-            decode(ens, Measurements(y, clean.offsets, clean.block_rows))
+            decode(ens, dataclasses.replace(clean, y=y))
 
 
 def test_decode_diagnostics_counters_positive():
@@ -272,13 +272,11 @@ def test_amplified_absorbs_one_corrupted_replica():
     clean = decode_amplified(ensembles, measurements).to_dense()
     corrupted = measurements[1]
     bad = corrupted.y.copy()
-    for name in ensembles[1].blocks:
+    for name, block in ensembles[1].blocks.items():
         if name.startswith("F"):
-            start, rows = corrupted.offsets[name], corrupted.block_rows[name]
-            bad[start:start + rows] = np.random.default_rng(0).uniform(0, 10, rows)
-    measurements_bad = [measurements[0],
-                        type(corrupted)(y=bad, offsets=corrupted.offsets,
-                                        block_rows=corrupted.block_rows),
+            bad[ensembles[1].rows(name)] = \
+                np.random.default_rng(0).uniform(0, 10, block.n_rows)
+    measurements_bad = [measurements[0], dataclasses.replace(corrupted, y=bad),
                         measurements[2]]
     out = decode_amplified(ensembles, measurements_bad).to_dense()
     assert np.array_equal(out, clean) or np.array_equal(out, -clean)
@@ -293,8 +291,8 @@ def test_amplified_counts_every_replicas_reads():
     level = min(math.ceil(math.log2(base.S2.size)), ensembles[0].f_top_level)
     for ens, meas in zip(ensembles[1:], measurements[1:]):
         name = f"F{2 ** level}"
-        graph = build_sign_graph(ens.blocks[name], meas.block(name), base.S2,
-                                 estimates, level=level)
+        graph = build_sign_graph(ens.blocks[name], meas.y[ens.rows(name)],
+                                 base.S2, estimates)
         for counter in ("y_reads", "edges_sampled"):
             expect[counter] += graph.pair_rows
         expect["index_reads"] += graph.entries
@@ -329,7 +327,38 @@ def test_amplified_validates_inputs():
         decode_amplified([], [])
     # a NaN replica must not cast votes
     replica = measurements[1]
-    nan = Measurements(np.full_like(replica.y, np.nan), replica.offsets,
-                       replica.block_rows)
+    nan = dataclasses.replace(replica, y=np.full_like(replica.y, np.nan))
     with pytest.raises(EnsembleError, match="finite"):
         decode_amplified(ensembles, [measurements[0], nan, measurements[2]])
+
+
+# -- ensemble identity -------------------------------------------------------
+
+@pytest.mark.parametrize("change", [{"C1": 12.0}, {"c_F": 0.5}, {"seed": 6}])
+def test_measurements_from_another_ensemble_are_refused(change):
+    # such pairs once decoded without an error, or failed with a bare
+    # ValueError or IndexError, depending on which constant differed
+    x, _ = exact_sparse(np.random.default_rng(31), N, K)
+    ens = build(5)
+    other = build_ensemble(N, K, config=dataclasses.replace(ens.config, **change))
+    meas = apply_phaseless(other, x)
+    field = next(iter(change))
+    with pytest.raises(EnsembleError, match=field):
+        decode(ens, meas)
+    with pytest.raises(EnsembleError, match=field):
+        estimate_tail_energy(ens, meas, np.arange(K))
+    with pytest.raises(EnsembleError, match=field):
+        decode_amplified([other, ens], [meas, meas])
+
+
+def test_identity_is_compared_by_value():
+    # a rebuild is a different object with the same identity, and decodes
+    # what the first build sensed exactly as the first build does
+    x, _ = spikes_plus_tail(np.random.default_rng(32), N, K)
+    first = build(7)
+    meas = apply_phaseless(first, x)
+    again = build(7)
+    assert again is not first and again.config is not first.config
+    assert decode(again, meas).to_json() == decode(first, meas).to_json()
+    with pytest.raises(EnsembleError, match="rows"):
+        decode(again, dataclasses.replace(meas, y=meas.y[:-1]))

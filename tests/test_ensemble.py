@@ -1,5 +1,6 @@
 """Ensemble construction, sensing, and serialization contracts."""
 
+import dataclasses
 import json
 import math
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phaseless
 from phaseless import (EnsembleConfig, EnsembleError, Measurements,
-                       SensingEnsemble, apply_phaseless, build_ensemble,
-                       decode, planned_row_counts, row_count)
+                       apply_phaseless, build_ensemble, decode,
+                       planned_row_counts, row_count)
 
 from helpers import block_entries, exact_sparse
 
@@ -26,6 +28,7 @@ def test_offsets_partition_rows(ens):
     running = 0
     for name, block in ens.blocks.items():
         assert ens.offsets[name] == running
+        assert ens.rows(name) == slice(running, running + block.n_rows)
         assert block.n_cols == N
         running += block.n_rows
     assert running == ens.total_rows
@@ -77,8 +80,7 @@ def test_f_levels_for_k_equal_one():
     # top_select = 2k = 2, so the ladder is level 1 alone, regardless of n
     e = build_ensemble(4096, 1, rng_seed=0)
     assert [name for name in e.blocks if name.startswith("F")] == ["F2"]
-    assert [e.f_block(size) for size in (1, 2, 3, 8, 9, 1000)] == \
-        [(1, "F2")] * 6
+    assert [e.f_block(size) for size in (1, 2, 3, 8, 9, 1000)] == ["F2"] * 6
 
 
 @pytest.mark.parametrize("k", [1, 3, 10])
@@ -89,7 +91,7 @@ def test_f_ladder_is_exactly_the_reachable_levels(k, select):
     cfg = EnsembleConfig(top_select=select * k)
     e = build_ensemble(4096, k, config=cfg, rng_seed=0)
     built = {name for name in e.blocks if name.startswith("F")}
-    assert {e.f_block(s)[1] for s in range(2, select * k + 1)} == built
+    assert {e.f_block(s) for s in range(2, select * k + 1)} == built
     planned = planned_row_counts(4096, k, cfg)
     assert planned["F"] == sum(e.blocks[name].n_rows for name in built)
     assert planned["total"] == e.total_rows
@@ -137,6 +139,19 @@ def test_config_validation():
         EnsembleConfig(countsketch_reps=0).resolve(N, K)
 
 
+@pytest.mark.parametrize("field", ["C0", "C1", "c1", "c_F", "hh_bucket_factor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_constants(field, value):
+    # c1=NaN once decoded to an empty estimate, C1=NaN escaped as a bare
+    # ValueError and C0=inf as an OverflowError; JSON config files can
+    # carry NaN and Infinity
+    with pytest.raises(EnsembleError, match=field):
+        EnsembleConfig(**{field: value}).resolve(4096, 3)
+    with pytest.raises(EnsembleError, match=field):
+        build_ensemble(4096, 3, config=EnsembleConfig.from_json(
+            json.dumps({field: value})))
+
+
 def test_config_json_round_trip():
     cfg = EnsembleConfig().resolve(N, K)
     again = EnsembleConfig.from_json(cfg.to_json())
@@ -178,7 +193,7 @@ def test_measurements_nonnegative_and_sized(ens):
     meas = apply_phaseless(ens, x)
     assert meas.y.shape == (ens.total_rows,)
     assert np.all(meas.y >= 0)
-    assert meas.block("B").shape == (ens.blocks["B"].n_rows,)
+    assert meas.y[ens.rows("B")].shape == (ens.blocks["B"].n_rows,)
 
 
 def test_apply_rejects_bad_signals(ens):
@@ -200,76 +215,49 @@ def test_sign_blindness_property(seed):
                           apply_phaseless(small, -x).y)
 
 
-def test_ensemble_serialization_round_trip(tmp_path, ens):
-    path = tmp_path / "ens.npz"
-    ens.save(path)
-    with np.load(path) as data:
-        assert data.files == ["header"]     # no block arrays, no D
-    loaded = SensingEnsemble.load(path)
-    assert loaded.n == ens.n and loaded.k == ens.k
-    assert loaded.config == ens.config
-    assert np.array_equal(loaded.D, ens.D)
-    cols = np.array([0, 99, 1023])
-    for name in ens.blocks:
-        for a, b in zip(loaded.blocks[name].rows_of_many(cols),
-                        ens.blocks[name].rows_of_many(cols)):
-            assert np.array_equal(a, b)
-    x, _ = exact_sparse(np.random.default_rng(3), N, K)
-    assert np.array_equal(apply_phaseless(loaded, x).y,
-                          apply_phaseless(ens, x).y)
-    dense = np.random.default_rng(3).standard_normal(N)
-    assert np.array_equal(apply_phaseless(loaded, dense).y,
-                          apply_phaseless(ens, dense).y)
-
-
-def test_ensemble_load_rejects_other_versions(tmp_path, ens):
-    path = tmp_path / "old.npz"
-    # version 2 headers still carried the config field f_inner_reps,
-    # version 3 ones built E as rep_log_n separate blocks, and version 4
-    # ones built F levels 0 .. ceil(log2 5k)
-    for version in (1, 2, 3, 4):
-        header = {"format": SensingEnsemble.FORMAT, "version": version,
-                  "n": N, "k": K, "seed": SEED,
-                  "config": {"f_inner_reps": 1}}
-        np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
-                                            dtype=np.uint8))
-        with pytest.raises(EnsembleError, match="version"):
-            SensingEnsemble.load(path)
-
-
 def test_measurements_serialization_round_trip(tmp_path, ens):
     x, _ = exact_sparse(np.random.default_rng(4), N, K)
     meas = apply_phaseless(ens, x)
     path = tmp_path / "meas.npz"
     meas.save(path)
     loaded = Measurements.load(path)
-    assert np.array_equal(loaded.y, meas.y)
-    assert loaded.offsets == meas.offsets
-    assert np.array_equal(loaded.block("E"), meas.block("E"))
+    assert loaded.y.dtype == np.float64
+    assert loaded.y.tobytes() == meas.y.tobytes()
+    assert (loaded.n, loaded.k, loaded.config) == (N, K, ens.config)
+    # the file alone rebuilds its ensemble, which decodes it as before
+    rebuilt = build_ensemble(loaded.n, loaded.k, config=loaded.config)
+    assert np.array_equal(rebuilt.D, ens.D)
+    assert decode(rebuilt, loaded).to_json() == decode(ens, meas).to_json()
 
 
 def test_measurement_batch_blocks_slice_the_last_axis(tmp_path, ens):
     rng = np.random.default_rng(5)
     batch = [apply_phaseless(ens, exact_sparse(rng, N, K)[0]) for _ in range(3)]
     path = tmp_path / "batch.npz"
-    Measurements(y=np.stack([meas.y for meas in batch]), offsets=ens.offsets,
-                 block_rows=batch[0].block_rows).save(path)
+    dataclasses.replace(batch[0], y=np.stack([meas.y for meas in batch])).save(path)
     loaded = Measurements.load(path)
     assert loaded.y.shape == (3, ens.total_rows)
     for t, meas in enumerate(batch):
+        assert loaded.y[t].tobytes() == meas.y.tobytes()
         for name in ens.blocks:
-            assert np.array_equal(loaded.block(name)[t], meas.block(name))
+            assert np.array_equal(loaded.y[:, ens.rows(name)][t],
+                                  meas.y[ens.rows(name)])
 
 
-def test_measurements_load_rejects_other_versions(tmp_path):
+def test_measurements_load_rejects_other_versions(tmp_path, ens):
     path = tmp_path / "old.npz"
-    # version 1 files name the bands of E as blocks E0, E1, ..., and
-    # version 2 ones hold the F1 level and the levels above top_select
-    for version, offsets in ((0, {}), (1, {"E0": 0, "E1": 1, "E2": 2}),
-                             (2, {"F1": 0, "F2": 1, "F64": 2})):
+    # version 1 files name the bands of E as blocks E0, E1, ..., version 2
+    # ones hold the F1 level and the levels above top_select, and versions
+    # up to 3 store the row layout and need a separate ensemble file
+    for version in range(4):
         header = {"format": Measurements.FORMAT, "version": version,
-                  "offsets": offsets, "block_rows": dict.fromkeys(offsets, 1)}
+                  "offsets": {"A": 0}, "block_rows": {"A": 3}}
         np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
                                             dtype=np.uint8), y=np.zeros(3))
         with pytest.raises(EnsembleError, match="version"):
             Measurements.load(path)
+
+
+def test_public_names_resolve():
+    for name in phaseless.__all__:
+        assert getattr(phaseless, name) is not None, name

@@ -5,8 +5,7 @@ import pytest
 
 from phaseless.ensemble import EnsembleConfig
 from phaseless.bench import edge_error_experiment
-from phaseless.signs import (ClusterLabels, SignGraph, _adjacency,
-                             assign_signs, build_sign_graph,
+from phaseless.signs import (SignGraph, _adjacency, build_sign_graph,
                              recover_communities)
 
 from helpers import ListBlock, bisection_accuracy, sample_sbm
@@ -80,9 +79,9 @@ def test_small_vertex_sets():
         recover_communities(SignGraph(np.empty(0, np.int64),
                                       np.empty(0, np.int64),
                                       np.empty(0, np.int64),
-                                      np.empty(0, np.int64), -1))
+                                      np.empty(0, np.int64)))
     single = SignGraph(np.array([9]), np.empty(0, np.int64),
-                       np.empty(0, np.int64), np.empty(0, np.int64), -1)
+                       np.empty(0, np.int64), np.empty(0, np.int64))
     labels = recover_communities(single)
     assert labels.labels.tolist() == [1] and labels.flagged
     assert labels.isolated.tolist() == [True]
@@ -94,7 +93,7 @@ def test_two_disjoint_cliques_recover_exactly():
     pairs += [(u, v) for u in range(5, 10) for v in range(u + 1, 10)]
     u = np.array([p[0] for p in pairs], dtype=np.int64)
     v = np.array([p[1] for p in pairs], dtype=np.int64)
-    g = SignGraph(verts, u, v, np.ones(u.size, np.int64), -1)
+    g = SignGraph(verts, u, v, np.ones(u.size, np.int64))
     labels = recover_communities(g)
     assert not labels.flagged
     first = set(labels.labels[:5])
@@ -104,7 +103,7 @@ def test_two_disjoint_cliques_recover_exactly():
 
 def test_isolated_vertex_flagged_and_defaulted():
     g = SignGraph(np.array([0, 1, 2]), np.array([0]), np.array([1]),
-                  np.array([3]), -1)
+                  np.array([3]))
     labels = recover_communities(g)
     assert labels.flagged
     assert labels.isolated.tolist() == [False, False, True]
@@ -128,25 +127,6 @@ def test_sbm_at_threshold_quick():
     assert hits >= 22
 
 
-def test_assign_signs_and_flip_invariance():
-    est = np.array([2.0, 1.5])
-    none = np.zeros(2, dtype=bool)
-    labels = ClusterLabels(np.array([1, -1]), none)
-    idx, vals = assign_signs(labels, est, np.array([3, 8]))
-    assert vals.tolist() == [2.0, -1.5]
-    flipped = ClusterLabels(np.array([-1, 1]), none)
-    _, vals_f = assign_signs(flipped, est, np.array([3, 8]))
-    x = np.zeros(10)
-    x[3], x[8] = 2.0, -1.5
-    xh = np.zeros(10)
-    xh[[3, 8]] = vals
-    xh_f = np.zeros(10)
-    xh_f[[3, 8]] = vals_f
-    err = min(np.sum((x - xh) ** 2), np.sum((x + xh) ** 2))
-    err_f = min(np.sum((x - xh_f) ** 2), np.sum((x + xh_f) ** 2))
-    assert err == err_f == 0.0
-
-
 def test_edge_rate_separation_with_planted_signs():
     """Per sampled pair, same-sign pairs vote agree strictly more often
     than cross-sign pairs; accumulated over >= 1000 pair rows. Pair sampling
@@ -167,9 +147,9 @@ def test_edge_rate_separation_with_planted_signs():
         meas = apply_phaseless(ens, x)
         support = np.sort(np.argsort(-np.abs(x))[:k])
         est = np.abs(x[support])
-        level, name = ens.f_block(k)
-        g = build_sign_graph(ens.blocks[name], meas.block(name), support, est,
-                             level=level)
+        name = ens.f_block(k)
+        g = build_sign_graph(ens.blocks[name], meas.y[ens.rows(name)], support,
+                             est)
         planted = np.sign(ens.D * x)
         n_plus = int(np.sum(planted[support] > 0))
         same_pairs += n_plus * (n_plus - 1) // 2 + \
