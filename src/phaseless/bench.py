@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .decoder import decode, decode_amplified
-from .ensemble import EnsembleConfig, apply_phaseless, build_ensemble, \
-    planned_row_counts
+from .ensemble import EnsembleConfig, EnsembleError, apply_phaseless, \
+    build_ensemble, planned_row_counts
 from .prony import DeterministicScheme, conjugate_reflection, det_measure, \
     det_recover
 from .signs import build_sign_graph
@@ -46,6 +46,7 @@ __all__ = [
 
 SUCCESS_FACTOR = 1.8        # error^2 <= this * tail^2 counts as success
 PRONY_TOL = 1e-8
+AMPLIFIED_REPLICAS = 3      # cphase-amplified: independent ensembles per trial
 
 SIGNAL_MODELS = ("exact-sparse", "spikes-plus-tail", "power-law")
 PIPELINES = ("cphase", "cphase-amplified", "prony")
@@ -67,7 +68,6 @@ class TrialSpec:
     tail_norm: float = 1.0          # spikes-plus-tail: l2 norm of the tail
     spike_energy_ratio: float = 100.0  # spikes-plus-tail: spike/tail energy
     decay: float = 1.0              # power-law exponent
-    outer_reps: int = 3             # cphase-amplified: independent replicas
 
     def __post_init__(self):
         if self.trials < 1:
@@ -78,6 +78,12 @@ class TrialSpec:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.tail_norm < 0 or self.spike_energy_ratio <= 0:
             raise ValueError("invalid signal-model parameters")
+        # the deterministic scheme draws exactly sparse complex signals and
+        # builds no randomized ensemble
+        if self.pipeline == "prony" and (self.signal_model != "exact-sparse"
+                                         or self.config != EnsembleConfig()):
+            raise ValueError("the prony pipeline takes the exact-sparse model "
+                             "and the default config only")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -86,11 +92,12 @@ class TrialSpec:
     @classmethod
     def from_json(cls, text: str) -> "TrialSpec":
         d = json.loads(text)
-        cfg = d.pop("config", None)
-        spec = cls(**d)
-        if cfg is not None:
-            spec = replace(spec, config=EnsembleConfig.from_dict(cfg))
-        return spec
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown trial spec keys: {sorted(unknown)}")
+        if "config" in d:
+            d["config"] = EnsembleConfig.from_dict(d["config"])
+        return cls(**d)
 
 
 def _rng(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -221,7 +228,7 @@ def _run_one(spec: TrialSpec, t: int) -> dict:
                 rows_total = ens.total_rows
             else:
                 ensembles, measurements = [], []
-                for rep in range(spec.outer_reps):
+                for rep in range(AMPLIFIED_REPLICAS):
                     ens = build_ensemble(spec.n, spec.k, config=spec.config,
                                          rng_seed=_ensemble_seed(spec.seed, t, rep))
                     ensembles.append(ens)
@@ -315,6 +322,9 @@ def run_trials(spec: TrialSpec, workers: int = 1) -> TrialReport:
 def _config_grid(grid: dict[str, list], base: EnsembleConfig
                  ) -> list[EnsembleConfig]:
     keys = sorted(grid)
+    unknown = set(keys) - set(EnsembleConfig.__dataclass_fields__)
+    if unknown:
+        raise EnsembleError(f"unknown config keys in grid: {sorted(unknown)}")
     configs = [base]
     for key in keys:
         configs = [replace(c, **{key: v}) for c in configs for v in grid[key]]
@@ -332,15 +342,16 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("empty calibration grid")
+    if base_spec.pipeline == "prony":
+        raise ValueError("the prony pipeline reads no ensemble config")
     configs = _config_grid(grid, base_spec.config)
-    configs.sort(key=lambda c: planned_row_counts(base_spec.n, base_spec.k, c)["total"])
+    sizes = [planned_row_counts(base_spec.n, base_spec.k, c)["total"]
+             for c in configs]
     summaries = []
     winner = None
-    for cfg in configs:
-        spec = replace(base_spec, config=cfg)
-        report = run_trials(spec)
+    for rows, cfg in sorted(zip(sizes, configs), key=lambda pair: pair[0]):
+        report = run_trials(replace(base_spec, config=cfg))
         agg = report.aggregates()
-        rows = planned_row_counts(spec.n, spec.k, cfg)["total"]
         summaries.append({"config": asdict(cfg), "rows": rows,
                           "success_rate": agg["success_rate"]})
         if winner is None and agg["success_rate"] >= target_rate:

@@ -2,18 +2,20 @@
 
 Subcommands:
   gen        write a batch of signals (npz) from a signal model
-  sense      build an ensemble and measure real signals into one
+  sense      measure real signals (n is their length) into one
              measurements file, which also names the ensemble
-  decode     rebuild that ensemble and decode the file into sparse
-             estimates (JSON)
-  bench      run a TrialSpec file end to end, write CSV + JSON reports
+  decode     rebuild that ensemble and decode the file into JSON estimates
+  bench      run a TrialSpec end to end, write CSV + JSON reports
   calibrate  grid-search constants against a target success rate
 
-``bench --pipeline prony`` runs the Monte-Carlo of the deterministic 4k-1
-scheme.
+Each subcommand takes only the flags it reads. ``gen``, ``bench`` and
+``calibrate`` share the spec flags; one left out keeps TrialSpec's default,
+and ``bench --spec FILE`` replaces them all. A config file holds
+``EnsembleConfig`` constants only, never the seed. ``bench --pipeline
+prony`` runs the Monte-Carlo of the deterministic 4k-1 scheme.
 
 Exit status is 0 only if no trial-level hard errors occurred (and, for
-calibrate, the target was met).
+calibrate, the target was met); a usage error exits with status 2.
 """
 
 from __future__ import annotations
@@ -26,71 +28,69 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import TrialSpec, calibrate, gen_signal, run_trials
+from .bench import PIPELINES, SIGNAL_MODELS, TrialSpec, calibrate, \
+    gen_signal, run_trials
 from .decoder import decode
 from .ensemble import EnsembleConfig, Measurements, apply_phaseless, \
     build_ensemble
 
-
-def _load_config(path: str | None) -> EnsembleConfig:
-    if path is None:
-        return EnsembleConfig()
-    return EnsembleConfig.from_json(Path(path).read_text())
+# where the spec flags land; all but config are TrialSpec fields
+SPEC_DESTS = ("n", "k", "trials", "seed", "config", "signal_model", "pipeline")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file with EnsembleConfig fields")
-    p.add_argument("--model", type=str, default="exact-sparse",
-                   choices=["exact-sparse", "spikes-plus-tail", "power-law"])
-    p.add_argument("--out", type=str, default=".")
-    p.add_argument("--pipeline", type=str, default="cphase",
-                   choices=["cphase", "cphase-amplified", "prony"])
+def _load_config(path: str | None) -> EnsembleConfig | None:
+    return None if path is None else EnsembleConfig.from_json(Path(path).read_text())
+
+
+def _add_spec_flags(p, pipelines=PIPELINES, required=True) -> None:
+    p.add_argument("--n", type=int, required=required)
+    p.add_argument("--k", type=int, required=required)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="JSON file of EnsembleConfig constants")
+    p.add_argument("--model", dest="signal_model", choices=SIGNAL_MODELS)
+    p.add_argument("--pipeline", choices=pipelines)
+
+
+def _trial_spec(args) -> TrialSpec:
+    given = {d: getattr(args, d) for d in SPEC_DESTS if getattr(args, d) is not None}
+    if "config" in given:
+        given["config"] = _load_config(args.config)
+    return TrialSpec(**given)
 
 
 def cmd_gen(args) -> int:
-    spec = TrialSpec(n=args.n, k=args.k, signal_model=args.model,
-                     trials=args.trials, seed=args.seed,
-                     config=_load_config(args.config), pipeline=args.pipeline)
+    spec = _trial_spec(args)
     signals = np.stack([gen_signal(spec, t) for t in range(spec.trials)])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(out / "signals.npz", signals=signals)
-    (out / "trialspec.json").write_text(spec.to_json())
-    print(f"wrote {spec.trials} signals to {out / 'signals.npz'}")
+    np.savez_compressed(args.out / "signals.npz", signals=signals)
+    (args.out / "trialspec.json").write_text(spec.to_json())
+    print(f"wrote {spec.trials} signals to {args.out / 'signals.npz'}")
     return 0
 
 
 def cmd_sense(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with np.load(Path(args.signals)) as data:
         signals = data["signals"]
     if np.iscomplexobj(signals):
         print("sense drives the randomized (real-signal) pipeline; this "
               "file holds complex signals for the deterministic one")
         return 1
-    ensemble = build_ensemble(args.n, args.k, config=_load_config(args.config),
-                              rng_seed=args.seed)
+    ensemble = build_ensemble(signals.shape[-1], args.k,
+                              config=_load_config(args.config), rng_seed=args.seed)
     y = np.stack([apply_phaseless(ensemble, x).y for x in signals])
-    Measurements(y, ensemble.n, ensemble.k, ensemble.config).save(
-        out / "measurements.npz")
-    print(f"wrote {len(signals)} measurement vectors to {out / 'measurements.npz'}")
+    Measurements(y, ensemble.n, ensemble.k, ensemble.seed, ensemble.config).save(
+        args.out / "measurements.npz")
+    print(f"wrote {len(signals)} measurement vectors to {args.out / 'measurements.npz'}")
     return 0
 
 
 def cmd_decode(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     batch = Measurements.load(Path(args.measurements))
-    ensemble = build_ensemble(batch.n, batch.k, config=batch.config)
+    ensemble = build_ensemble(batch.n, batch.k, config=batch.config,
+                              rng_seed=batch.seed)
     failures = 0
     for t, y in enumerate(batch.y):
-        path = out / f"result_y{t:05d}.json"
+        path = args.out / f"result_y{t:05d}.json"
         try:
             path.write_text(decode(ensemble, replace(batch, y=y)).to_json())
         except Exception as exc:
@@ -101,18 +101,15 @@ def cmd_decode(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.spec:
-        spec = TrialSpec.from_json(Path(args.spec).read_text())
-    else:
-        spec = TrialSpec(n=args.n, k=args.k, signal_model=args.model,
-                         trials=args.trials, seed=args.seed,
-                         config=_load_config(args.config),
-                         pipeline=args.pipeline)
+    if args.spec is not None and any(getattr(args, d) is not None for d in SPEC_DESTS):
+        args.error("--spec replaces the spec flags; give one or the other")
+    if args.spec is None and (args.n is None or args.k is None):
+        args.error("--n and --k are required without --spec")
+    spec = _trial_spec(args) if args.spec is None else \
+        TrialSpec.from_json(Path(args.spec).read_text())
     report = run_trials(spec, workers=args.workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(report.to_csv())
-    (out / "report.json").write_text(report.to_json())
+    (args.out / "report.csv").write_text(report.to_csv())
+    (args.out / "report.json").write_text(report.to_json())
     agg = report.aggregates()
     print(json.dumps(agg, indent=2))
     return 1 if agg["hard_errors"] else 0
@@ -120,19 +117,14 @@ def cmd_bench(args) -> int:
 
 def cmd_calibrate(args) -> int:
     grid = json.loads(Path(args.grid).read_text())
-    base = TrialSpec(n=args.n, k=args.k, signal_model=args.model,
-                     trials=args.trials, seed=args.seed,
-                     config=_load_config(args.config), pipeline=args.pipeline)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    winner, summaries = calibrate(grid, base, args.target,
-                                  out_path=out / "defaults.json")
-    (out / "calibration.json").write_text(json.dumps(summaries, indent=2))
+    winner, summaries = calibrate(grid, _trial_spec(args), args.target,
+                                  out_path=args.out / "defaults.json")
+    (args.out / "calibration.json").write_text(json.dumps(summaries, indent=2))
     if winner is None:
         best = max((s["success_rate"] for s in summaries), default=0.0)
         print(f"no config met target {args.target}; best rate {best}")
         return 1
-    print(f"calibrated config written to {out / 'defaults.json'}")
+    print(f"calibrated config written to {args.out / 'defaults.json'}")
     return 0
 
 
@@ -142,34 +134,40 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate signal batches")
-    _add_common(p)
+    _add_spec_flags(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sense", help="measure signals with a fresh ensemble")
-    _add_common(p)
-    p.add_argument("--signals", type=str, required=True)
+    p.add_argument("--signals", required=True,
+                   help="npz of real signals, one per row; n is their length")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="the ensemble's seed")
+    p.add_argument("--config", help="JSON file of EnsembleConfig constants")
     p.set_defaults(func=cmd_sense)
 
-    p = sub.add_parser("decode", help="decode measurement files")
-    _add_common(p)
-    p.add_argument("--measurements", type=str, required=True)
+    p = sub.add_parser("decode", help="decode a measurements file")
+    p.add_argument("--measurements", required=True)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("bench", help="run a TrialSpec")
-    _add_common(p)
-    p.add_argument("--spec", type=str, default=None,
-                   help="TrialSpec JSON file (overrides other flags)")
+    _add_spec_flags(p, required=False)
+    p.add_argument("--spec", help="TrialSpec JSON file, in place of the spec flags")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, error=p.error)
 
     p = sub.add_parser("calibrate", help="grid-search ensemble constants")
-    _add_common(p)
-    p.add_argument("--grid", type=str, required=True,
+    # the prony pipeline builds no ensemble, so it has no constant to tune
+    _add_spec_flags(p, pipelines=[x for x in PIPELINES if x != "prony"])
+    p.add_argument("--grid", required=True,
                    help="JSON dict: config field -> list of values")
     p.add_argument("--target", type=float, default=0.9)
     p.set_defaults(func=cmd_calibrate)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", type=Path, default=Path("."))
+
     args = parser.parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)
     return args.func(args)
 
 

@@ -28,12 +28,12 @@ stages index through ``np.searchsorted``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import EnsembleError, Measurements, SensingEnsemble
+from .ensemble import EnsembleError, Measurements, SensingEnsemble, \
+    f_inverse_density
 from .signs import ClusterLabels, build_sign_graph, recover_communities
 from .sketch import estimate_magnitudes, identify_heavy
 
@@ -153,13 +153,14 @@ def prune(S1: np.ndarray, estimates: np.ndarray, L: float, k: int,
           C0: float) -> np.ndarray:
     """Keep the largest prefix of S1 (by estimated magnitude) that clears the
     level-dependent threshold  k*L / (C0 * 2^l0 * (log2(5k) - l0 + 2)^2),
-    where 2^l0 < m <= 2^(l0+1) for prefix length m. ``S1`` is sorted and
+    k*L times F level l0's density (``f_inverse_density``), where
+    2^l0 < m <= 2^(l0+1) for prefix length m. ``S1`` is sorted and
     ``estimates`` is aligned to it. Ties at the cut are all kept. Empty
     result is legal and means the zero vector."""
     S1 = np.asarray(S1, dtype=np.int64)
     z_sorted = -np.sort(-estimates)
     l0 = np.ceil(np.log2(np.arange(1, S1.size + 1))) - 1
-    threshold = k * L / (C0 * 2.0 ** l0 * (math.log2(5 * k) - l0 + 2) ** 2)
+    threshold = k * L / f_inverse_density(k, l0, C0)
     passing = np.flatnonzero(z_sorted ** 2 > threshold)
     if passing.size == 0:
         return np.empty(0, dtype=np.int64)

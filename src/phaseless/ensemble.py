@@ -19,16 +19,17 @@ flip D applied to the signal:
 
 Sensing computes y = |Phi x| block by block; nothing downstream ever sees a
 sign or phase. All randomness is drawn from counter-based streams keyed off
-the config's master seed, so an (n, k, config) triple reproduces the
-ensemble exactly, block by block. Building one therefore computes only D
+one seed, ``build_ensemble``'s ``rng_seed``, so an (n, k, seed, config)
+quadruple reproduces the ensemble exactly, block by block; the config holds
+only the construction constants. Building one therefore computes only D
 and the block keys: each block recomputes the columns a signal or a decode
 touches from its stream (see sparse.py).
 
 The built ensemble owns the row layout: ``SensingEnsemble.rows`` slices a
-block's rows out of y. Measurements carry only y and the (n, k, resolved
-config) that identifies their ensemble, so a measurements file is the whole
-record of a sensing run: ``build_ensemble`` rebuilds its ensemble, and every
-decode entry point checks that identity by value.
+block's rows out of y. Measurements carry only y and the (n, k, seed,
+resolved config) that identifies their ensemble, so a measurements file is
+the whole record of a sensing run: ``build_ensemble`` rebuilds its
+ensemble, and every decode entry point checks that identity by value.
 """
 
 from __future__ import annotations
@@ -62,14 +63,23 @@ class EnsembleError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
+# the config fields that count rows, buckets or repetitions
+_COUNTS = ("rep_log_n", "countsketch_rows", "countsketch_reps", "heavy_K",
+           "top_select", "hh_reps")
+_INTEGER = (int, np.integer)
+_NUMBER = (int, float, np.integer, np.floating)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Constants of the construction.
+    """Constants of the construction; the random draw's seed is not one of
+    them but ``build_ensemble``'s ``rng_seed``.
 
     ``None`` fields are resolved from (n, k) at build time; ``resolve``
     returns a config with every field concrete. Defaults were calibrated
     on the acceptance experiments (the guarantees only pin these constants
-    up to "large enough").
+    up to "large enough"). Count fields must be integers and the others
+    real numbers; any other value raises EnsembleError on construction.
 
     C0      density constant of the F levels (level density
             1 / (C0 * 2^l * (log2(5k) - l + 2)^2), for the levels
@@ -90,7 +100,6 @@ class EnsembleConfig:
                      tail-estimate rows cheaper).
     hh_bucket_factor buckets per unit of heavy_K in the identification block.
     hh_reps          identification repetitions.
-    seed    master RNG seed; every block derives its own stream from it.
     """
 
     C0: float = 0.125
@@ -104,7 +113,17 @@ class EnsembleConfig:
     top_select: int | None = None
     hh_bucket_factor: float = 1.5
     hh_reps: int | None = None
-    seed: int = 0
+
+    def __post_init__(self):
+        # config files and calibration grids reach here: refuse a value of
+        # the wrong type by name, before resolve does arithmetic on it
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            kind, noun = (_INTEGER, "an integer") if name in _COUNTS \
+                else (_NUMBER, "a number")
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, kind)):
+                raise EnsembleError(f"{name} must be {noun}, got {value!r}")
 
     def resolve(self, n: int, k: int) -> "EnsembleConfig":
         log2n = max(1, math.ceil(math.log2(max(n, 2))))
@@ -127,15 +146,8 @@ class EnsembleConfig:
         return resolved
 
     def _validate(self, n: int, k: int) -> None:
-        counts = {
-            "rep_log_n": self.rep_log_n,
-            "countsketch_rows": self.countsketch_rows,
-            "countsketch_reps": self.countsketch_reps,
-            "heavy_K": self.heavy_K,
-            "top_select": self.top_select,
-            "hh_reps": self.hh_reps,
-        }
-        for name, value in counts.items():
+        for name in _COUNTS:
+            value = getattr(self, name)
             if value is None or value < 1:
                 raise EnsembleError(f"{name} must be >= 1, got {value}")
         for name in ("C0", "C1", "c1", "c_F", "hh_bucket_factor"):
@@ -182,8 +194,11 @@ def _f_name(level: int) -> str:
 def _f_log_term(k: int, level: int) -> float:
     return math.log2(5 * k) - level + 2
 
-def _f_density(k: int, level: int, C0: float) -> float:
-    return 1.0 / (C0 * (2 ** level) * _f_log_term(k, level) ** 2)
+def f_inverse_density(k: int, level, C0: float):
+    """C0 * 2^l * (log2(5k) - l + 2)^2, one over F level l's entry density;
+    ``decoder.prune`` divides its threshold by it too. ``level`` may be an
+    array."""
+    return C0 * 2.0 ** level * _f_log_term(k, level) ** 2
 
 def _f_rows(k: int, level: int, c_F: float) -> int:
     return math.ceil(c_F * level * (2 ** level) * _f_log_term(k, level) ** 4)
@@ -197,7 +212,8 @@ def _f_rows(k: int, level: int, c_F: float) -> int:
 class SensingEnsemble:
     n: int
     k: int
-    config: EnsembleConfig          # fully resolved; its seed keys every stream
+    seed: int                       # keys every stream
+    config: EnsembleConfig          # fully resolved
     D: np.ndarray                   # int8[n], +/-1 signs folded into sensing
     blocks: dict[str, ColumnBlock]
     offsets: dict[str, int]
@@ -222,10 +238,11 @@ class SensingEnsemble:
 
     def check(self, measurements: "Measurements") -> None:
         """Raise EnsembleError unless ``measurements`` were sensed by an
-        ensemble with this (n, k, config). Values are compared, not
+        ensemble with this (n, k, seed, config). Values are compared, not
         objects: a rebuild reproduces the ensemble exactly."""
-        mine = (self.n, self.k, self.config)
-        theirs = (measurements.n, measurements.k, measurements.config)
+        mine = (self.n, self.k, self.seed, self.config)
+        theirs = (measurements.n, measurements.k, measurements.seed,
+                  measurements.config)
         if theirs != mine:
             mine, theirs = _identity(*mine), _identity(*theirs)
             raise EnsembleError("measurements come from another ensemble: "
@@ -237,8 +254,8 @@ class SensingEnsemble:
                                 f"rows, the ensemble {self.total_rows}")
 
 
-def _identity(n: int, k: int, config: EnsembleConfig) -> dict:
-    return {"n": n, "k": k, **asdict(config)}
+def _identity(n: int, k: int, seed: int, config: EnsembleConfig) -> dict:
+    return {"n": n, "k": k, "seed": seed, **asdict(config)}
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +264,8 @@ def _identity(n: int, k: int, config: EnsembleConfig) -> dict:
 
 @dataclass
 class Measurements:
-    """y = |Phi x|, and the (n, k, resolved config) of the ensemble that
-    sensed it; ``SensingEnsemble.rows`` addresses its blocks.
+    """y = |Phi x|, and the (n, k, seed, resolved config) of the ensemble
+    that sensed it; ``SensingEnsemble.rows`` addresses its blocks.
 
     ``y`` holds one signal's rows, or a batch as a (signals, rows) array.
     """
@@ -256,6 +273,7 @@ class Measurements:
     y: np.ndarray
     n: int
     k: int
+    seed: int
     config: EnsembleConfig
 
     FORMAT = "phaseless-measurements"
@@ -263,7 +281,7 @@ class Measurements:
 
     def save(self, path) -> None:
         header = {"format": self.FORMAT, "version": self.VERSION,
-                  **_identity(self.n, self.k, self.config)}
+                  **_identity(self.n, self.k, self.seed, self.config)}
         with open(path, "wb") as fh:
             np.savez_compressed(
                 fh, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
@@ -278,8 +296,12 @@ class Measurements:
             version = header.pop("version", None)
             if version != cls.VERSION:
                 raise EnsembleError(f"unsupported measurements version {version}")
-            n, k = header.pop("n"), header.pop("k")
-            return cls(y=data["y"], n=n, k=k,
+            identity = {key: header.pop(key, None) for key in ("n", "k", "seed")}
+            for key, value in identity.items():
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise EnsembleError(f"measurements header: {key} must be "
+                                        f"an integer, got {value!r}")
+            return cls(y=data["y"], **identity,
                        config=EnsembleConfig.from_dict(header))
 
 
@@ -288,20 +310,22 @@ class Measurements:
 # ---------------------------------------------------------------------------
 
 def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
-                   rng_seed: int | None = None) -> SensingEnsemble:
+                   rng_seed: int = 0) -> SensingEnsemble:
     """Construct the full sensing ensemble for an n-dimensional, k-sparse
-    target. Requires k <= n/20 so the heavy-hitter and candidate-cap
-    machinery has room to operate."""
+    target; ``rng_seed`` (a non-negative integer) keys every random stream.
+    Requires k <= n/20 so the heavy-hitter and candidate-cap machinery has
+    room to operate."""
     if n < 1 or k < 1:
         raise EnsembleError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if k > n / 20:
         raise EnsembleError(f"k={k} too large for n={n} (need k <= n/20)")
+    if not isinstance(rng_seed, _INTEGER) or rng_seed < 0:
+        raise EnsembleError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
+    seed = int(rng_seed)
     cfg = (config or EnsembleConfig()).resolve(n, k)
-    if rng_seed is not None:
-        cfg = replace(cfg, seed=int(rng_seed))
 
     f_levels = _f_levels(k, cfg.top_select)
-    words = np.random.SeedSequence(cfg.seed).generate_state(
+    words = np.random.SeedSequence(seed).generate_state(
         3 + cfg.rep_log_n + f_levels.stop, dtype=np.uint64)
     # stream words: D 0, A 1, B 2, E 3, F{2^l} 3 + rep_log_n + l
     keys = {"A": words[1], "B": words[2], "E": words[3]}
@@ -320,7 +344,7 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     blocks["E"] = SparseSignMatrix.bernoulli(
         keys["E"], cfg.rep_log_n * math.ceil(cfg.C1 * k), n, _e_density(k))
     for level in f_levels:
-        p = _f_density(k, level, cfg.C0)
+        p = 1.0 / f_inverse_density(k, level, cfg.C0)
         if not p < 1.0:
             raise EnsembleError(f"F level {level} density {p} >= 1; increase C0")
         name = _f_name(level)
@@ -331,7 +355,7 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     for name in blocks:
         offsets[name] = total
         total += blocks[name].n_rows
-    return SensingEnsemble(n=n, k=k, config=cfg, D=D, blocks=blocks,
+    return SensingEnsemble(n=n, k=k, seed=seed, config=cfg, D=D, blocks=blocks,
                            offsets=offsets, total_rows=total)
 
 
@@ -346,7 +370,7 @@ def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
     y = np.empty(ensemble.total_rows, dtype=np.float64)
     for name, blk in ensemble.blocks.items():
         y[ensemble.rows(name)] = np.abs(blk.apply(dx))
-    return Measurements(y, ensemble.n, ensemble.k, ensemble.config)
+    return Measurements(y, ensemble.n, ensemble.k, ensemble.seed, ensemble.config)
 
 
 def row_count(ensemble: SensingEnsemble) -> dict[str, int]:
@@ -362,7 +386,8 @@ def row_count(ensemble: SensingEnsemble) -> dict[str, int]:
 
 
 def planned_row_counts(n: int, k: int, config: EnsembleConfig | None = None) -> dict[str, int]:
-    """Per-family row counts of the (n, k, config) ensemble. Building one
+    """Per-family row counts of the (n, k, config) ensemble, which no seed
+    changes. Building one
     computes only D and the block keys, so the planner counts a build."""
     counts = row_count(build_ensemble(n, k, config))
     return {fam: counts[f"{fam}_family"] for fam in "ABEF"} | {"total": counts["total"]}

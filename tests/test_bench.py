@@ -8,7 +8,7 @@ import pytest
 from phaseless.bench import (TrialSpec, calibrate, edge_error_experiment,
                              gen_signal, min_flip_error_sq, run_trials,
                              tail_norm_sq, twin_phase_error, wilson_interval)
-from phaseless.ensemble import EnsembleConfig
+from phaseless.ensemble import EnsembleConfig, EnsembleError
 
 
 def strip_time(records):
@@ -55,6 +55,20 @@ def test_trial_spec_validation_and_json():
     spec = TrialSpec(n=64, k=2, seed=5, config=EnsembleConfig(C0=0.5))
     again = TrialSpec.from_json(spec.to_json())
     assert again == spec
+    # unknown keys once escaped as a bare TypeError from __init__
+    with pytest.raises(ValueError, match="outer_reps"):
+        TrialSpec.from_json(json.dumps({"n": 64, "k": 2, "outer_reps": 3}))
+
+
+def test_prony_spec_holds_only_what_the_pipeline_reads():
+    # the deterministic pipeline once drew exactly sparse complex signals
+    # whatever the model, and ignored the config
+    with pytest.raises(ValueError, match="prony"):
+        TrialSpec(n=64, k=3, pipeline="prony", signal_model="power-law")
+    with pytest.raises(ValueError, match="prony"):
+        TrialSpec(n=64, k=3, pipeline="prony", config=EnsembleConfig(C0=0.5))
+    with pytest.raises(ValueError, match="prony"):
+        calibrate({"C0": [0.125]}, TrialSpec(n=64, k=3, pipeline="prony"), 0.5)
 
 
 def test_report_integrity_and_formats(tmp_path):
@@ -154,6 +168,14 @@ def test_calibrate_rejects_empty_grid():
         calibrate({}, TrialSpec(n=64, k=2, trials=1), 0.5)
     with pytest.raises(ValueError):
         calibrate({"C0": []}, TrialSpec(n=64, k=2, trials=1), 0.5)
+
+
+def test_calibrate_grid_names_unknown_keys():
+    # an unknown key once escaped as a bare TypeError from replace
+    with pytest.raises(EnsembleError, match="nope"):
+        calibrate({"nope": [1]}, TrialSpec(n=64, k=2, trials=1), 0.5)
+    with pytest.raises(EnsembleError, match="seed"):
+        calibrate({"seed": [1, 2]}, TrialSpec(n=64, k=2, trials=1), 0.5)
 
 
 def test_doubling_c0_reduces_edge_noise():

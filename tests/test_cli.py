@@ -1,11 +1,13 @@
 """CLI subcommand flows on tiny problem sizes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from phaseless import EnsembleError, apply_phaseless, build_ensemble, decode
+from phaseless import (EnsembleError, Measurements, apply_phaseless,
+                       build_ensemble, decode)
 from phaseless.cli import main
 
 
@@ -17,7 +19,7 @@ def test_gen_sense_decode_flow(tmp_path):
         assert data["signals"].shape == (3, 256)
 
     sensed = tmp_path / "sensed"
-    assert main(["sense", "--signals", str(sig / "signals.npz"), "--n", "256",
+    assert main(["sense", "--signals", str(sig / "signals.npz"),
                  "--k", "3", "--seed", "5", "--out", str(sensed)]) == 0
     assert [p.name for p in sensed.iterdir()] == ["measurements.npz"]
 
@@ -65,7 +67,7 @@ def test_gen_complex_signals_use_native_dtype(tmp_path):
         spec = TrialSpec(n=64, k=3, trials=2, seed=7, pipeline="prony")
         assert np.array_equal(stored[1], gen_signal(spec, 1))
     # the real-signal pipeline refuses complex inputs
-    assert main(["sense", "--signals", str(out / "signals.npz"), "--n", "64",
+    assert main(["sense", "--signals", str(out / "signals.npz"),
                  "--k", "3", "--out", str(tmp_path / "x")]) == 1
 
 
@@ -98,7 +100,7 @@ def test_calibrate_exit_codes(tmp_path):
 
 def test_config_file_is_honored(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"C0": 0.5, "seed": 9}))
+    cfg.write_text(json.dumps({"C0": 0.5}))
     out = tmp_path / "bench"
     assert main(["bench", "--n", "512", "--k", "4", "--trials", "2",
                  "--seed", "2", "--config", str(cfg), "--out", str(out)]) == 0
@@ -114,3 +116,63 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         main(["bench", "--n", "512", "--k", "4", "--trials", "2",
               "--seed", "2", "--config", str(cfg),
               "--out", str(tmp_path / "bench")])
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+SPEC_FLAGS = {"--n", "--k", "--trials", "--seed", "--config", "--model",
+              "--pipeline", "--out"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("gen", SPEC_FLAGS),
+    ("sense", {"--signals", "--k", "--seed", "--config", "--out"}),
+    ("decode", {"--measurements", "--out"}),
+    ("bench", SPEC_FLAGS | {"--spec", "--workers"}),
+    ("calibrate", SPEC_FLAGS | {"--grid", "--target"}),
+])
+def test_each_subcommand_takes_only_the_flags_it_reads(command, flags, capsys):
+    assert _exit_code([command, "--help"]) == 0
+    shown = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+    assert shown - {"--help"} == flags
+
+
+def test_flags_a_subcommand_ignored_are_exit_codes(tmp_path):
+    # decode once took and ignored every spec flag, and sense took --n
+    # beside the signals that fix it
+    assert _exit_code(["decode", "--measurements", "m.npz",
+                         "--config", "x.json"]) == 2
+    assert _exit_code(["sense", "--signals", "s.npz", "--k", "3",
+                         "--n", "64"]) == 2
+    # calibrating the prony pipeline would tune constants it never reads
+    assert _exit_code(["calibrate", "--grid", "g.json", "--n", "64",
+                         "--k", "3", "--pipeline", "prony"]) == 2
+    # --spec once silently won over the spec flags
+    assert _exit_code(["bench", "--spec", "spec.json", "--n", "64",
+                         "--out", str(tmp_path)]) == 2
+    assert _exit_code(["bench", "--k", "3", "--out", str(tmp_path)]) == 2
+
+
+def test_sense_writes_its_seed_and_config_files_hold_no_seed(tmp_path):
+    sig = tmp_path / "sig"
+    assert main(["gen", "--n", "256", "--k", "3", "--trials", "1",
+                 "--out", str(sig)]) == 0
+    assert main(["sense", "--signals", str(sig / "signals.npz"), "--k", "3",
+                 "--seed", "9", "--out", str(tmp_path)]) == 0
+    assert Measurements.load(tmp_path / "measurements.npz").seed == 9
+    # a seed in a config file was once read by no command
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"C0": 0.5, "seed": 9}))
+    with pytest.raises(EnsembleError, match="seed"):
+        main(["sense", "--signals", str(sig / "signals.npz"), "--k", "3",
+              "--config", str(cfg), "--out", str(tmp_path)])
+
+
+def test_gen_refuses_a_model_the_prony_pipeline_ignores(tmp_path):
+    with pytest.raises(ValueError, match="prony"):
+        main(["gen", "--n", "64", "--k", "3", "--pipeline", "prony",
+              "--model", "power-law", "--out", str(tmp_path)])

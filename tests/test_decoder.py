@@ -340,7 +340,9 @@ def test_measurements_from_another_ensemble_are_refused(change):
     # ValueError or IndexError, depending on which constant differed
     x, _ = exact_sparse(np.random.default_rng(31), N, K)
     ens = build(5)
-    other = build_ensemble(N, K, config=dataclasses.replace(ens.config, **change))
+    constants = {key: v for key, v in change.items() if key != "seed"}
+    other = build_ensemble(N, K, config=dataclasses.replace(ens.config, **constants),
+                           rng_seed=change.get("seed", 5))
     meas = apply_phaseless(other, x)
     field = next(iter(change))
     with pytest.raises(EnsembleError, match=field):

@@ -152,6 +152,30 @@ def test_config_rejects_non_finite_constants(field, value):
             json.dumps({field: value})))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rep_log_n", 3.0), ("hh_reps", 3.0), ("countsketch_reps", True),
+    ("heavy_K", "40"), ("c1", "0.7"), ("C0", "0.5"), ("hh_bucket_factor", False),
+])
+def test_config_rejects_values_of_the_wrong_type(field, value):
+    # float counts escaped as a bare TypeError from SeedSequence, True
+    # counted one repetition, and string constants failed in arithmetic
+    with pytest.raises(EnsembleError, match=field):
+        EnsembleConfig(**{field: value})
+    with pytest.raises(EnsembleError, match=field):
+        EnsembleConfig.from_json(json.dumps({field: value}))
+
+
+def test_the_seed_is_a_build_argument_not_a_constant():
+    assert "seed" not in EnsembleConfig.__dataclass_fields__
+    with pytest.raises(EnsembleError, match="seed"):
+        EnsembleConfig.from_json('{"seed": 9}')
+    assert build_ensemble(N, K, rng_seed=9).seed == 9
+    assert build_ensemble(N, K).seed == 0
+    for seed in (-1, 2.5, "3"):
+        with pytest.raises(EnsembleError, match="rng_seed"):
+            build_ensemble(N, K, rng_seed=seed)
+
+
 def test_config_json_round_trip():
     cfg = EnsembleConfig().resolve(N, K)
     again = EnsembleConfig.from_json(cfg.to_json())
@@ -223,9 +247,10 @@ def test_measurements_serialization_round_trip(tmp_path, ens):
     loaded = Measurements.load(path)
     assert loaded.y.dtype == np.float64
     assert loaded.y.tobytes() == meas.y.tobytes()
-    assert (loaded.n, loaded.k, loaded.config) == (N, K, ens.config)
+    assert (loaded.n, loaded.k, loaded.seed, loaded.config) == (N, K, SEED, ens.config)
     # the file alone rebuilds its ensemble, which decodes it as before
-    rebuilt = build_ensemble(loaded.n, loaded.k, config=loaded.config)
+    rebuilt = build_ensemble(loaded.n, loaded.k, config=loaded.config,
+                             rng_seed=loaded.seed)
     assert np.array_equal(rebuilt.D, ens.D)
     assert decode(rebuilt, loaded).to_json() == decode(ens, meas).to_json()
 
@@ -256,6 +281,28 @@ def test_measurements_load_rejects_other_versions(tmp_path, ens):
                                             dtype=np.uint8), y=np.zeros(3))
         with pytest.raises(EnsembleError, match="version"):
             Measurements.load(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", None), ("k", None), ("seed", None), ("k", "3"), ("n", 1024.0),
+    ("seed", True),
+])
+def test_measurements_load_rejects_a_bad_identity(tmp_path, ens, key, value):
+    # a missing key was a bare KeyError, and "k": "3" loaded and then
+    # failed in build_ensemble
+    path = tmp_path / "bad.npz"
+    meas = apply_phaseless(ens, np.zeros(N))
+    meas.save(path)
+    with np.load(path) as data:
+        header, y = json.loads(bytes(data["header"]).decode()), data["y"]
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
+                                        dtype=np.uint8), y=y)
+    with pytest.raises(EnsembleError, match=f"{key} must be an integer"):
+        Measurements.load(path)
 
 
 def test_public_names_resolve():
