@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .decoder import decode, decode_amplified
+from .decoder import decode_amplified
 from .ensemble import EnsembleConfig, EnsembleError, apply_phaseless, \
     build_ensemble, planned_row_counts
 from .prony import DeterministicScheme, conjugate_reflection, det_measure, \
@@ -220,21 +220,14 @@ def _run_one(spec: TrialSpec, t: int) -> dict:
                           rows_total=scheme.n_measurements, leaves=out.leaves)
         else:
             tail_sq = tail_norm_sq(x, spec.k)
-            if spec.pipeline == "cphase":
-                ens = build_ensemble(spec.n, spec.k, config=spec.config,
-                                     rng_seed=_ensemble_seed(spec.seed, t))
-                meas = apply_phaseless(ens, x)
-                result = decode(ens, meas)
-                rows_total = ens.total_rows
-            else:
-                ensembles, measurements = [], []
-                for rep in range(AMPLIFIED_REPLICAS):
-                    ens = build_ensemble(spec.n, spec.k, config=spec.config,
-                                         rng_seed=_ensemble_seed(spec.seed, t, rep))
-                    ensembles.append(ens)
-                    measurements.append(apply_phaseless(ens, x))
-                result = decode_amplified(ensembles, measurements)
-                rows_total = ensembles[0].total_rows
+            replicas = AMPLIFIED_REPLICAS \
+                if spec.pipeline == "cphase-amplified" else 1
+            ensembles = [build_ensemble(spec.n, spec.k, config=spec.config,
+                                        rng_seed=_ensemble_seed(spec.seed, t, rep))
+                         for rep in range(replicas)]
+            result = decode_amplified(ensembles, [apply_phaseless(ens, x)
+                                                  for ens in ensembles])
+            rows_total = ensembles[0].total_rows
             x_hat = result.to_dense()
             err_sq = min_flip_error_sq(x, x_hat)
             acc, errs = sign_accuracy(x, result.indices, result.values)

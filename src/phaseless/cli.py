@@ -70,7 +70,7 @@ def cmd_gen(args) -> int:
 
 def cmd_sense(args) -> int:
     with np.load(Path(args.signals)) as data:
-        signals = data["signals"]
+        signals = np.atleast_2d(data["signals"])
     if np.iscomplexobj(signals):
         print("sense drives the randomized (real-signal) pipeline; this "
               "file holds complex signals for the deterministic one")
@@ -89,14 +89,15 @@ def cmd_decode(args) -> int:
     ensemble = build_ensemble(batch.n, batch.k, config=batch.config,
                               rng_seed=batch.seed)
     failures = 0
-    for t, y in enumerate(batch.y):
+    ys = np.atleast_2d(batch.y)
+    for t, y in enumerate(ys):
         path = args.out / f"result_y{t:05d}.json"
         try:
             path.write_text(decode(ensemble, replace(batch, y=y)).to_json())
         except Exception as exc:
             failures += 1
             path.write_text(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-    print(f"decoded {len(batch.y)} measurement vectors ({failures} failures)")
+    print(f"decoded {len(ys)} measurement vectors ({failures} failures)")
     return 1 if failures else 0
 
 

@@ -13,9 +13,12 @@ Stages, in order:
                        relative-sign tests above the interference floor.
 5. relative signs    - agree/differ votes on pairs of S2, read off as two
                        sign classes by one eigenvector (signs.py).
-6. assembly          - signed magnitudes on S2, un-flipping the ensemble's
-                       D at the very end; a member of S2 that no pair test
-                       reached keeps its bare magnitude.
+6. assembly          - signed magnitudes on S2: a majority vote over the
+                       replicas' sign stages, each un-flipped by its own
+                       D, relative to the largest member some replica
+                       reached. ``decode`` is the one-replica case; a
+                       member of S2 that no voter reached keeps its bare
+                       magnitude.
 
 Every stage reads measurements through block slices and the columns of the
 candidates, which each block recomputes from its stream, so the work after
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import EnsembleError, Measurements, SensingEnsemble, \
-    f_inverse_density
+    e_inverse_density, f_inverse_density
 from .signs import ClusterLabels, build_sign_graph, recover_communities
 from .sketch import estimate_magnitudes, identify_heavy
 
@@ -57,7 +60,6 @@ class TailEstimationError(RuntimeError):
 class TailEnergyEstimate:
     L: float
     per_rep: np.ndarray          # kept bands' values, median of which is L
-    n_excluded: int = 0          # bands of E with no disjoint row
 
 
 @dataclass
@@ -127,7 +129,7 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
     """
     ensemble.check(measurements)
     cfg = ensemble.config
-    scale = cfg.c1 * (max(ensemble.k, 2) / ensemble.k)   # E density 1/max(k, 2)
+    scale = cfg.c1 * (e_inverse_density(ensemble.k) / ensemble.k)
     block = ensemble.blocks["E"]
     hit_rows, _, _ = block.rows_of_many(np.asarray(S1, dtype=np.int64))
     disjoint = np.ones(block.n_rows, dtype=bool)
@@ -145,8 +147,7 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
             "increase C1 or rep_log_n")
     sums = np.where(disjoint, yE ** 2, 0.0).sum(axis=1)
     per_rep = scale * (sums[kept] / count[kept])
-    return TailEnergyEstimate(L=float(np.median(per_rep)), per_rep=per_rep,
-                              n_excluded=int(np.sum(~kept)))
+    return TailEnergyEstimate(L=float(np.median(per_rep)), per_rep=per_rep)
 
 
 def prune(S1: np.ndarray, estimates: np.ndarray, L: float, k: int,
@@ -192,87 +193,74 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
 
 def decode(ensemble: SensingEnsemble, measurements: Measurements
            ) -> RecoveryResult:
-    """Run the full pipeline on one set of measurements."""
-    ensemble.check(measurements)
-    if not np.all(np.isfinite(measurements.y)):
-        raise EnsembleError("measurements must be finite")
-    diagnostics = DecodeDiagnostics()
-    cfg = ensemble.config
-
-    yA = measurements.y[ensemble.rows("A")]
-    S0 = identify_heavy(ensemble.blocks["A"], cfg.heavy_K, yA)
-    diagnostics.y_reads += yA.size
-
-    estimates = estimate_magnitudes(ensemble.blocks["B"],
-                                    measurements.y[ensemble.rows("B")], S0)
-    diagnostics.y_reads += S0.size * cfg.countsketch_reps
-    diagnostics.index_reads += S0.size * cfg.countsketch_reps
-
-    S1 = _select_top(S0, estimates, cfg.top_select)
-    tail = estimate_tail_energy(ensemble, measurements, S1, diagnostics)
-    S2 = prune(S1, estimates[np.searchsorted(S0, S1)], tail.L, ensemble.k,
-               cfg.C0)
-    est2 = estimates[np.searchsorted(S0, S2)]
-
-    labels = None
-    values = np.empty(0)
-    if S2.size:
-        labels = _sign_stage(ensemble, measurements, S2, est2, diagnostics)
-        # undo the sensing-side flip; a vertex no test reached keeps its
-        # bare magnitude
-        values = np.where(labels.isolated, est2,
-                          labels.labels * est2 * ensemble.D[S2])
-    signs_failed = S2.size > 1 and labels.flagged
-    return RecoveryResult(n=ensemble.n, indices=S2, values=values,
-                          S0=S0, S1=S1, S2=S2, tail_energy=tail,
-                          labels=labels, signs_failed=signs_failed,
-                          diagnostics=diagnostics)
+    """Run the full pipeline on one set of measurements: the one-replica
+    ``decode_amplified``."""
+    return decode_amplified([ensemble], [measurements])
 
 
 def decode_amplified(ensembles: list[SensingEnsemble],
                      y_list: list[Measurements]) -> RecoveryResult:
-    """Majority-vote variant: candidate sets, magnitudes and pruning come
-    from the first ensemble; every ensemble casts one vote per coordinate
-    for its relative sign against the anchor, the largest-magnitude member
-    of S2. The first ensemble votes with the labels ``decode`` found; each
-    other one runs the sign stage on S2, and its reads are counted too.
+    """Run the full pipeline with one sign stage per replica, and assemble
+    the signs by majority vote.
 
-    Votes are cast in signal space: each replica's label pair is un-flipped
-    by that replica's own D before voting, so replicas with different D
-    agree on what they are voting about. A replica votes only with
-    evidence: not on the vertices its sign graph left isolated, and not at
-    all when the anchor is isolated. ``signs_failed`` is set when some
-    member of S2 received no vote.
+    Candidate sets, magnitudes and pruning come from the first ensemble,
+    whose sign labels the result keeps. Every replica, the first included,
+    runs the sign stage on S2, and all their reads are counted. Votes are
+    cast in signal space: each replica's labels are un-flipped by that
+    replica's own D, so replicas with different D agree on what they are
+    voting about. The anchor is the largest-magnitude member of S2 that
+    some replica reached; the replicas that reached it vote, one vote per
+    member they reached, for its sign relative to the anchor, and a tie
+    sides with the anchor. The result takes the first voter's orientation,
+    so one replica reproduces its own labels exactly. A member no voter
+    reached keeps its bare magnitude, and ``signs_failed`` is set when
+    |S2| > 1 and such a member exists.
     """
     if not ensembles or len(ensembles) != len(y_list):
         raise ValueError("need matching, nonempty ensemble and measurement lists")
-    # decode checks the primary's measurements
-    for ens, meas in zip(ensembles[1:], y_list[1:]):
+    primary = ensembles[0]
+    for ens, meas in zip(ensembles, y_list):
+        if ens.n != primary.n:
+            raise EnsembleError(f"replicas must share the signal length: "
+                                f"n={ens.n} (first ensemble: n={primary.n})")
         ens.check(meas)
         if not np.all(np.isfinite(meas.y)):
             raise EnsembleError("measurements must be finite")
-    primary = ensembles[0]
-    base = decode(primary, y_list[0])
-    S2 = base.S2
-    if S2.size <= 1:
-        return base
-    mags = np.abs(base.values)               # base.indices is S2
-    anchor = int(np.argmax(mags))            # position of the anchor in S2
+    measurements = y_list[0]
+    diagnostics = DecodeDiagnostics()
+    cfg = primary.config
 
-    diagnostics = base.diagnostics
-    votes = np.zeros(S2.size)
-    heard = np.zeros(S2.size, dtype=bool)
-    for r, (ens, meas) in enumerate(zip(ensembles, y_list)):
-        labels = base.labels if r == 0 else \
-            _sign_stage(ens, meas, S2, mags, diagnostics)
-        if labels.isolated[anchor]:
-            continue
-        signed = ens.D[S2] * labels.labels
-        votes += np.where(labels.isolated, 0, signed * signed[anchor])
-        heard |= ~labels.isolated
-    rel_signs = np.where(votes >= 0, 1, -1)
-    return RecoveryResult(n=primary.n, indices=S2, values=rel_signs * mags,
-                          S0=base.S0, S1=base.S1, S2=S2,
-                          tail_energy=base.tail_energy, labels=base.labels,
-                          signs_failed=not heard.all(),
+    yA = measurements.y[primary.rows("A")]
+    S0 = identify_heavy(primary.blocks["A"], cfg.heavy_K, yA)
+    diagnostics.y_reads += yA.size
+
+    estimates = estimate_magnitudes(primary.blocks["B"],
+                                    measurements.y[primary.rows("B")], S0)
+    diagnostics.y_reads += S0.size * cfg.countsketch_reps
+    diagnostics.index_reads += S0.size * cfg.countsketch_reps
+
+    S1 = _select_top(S0, estimates, cfg.top_select)
+    tail = estimate_tail_energy(primary, measurements, S1, diagnostics)
+    S2 = prune(S1, estimates[np.searchsorted(S0, S1)], tail.L, primary.k,
+               cfg.C0)
+    est2 = estimates[np.searchsorted(S0, S2)]
+
+    labels, values, signs_failed = None, est2, False
+    if S2.size:
+        replicas = [_sign_stage(ens, meas, S2, est2, diagnostics)
+                    for ens, meas in zip(ensembles, y_list)]
+        labels = replicas[0]
+        # per replica, signs in signal space; 0 where it reached no vertex
+        signed = np.array([np.where(r.isolated, 0, ens.D[S2] * r.labels)
+                           for ens, r in zip(ensembles, replicas)])
+        anchor = np.argmax(np.where(signed.any(axis=0), est2, -np.inf))
+        voters = signed[signed[:, anchor] != 0]
+        votes = voters[:, anchor] @ voters
+        heard = voters.any(axis=0)
+        first = voters[0, anchor] if len(voters) else 1
+        values = np.where(heard, np.where(votes >= 0, first, -first), 1) * est2
+        signs_failed = S2.size > 1 and not heard.all()
+    return RecoveryResult(n=primary.n, indices=S2, values=values,
+                          S0=S0, S1=S1, S2=S2, tail_energy=tail,
+                          labels=labels, signs_failed=signs_failed,
                           diagnostics=diagnostics)

@@ -178,9 +178,10 @@ class EnsembleConfig:
 # structural helpers of the builder
 # ---------------------------------------------------------------------------
 
-def _e_density(k: int) -> float:
-    """min(1/k, 1/2): at k = 1 a density of 1 would put S1 in every row."""
-    return 1.0 / max(k, 2)
+def e_inverse_density(k: int) -> int:
+    """max(k, 2), one over E's entry density: at k = 1 a density of 1 would
+    put S1 in every row. ``decoder.estimate_tail_energy`` scales by it."""
+    return max(k, 2)
 
 def _f_levels(k: int, top_select: int) -> range:
     """The F levels the sign stage can pick: 2 to top_select candidates."""
@@ -342,7 +343,8 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     blocks["B"] = sketch.build_countsketch_block(
         keys["B"], n, cfg.countsketch_rows, cfg.countsketch_reps)
     blocks["E"] = SparseSignMatrix.bernoulli(
-        keys["E"], cfg.rep_log_n * math.ceil(cfg.C1 * k), n, _e_density(k))
+        keys["E"], cfg.rep_log_n * math.ceil(cfg.C1 * k), n,
+        1.0 / e_inverse_density(k))
     for level in f_levels:
         p = 1.0 / f_inverse_density(k, level, cfg.C0)
         if not p < 1.0:

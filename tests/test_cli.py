@@ -176,3 +176,32 @@ def test_gen_refuses_a_model_the_prony_pipeline_ignores(tmp_path):
     with pytest.raises(ValueError, match="prony"):
         main(["gen", "--n", "64", "--k", "3", "--pipeline", "prony",
               "--model", "power-law", "--out", str(tmp_path)])
+
+
+def _one_signal():
+    x = np.zeros(256)
+    x[[3, 90, 200]] = [4.0, -2.0, 1.5]
+    return x, build_ensemble(256, 3, rng_seed=5)
+
+
+def test_sense_takes_one_signal_as_a_batch_of_one(tmp_path):
+    # a 1-D signals array once ended in a bare EnsembleError on its shape
+    x, ens = _one_signal()
+    np.savez_compressed(tmp_path / "one.npz", signals=x)
+    assert main(["sense", "--signals", str(tmp_path / "one.npz"), "--k", "3",
+                 "--seed", "5", "--out", str(tmp_path)]) == 0
+    meas = Measurements.load(tmp_path / "measurements.npz")
+    assert np.array_equal(meas.y, apply_phaseless(ens, x).y[None, :])
+
+
+def test_decode_takes_one_signals_measurements_as_a_batch_of_one(tmp_path):
+    # a 1-D y once made decode treat each of its scalars as a measurement
+    # vector: one error file per row, and exit status 1
+    x, ens = _one_signal()
+    apply_phaseless(ens, x).save(tmp_path / "single.npz")
+    dec = tmp_path / "dec"
+    assert main(["decode", "--measurements", str(tmp_path / "single.npz"),
+                 "--out", str(dec)]) == 0
+    assert [p.name for p in dec.iterdir()] == ["result_y00000.json"]
+    assert (dec / "result_y00000.json").read_text() == \
+        decode(ens, apply_phaseless(ens, x)).to_json()

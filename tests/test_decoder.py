@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from phaseless import (EnsembleConfig, EnsembleError, TailEstimationError, apply_phaseless, build_ensemble,
-                       decode, decode_amplified, estimate_tail_energy, prune)
+                       decode, decode_amplified, decoder, estimate_tail_energy, prune)
 from phaseless.bench import SUCCESS_FACTOR, min_flip_error_sq, tail_norm_sq
-from phaseless.signs import build_sign_graph
+from phaseless.signs import ClusterLabels, build_sign_graph
 
 from helpers import exact_sparse, spikes_plus_tail
 
@@ -260,11 +260,55 @@ def amplified_setup(seed, reps=3, **cfg):
 
 
 def test_amplified_agrees_with_decode_when_unanimous():
-    ensembles, measurements, x = amplified_setup(21)
-    plain = decode(ensembles[0], measurements[0]).to_dense()
-    amp = decode_amplified(ensembles, measurements).to_dense()
-    # identical up to the arbitrary global orientation
-    assert np.array_equal(amp, plain) or np.array_equal(amp, -plain)
+    negative_anchor = False
+    for seed in (21, 25, 26, 27):
+        ensembles, measurements, _ = amplified_setup(seed)
+        plain = decode(ensembles[0], measurements[0])
+        amp = decode_amplified(ensembles, measurements)
+        assert not plain.signs_failed and plain.S2.size > 1
+        # not only up to sign: the first voter's orientation is kept
+        assert np.array_equal(amp.values, plain.values), seed
+        negative_anchor |= plain.values[np.argmax(np.abs(plain.values))] < 0
+    assert negative_anchor
+
+
+def test_decode_is_the_one_replica_amplified_decode():
+    sizes, negative_anchor = set(), False
+    for cfg in ({}, {"C0": 50.0, "c_F": 0.01}):
+        for seed in range(6):
+            ens = build(40 + seed, **cfg)
+            rng = np.random.default_rng(400 + seed)
+            x = (np.zeros(N), exact_sparse(rng, N, 1)[0],
+                 exact_sparse(rng, N, K)[0])[seed % 3]
+            meas = apply_phaseless(ens, x)
+            plain = decode(ens, meas)
+            assert plain.to_json() == decode_amplified([ens], [meas]).to_json()
+            sizes.add(min(plain.S2.size, 2))
+            if plain.S2.size > 1:
+                negative_anchor |= plain.values[np.argmax(np.abs(plain.values))] < 0
+    assert sizes == {0, 1, 2} and negative_anchor
+
+
+def test_anchor_moves_past_a_member_no_replica_reached(monkeypatch):
+    # every replica's graph isolates the largest member of S2; the largest
+    # member some replica reached anchors the vote instead
+    ensembles, measurements, _ = amplified_setup(24)
+
+    def pattern(m):
+        # the signal-space signs every replica reports
+        return np.where(np.arange(m) % 3 == 1, -1, 1)
+
+    def sign_stage(ens, meas, S2, estimates, diagnostics):
+        isolated = np.arange(S2.size) == np.argmax(estimates)
+        return ClusterLabels(pattern(S2.size) * ens.D[S2], isolated)
+
+    monkeypatch.setattr(decoder, "_sign_stage", sign_stage)
+    amp = decode_amplified(ensembles, measurements)
+    est2 = np.abs(amp.values)
+    largest = np.argmax(est2)
+    expect = np.where(np.arange(est2.size) == largest, 1, pattern(est2.size))
+    assert amp.S2.size > 2 and amp.signs_failed
+    assert np.array_equal(amp.values, expect * est2)
 
 
 def test_amplified_absorbs_one_corrupted_replica():
@@ -330,6 +374,18 @@ def test_amplified_validates_inputs():
     nan = dataclasses.replace(replica, y=np.full_like(replica.y, np.nan))
     with pytest.raises(EnsembleError, match="finite"):
         decode_amplified(ensembles, [measurements[0], nan, measurements[2]])
+
+
+def test_amplified_refuses_replicas_of_another_n():
+    # such a replica once raised a bare IndexError, or voted with columns
+    # of another signal length when S2 lay below its n
+    x, _ = exact_sparse(np.random.default_rng(33), N, 4)
+    ensembles = [build_ensemble(N, 4, rng_seed=3),
+                 build_ensemble(N // 2, 4, rng_seed=3)]
+    measurements = [apply_phaseless(ensembles[0], x),
+                    apply_phaseless(ensembles[1], x[: N // 2])]
+    with pytest.raises(EnsembleError, match=f"n={N // 2}"):
+        decode_amplified(ensembles, measurements)
 
 
 # -- ensemble identity -------------------------------------------------------
