@@ -227,7 +227,6 @@ def _run_one(spec: TrialSpec, t: int) -> dict:
                          for rep in range(replicas)]
             result = decode_amplified(ensembles, [apply_phaseless(ens, x)
                                                   for ens in ensembles])
-            rows_total = ensembles[0].total_rows
             x_hat = result.to_dense()
             err_sq = min_flip_error_sq(x, x_hat)
             acc, errs = sign_accuracy(x, result.indices, result.values)
@@ -239,7 +238,7 @@ def _run_one(spec: TrialSpec, t: int) -> dict:
                 L=None if result.tail_energy is None else result.tail_energy.L,
                 sign_accuracy=acc, sign_errors=errs,
                 signs_failed=bool(result.signs_failed),
-                rows_total=rows_total,
+                rows_total=sum(ens.total_rows for ens in ensembles),
                 touches=result.diagnostics.total_touches())
     except Exception as exc:  # record, never abort the batch
         record["error"] = f"{type(exc).__name__}: {exc}"

@@ -13,12 +13,11 @@ Stages, in order:
                        relative-sign tests above the interference floor.
 5. relative signs    - agree/differ votes on pairs of S2, read off as two
                        sign classes by one eigenvector (signs.py).
-6. assembly          - signed magnitudes on S2: a majority vote over the
-                       replicas' sign stages, each un-flipped by its own
-                       D, relative to the largest member some replica
-                       reached. ``decode`` is the one-replica case; a
-                       member of S2 that no voter reached keeps its bare
-                       magnitude.
+6. assembly          - signed magnitudes on S2 from one synchronization
+                       over every replica's votes, moved into replica 0's
+                       frame. ``decode`` is the one-replica case. A member
+                       no vote reached keeps its bare magnitude; a graph
+                       in more than one component sets ``signs_failed``.
 
 Every stage reads measurements through block slices and the columns of the
 candidates, which each block recomputes from its stream, so the work after
@@ -37,7 +36,8 @@ import numpy as np
 
 from .ensemble import EnsembleError, Measurements, SensingEnsemble, \
     e_inverse_density, f_inverse_density
-from .signs import ClusterLabels, build_sign_graph, recover_communities
+from .signs import ClusterLabels, SignGraph, build_sign_graph, \
+    recover_communities
 from .sketch import estimate_magnitudes, identify_heavy
 
 __all__ = [
@@ -87,8 +87,8 @@ class RecoveryResult:
     S1: np.ndarray
     S2: np.ndarray
     tail_energy: TailEnergyEstimate | None
-    labels: ClusterLabels | None
-    signs_failed: bool           # |S2| > 1 and some member of S2 is isolated
+    labels: ClusterLabels | None  # of the summed vote graph, replica 0's frame
+    signs_failed: bool           # |S2| > 1 and the summed graph is disconnected
     diagnostics: DecodeDiagnostics = field(default_factory=DecodeDiagnostics)
 
     def to_dense(self) -> np.ndarray:
@@ -178,7 +178,7 @@ def _select_top(S0: np.ndarray, estimates: np.ndarray, cap: int) -> np.ndarray:
 
 def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
                 S2: np.ndarray, estimates: np.ndarray,
-                diagnostics: DecodeDiagnostics) -> ClusterLabels:
+                diagnostics: DecodeDiagnostics) -> SignGraph:
     name = ensemble.f_block(S2.size)
     # a single candidate has no pair to test, and top_select = 1 builds no
     # F level at all
@@ -188,7 +188,7 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
     diagnostics.edges_sampled += graph.pair_rows
     diagnostics.y_reads += graph.pair_rows
     diagnostics.index_reads += graph.entries
-    return recover_communities(graph)
+    return graph
 
 
 def decode(ensemble: SensingEnsemble, measurements: Measurements
@@ -200,21 +200,20 @@ def decode(ensemble: SensingEnsemble, measurements: Measurements
 
 def decode_amplified(ensembles: list[SensingEnsemble],
                      y_list: list[Measurements]) -> RecoveryResult:
-    """Run the full pipeline with one sign stage per replica, and assemble
-    the signs by majority vote.
+    """Run the full pipeline with one sign stage per replica, and read the
+    signs off all their votes at once.
 
-    Candidate sets, magnitudes and pruning come from the first ensemble,
-    whose sign labels the result keeps. Every replica, the first included,
-    runs the sign stage on S2, and all their reads are counted. Votes are
-    cast in signal space: each replica's labels are un-flipped by that
-    replica's own D, so replicas with different D agree on what they are
-    voting about. The anchor is the largest-magnitude member of S2 that
-    some replica reached; the replicas that reached it vote, one vote per
-    member they reached, for its sign relative to the anchor, and a tie
-    sides with the anchor. The result takes the first voter's orientation,
-    so one replica reproduces its own labels exactly. A member no voter
-    reached keeps its bare magnitude, and ``signs_failed`` is set when
-    |S2| > 1 and such a member exists.
+    Candidate sets, magnitudes and pruning come from the first ensemble.
+    Every replica, the first included, runs the sign stage on S2, and all
+    their reads are counted. A vote on (u, v) relates the signs of D·x, so
+    each replica's votes are moved into the first replica's frame by
+    D_r[u]·D_r[v]·D_0[u]·D_0[v]. One ``recover_communities`` over the
+    summed graph gives the labels, and the values are D_0 · labels ·
+    magnitude, so one replica reproduces its own sign stage exactly. A
+    member no vote reached keeps its bare magnitude. When |S2| > 1 and the
+    summed graph is not connected (an isolated member is a component of its
+    own), ``signs_failed`` is set: each component keeps its eigenvector
+    signs, which no vote relates to the others'.
     """
     if not ensembles or len(ensembles) != len(y_list):
         raise ValueError("need matching, nonempty ensemble and measurement lists")
@@ -247,19 +246,17 @@ def decode_amplified(ensembles: list[SensingEnsemble],
 
     labels, values, signs_failed = None, est2, False
     if S2.size:
-        replicas = [_sign_stage(ens, meas, S2, est2, diagnostics)
-                    for ens, meas in zip(ensembles, y_list)]
-        labels = replicas[0]
-        # per replica, signs in signal space; 0 where it reached no vertex
-        signed = np.array([np.where(r.isolated, 0, ens.D[S2] * r.labels)
-                           for ens, r in zip(ensembles, replicas)])
-        anchor = np.argmax(np.where(signed.any(axis=0), est2, -np.inf))
-        voters = signed[signed[:, anchor] != 0]
-        votes = voters[:, anchor] @ voters
-        heard = voters.any(axis=0)
-        first = voters[0, anchor] if len(voters) else 1
-        values = np.where(heard, np.where(votes >= 0, first, -first), 1) * est2
-        signs_failed = S2.size > 1 and not heard.all()
+        graphs = [_sign_stage(ens, meas, S2, est2, diagnostics)
+                  for ens, meas in zip(ensembles, y_list)]
+        # a vote on (u, v) relates the signs of D_r·x; move it to D_0·x
+        D0 = primary.D
+        edges = [(g.edge_u, g.edge_v, g.weights * ens.D[g.edge_u] * ens.D[g.edge_v]
+                  * D0[g.edge_u] * D0[g.edge_v])
+                 for ens, g in zip(ensembles, graphs)]
+        graph = SignGraph(S2, *map(np.concatenate, zip(*edges)), signed=True)
+        labels = recover_communities(graph)
+        values = np.where(labels.isolated, 1, D0[S2] * labels.labels) * est2
+        signs_failed = not graph.connected
     return RecoveryResult(n=primary.n, indices=S2, values=values,
                           S0=S0, S1=S1, S2=S2, tail_energy=tail,
                           labels=labels, signs_failed=signs_failed,

@@ -11,7 +11,9 @@ off it is Z2 synchronization: the labels are the signs of the leading
 eigenvector of the summed vote matrix, followed by one local-majority
 sweep. An unsigned graph (edges only, no votes) is bisected the same way
 after centring its adjacency. The returned labels are arbitrary up to a
-global flip, which is all the magnitude-only model can promise anyway.
+global flip, which is all the magnitude-only model can promise anyway, and
+they relate two vertices only when the graph connects them
+(``SignGraph.connected``).
 
 The candidate set is a sorted index array; its magnitude estimates and the
 returned labels are arrays aligned to it, and edge endpoints are mapped to
@@ -47,6 +49,17 @@ class SignGraph:
     @property
     def n_edges(self) -> int:
         return int(np.abs(self.weights).sum())
+
+    @property
+    def connected(self) -> bool:
+        """Every vertex reaches every other over pairs whose summed weight
+        is nonzero; an isolated vertex is a component of its own. Boolean
+        reachability: ceil(log2 |V|) squarings of (W != 0) | I."""
+        m = self.vertices.size
+        reach = (_adjacency(self) != 0) | np.eye(m, dtype=bool)
+        for _ in range((m - 1).bit_length()):
+            reach = reach @ reach
+        return bool(reach.all())
 
 
 @dataclass
@@ -90,11 +103,11 @@ def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
 
 
 def _adjacency(g: SignGraph) -> np.ndarray:
+    m = g.vertices.size
     i = np.searchsorted(g.vertices, g.edge_u)
     j = np.searchsorted(g.vertices, g.edge_v)
-    W = np.zeros((g.vertices.size, g.vertices.size))
-    np.add.at(W, (np.r_[i, j], np.r_[j, i]), np.r_[g.weights, g.weights])
-    return W
+    W = np.bincount(i * m + j, g.weights, minlength=m * m).reshape(m, m)
+    return W + W.T
 
 
 def recover_communities(g: SignGraph) -> ClusterLabels:

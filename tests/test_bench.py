@@ -1,13 +1,16 @@
 """Trial harness: signal models, determinism, reports, calibration."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from phaseless.bench import (TrialSpec, calibrate, edge_error_experiment,
-                             gen_signal, min_flip_error_sq, run_trials,
-                             tail_norm_sq, twin_phase_error, wilson_interval)
+from phaseless import build_ensemble
+from phaseless.bench import (AMPLIFIED_REPLICAS, TrialSpec, calibrate,
+                             edge_error_experiment, gen_signal,
+                             min_flip_error_sq, run_trials, tail_norm_sq,
+                             twin_phase_error, wilson_interval)
 from phaseless.ensemble import EnsembleConfig, EnsembleError
 
 
@@ -91,6 +94,12 @@ def test_zero_signal_trial_succeeds():
     rec = run_trials(spec).records[0]
     assert rec["error"] == ""
     assert rec["tail_sq"] == 0.0
+    # an amplified trial senses, and counts, every replica's rows
+    rows = build_ensemble(512, 4, rng_seed=0).total_rows
+    amp = run_trials(replace(spec, pipeline="cphase-amplified")).records[0]
+    assert rec["rows_total"] == rows
+    assert amp["rows_total"] == AMPLIFIED_REPLICAS * rows
+    assert amp["touches"] > rec["touches"]
 
 
 def test_run_trials_is_deterministic_and_pool_invariant():

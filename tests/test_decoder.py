@@ -8,8 +8,10 @@ import pytest
 
 from phaseless import (EnsembleConfig, EnsembleError, TailEstimationError, apply_phaseless, build_ensemble,
                        decode, decode_amplified, decoder, estimate_tail_energy, prune)
-from phaseless.bench import SUCCESS_FACTOR, min_flip_error_sq, tail_norm_sq
-from phaseless.signs import ClusterLabels, build_sign_graph
+from phaseless.bench import (AMPLIFIED_REPLICAS, SUCCESS_FACTOR, TrialSpec,
+                             _ensemble_seed, gen_signal, min_flip_error_sq,
+                             tail_norm_sq)
+from phaseless.signs import SignGraph, build_sign_graph, recover_communities
 
 from helpers import exact_sparse, spikes_plus_tail
 
@@ -260,16 +262,15 @@ def amplified_setup(seed, reps=3, **cfg):
 
 
 def test_amplified_agrees_with_decode_when_unanimous():
-    negative_anchor = False
+    # the summed graph picks its own global orientation, which magnitudes
+    # cannot show: the values match exactly up to one global flip
     for seed in (21, 25, 26, 27):
         ensembles, measurements, _ = amplified_setup(seed)
         plain = decode(ensembles[0], measurements[0])
         amp = decode_amplified(ensembles, measurements)
         assert not plain.signs_failed and plain.S2.size > 1
-        # not only up to sign: the first voter's orientation is kept
-        assert np.array_equal(amp.values, plain.values), seed
-        negative_anchor |= plain.values[np.argmax(np.abs(plain.values))] < 0
-    assert negative_anchor
+        assert np.array_equal(amp.values, plain.values) \
+            or np.array_equal(amp.values, -plain.values), seed
 
 
 def test_decode_is_the_one_replica_amplified_decode():
@@ -289,26 +290,80 @@ def test_decode_is_the_one_replica_amplified_decode():
     assert sizes == {0, 1, 2} and negative_anchor
 
 
-def test_anchor_moves_past_a_member_no_replica_reached(monkeypatch):
-    # every replica's graph isolates the largest member of S2; the largest
-    # member some replica reached anchors the vote instead
+def pattern(m):
+    # the signal-space signs the crafted sign graphs below report
+    return np.where(np.arange(m) % 3 == 1, -1, 1)
+
+
+def chain_graph(ens, S2, members):
+    """A sign graph on S2 in ``ens``'s frame: a chain through ``members``
+    (positions in S2) voting the relative signs of ``pattern``."""
+    u, v = members[:-1], members[1:]
+    p, D = pattern(S2.size), ens.D[S2]
+    return SignGraph(S2, S2[u], S2[v], p[u] * p[v] * D[u] * D[v], signed=True)
+
+
+def test_a_member_no_replica_reached_keeps_its_bare_magnitude(monkeypatch):
+    # every replica's graph isolates the largest member of S2 and chains
+    # the rest: that member keeps its bare magnitude, the rest keep their
+    # relative signs, and the disconnected graph is flagged
     ensembles, measurements, _ = amplified_setup(24)
 
-    def pattern(m):
-        # the signal-space signs every replica reports
-        return np.where(np.arange(m) % 3 == 1, -1, 1)
-
     def sign_stage(ens, meas, S2, estimates, diagnostics):
-        isolated = np.arange(S2.size) == np.argmax(estimates)
-        return ClusterLabels(pattern(S2.size) * ens.D[S2], isolated)
+        rest = np.flatnonzero(np.arange(S2.size) != np.argmax(estimates))
+        return chain_graph(ens, S2, rest)
 
     monkeypatch.setattr(decoder, "_sign_stage", sign_stage)
     amp = decode_amplified(ensembles, measurements)
     est2 = np.abs(amp.values)
     largest = np.argmax(est2)
-    expect = np.where(np.arange(est2.size) == largest, 1, pattern(est2.size))
+    rest = np.arange(est2.size) != largest
     assert amp.S2.size > 2 and amp.signs_failed
-    assert np.array_equal(amp.values, expect * est2)
+    assert amp.values[largest] > 0
+    signs = np.sign(amp.values[rest]) * pattern(est2.size)[rest]
+    assert np.all(signs == signs[0])
+
+
+def test_a_disconnected_vote_graph_is_flagged(monkeypatch):
+    # such graphs once went unflagged, since only an isolated member set
+    # the flag: with no vote between the two chains, one chain's signs are
+    # a coin flip
+    ens = build(24)
+    x, _ = exact_sparse(np.random.default_rng(24), N, K)
+    seen = []
+
+    def two_components(F_block, yF, S2, estimates):
+        half = S2.size // 2
+        g = chain_graph(ens, S2, np.arange(half))
+        h = chain_graph(ens, S2, np.arange(half, S2.size))
+        seen.append(SignGraph(S2, np.r_[g.edge_u, h.edge_u],
+                              np.r_[g.edge_v, h.edge_v],
+                              np.r_[g.weights, h.weights], signed=True))
+        return seen[-1]
+
+    monkeypatch.setattr(decoder, "build_sign_graph", two_components)
+    res = decode(ens, apply_phaseless(ens, x))
+    assert res.S2.size >= 4 and res.signs_failed
+    # each component keeps its eigenvector signs; no vote relates them
+    labels = recover_communities(seen[0]).labels
+    assert np.array_equal(res.values, ens.D[res.S2] * labels * np.abs(res.values))
+
+
+def test_amplified_relates_members_through_every_replica():
+    # replica 1 alone reached the largest member and missed member 0, which
+    # replicas 0 and 2 relate to the rest; a vote through that one member
+    # once left member 0's sign a guess and flagged the result
+    spec = TrialSpec(n=1024, k=10, seed=8034, pipeline="cphase-amplified",
+                     config=EnsembleConfig(c_F=0.03))
+    x = gen_signal(spec, 1)
+    ensembles = [build_ensemble(spec.n, spec.k, config=spec.config,
+                                rng_seed=_ensemble_seed(spec.seed, 1, r))
+                 for r in range(AMPLIFIED_REPLICAS)]
+    amp = decode_amplified(ensembles, [apply_phaseless(e, x) for e in ensembles])
+    assert not amp.signs_failed
+    assert np.array_equal(amp.S2, np.flatnonzero(x))
+    agree = np.sign(amp.values) == np.sign(x[amp.S2])
+    assert agree.all() or not agree.any()
 
 
 def test_amplified_absorbs_one_corrupted_replica():
@@ -345,8 +400,8 @@ def test_amplified_counts_every_replicas_reads():
 
 
 def test_amplified_replicas_without_evidence_do_not_vote():
-    # the replicas' sign graphs are edgeless, so every vertex is isolated
-    # there; their default +1 labels must not outvote the primary
+    # the replicas' sign graphs are edgeless, so they add no vote to the
+    # summed graph and the primary's evidence decides alone
     lean = EnsembleConfig(C0=50.0, c_F=0.01)
     for t in range(20):
         x, _ = exact_sparse(np.random.default_rng(15_000 + t), N, K)

@@ -110,6 +110,21 @@ def test_isolated_vertex_flagged_and_defaulted():
     assert labels.labels[2] == 1
 
 
+def test_connected_counts_components_of_the_summed_votes():
+    def graph(m, u, v, w):
+        return SignGraph(np.arange(m) * 7, np.asarray(u) * 7,
+                         np.asarray(v) * 7, np.asarray(w), signed=True)
+
+    assert graph(1, [], [], []).connected            # one vertex
+    assert graph(5, [0, 1, 2, 3], [1, 2, 3, 4], [1, -1, 1, 1]).connected
+    assert not graph(4, [0, 2], [1, 3], [1, -1]).connected   # two chains
+    assert not graph(3, [0], [1], [2]).connected     # an isolated vertex
+    # votes that cancel on a pair leave it unrelated
+    assert not graph(2, [0, 0], [1, 1], [1, -1]).connected
+    # a path of eight edges is crossed end to end
+    assert graph(9, range(8), range(1, 9), [1] * 8).connected
+
+
 def test_recovery_is_deterministic():
     rng = np.random.default_rng(5)
     g, _ = sample_sbm(128, 9, 1, rng)
