@@ -212,8 +212,8 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     magnitude, so one replica reproduces its own sign stage exactly. A
     member no vote reached keeps its bare magnitude. When |S2| > 1 and the
     summed graph is not connected (an isolated member is a component of its
-    own), ``signs_failed`` is set: each component keeps its eigenvector
-    signs, which no vote relates to the others'.
+    own), ``signs_failed`` is set: each component takes the signs of its
+    own leading eigenvector, which no vote relates to the others'.
     """
     if not ensembles or len(ensembles) != len(y_list):
         raise ValueError("need matching, nonempty ensemble and measurement lists")

@@ -23,6 +23,7 @@ positions with ``np.searchsorted``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,16 +51,22 @@ class SignGraph:
     def n_edges(self) -> int:
         return int(np.abs(self.weights).sum())
 
-    @property
-    def connected(self) -> bool:
-        """Every vertex reaches every other over pairs whose summed weight
-        is nonzero; an isolated vertex is a component of its own. Boolean
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """(|V|, |V|) booleans: u reaches v over pairs whose summed weight
+        is nonzero, and an isolated vertex only itself. Boolean
         reachability: ceil(log2 |V|) squarings of (W != 0) | I."""
         m = self.vertices.size
         reach = (_adjacency(self) != 0) | np.eye(m, dtype=bool)
         for _ in range((m - 1).bit_length()):
             reach = reach @ reach
-        return bool(reach.all())
+        return reach
+
+    @property
+    def connected(self) -> bool:
+        """Every vertex reaches every other; an isolated vertex is a
+        component of its own."""
+        return bool(self.reach.all())
 
 
 @dataclass
@@ -110,6 +117,10 @@ def _adjacency(g: SignGraph) -> np.ndarray:
     return W + W.T
 
 
+def _leading_signs(M: np.ndarray) -> np.ndarray:
+    return np.where(np.linalg.eigh(M)[1][:, -1] >= 0, 1, -1)
+
+
 def recover_communities(g: SignGraph) -> ClusterLabels:
     """Split the vertices into the two sign classes.
 
@@ -118,15 +129,24 @@ def recover_communities(g: SignGraph) -> ClusterLabels:
     only as denser blocks), then one sweep that sets each vertex to the
     sign of its weighted neighbours' labels where that is not a tie.
     Centring a signed graph would remove exactly its "all one sign"
-    direction. A vertex whose row of W is zero is isolated: it defaults to
-    +1 and flags the result. Deterministic given the graph.
+    direction. A disconnected signed graph takes one eigenvector per
+    component, so each component's labels agree with its own votes; how
+    two components relate is not determined. A vertex whose row of W is
+    zero is isolated: it defaults to +1 and flags the result.
+    Deterministic given the graph.
     """
     n = g.vertices.size
     if n == 0:
         raise ValueError("empty vertex set")
     W = _adjacency(g)
-    M = W if g.signed else W - W.sum() / (n * n)
-    labels = np.where(np.linalg.eigh(M)[1][:, -1] >= 0, 1, -1)
+    labels = _leading_signs(W if g.signed else W - W.sum() / (n * n))
+    if g.signed and not g.connected:
+        # no vote relates two components, and W's leading eigenvector is
+        # zero off one of them: read each component on its own
+        first = g.reach.argmax(axis=1)        # lowest vertex it reaches
+        for c in np.unique(first):
+            part = first == c
+            labels[part] = _leading_signs(W[np.ix_(part, part)])
     field = W @ labels
     labels = np.where(field > 0, 1, np.where(field < 0, -1, labels))
     isolated = ~W.any(axis=1)

@@ -11,6 +11,10 @@ Both block kinds (the Bernoulli blocks here, the hash blocks in
 ``sketch``) answer ``entries(columns)`` with (per-column counts, rows,
 signs), grouped by column in the order asked and with rows increasing
 within a column; ``ColumnBlock`` builds the rest of the interface on that.
+Its ``apply`` asks for the nonzero columns ``APPLY_CHUNK`` at a time and
+scatters each chunk into one output, so sensing a dense signal never holds
+more than one chunk's entries in temporaries; a Bernoulli block keeps the
+entries of each aligned full chunk it is asked for.
 """
 
 from __future__ import annotations
@@ -23,24 +27,39 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
 _CHUNK_WORDS = 1 << 20            # stream words drawn per sampling pass
+# Columns per scatter in ``ColumnBlock.apply``, and the unit in which a
+# Bernoulli block keeps sampled columns.
+APPLY_CHUNK = 2048
 # Words a column draws first: its mean entry count plus this many standard
 # deviations. Any value gives the same entries; a column that runs short
 # continues its walk with its next words.
 _SLACK_SD = 4.0
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place on the uint64 array ``z``, using
+    ``scratch`` (same shape and dtype) for the shifted words."""
+    np.right_shift(z, _S30, out=scratch)
+    z ^= scratch
+    z *= _M1
+    np.right_shift(z, _S27, out=scratch)
+    z ^= scratch
+    z *= _M2
+    np.right_shift(z, _S31, out=scratch)
+    z ^= scratch
+    return z
 
 
 def splitmix64(key: int, idx) -> np.ndarray:
     """Counter-mode splitmix64: word i of stream ``key`` depends only on
     (key, i), so any words can be drawn in any order."""
-    return _mix64(np.uint64(key) + np.asarray(idx, dtype=np.uint64) * _GOLDEN)
+    z = np.array(idx, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(key)
+    return _mix64(z, np.empty_like(z))
 
 
 def _walk(col_keys: np.ndarray, inv: float, first: int, width: int, last):
@@ -48,10 +67,22 @@ def _walk(col_keys: np.ndarray, inv: float, first: int, width: int, last):
     column's stream, walking geometric gaps down from row ``last``, and the
     words that drew them; both (columns, width)."""
     idx = np.arange(first, first + width, dtype=np.uint64)
-    u = _mix64(col_keys[:, None] + idx * _GOLDEN)
-    uniform = (u >> np.uint64(11)) * _U53
-    gaps = 1 + np.floor(np.log1p(-uniform) * inv)
-    return np.cumsum(gaps.astype(np.int64), axis=1) + last, u
+    idx *= _GOLDEN
+    u = col_keys[:, None] + idx
+    scratch = np.empty_like(u)
+    _mix64(u, scratch)
+    np.right_shift(u, _S11, out=scratch)
+    g = scratch.astype(np.float64)
+    g *= -_U53                        # -uniform: a power of two, so exact
+    np.log1p(g, out=g)
+    g *= inv
+    np.floor(g, out=g)
+    g += 1
+    gaps = scratch.view(np.int64)     # the shifted words are spent
+    gaps[...] = g
+    np.cumsum(gaps, axis=1, out=gaps)
+    gaps += last
+    return gaps, u
 
 
 def _signs(u: np.ndarray) -> np.ndarray:
@@ -115,15 +146,13 @@ def sample_bernoulli(key: int, n_rows: int, p: float, columns):
     return np.concatenate(counts), np.concatenate(rows), np.concatenate(signs)
 
 
-def apply_signed(n_rows: int, rows: np.ndarray, signs: np.ndarray,
-                 values: np.ndarray) -> np.ndarray:
-    """out[q] = sum of sign * value over the entries in row q, adding in
-    entry order. ``values`` is a scratch array: it is multiplied by the
-    signs in place. The scatter reads int32 rows as they are."""
+def apply_signed(out: np.ndarray, rows: np.ndarray, signs: np.ndarray,
+                 values: np.ndarray) -> None:
+    """out[q] += sign * value for every entry in row q, adding in entry
+    order. ``values`` is a scratch array: it is multiplied by the signs in
+    place. The scatter reads int32 rows as they are."""
     values *= signs
-    out = np.zeros(n_rows)
     np.add.at(out, rows, values)
-    return out
 
 
 class ColumnBlock:
@@ -141,12 +170,21 @@ class ColumnBlock:
         return rows, signs, np.repeat(columns, counts)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Signed row sums over the entries of v's nonzero columns."""
+        """Signed row sums over the entries of v's nonzero columns.
+
+        The columns are taken ``APPLY_CHUNK`` at a time, in increasing
+        order, and scattered into one output, so every row adds its entries
+        in column order and no temporary outgrows one chunk's entries.
+        """
         if v.shape[0] != self.n_cols:
             raise ValueError(f"vector length {v.shape[0]} != n_cols {self.n_cols}")
         cols = np.flatnonzero(v)
-        counts, rows, signs = self.entries(cols)
-        return apply_signed(self.n_rows, rows, signs, np.repeat(v[cols], counts))
+        out = np.zeros(self.n_rows)
+        for lo in range(0, cols.size, APPLY_CHUNK):
+            chunk = cols[lo:lo + APPLY_CHUNK]
+            counts, rows, signs = self.entries(chunk)
+            apply_signed(out, rows, signs, np.repeat(v[chunk], counts))
+        return out
 
 
 @dataclass
@@ -154,16 +192,19 @@ class SparseSignMatrix(ColumnBlock):
     """n_rows x n_cols block whose cells are i.i.d. Bernoulli(p), each
     nonzero with a uniform +/-1 sign, defined by its stream key.
 
-    It holds no entries until a call asks for every column in order
-    (sensing a signal with no zero entry); that call keeps its result for
-    the next such call. Every other call samples its columns.
+    It holds no entries until a call asks for exactly the columns
+    lo .. lo + APPLY_CHUNK - 1 of an aligned chunk (lo a multiple of
+    APPLY_CHUNK), as sensing a signal whose nonzero columns cover that
+    chunk does; that call keeps its result for the next request of the same
+    chunk. Every other call, a partial last chunk included, samples its
+    columns.
     """
 
     key: int
     n_rows: int
     n_cols: int
     p: float
-    _full: tuple | None = field(default=None, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def bernoulli(cls, key: int, n_rows: int, n_cols: int, p: float
@@ -174,10 +215,13 @@ class SparseSignMatrix(ColumnBlock):
 
     def entries(self, columns: np.ndarray):
         """(counts, rows, signs) of the columns: sampled, or the kept
-        result when the columns are exactly 0 .. n_cols - 1."""
-        if columns.size != self.n_cols or not np.array_equal(
-                columns, np.arange(self.n_cols)):
+        result when the columns are exactly one aligned full chunk."""
+        lo = int(columns[0]) if columns.size == APPLY_CHUNK else -1  # -1: none
+        if lo % APPLY_CHUNK or not np.array_equal(
+                columns, np.arange(lo, lo + APPLY_CHUNK)):
             return sample_bernoulli(self.key, self.n_rows, self.p, columns)
-        if self._full is None:
-            self._full = sample_bernoulli(self.key, self.n_rows, self.p, columns)
-        return self._full
+        kept = self._kept.get(lo)
+        if kept is None:
+            kept = self._kept[lo] = sample_bernoulli(self.key, self.n_rows,
+                                                     self.p, columns)
+        return kept

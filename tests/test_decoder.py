@@ -343,10 +343,14 @@ def test_a_disconnected_vote_graph_is_flagged(monkeypatch):
 
     monkeypatch.setattr(decoder, "build_sign_graph", two_components)
     res = decode(ens, apply_phaseless(ens, x))
-    assert res.S2.size >= 4 and res.signs_failed
+    assert res.S2.size == 8 and res.signs_failed
     # each component keeps its eigenvector signs; no vote relates them
     labels = recover_communities(seen[0]).labels
     assert np.array_equal(res.values, ens.D[res.S2] * labels * np.abs(res.values))
+    # and each 4-member chain's signs agree with its own votes
+    signs = np.sign(res.values) * pattern(res.S2.size)
+    for chain in (signs[:4], signs[4:]):
+        assert np.all(chain == chain[0])
 
 
 def test_amplified_relates_members_through_every_replica():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,22 @@ def test_single_spike_measurements_two_valued(ens):
     x[37] = -2.5
     y = apply_phaseless(ens, x).y
     assert set(np.unique(y)) <= {0.0, 2.5}
+
+
+def test_dense_sensing_temporaries_stay_chunk_sized():
+    # each block scatters its columns a chunk at a time into one output, so
+    # a warm dense sense allocates about a chunk's entries, not the block's
+    big = build_ensemble(16384, 10, rng_seed=5)
+    x = np.random.default_rng(5).standard_normal(16384)
+    first = apply_phaseless(big, x).y
+    tracemalloc.start()
+    try:
+        again = apply_phaseless(big, x).y
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    assert peak < 12e6
 
 
 def test_measurements_nonnegative_and_sized(ens):

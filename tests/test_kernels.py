@@ -57,32 +57,62 @@ def test_sampler_rejects_degenerate_density():
         SparseSignMatrix.bernoulli(1, 10, 10, 1.0)
 
 
+CHUNK = sparse.APPLY_CHUNK
+WIDE = 2 * CHUNK + 37               # two aligned full chunks and a partial one
+
+
 def test_apply_matches_dense_oracle():
-    dense = dense_block(SparseSignMatrix.bernoulli(5, 300, 700, 0.04))
+    dense = dense_block(SparseSignMatrix.bernoulli(5, 40, WIDE, 0.04))
     rng = np.random.default_rng(0)
-    block = SparseSignMatrix.bernoulli(5, 300, 700, 0.04)
+    block = SparseSignMatrix.bernoulli(5, 40, WIDE, 0.04)
     kept = None
     for _ in range(3):
-        v = rng.standard_normal(700)
-        sparse_v = v * (rng.random(700) < 0.02)
+        v = rng.standard_normal(WIDE)
+        sparse_v = v * (rng.random(WIDE) < 0.02)
         # a signal with zero entries samples its nonzero columns ...
         assert np.allclose(block.apply(sparse_v), dense @ sparse_v, atol=1e-10)
-        assert block._full is kept
-        # ... and one with none keeps every column for the next such call
+        assert block._kept.keys() == (kept or {}).keys()
+        # ... and one with none keeps each aligned full chunk for the next
+        # such call; the partial last chunk is sampled every time
         assert np.allclose(block.apply(v), dense @ v, atol=1e-10)
-        assert block._full is not None and (kept is None or block._full is kept)
-        kept = block._full
+        assert sorted(block._kept) == [0, CHUNK]
+        if kept is not None:
+            assert all(block._kept[lo] is kept[lo] for lo in kept)
+        kept = dict(block._kept)
 
 
 def test_apply_signed_matches_bincount_bit_for_bit():
+    # the scatter adds into ``out`` in entry order, so entries split over
+    # several calls sum exactly as one bincount over all of them
     rng = np.random.default_rng(2)
     for n_rows, size in ((1, 10), (50, 0), (300, 5000), (4096, 200000)):
         rows = rng.integers(0, n_rows, size).astype(np.int32)
         signs = rng.choice(np.array([-1, 1], dtype=np.int8), size)
         values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
         want = np.bincount(rows, weights=values * signs, minlength=n_rows)
-        got = sparse.apply_signed(n_rows, rows, signs, values.copy())
-        assert got.shape == (n_rows,) and np.array_equal(got, want)
+        for cuts in ([], [size // 3, size // 2]):
+            out = np.zeros(n_rows)
+            for part in np.split(np.arange(size), cuts):
+                sparse.apply_signed(out, rows[part], signs[part],
+                                    values[part].copy())
+            assert np.array_equal(out, want)
+
+
+def test_apply_is_one_bincount_in_column_order_across_chunks():
+    rng = np.random.default_rng(3)
+    full = rng.standard_normal(WIDE)
+    middle = full.copy()
+    middle[CHUNK:2 * CHUNK] = 0.0
+    spikes = np.zeros(WIDE)
+    spikes[rng.choice(WIDE, 10, replace=False)] = rng.standard_normal(10)
+    for block in (SparseSignMatrix.bernoulli(6, 90, WIDE, 0.03),
+                  build_hh_block(7, WIDE, 40, 13, 3),
+                  build_countsketch_block(8, WIDE, 64, 5)):
+        for v in (full, middle, spikes, full):
+            rows, signs, owners = block.rows_of_many(np.flatnonzero(v))
+            want = np.bincount(rows, weights=v[owners] * signs,
+                               minlength=block.n_rows)
+            assert np.array_equal(block.apply(v), want)
 
 
 def test_hash_blocks_apply_matches_dense_oracle():
@@ -125,19 +155,32 @@ def test_apply_empty_rows_are_zero():
 
 
 def test_cached_columns_match_on_the_fly_sample():
-    cached = SparseSignMatrix.bernoulli(11, 123, 457, 0.07)
-    cached.apply(np.ones(457))          # every column in order: kept
-    kept = cached._full
-    assert kept is not None
-    fresh = SparseSignMatrix.bernoulli(11, 123, 457, 0.07)
-    for query in ([0], [456, 3, 3, 200], np.arange(457)[::-1], np.arange(457)):
+    cached = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
+    cached.apply(np.ones(WIDE))         # every column: each full chunk kept
+    kept = dict(cached._kept)
+    assert sorted(kept) == [0, CHUNK]
+    fresh = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
+    for lo in kept:
+        sampled = sample_bernoulli(11, 123, 0.07, np.arange(lo, lo + CHUNK))
+        for a, b in zip(kept[lo], sampled):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+    for query in ([0], [WIDE - 1, 3, 3, 200], np.arange(WIDE)[::-1],
+                  np.arange(WIDE), np.arange(CHUNK, 2 * CHUNK)):
         for a, b in zip(cached.rows_of_many(query), fresh.rows_of_many(query)):
             assert np.array_equal(a, b) and a.dtype == b.dtype
-    # every other request samples; exactly 0 .. n_cols - 1 reuses the result
-    assert cached._full is kept
-    assert all(a is b for a, b in zip(cached.entries(np.arange(457)), kept))
-    assert fresh._full is not None      # asking for every column fills it
-    other = SparseSignMatrix.bernoulli(11, 123, 457, 0.07)
-    other.rows_of_many(np.arange(457)[::-1])
-    other.rows_of_many(np.arange(456))
-    assert other._full is None
+    # a request of exactly one aligned full chunk reuses its kept result ...
+    assert cached._kept.keys() == kept.keys()
+    for lo in kept:
+        chunk = cached.entries(np.arange(lo, lo + CHUNK))
+        assert all(a is b for a, b in zip(chunk, kept[lo]))
+    assert sorted(fresh._kept) == [CHUNK]   # asking for the chunk keeps it
+    # ... and every other request samples
+    other = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
+    for query in (np.array([5, 900, 4100]),               # candidate-style
+                  np.arange(CHUNK)[::-1],                 # reversed
+                  np.arange(2 * CHUNK, WIDE),             # the partial chunk
+                  np.arange(CHUNK - 1),                   # part of a chunk
+                  np.arange(1, CHUNK + 1),                # unaligned
+                  np.arange(WIDE)):                       # several chunks
+        other.rows_of_many(query)
+    assert other._kept == {}
