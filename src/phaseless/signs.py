@@ -139,14 +139,16 @@ def recover_communities(g: SignGraph) -> ClusterLabels:
     if n == 0:
         raise ValueError("empty vertex set")
     W = _adjacency(g)
-    labels = _leading_signs(W if g.signed else W - W.sum() / (n * n))
-    if g.signed and not g.connected:
+    if g.signed:
         # no vote relates two components, and W's leading eigenvector is
         # zero off one of them: read each component on its own
-        first = g.reach.argmax(axis=1)        # lowest vertex it reaches
-        for c in np.unique(first):
-            part = first == c
-            labels[part] = _leading_signs(W[np.ix_(part, part)])
+        M, first = W, g.reach.argmax(axis=1)   # lowest vertex it reaches
+    else:
+        M, first = W - W.sum() / (n * n), np.zeros(n, np.int64)
+    labels = np.empty(n, np.int64)
+    for c in np.unique(first):
+        part = first == c
+        labels[part] = _leading_signs(M[np.ix_(part, part)])
     field = W @ labels
     labels = np.where(field > 0, 1, np.where(field < 0, -1, labels))
     isolated = ~W.any(axis=1)

@@ -11,10 +11,12 @@ Both block kinds (the Bernoulli blocks here, the hash blocks in
 ``sketch``) answer ``entries(columns)`` with (per-column counts, rows,
 signs), grouped by column in the order asked and with rows increasing
 within a column; ``ColumnBlock`` builds the rest of the interface on that.
-Its ``apply`` asks for the nonzero columns ``APPLY_CHUNK`` at a time and
+Its ``apply`` asks for the nonzero columns at most ``APPLY_CHUNK`` at a
+time, each aligned range with no zero entry as a chunk of its own, and
 scatters each chunk into one output, so sensing a dense signal never holds
 more than one chunk's entries in temporaries; a Bernoulli block keeps the
-entries of each aligned full chunk it is asked for.
+entries of each aligned full chunk it is asked for, so a range with no
+zero entry reuses them whatever the other ranges hold.
 """
 
 from __future__ import annotations
@@ -172,18 +174,28 @@ class ColumnBlock:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Signed row sums over the entries of v's nonzero columns.
 
-        The columns are taken ``APPLY_CHUNK`` at a time, in increasing
-        order, and scattered into one output, so every row adds its entries
-        in column order and no temporary outgrows one chunk's entries.
+        The columns are taken in increasing order, at most ``APPLY_CHUNK``
+        at a time, and scattered into one output, so every row adds its
+        entries in column order and no temporary outgrows one chunk's
+        entries. Each aligned ``APPLY_CHUNK``-column range with no zero
+        entry is a chunk of its own.
         """
         if v.shape[0] != self.n_cols:
             raise ValueError(f"vector length {v.shape[0]} != n_cols {self.n_cols}")
         cols = np.flatnonzero(v)
         out = np.zeros(self.n_rows)
-        for lo in range(0, cols.size, APPLY_CHUNK):
-            chunk = cols[lo:lo + APPLY_CHUNK]
-            counts, rows, signs = self.entries(chunk)
-            apply_signed(out, rows, signs, np.repeat(v[chunk], counts))
+        pieces = [cols]
+        if cols.size >= APPLY_CHUNK:
+            # cut around each aligned range whose columns are all nonzero,
+            # so it is asked for whole; fewer columns fill no such range
+            first = np.searchsorted(cols, np.arange(0, self.n_cols, APPLY_CHUNK))
+            full = first[np.diff(first, append=cols.size) == APPLY_CHUNK]
+            pieces = np.split(cols, np.union1d(full, full + APPLY_CHUNK))
+        for piece in pieces:
+            for lo in range(0, piece.size, APPLY_CHUNK):
+                chunk = piece[lo:lo + APPLY_CHUNK]
+                counts, rows, signs = self.entries(chunk)
+                apply_signed(out, rows, signs, np.repeat(v[chunk], counts))
         return out
 
 

@@ -81,6 +81,30 @@ def test_apply_matches_dense_oracle():
         kept = dict(block._kept)
 
 
+def test_a_zero_entry_samples_only_its_own_chunk(monkeypatch):
+    block = SparseSignMatrix.bernoulli(12, 60, WIDE, 0.05)
+    v = np.random.default_rng(4).standard_normal(WIDE)
+    block.apply(v)
+    kept = dict(block._kept)
+    v[5] = 0.0
+    asked, entries = [], block.entries
+
+    def recording(cols):
+        asked.append((cols, entries(cols)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(block, "entries", recording)
+    fresh = SparseSignMatrix.bernoulli(12, 60, WIDE, 0.05)
+    rows, signs, owners = fresh.rows_of_many(np.flatnonzero(v))
+    want = np.bincount(rows, weights=v[owners] * signs, minlength=60)
+    assert np.array_equal(block.apply(v), want)
+    # the chunk holding the zero and the partial chunk sample; the chunk at
+    # CHUNK is still asked for whole and gets its kept result back
+    assert [cols.size for cols, _ in asked] == [CHUNK - 1, CHUNK, 37]
+    assert asked[1][1] is kept[CHUNK]
+    assert block._kept.keys() == kept.keys()
+
+
 def test_apply_signed_matches_bincount_bit_for_bit():
     # the scatter adds into ``out`` in entry order, so entries split over
     # several calls sum exactly as one bincount over all of them
@@ -103,12 +127,13 @@ def test_apply_is_one_bincount_in_column_order_across_chunks():
     full = rng.standard_normal(WIDE)
     middle = full.copy()
     middle[CHUNK:2 * CHUNK] = 0.0
+    scattered = full * (rng.random(WIDE) < 0.7)   # no aligned range full
     spikes = np.zeros(WIDE)
     spikes[rng.choice(WIDE, 10, replace=False)] = rng.standard_normal(10)
     for block in (SparseSignMatrix.bernoulli(6, 90, WIDE, 0.03),
                   build_hh_block(7, WIDE, 40, 13, 3),
                   build_countsketch_block(8, WIDE, 64, 5)):
-        for v in (full, middle, spikes, full):
+        for v in (full, middle, scattered, spikes, full):
             rows, signs, owners = block.rows_of_many(np.flatnonzero(v))
             want = np.bincount(rows, weights=v[owners] * signs,
                                minlength=block.n_rows)
