@@ -379,7 +379,7 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
         name = ens.f_block(support.size)
         graph = build_sign_graph(ens.blocks[name], meas.y[ens.rows(name)],
                                  support, np.abs(x[support]))
-        planted = np.sign(ens.D * x)
+        planted = np.sign(x)
         relation = planted[graph.edge_u] * planted[graph.edge_v]
         total += graph.weights.size
         wrong += int(np.sum(graph.weights != relation))

@@ -14,10 +14,10 @@ Stages, in order:
 5. relative signs    - agree/differ votes on pairs of S2, read off as two
                        sign classes by one eigenvector (signs.py).
 6. assembly          - signed magnitudes on S2 from one synchronization
-                       over every replica's votes, moved into replica 0's
-                       frame. ``decode`` is the one-replica case. A member
-                       no vote reached keeps its bare magnitude; a graph
-                       in more than one component sets ``signs_failed``.
+                       over every replica's votes. ``decode`` is the
+                       one-replica case. A member no vote reached keeps its
+                       bare magnitude; a graph in more than one component
+                       sets ``signs_failed``.
 
 Every stage reads measurements through block slices and the columns of the
 candidates, which each block recomputes from its stream, so the work after
@@ -87,7 +87,7 @@ class RecoveryResult:
     S1: np.ndarray
     S2: np.ndarray
     tail_energy: TailEnergyEstimate | None
-    labels: ClusterLabels | None  # of the summed vote graph, replica 0's frame
+    labels: ClusterLabels | None  # of the summed vote graph; None if |S2| < 2
     signs_failed: bool           # |S2| > 1 and the summed graph is disconnected
     diagnostics: DecodeDiagnostics = field(default_factory=DecodeDiagnostics)
 
@@ -180,11 +180,8 @@ def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
                 S2: np.ndarray, estimates: np.ndarray,
                 diagnostics: DecodeDiagnostics) -> SignGraph:
     name = ensemble.f_block(S2.size)
-    # a single candidate has no pair to test, and top_select = 1 builds no
-    # F level at all
-    F, yF = (ensemble.blocks[name], measurements.y[ensemble.rows(name)]) \
-        if S2.size > 1 else (None, None)
-    graph = build_sign_graph(F, yF, S2, estimates)
+    graph = build_sign_graph(ensemble.blocks[name],
+                             measurements.y[ensemble.rows(name)], S2, estimates)
     diagnostics.edges_sampled += graph.pair_rows
     diagnostics.y_reads += graph.pair_rows
     diagnostics.index_reads += graph.entries
@@ -204,16 +201,15 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     signs off all their votes at once.
 
     Candidate sets, magnitudes and pruning come from the first ensemble.
-    Every replica, the first included, runs the sign stage on S2, and all
-    their reads are counted. A vote on (u, v) relates the signs of D·x, so
-    each replica's votes are moved into the first replica's frame by
-    D_r[u]·D_r[v]·D_0[u]·D_0[v]. One ``recover_communities`` over the
-    summed graph gives the labels, and the values are D_0 · labels ·
-    magnitude, so one replica reproduces its own sign stage exactly. A
-    member no vote reached keeps its bare magnitude. When |S2| > 1 and the
-    summed graph is not connected (an isolated member is a component of its
-    own), ``signs_failed`` is set: each component takes the signs of its
-    own leading eigenvector, which no vote relates to the others'.
+    When |S2| > 1, every replica, the first included, runs the sign stage
+    on S2, and all their reads are counted. A vote on (u, v) relates the
+    signs of x_u and x_v whichever replica cast it, so one
+    ``recover_communities`` over the summed graph gives the labels, and the
+    values are labels · magnitude. A member no vote reached, a lone member
+    of S2 included, keeps its bare magnitude. When the summed graph is not
+    connected (an isolated member is a component of its own),
+    ``signs_failed`` is set: each component takes the signs of its own
+    leading eigenvector, which no vote relates to the others'.
     """
     if not ensembles or len(ensembles) != len(y_list):
         raise ValueError("need matching, nonempty ensemble and measurement lists")
@@ -245,17 +241,13 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     est2 = estimates[np.searchsorted(S0, S2)]
 
     labels, values, signs_failed = None, est2, False
-    if S2.size:
+    if S2.size > 1:
         graphs = [_sign_stage(ens, meas, S2, est2, diagnostics)
                   for ens, meas in zip(ensembles, y_list)]
-        # a vote on (u, v) relates the signs of D_r·x; move it to D_0·x
-        D0 = primary.D
-        edges = [(g.edge_u, g.edge_v, g.weights * ens.D[g.edge_u] * ens.D[g.edge_v]
-                  * D0[g.edge_u] * D0[g.edge_v])
-                 for ens, g in zip(ensembles, graphs)]
+        edges = [(g.edge_u, g.edge_v, g.weights) for g in graphs]
         graph = SignGraph(S2, *map(np.concatenate, zip(*edges)), signed=True)
         labels = recover_communities(graph)
-        values = np.where(labels.isolated, 1, D0[S2] * labels.labels) * est2
+        values = np.where(labels.isolated, 1, labels.labels) * est2
         signs_failed = not graph.connected
     return RecoveryResult(n=primary.n, indices=S2, values=values,
                           S0=S0, S1=S1, S2=S2, tail_energy=tail,

@@ -1,7 +1,7 @@
 """Construction and application of the randomized phaseless sensing ensemble.
 
-The ensemble stacks four families of sparse +/-1 blocks over a common sign
-flip D applied to the signal:
+The ensemble stacks four families of sparse +/-1 blocks, each of which
+gives every nonzero entry its own random sign:
 
   A   heavy-hitter identification structure (see sketch.py): per repetition,
       hash buckets split by the bits of the coordinate index, so a bucket's
@@ -21,8 +21,8 @@ Sensing computes y = |Phi x| block by block; nothing downstream ever sees a
 sign or phase. All randomness is drawn from counter-based streams keyed off
 one seed, ``build_ensemble``'s ``rng_seed``, so an (n, k, seed, config)
 quadruple reproduces the ensemble exactly, block by block; the config holds
-only the construction constants. Building one therefore computes only D
-and the block keys: each block recomputes the columns a signal or a decode
+only the construction constants. Building one therefore computes only the
+block keys: each block recomputes the columns a signal or a decode
 touches from its stream (see sparse.py).
 
 The built ensemble owns the row layout: ``SensingEnsemble.rows`` slices a
@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import sketch
-from .sparse import ColumnBlock, SparseSignMatrix, splitmix64
+from .sparse import ColumnBlock, SparseSignMatrix
 
 __all__ = [
     "EnsembleConfig",
@@ -215,7 +215,6 @@ class SensingEnsemble:
     k: int
     seed: int                       # keys every stream
     config: EnsembleConfig          # fully resolved
-    D: np.ndarray                   # int8[n], +/-1 signs folded into sensing
     blocks: dict[str, ColumnBlock]
     offsets: dict[str, int]
     total_rows: int
@@ -278,7 +277,7 @@ class Measurements:
     config: EnsembleConfig
 
     FORMAT = "phaseless-measurements"
-    VERSION = 4
+    VERSION = 5
 
     def save(self, path) -> None:
         header = {"format": self.FORMAT, "version": self.VERSION,
@@ -328,11 +327,10 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     f_levels = _f_levels(k, cfg.top_select)
     words = np.random.SeedSequence(seed).generate_state(
         3 + cfg.rep_log_n + f_levels.stop, dtype=np.uint64)
-    # stream words: D 0, A 1, B 2, E 3, F{2^l} 3 + rep_log_n + l
+    # stream words: A 1, B 2, E 3, F{2^l} 3 + rep_log_n + l. Word 0 is
+    # unused: renumbering would change every block a seed names
     keys = {"A": words[1], "B": words[2], "E": words[3]}
     keys.update({_f_name(l): words[3 + cfg.rep_log_n + l] for l in f_levels})
-    D = (splitmix64(int(words[0]), np.arange(n)) & np.uint64(1)).astype(np.int8)
-    D = D * 2 - 1
 
     blocks: dict[str, ColumnBlock] = {}
     # the hash-block builders are looked up on their module at call time, so
@@ -357,21 +355,20 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     for name in blocks:
         offsets[name] = total
         total += blocks[name].n_rows
-    return SensingEnsemble(n=n, k=k, seed=seed, config=cfg, D=D, blocks=blocks,
+    return SensingEnsemble(n=n, k=k, seed=seed, config=cfg, blocks=blocks,
                            offsets=offsets, total_rows=total)
 
 
 def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
-    """Sense a signal: y = |Phi' (D x)| over every block, concatenated."""
+    """Sense a signal: y = |Phi x| over every block, concatenated."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ensemble.n,):
         raise EnsembleError(f"signal shape {x.shape} != ({ensemble.n},)")
     if not np.all(np.isfinite(x)):
         raise EnsembleError("signal must be finite")
-    dx = ensemble.D * x
     y = np.empty(ensemble.total_rows, dtype=np.float64)
     for name, blk in ensemble.blocks.items():
-        y[ensemble.rows(name)] = np.abs(blk.apply(dx))
+        y[ensemble.rows(name)] = np.abs(blk.apply(x))
     return Measurements(y, ensemble.n, ensemble.k, ensemble.seed, ensemble.config)
 
 
@@ -390,6 +387,6 @@ def row_count(ensemble: SensingEnsemble) -> dict[str, int]:
 def planned_row_counts(n: int, k: int, config: EnsembleConfig | None = None) -> dict[str, int]:
     """Per-family row counts of the (n, k, config) ensemble, which no seed
     changes. Building one
-    computes only D and the block keys, so the planner counts a build."""
+    computes only the block keys, so the planner counts a build."""
     counts = row_count(build_ensemble(n, k, config))
     return {fam: counts[f"{fam}_family"] for fam in "ABEF"} | {"total": counts["total"]}

@@ -52,12 +52,22 @@ class SignGraph:
         return int(np.abs(self.weights).sum())
 
     @cached_property
+    def W(self) -> np.ndarray:
+        """(|V|, |V|) symmetric vote matrix: the summed weight of each pair,
+        both ways round."""
+        m = self.vertices.size
+        i = np.searchsorted(self.vertices, self.edge_u)
+        j = np.searchsorted(self.vertices, self.edge_v)
+        W = np.bincount(i * m + j, self.weights, minlength=m * m).reshape(m, m)
+        return W + W.T
+
+    @cached_property
     def reach(self) -> np.ndarray:
         """(|V|, |V|) booleans: u reaches v over pairs whose summed weight
         is nonzero, and an isolated vertex only itself. Boolean
         reachability: ceil(log2 |V|) squarings of (W != 0) | I."""
         m = self.vertices.size
-        reach = (_adjacency(self) != 0) | np.eye(m, dtype=bool)
+        reach = (self.W != 0) | np.eye(m, dtype=bool)
         for _ in range((m - 1).bit_length()):
             reach = reach @ reach
         return reach
@@ -87,9 +97,6 @@ def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
     aligned to it.
     """
     S2 = np.asarray(S2, dtype=np.int64)
-    if S2.size < 2:
-        return SignGraph(S2, np.empty(0, np.int64), np.empty(0, np.int64),
-                         np.empty(0, np.int64), signed=True)
     rows, sigs, owners = F_block.rows_of_many(S2)
     n_entries = int(rows.size)
     hits = np.bincount(rows, minlength=F_block.n_rows)
@@ -107,14 +114,6 @@ def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
     cast = vote != 0
     return SignGraph(S2, u[cast], v[cast], vote[cast], int(u.size), n_entries,
                      signed=True)
-
-
-def _adjacency(g: SignGraph) -> np.ndarray:
-    m = g.vertices.size
-    i = np.searchsorted(g.vertices, g.edge_u)
-    j = np.searchsorted(g.vertices, g.edge_v)
-    W = np.bincount(i * m + j, g.weights, minlength=m * m).reshape(m, m)
-    return W + W.T
 
 
 def _leading_signs(M: np.ndarray) -> np.ndarray:
@@ -138,7 +137,7 @@ def recover_communities(g: SignGraph) -> ClusterLabels:
     n = g.vertices.size
     if n == 0:
         raise ValueError("empty vertex set")
-    W = _adjacency(g)
+    W = g.W
     if g.signed:
         # no vote relates two components, and W's leading eigenvector is
         # zero off one of them: read each component on its own

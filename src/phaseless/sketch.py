@@ -46,7 +46,10 @@ class HashBlock(ColumnBlock):
     """Bucket/sign hash block, defined by its stream key.
 
     In repetition r, column i falls in bucket h = u % n_buckets with sign
-    from bit 1 of u, where u is word r*n_cols + i of the key's stream.
+    from bit 63 of u, where u is word r*n_cols + i of the key's stream.
+    B's bucket count is a power of two, so its bucket is u's low bits; the
+    sign takes the top bit, which leaves it independent of the bucket, as
+    count-sketch needs.
     Each bucket owns ``stride`` consecutive rows, repetitions laid out one
     after another: with n_bits = 0 (the B block) just the bucket; with
     n_bits > 0 (the A block) [whole bucket, bit0=0, bit0=1, bit1=0, ...],
@@ -74,7 +77,7 @@ class HashBlock(ColumnBlock):
         words = columns[:, None] + np.arange(self.reps) * self.n_cols
         u = splitmix64(self.key, words)
         buckets = (u % np.uint64(self.n_buckets)).astype(np.int64)
-        signs = ((u >> np.uint64(1)) & np.uint64(1)).astype(np.int8) * 2 - 1
+        signs = (u >> np.uint64(63)).astype(np.int8) * 2 - 1
         return buckets, signs
 
     def entries(self, columns: np.ndarray):
@@ -139,19 +142,6 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     return candidates
 
 
-def _bucket_values(block: HashBlock, yB: np.ndarray,
-                   indices: np.ndarray) -> np.ndarray:
-    """(len(indices), reps) magnitudes of each index's bucket per repetition.
-
-    rows_of_many returns each column's rows contiguously, in the order the
-    columns were given, and every column sits in exactly one bucket per
-    repetition, so a plain reshape lines rows up with (index, repetition).
-    """
-    rows, _, _ = block.rows_of_many(np.asarray(indices, dtype=np.int64))
-    reps = rows.size // len(indices)
-    return yB[rows].reshape(len(indices), reps)
-
-
 def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
                         indices: np.ndarray) -> np.ndarray:
     """Per index, the median over repetitions of |bucket containing it|,
@@ -162,4 +152,8 @@ def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
     outside = indices[(indices < 0) | (indices >= B_block.n_cols)]
     if outside.size:
         raise SketchError(f"index {outside[0]} out of range [0, {B_block.n_cols})")
-    return np.median(_bucket_values(B_block, yB, indices), axis=1)
+    # rows_of_many returns each column's rows contiguously, in the order the
+    # columns were given, and every column sits in exactly one bucket per
+    # repetition, so a plain reshape lines rows up with (index, repetition)
+    rows, _, _ = B_block.rows_of_many(indices)
+    return np.median(yB[rows].reshape(indices.size, -1), axis=1)

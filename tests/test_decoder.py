@@ -295,12 +295,12 @@ def pattern(m):
     return np.where(np.arange(m) % 3 == 1, -1, 1)
 
 
-def chain_graph(ens, S2, members):
-    """A sign graph on S2 in ``ens``'s frame: a chain through ``members``
-    (positions in S2) voting the relative signs of ``pattern``."""
+def chain_graph(S2, members):
+    """A sign graph on S2: a chain through ``members`` (positions in S2)
+    voting the relative signs of ``pattern``."""
     u, v = members[:-1], members[1:]
-    p, D = pattern(S2.size), ens.D[S2]
-    return SignGraph(S2, S2[u], S2[v], p[u] * p[v] * D[u] * D[v], signed=True)
+    p = pattern(S2.size)
+    return SignGraph(S2, S2[u], S2[v], p[u] * p[v], signed=True)
 
 
 def test_a_member_no_replica_reached_keeps_its_bare_magnitude(monkeypatch):
@@ -311,7 +311,7 @@ def test_a_member_no_replica_reached_keeps_its_bare_magnitude(monkeypatch):
 
     def sign_stage(ens, meas, S2, estimates, diagnostics):
         rest = np.flatnonzero(np.arange(S2.size) != np.argmax(estimates))
-        return chain_graph(ens, S2, rest)
+        return chain_graph(S2, rest)
 
     monkeypatch.setattr(decoder, "_sign_stage", sign_stage)
     amp = decode_amplified(ensembles, measurements)
@@ -334,8 +334,8 @@ def test_a_disconnected_vote_graph_is_flagged(monkeypatch):
 
     def two_components(F_block, yF, S2, estimates):
         half = S2.size // 2
-        g = chain_graph(ens, S2, np.arange(half))
-        h = chain_graph(ens, S2, np.arange(half, S2.size))
+        g = chain_graph(S2, np.arange(half))
+        h = chain_graph(S2, np.arange(half, S2.size))
         seen.append(SignGraph(S2, np.r_[g.edge_u, h.edge_u],
                               np.r_[g.edge_v, h.edge_v],
                               np.r_[g.weights, h.weights], signed=True))
@@ -346,7 +346,7 @@ def test_a_disconnected_vote_graph_is_flagged(monkeypatch):
     assert res.S2.size == 8 and res.signs_failed
     # each component keeps its eigenvector signs; no vote relates them
     labels = recover_communities(seen[0]).labels
-    assert np.array_equal(res.values, ens.D[res.S2] * labels * np.abs(res.values))
+    assert np.array_equal(res.values, labels * np.abs(res.values))
     # and each 4-member chain's signs agree with its own votes
     signs = np.sign(res.values) * pattern(res.S2.size)
     for chain in (signs[:4], signs[4:]):

@@ -149,11 +149,12 @@ def test_hash_blocks_apply_matches_dense_oracle():
 
 
 def test_hash_block_rows_follow_the_stream_words():
-    # column i's bucket and sign in repetition r come from word r*n + i
+    # column i's bucket and sign in repetition r come from word r*n + i:
+    # the bucket from the word modulo the bucket count, the sign from bit 63
     n, buckets, bits, reps = 200, 11, 8, 3
     words = splitmix64(17, np.arange(reps * n)).reshape(reps, n)
     bucket = (words % np.uint64(buckets)).astype(np.int64)
-    sign = ((words >> np.uint64(1)) & np.uint64(1)).astype(np.int8) * 2 - 1
+    sign = (words >> np.uint64(63)).astype(np.int8) * 2 - 1
     B = build_countsketch_block(17, n, buckets, reps)
     A = build_hh_block(17, n, buckets, bits, reps)
     stride = 2 * bits + 1

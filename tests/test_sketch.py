@@ -22,6 +22,25 @@ def estimate_one(block, y, i):
     return estimate_magnitudes(block, y, [i])[0]
 
 
+def test_countsketch_sign_is_not_a_function_of_the_bucket():
+    # B's bucket count is a power of two, so its bucket is the stream
+    # word's low bits; a sign from one of those bits once gave every column
+    # of a bucket the same sign. Pairs sharing a bucket must agree in sign
+    # about half the time, as count-sketch's independent signs do.
+    n, buckets = 4096, 1024
+    buckets_of, signs = build_countsketch_block(9, n, buckets, 5).hash(np.arange(n))
+    agree = pairs = 0
+    for r in range(5):
+        per_bucket = np.bincount(buckets_of[:, r], minlength=buckets)
+        plus = np.bincount(buckets_of[:, r], weights=signs[:, r] > 0,
+                           minlength=buckets)
+        minus = per_bucket - plus
+        agree += int((plus * (plus - 1) + minus * (minus - 1)).sum()) // 2
+        pairs += int((per_bucket * (per_bucket - 1)).sum()) // 2
+    assert pairs > 10000
+    assert abs(agree / pairs - 0.5) < 0.03, agree / pairs
+
+
 def test_single_spike_is_identified():
     n = 512
     block = make_block(1, n, K=10)
