@@ -219,8 +219,8 @@ def decode_amplified(ensembles: list[SensingEnsemble],
             raise EnsembleError(f"replicas must share the signal length: "
                                 f"n={ens.n} (first ensemble: n={primary.n})")
         ens.check(meas)
-        if not np.all(np.isfinite(meas.y)):
-            raise EnsembleError("measurements must be finite")
+        if not (meas.y.min() >= 0 and np.isfinite(meas.y.max())):
+            raise EnsembleError("measurements must be finite and nonnegative")
     measurements = y_list[0]
     diagnostics = DecodeDiagnostics()
     cfg = primary.config

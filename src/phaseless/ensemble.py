@@ -78,8 +78,9 @@ class EnsembleConfig:
     ``None`` fields are resolved from (n, k) at build time; ``resolve``
     returns a config with every field concrete. Defaults were calibrated
     on the acceptance experiments (the guarantees only pin these constants
-    up to "large enough"). Count fields must be integers and the others
-    real numbers; any other value raises EnsembleError on construction.
+    up to "large enough"). Count fields must be integers >= 1 and the
+    others finite numbers > 0; any other value raises EnsembleError on
+    construction.
 
     C0      density constant of the F levels (level density
             1 / (C0 * 2^l * (log2(5k) - l + 2)^2), for the levels
@@ -116,14 +117,20 @@ class EnsembleConfig:
 
     def __post_init__(self):
         # config files and calibration grids reach here: refuse a value of
-        # the wrong type by name, before resolve does arithmetic on it
+        # the wrong type or range by name, before resolve does arithmetic
+        # on it; resolve's replace checks the derived values here too
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
+            if value is None:
+                continue
             kind, noun = (_INTEGER, "an integer") if name in _COUNTS \
                 else (_NUMBER, "a number")
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, kind)):
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise EnsembleError(f"{name} must be {noun}, got {value!r}")
+            if name in _COUNTS and value < 1:
+                raise EnsembleError(f"{name} must be >= 1, got {value}")
+            if name not in _COUNTS and not 0 < value < math.inf:
+                raise EnsembleError(f"{name} must be finite and > 0, got {value}")
 
     def resolve(self, n: int, k: int) -> "EnsembleConfig":
         log2n = max(1, math.ceil(math.log2(max(n, 2))))
@@ -142,22 +149,10 @@ class EnsembleConfig:
         if self.hh_reps is None:
             updates["hh_reps"] = max(3, math.ceil(log2n / 2))
         resolved = replace(self, **updates) if updates else self
-        resolved._validate(n, k)
+        for name in ("heavy_K", "top_select"):
+            if getattr(resolved, name) < k:
+                raise EnsembleError(f"{name}={getattr(resolved, name)} < k={k}")
         return resolved
-
-    def _validate(self, n: int, k: int) -> None:
-        for name in _COUNTS:
-            value = getattr(self, name)
-            if value is None or value < 1:
-                raise EnsembleError(f"{name} must be >= 1, got {value}")
-        for name in ("C0", "C1", "c1", "c_F", "hh_bucket_factor"):
-            value = getattr(self, name)
-            if value is None or not (0 < value < math.inf):
-                raise EnsembleError(f"{name} must be finite and > 0, got {value}")
-        if self.heavy_K < k:
-            raise EnsembleError(f"heavy_K={self.heavy_K} < k={k}")
-        if self.top_select < k:
-            raise EnsembleError(f"top_select={self.top_select} < k={k}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -309,19 +304,27 @@ class Measurements:
 # operations
 # ---------------------------------------------------------------------------
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a bool, float or other type raises."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGER):
+        raise EnsembleError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
                    rng_seed: int = 0) -> SensingEnsemble:
     """Construct the full sensing ensemble for an n-dimensional, k-sparse
     target; ``rng_seed`` (a non-negative integer) keys every random stream.
-    Requires k <= n/20 so the heavy-hitter and candidate-cap machinery has
-    room to operate."""
+    n, k and the seed are ints or numpy integers. Requires k <= n/20 so the
+    heavy-hitter and candidate-cap machinery has room to operate."""
+    n, k, seed = (_integer(name, value) for name, value in
+                  (("n", n), ("k", k), ("rng_seed", rng_seed)))
     if n < 1 or k < 1:
         raise EnsembleError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if k > n / 20:
         raise EnsembleError(f"k={k} too large for n={n} (need k <= n/20)")
-    if not isinstance(rng_seed, _INTEGER) or rng_seed < 0:
-        raise EnsembleError(f"rng_seed must be an integer >= 0, got {rng_seed!r}")
-    seed = int(rng_seed)
+    if seed < 0:
+        raise EnsembleError(f"rng_seed must be an integer >= 0, got {seed!r}")
     cfg = (config or EnsembleConfig()).resolve(n, k)
 
     f_levels = _f_levels(k, cfg.top_select)
@@ -360,7 +363,9 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
 
 
 def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
-    """Sense a signal: y = |Phi x| over every block, concatenated."""
+    """Sense a real signal: y = |Phi x| over every block, concatenated."""
+    if np.iscomplexobj(x):
+        raise EnsembleError("signal must be real, got a complex array")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ensemble.n,):
         raise EnsembleError(f"signal shape {x.shape} != ({ensemble.n},)")

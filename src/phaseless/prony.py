@@ -88,6 +88,11 @@ class DeterministicScheme:
     k: int
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # frozen
         if not 1 <= 2 * self.k <= self.n:
             raise ValueError(f"need 1 <= 2k <= n, got n={self.n}, k={self.k}")
 

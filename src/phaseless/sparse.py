@@ -11,12 +11,11 @@ Both block kinds (the Bernoulli blocks here, the hash blocks in
 ``sketch``) answer ``entries(columns)`` with (per-column counts, rows,
 signs), grouped by column in the order asked and with rows increasing
 within a column; ``ColumnBlock`` builds the rest of the interface on that.
-Its ``apply`` asks for the nonzero columns at most ``APPLY_CHUNK`` at a
-time, each aligned range with no zero entry as a chunk of its own, and
-scatters each chunk into one output, so sensing a dense signal never holds
-more than one chunk's entries in temporaries; a Bernoulli block keeps the
-entries of each aligned full chunk it is asked for, so a range with no
-zero entry reuses them whatever the other ranges hold.
+``APPLY_CHUNK`` is the one bound on a request: ``apply`` asks for fewer
+nonzero columns than that at once, and cuts more at every multiple of it,
+one request per aligned range, so sensing a dense signal never holds more
+than one range's entries in temporaries. A range with no zero entry is
+asked for whole, and a Bernoulli block keeps and reuses its entries.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
-_CHUNK_WORDS = 1 << 20            # stream words drawn per sampling pass
-# Columns per scatter in ``ColumnBlock.apply``, and the unit in which a
-# Bernoulli block keeps sampled columns.
+# The aligned column ranges ``ColumnBlock.apply`` asks for, and the unit in
+# which a Bernoulli block keeps sampled columns.
 APPLY_CHUNK = 2048
 # Words a column draws first: its mean entry count plus this many standard
 # deviations. Any value gives the same entries; a column that runs short
@@ -102,50 +100,43 @@ def sample_bernoulli(key: int, n_rows: int, p: float, columns):
     each word gives a geometric gap down the rows (top 53 bits) and a sign
     (low bit). Returns (counts, rows, signs): entries per column, and the
     int32 rows and int8 signs of all entries, grouped by column in the
-    order given.
+    order given. Every column is walked at once, so the caller bounds the
+    request (``ColumnBlock.apply`` asks for at most ``APPLY_CHUNK``).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"density must be in (0, 1), got {p}")
     columns = np.asarray(columns, dtype=np.int64)
     width = _draw_width(n_rows * p)
     inv = 1.0 / math.log1p(-p)
-    counts, rows, signs = [], [], []
-    step = max(1, _CHUNK_WORDS // width)
-    for lo in range(0, columns.size, step):
-        keys = splitmix64(key, columns[lo:lo + step])
-        at, u = _walk(keys, inv, 0, width, -1)
+    keys = splitmix64(key, columns)
+    at, u = _walk(keys, inv, 0, width, -1)
+    inside = at < n_rows
+    count = inside.sum(axis=1)
+    rows = at[inside].astype(np.int32)
+    signs = _signs(u[inside])
+    # rare: a column still above the last row continues its walk from its
+    # last row with its next words
+    short = np.flatnonzero(inside[:, -1])
+    last, word = at[short, -1:], width
+    more_cols, more_rows, more_signs = [], [], []
+    while short.size:
+        w = _draw_width((n_rows - 1 - last.min()) * p)
+        at, u = _walk(keys[short], inv, word, w, last)
         inside = at < n_rows
-        count = inside.sum(axis=1)
-        r = at[inside].astype(np.int32)
-        s = _signs(u[inside])
-        # rare: a column still above the last row continues its walk from
-        # its last row with its next words
-        short = np.flatnonzero(inside[:, -1])
-        last, word = at[short, -1:], width
-        more_cols, more_rows, more_signs = [], [], []
-        while short.size:
-            w = _draw_width((n_rows - 1 - last.min()) * p)
-            at, u = _walk(keys[short], inv, word, w, last)
-            inside = at < n_rows
-            more_cols.append(np.repeat(short, inside.sum(axis=1)))
-            more_rows.append(at[inside])
-            more_signs.append(u[inside])
-            keep = inside[:, -1]
-            short, last, word = short[keep], at[keep, -1:], word + w
-        if more_cols:
-            cols = np.concatenate(more_cols)
-            order = np.argsort(cols, kind="stable")   # by column, walk order
-            before = np.cumsum(count)[cols[order]]   # end of each main walk
-            r = np.insert(r, before, np.concatenate(more_rows)[order])
-            s = np.insert(s, before, _signs(np.concatenate(more_signs)[order]))
-            count += np.bincount(cols, minlength=count.size)
-        counts.append(count)
-        rows.append(r)
-        signs.append(s)
-    if not counts:
-        return (np.zeros(0, np.int64), np.zeros(0, np.int32),
-                np.zeros(0, np.int8))
-    return np.concatenate(counts), np.concatenate(rows), np.concatenate(signs)
+        more_cols.append(np.repeat(short, inside.sum(axis=1)))
+        more_rows.append(at[inside])
+        more_signs.append(u[inside])
+        keep = inside[:, -1]
+        short, last, word = short[keep], at[keep, -1:], word + w
+    if more_cols:
+        cols = np.concatenate(more_cols)
+        order = np.argsort(cols, kind="stable")   # by column, walk order
+        before = np.cumsum(count)[cols[order]]   # end of each main walk
+        rows = np.insert(rows, before, np.concatenate(more_rows)[order])
+        signs = np.insert(signs, before,
+                          _signs(np.concatenate(more_signs)[order]))
+        count += np.bincount(cols, minlength=count.size)
+    return count, rows, signs
 
 
 def apply_signed(out: np.ndarray, rows: np.ndarray, signs: np.ndarray,
@@ -174,11 +165,11 @@ class ColumnBlock:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Signed row sums over the entries of v's nonzero columns.
 
-        The columns are taken in increasing order, at most ``APPLY_CHUNK``
-        at a time, and scattered into one output, so every row adds its
-        entries in column order and no temporary outgrows one chunk's
-        entries. Each aligned ``APPLY_CHUNK``-column range with no zero
-        entry is a chunk of its own.
+        Fewer than ``APPLY_CHUNK`` nonzero columns are one request; more
+        are cut at every multiple of ``APPLY_CHUNK``, one request per
+        aligned range they touch. The requests are scattered into one
+        output in increasing column order, so every row adds its entries
+        in column order and no temporary outgrows one range's entries.
         """
         if v.shape[0] != self.n_cols:
             raise ValueError(f"vector length {v.shape[0]} != n_cols {self.n_cols}")
@@ -186,16 +177,13 @@ class ColumnBlock:
         out = np.zeros(self.n_rows)
         pieces = [cols]
         if cols.size >= APPLY_CHUNK:
-            # cut around each aligned range whose columns are all nonzero,
-            # so it is asked for whole; fewer columns fill no such range
-            first = np.searchsorted(cols, np.arange(0, self.n_cols, APPLY_CHUNK))
-            full = first[np.diff(first, append=cols.size) == APPLY_CHUNK]
-            pieces = np.split(cols, np.union1d(full, full + APPLY_CHUNK))
+            # cutting a sparse signal too would cost a call per range
+            pieces = np.split(cols, np.searchsorted(
+                cols, np.arange(APPLY_CHUNK, self.n_cols, APPLY_CHUNK)))
         for piece in pieces:
-            for lo in range(0, piece.size, APPLY_CHUNK):
-                chunk = piece[lo:lo + APPLY_CHUNK]
-                counts, rows, signs = self.entries(chunk)
-                apply_signed(out, rows, signs, np.repeat(v[chunk], counts))
+            if piece.size:
+                counts, rows, signs = self.entries(piece)
+                apply_signed(out, rows, signs, np.repeat(v[piece], counts))
         return out
 
 
@@ -204,12 +192,11 @@ class SparseSignMatrix(ColumnBlock):
     """n_rows x n_cols block whose cells are i.i.d. Bernoulli(p), each
     nonzero with a uniform +/-1 sign, defined by its stream key.
 
-    It holds no entries until a call asks for exactly the columns
-    lo .. lo + APPLY_CHUNK - 1 of an aligned chunk (lo a multiple of
-    APPLY_CHUNK), as sensing a signal whose nonzero columns cover that
-    chunk does; that call keeps its result for the next request of the same
-    chunk. Every other call, a partial last chunk included, samples its
-    columns.
+    It holds no entries until a call asks for exactly one aligned range
+    lo .. lo + APPLY_CHUNK - 1 (lo a multiple of APPLY_CHUNK), as sensing
+    a signal with no zero entry there does, and keeps that result for the
+    next such request. Every other call, a partial last range included,
+    samples its columns.
     """
 
     key: int
@@ -227,7 +214,7 @@ class SparseSignMatrix(ColumnBlock):
 
     def entries(self, columns: np.ndarray):
         """(counts, rows, signs) of the columns: sampled, or the kept
-        result when the columns are exactly one aligned full chunk."""
+        result when the columns are exactly one aligned range."""
         lo = int(columns[0]) if columns.size == APPLY_CHUNK else -1  # -1: none
         if lo % APPLY_CHUNK or not np.array_equal(
                 columns, np.arange(lo, lo + APPLY_CHUNK)):

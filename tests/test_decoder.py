@@ -435,6 +435,15 @@ def test_amplified_validates_inputs():
         decode_amplified(ensembles, [measurements[0], nan, measurements[2]])
 
 
+def test_decode_refuses_negative_measurements():
+    # no |Phi x| is negative: such a y once decoded to an empty estimate
+    ensembles, measurements, _ = amplified_setup(23, reps=1)
+    y = measurements[0].y.copy()
+    y[ensembles[0].rows("B")] *= -1
+    with pytest.raises(EnsembleError, match="nonnegative"):
+        decode(ensembles[0], dataclasses.replace(measurements[0], y=y))
+
+
 def test_amplified_refuses_replicas_of_another_n():
     # such a replica once raised a bare IndexError, or voted with columns
     # of another signal length when S2 lay below its n

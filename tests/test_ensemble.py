@@ -143,6 +143,39 @@ def test_config_validation():
         EnsembleConfig(countsketch_reps=0).resolve(N, K)
 
 
+def test_config_checks_every_field_at_construction():
+    # ranges are checked when a config is made, and a derived value when
+    # resolve makes its config: 12 * C0^2 overflows to inf here
+    for field, value in (("countsketch_reps", 0), ("heavy_K", -3), ("C1", 0.0)):
+        with pytest.raises(EnsembleError, match=field):
+            EnsembleConfig(**{field: value})
+    with pytest.raises(EnsembleError, match="c_F"):
+        EnsembleConfig(C0=1e200).resolve(N, K)
+
+
+@pytest.mark.parametrize("n, k, name", [
+    (1024.0, 8, "n"), (1024, True, "k"), (1024, 8.0, "k"), ("1024", 8, "n"),
+])
+def test_build_refuses_dimensions_that_are_not_integers(n, k, name):
+    # n=1024.0 once saved a file that load refuses, and k=True built k=1
+    with pytest.raises(EnsembleError, match=name):
+        build_ensemble(n, k)
+
+
+def test_numpy_integer_dimensions_round_trip(tmp_path):
+    # numpy integers once reached save, which failed in json.dumps
+    ens = build_ensemble(np.int64(N), np.int64(K), rng_seed=np.int64(SEED))
+    assert all(type(v) is int for v in (ens.n, ens.k, ens.seed))
+    x, _ = exact_sparse(np.random.default_rng(4), N, K)
+    meas = apply_phaseless(ens, x)
+    meas.save(tmp_path / "meas.npz")
+    loaded = Measurements.load(tmp_path / "meas.npz")
+    assert (loaded.n, loaded.k, loaded.seed) == (N, K, SEED)
+    rebuilt = build_ensemble(loaded.n, loaded.k, config=loaded.config,
+                             rng_seed=loaded.seed)
+    assert decode(rebuilt, loaded).to_json() == decode(ens, meas).to_json()
+
+
 @pytest.mark.parametrize("field", ["C0", "C1", "c1", "c_F", "hh_bucket_factor"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_constants(field, value):
@@ -246,6 +279,12 @@ def test_apply_rejects_bad_signals(ens):
     bad[0] = np.nan
     with pytest.raises(EnsembleError):
         apply_phaseless(ens, bad)
+
+
+def test_apply_refuses_a_complex_signal(ens):
+    # a complex x was once cast to its real part with only a warning
+    with pytest.raises(EnsembleError, match="real"):
+        apply_phaseless(ens, np.zeros(N, dtype=np.complex128))
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phaseless import sparse
+from phaseless import apply_phaseless, build_ensemble, sparse
 from phaseless.sketch import build_countsketch_block, build_hh_block
 from phaseless.sparse import SparseSignMatrix, sample_bernoulli, splitmix64
 
@@ -61,6 +61,19 @@ CHUNK = sparse.APPLY_CHUNK
 WIDE = 2 * CHUNK + 37               # two aligned full chunks and a partial one
 
 
+def recorded_requests(monkeypatch, block):
+    """The column arrays ``block.apply`` asks ``entries`` for, and what each
+    request returned."""
+    asked, entries = [], block.entries
+
+    def recording(cols):
+        asked.append((cols, entries(cols)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(block, "entries", recording)
+    return asked
+
+
 def test_apply_matches_dense_oracle():
     dense = dense_block(SparseSignMatrix.bernoulli(5, 40, WIDE, 0.04))
     rng = np.random.default_rng(0)
@@ -87,13 +100,7 @@ def test_a_zero_entry_samples_only_its_own_chunk(monkeypatch):
     block.apply(v)
     kept = dict(block._kept)
     v[5] = 0.0
-    asked, entries = [], block.entries
-
-    def recording(cols):
-        asked.append((cols, entries(cols)))
-        return asked[-1][1]
-
-    monkeypatch.setattr(block, "entries", recording)
+    asked = recorded_requests(monkeypatch, block)
     fresh = SparseSignMatrix.bernoulli(12, 60, WIDE, 0.05)
     rows, signs, owners = fresh.rows_of_many(np.flatnonzero(v))
     want = np.bincount(rows, weights=v[owners] * signs, minlength=60)
@@ -138,6 +145,57 @@ def test_apply_is_one_bincount_in_column_order_across_chunks():
             want = np.bincount(rows, weights=v[owners] * signs,
                                minlength=block.n_rows)
             assert np.array_equal(block.apply(v), want)
+
+
+def test_a_dense_signal_is_cut_at_every_aligned_range(monkeypatch):
+    # no aligned range of v is full, yet v has more than APPLY_CHUNK nonzero
+    # columns: one request per range it touches, each inside that range
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(WIDE) * (rng.random(WIDE) < 0.7)
+    cols = np.flatnonzero(v)
+    assert cols.size > CHUNK
+    assert all(np.count_nonzero(v[lo:lo + CHUNK]) < CHUNK
+               for lo in range(0, WIDE, CHUNK))
+    for block in (SparseSignMatrix.bernoulli(6, 90, WIDE, 0.03),
+                  build_hh_block(7, WIDE, 40, 13, 3),
+                  build_countsketch_block(8, WIDE, 64, 5)):
+        rows, signs, owners = block.rows_of_many(cols)
+        want = np.bincount(rows, weights=v[owners] * signs,
+                           minlength=block.n_rows)
+        asked = recorded_requests(monkeypatch, block)
+        assert np.array_equal(block.apply(v), want)
+        assert [(c[0] // CHUNK, c[-1] // CHUNK) for c, _ in asked] == \
+            [(0, 0), (1, 1), (2, 2)]
+        assert np.array_equal(np.concatenate([c for c, _ in asked]), cols)
+
+
+def test_a_sparse_signal_is_one_request_per_block(monkeypatch):
+    # a k-sparse signal spread over every range is still one request per
+    # block; a dense one is one request per aligned range, each a full
+    # range, and a second sense gets the kept entries back
+    ens = build_ensemble(4096, 10, rng_seed=6)
+    rng = np.random.default_rng(6)
+    spikes = np.zeros(4096)
+    spikes[rng.choice(4096, 10, replace=False)] = rng.standard_normal(10)
+    spikes[[0, 4095]] = 1.0
+    dense = rng.standard_normal(4096)
+    asked = {name: recorded_requests(monkeypatch, block)
+             for name, block in ens.blocks.items()}
+    apply_phaseless(ens, spikes)
+    assert all(len(calls) == 1 for calls in asked.values())
+    for calls in asked.values():
+        calls.clear()
+    apply_phaseless(ens, dense)
+    first = {name: [result for _, result in calls]
+             for name, calls in asked.items()}
+    for calls in asked.values():
+        assert [c.tolist() for c, _ in calls] == \
+            [list(range(lo, lo + CHUNK)) for lo in (0, CHUNK)]
+        calls.clear()
+    apply_phaseless(ens, dense)
+    for name, block in ens.blocks.items():
+        if isinstance(block, SparseSignMatrix):
+            assert all(a is b for (_, a), b in zip(asked[name], first[name]))
 
 
 def test_hash_blocks_apply_matches_dense_oracle():

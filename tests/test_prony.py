@@ -60,6 +60,18 @@ def test_scheme_rejects_bad_sizes():
         DeterministicScheme(8, 5)  # 2k > n
 
 
+def test_scheme_takes_integer_sizes_only():
+    # these were accepted, then failed inside det_measure or det_recover
+    for n, k, name in ((64, 2.5, "k"), (64.0, 2, "n"), (64, True, "k")):
+        with pytest.raises(ValueError, match=name):
+            DeterministicScheme(n, k)
+    scheme = DeterministicScheme(np.int64(64), np.int64(3))
+    assert type(scheme.n) is int and type(scheme.k) is int
+    x, _ = random_complex_sparse(np.random.default_rng(3), 64, 3)
+    assert twin_phase_error(det_recover(scheme, det_measure(scheme, x)).values,
+                            x) < 1e-9
+
+
 # -- resolve_phase ------------------------------------------------------------
 
 def test_resolve_phase_collinear_cases():
@@ -181,6 +193,29 @@ def test_prony_matches_brute_force_small():
         slow = brute_force_recover(g, n, k)
         assert slow is not None
         assert np.max(np.abs(fast - slow)) < 1e-10
+
+
+def test_grid_filter_keeps_the_true_leaf_with_pronys_support():
+    # det_recover reads supports from the grid filter, not prony_solve:
+    # given the true 2k coefficients as its one leaf, the filter keeps it
+    # and reads off the support prony_solve (checked above) returns
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(25):                         # the instances above
+        n = int(rng.choice([8, 12, 16]))
+        k = int(rng.integers(1, 4))
+        cases.append((n, k, *random_complex_sparse(rng, n, k)))
+    rng = np.random.default_rng(12)
+    cases += [(64, k, *random_complex_sparse(rng, 64, k))
+              for k in range(1, 9) for _ in range(40)]
+    for n, k, x, pos in cases:
+        g = fourier_prefix(x, k)
+        kept, supports = prony._grid_annihilator_filter(
+            g[None, :], np.zeros(1, dtype=np.int64), n, k)
+        assert kept.tolist() == [0], (n, k)
+        want = np.flatnonzero(prony_solve(g, n, k).values)
+        assert np.array_equal(want, pos)
+        assert np.array_equal(supports[0], want), (n, k)
 
 
 # -- det_recover --------------------------------------------------------------

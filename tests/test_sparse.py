@@ -60,3 +60,19 @@ def test_column_does_not_depend_on_its_batch():
     b = sample_bernoulli(5, 400, 0.02, [77])
     assert np.array_equal(a[1][-a[0][-1]:], b[1])
     assert np.array_equal(a[2][-a[0][-1]:], b[2])
+
+
+def test_one_request_equals_its_chunked_requests():
+    # the sampler walks every column it is asked for at once: a request of
+    # 70000 columns (1.47M first-draw words) returns what its 2048-column
+    # pieces return, dtypes included
+    cols = np.random.default_rng(11).integers(0, 10 ** 7, 70000)
+    whole = sample_bernoulli(5, 400, 0.02, cols)
+    pieces = [sample_bernoulli(5, 400, 0.02, cols[lo:lo + 2048])
+              for lo in range(0, cols.size, 2048)]
+    for got, parts in zip(whole, zip(*pieces)):
+        want = np.concatenate(parts)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    empty = sample_bernoulli(5, 400, 0.02, [])
+    assert [a.dtype for a in empty] == [a.dtype for a in whole]
+    assert all(a.size == 0 for a in empty)
