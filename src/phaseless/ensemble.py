@@ -17,13 +17,14 @@ gives every nonzero entry its own random sign:
       l = 1 .. min(ceil(log2 top_select), ceil(log2 5k)), the only ones the
       sign stage can pick: it tests sets of 2 to top_select candidates.
 
-Sensing computes y = |Phi x| block by block; nothing downstream ever sees a
-sign or phase. All randomness is drawn from counter-based streams keyed off
-one seed, ``build_ensemble``'s ``rng_seed``, so an (n, k, seed, config)
-quadruple reproduces the ensemble exactly, block by block; the config holds
-only the construction constants. Building one therefore computes only the
-block keys: each block recomputes the columns a signal or a decode
-touches from its stream (see sparse.py).
+Sensing computes y = |Phi x| in one pass over the stacked blocks; nothing
+downstream ever sees a sign or phase. All randomness is drawn from
+counter-based streams keyed off one seed, ``build_ensemble``'s
+``rng_seed``, so an (n, k, seed, config) quadruple reproduces the ensemble
+exactly, block by block; the config holds only the construction
+constants. Building one therefore computes only the block keys: each
+block recomputes the columns a signal or a decode touches from its stream
+(see sparse.py).
 
 The built ensemble owns the row layout: ``SensingEnsemble.rows`` slices a
 block's rows out of y. Measurements carry only y and the (n, k, seed,
@@ -41,7 +42,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import sketch
-from .sparse import ColumnBlock, SparseSignMatrix
+from .sparse import ColumnBlock, SparseSignMatrix, apply_blocks
 
 __all__ = [
     "EnsembleConfig",
@@ -232,9 +233,10 @@ class SensingEnsemble:
         return slice(start, start + self.blocks[name].n_rows)
 
     def check(self, measurements: "Measurements") -> None:
-        """Raise EnsembleError unless ``measurements`` were sensed by an
-        ensemble with this (n, k, seed, config). Values are compared, not
-        objects: a rebuild reproduces the ensemble exactly."""
+        """Raise EnsembleError unless ``measurements`` hold one signal's
+        rows, sensed by an ensemble with this (n, k, seed, config). Values
+        are compared, not objects: a rebuild reproduces the ensemble
+        exactly."""
         mine = (self.n, self.k, self.seed, self.config)
         theirs = (measurements.n, measurements.k, measurements.seed,
                   measurements.config)
@@ -244,9 +246,13 @@ class SensingEnsemble:
                                 + ", ".join(f"{key}={theirs[key]!r} (ensemble: "
                                             f"{mine[key]!r})" for key in mine
                                             if theirs[key] != mine[key]))
-        if measurements.y.shape[-1:] != (self.total_rows,):
-            raise EnsembleError(f"measurements have {measurements.y.shape[-1:]} "
-                                f"rows, the ensemble {self.total_rows}")
+        shape = np.shape(measurements.y)
+        if len(shape) != 1:
+            raise EnsembleError(f"decoding takes one signal's measurements, "
+                                f"got y of shape {shape}")
+        if shape[0] != self.total_rows:
+            raise EnsembleError(f"measurements have {shape[0]} rows, the "
+                                f"ensemble {self.total_rows}")
 
 
 def _identity(n: int, k: int, seed: int, config: EnsembleConfig) -> dict:
@@ -363,7 +369,9 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
 
 
 def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
-    """Sense a real signal: y = |Phi x| over every block, concatenated."""
+    """Sense a real signal: y = |Phi x| over every block, concatenated.
+    One ``sparse.apply_blocks`` pass over the stacked blocks senses it,
+    with at most ``APPLY_CHUNK`` (block, column) pairs per request."""
     if np.iscomplexobj(x):
         raise EnsembleError("signal must be real, got a complex array")
     x = np.asarray(x, dtype=np.float64)
@@ -371,9 +379,8 @@ def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
         raise EnsembleError(f"signal shape {x.shape} != ({ensemble.n},)")
     if not np.all(np.isfinite(x)):
         raise EnsembleError("signal must be finite")
-    y = np.empty(ensemble.total_rows, dtype=np.float64)
-    for name, blk in ensemble.blocks.items():
-        y[ensemble.rows(name)] = np.abs(blk.apply(x))
+    y = apply_blocks(list(ensemble.blocks.values()), x)
+    np.abs(y, out=y)
     return Measurements(y, ensemble.n, ensemble.k, ensemble.seed, ensemble.config)
 
 

@@ -11,11 +11,14 @@ Both block kinds (the Bernoulli blocks here, the hash blocks in
 ``sketch``) answer ``entries(columns)`` with (per-column counts, rows,
 signs), grouped by column in the order asked and with rows increasing
 within a column; ``ColumnBlock`` builds the rest of the interface on that.
-``APPLY_CHUNK`` is the one bound on a request: ``apply`` asks for fewer
-nonzero columns than that at once, and cuts more at every multiple of it,
-one request per aligned range, so sensing a dense signal never holds more
-than one range's entries in temporaries. A range with no zero entry is
-asked for whole, and a Bernoulli block keeps and reuses its entries.
+``apply_blocks`` senses a signal through a stack of blocks in one pass,
+and ``ColumnBlock.apply`` is its one-block case. ``APPLY_CHUNK`` bounds
+each request it makes, counted in (block, column) pairs, so a k-sparse
+signal is one sampler walk for every Bernoulli block, and sensing a dense
+signal, cut at every aligned range of ``APPLY_CHUNK`` columns, never holds
+more than one range's entries of one block in temporaries. A range with
+no zero entry is asked for whole, and a Bernoulli block keeps and reuses
+its entries.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
-# The aligned column ranges ``ColumnBlock.apply`` asks for, and the unit in
-# which a Bernoulli block keeps sampled columns.
+# The most (block, column) pairs in one request, the aligned column ranges
+# ``apply_blocks`` cuts a dense signal at, and the unit in which a Bernoulli
+# block keeps sampled columns.
 APPLY_CHUNK = 2048
 # Words a column draws first: its mean entry count plus this many standard
 # deviations. Any value gives the same entries; a column that runs short
@@ -53,22 +57,23 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def splitmix64(key: int, idx) -> np.ndarray:
+def splitmix64(key, idx) -> np.ndarray:
     """Counter-mode splitmix64: word i of stream ``key`` depends only on
-    (key, i), so any words can be drawn in any order."""
+    (key, i), so any words can be drawn in any order. An array of keys
+    broadcasts against ``idx``."""
     z = np.array(idx, dtype=np.uint64)
     z *= _GOLDEN
-    z += np.uint64(key)
+    z = z + np.asarray(key, dtype=np.uint64)
     return _mix64(z, np.empty_like(z))
 
 
-def _walk(col_keys: np.ndarray, inv: float, first: int, width: int, last):
+def _walk(col_keys: np.ndarray, inv, first: int, width: int, last):
     """Rows reached by words ``first`` .. ``first + width - 1`` of each
     column's stream, walking geometric gaps down from row ``last``, and the
-    words that drew them; both (columns, width)."""
+    words that drew them; both ``col_keys.shape + (width,)``."""
     idx = np.arange(first, first + width, dtype=np.uint64)
     idx *= _GOLDEN
-    u = col_keys[:, None] + idx
+    u = col_keys[..., None] + idx
     scratch = np.empty_like(u)
     _mix64(u, scratch)
     np.right_shift(u, _S11, out=scratch)
@@ -80,7 +85,7 @@ def _walk(col_keys: np.ndarray, inv: float, first: int, width: int, last):
     g += 1
     gaps = scratch.view(np.int64)     # the shifted words are spent
     gaps[...] = g
-    np.cumsum(gaps, axis=1, out=gaps)
+    np.cumsum(gaps, axis=-1, out=gaps)
     gaps += last
     return gaps, u
 
@@ -93,36 +98,49 @@ def _draw_width(mean: float) -> int:
     return max(1, int(mean + _SLACK_SD * math.sqrt(mean)) + 2)
 
 
-def sample_bernoulli(key: int, n_rows: int, p: float, columns):
-    """Entries of the given columns of an i.i.d. Bernoulli(p) sign block.
+def sample_bernoulli(key, n_rows, p, columns):
+    """Entries of the given columns of i.i.d. Bernoulli(p) sign blocks.
 
-    Column j walks its own stream, keyed by word j of the block's stream:
-    each word gives a geometric gap down the rows (top 53 bits) and a sign
-    (low bit). Returns (counts, rows, signs): entries per column, and the
-    int32 rows and int8 signs of all entries, grouped by column in the
-    order given. Every column is walked at once, so the caller bounds the
-    request (``ColumnBlock.apply`` asks for at most ``APPLY_CHUNK``).
+    ``key``, ``n_rows`` and ``p`` name one block, or, as equal-length
+    sequences, several, and one walk covers every (block, column) pair.
+    Column j of a block walks its own stream, keyed by word j of the
+    block's stream: each word gives a geometric gap down the rows (top 53
+    bits) and a sign (low bit). Returns (counts, rows, signs): entries per
+    pair, and the int32 rows (within the pair's block) and int8 signs of
+    all entries, grouped by block, then by column in the order given, so a
+    call over several blocks returns the concatenation of their one-block
+    calls. Every pair is walked at once, first with as many words as the
+    block with the most entries per column draws, so the caller bounds the
+    request (``apply_blocks`` asks for at most ``APPLY_CHUNK`` pairs).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"density must be in (0, 1), got {p}")
+    blocks = list(zip(key, n_rows, p)) if np.ndim(key) else [(key, n_rows, p)]
+    for _, _, q in blocks:
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"density must be in (0, 1), got {q}")
     columns = np.asarray(columns, dtype=np.int64)
-    width = _draw_width(n_rows * p)
-    inv = 1.0 / math.log1p(-p)
-    keys = splitmix64(key, columns)
-    at, u = _walk(keys, inv, 0, width, -1)
-    inside = at < n_rows
-    count = inside.sum(axis=1)
+    # per block: its columns' stream keys, row count, density, 1/log(1 - p)
+    keys = splitmix64(np.array([k for k, _, _ in blocks], dtype=np.uint64)[:, None],
+                      columns)
+    rows_of = np.array([r for _, r, _ in blocks], dtype=np.int64)
+    p_of = np.array([q for _, _, q in blocks])
+    inv = np.array([1.0 / math.log1p(-q) for _, _, q in blocks])
+    width = max(_draw_width(r * q) for _, r, q in blocks)
+    at, u = _walk(keys, inv[:, None, None], 0, width, -1)  # (block, col, word)
+    inside = at < rows_of[:, None, None]
+    count = inside.sum(axis=-1).ravel()
     rows = at[inside].astype(np.int32)
     signs = _signs(u[inside])
-    # rare: a column still above the last row continues its walk from its
-    # last row with its next words
-    short = np.flatnonzero(inside[:, -1])
-    last, word = at[short, -1:], width
+    # rare: a pair still above its block's last row continues its walk from
+    # its last row with its next words
+    short = np.flatnonzero(inside[..., -1])
+    last, word = at.reshape(-1, width)[short, -1:], width
+    keys = keys.ravel()
     more_cols, more_rows, more_signs = [], [], []
     while short.size:
-        w = _draw_width((n_rows - 1 - last.min()) * p)
-        at, u = _walk(keys[short], inv, word, w, last)
-        inside = at < n_rows
+        owner = (short // columns.size)[:, None]
+        w = _draw_width(float(((rows_of[owner] - 1 - last) * p_of[owner]).max()))
+        at, u = _walk(keys[short], inv[owner], word, w, last)
+        inside = at < rows_of[owner]
         more_cols.append(np.repeat(short, inside.sum(axis=1)))
         more_rows.append(at[inside])
         more_signs.append(u[inside])
@@ -130,7 +148,7 @@ def sample_bernoulli(key: int, n_rows: int, p: float, columns):
         short, last, word = short[keep], at[keep, -1:], word + w
     if more_cols:
         cols = np.concatenate(more_cols)
-        order = np.argsort(cols, kind="stable")   # by column, walk order
+        order = np.argsort(cols, kind="stable")   # by pair, walk order
         before = np.cumsum(count)[cols[order]]   # end of each main walk
         rows = np.insert(rows, before, np.concatenate(more_rows)[order])
         signs = np.insert(signs, before,
@@ -163,28 +181,62 @@ class ColumnBlock:
         return rows, signs, np.repeat(columns, counts)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Signed row sums over the entries of v's nonzero columns.
+        """Signed row sums over the entries of v's nonzero columns: the
+        one-block case of ``apply_blocks``, so each request holds at most
+        ``APPLY_CHUNK`` (block, column) pairs, one per column."""
+        return apply_blocks([self], v)
 
-        Fewer than ``APPLY_CHUNK`` nonzero columns are one request; more
-        are cut at every multiple of ``APPLY_CHUNK``, one request per
-        aligned range they touch. The requests are scattered into one
-        output in increasing column order, so every row adds its entries
-        in column order and no temporary outgrows one range's entries.
-        """
-        if v.shape[0] != self.n_cols:
-            raise ValueError(f"vector length {v.shape[0]} != n_cols {self.n_cols}")
-        cols = np.flatnonzero(v)
-        out = np.zeros(self.n_rows)
-        pieces = [cols]
-        if cols.size >= APPLY_CHUNK:
-            # cutting a sparse signal too would cost a call per range
-            pieces = np.split(cols, np.searchsorted(
-                cols, np.arange(APPLY_CHUNK, self.n_cols, APPLY_CHUNK)))
+
+def apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
+    """Signed row sums of the blocks stacked in the order given (the first
+    block's rows first) over the entries of v's nonzero columns.
+
+    The nonzero columns are found and cut once: fewer than ``APPLY_CHUNK``
+    are one piece, more are cut at every multiple of ``APPLY_CHUNK``, one
+    piece per aligned range they touch. Each hash block makes one
+    ``entries`` request per piece, and the Bernoulli blocks are sampled
+    together, as many per ``sample_bernoulli`` walk as keep the widest
+    piece within ``APPLY_CHUNK`` (block, column) pairs; a block alone in
+    its walk makes an ``entries`` request, which keeps a whole aligned
+    range. Each request is scattered into its blocks' rows of one output;
+    the requests go block by block, each block's pieces in increasing
+    column order, so every row adds its entries in column order and no
+    temporary outgrows one request's entries.
+    """
+    for block in blocks:
+        if v.shape[0] != block.n_cols:
+            raise ValueError(f"vector length {v.shape[0]} != n_cols {block.n_cols}")
+    start = np.cumsum([0] + [block.n_rows for block in blocks])
+    out = np.zeros(start[-1])
+    cols = np.flatnonzero(v)
+    pieces = [cols]
+    if cols.size >= APPLY_CHUNK:
+        # cutting a sparse signal too would cost a walk per range
+        pieces = np.split(cols, np.searchsorted(
+            cols, np.arange(APPLY_CHUNK, v.shape[0], APPLY_CHUNK)))
+    bernoulli = [b for b, block in enumerate(blocks)
+                 if isinstance(block, SparseSignMatrix)]
+    per_walk = APPLY_CHUNK // max(max(piece.size for piece in pieces), 1)
+    requests = ([[b] for b in range(len(blocks)) if b not in bernoulli]
+                + [bernoulli[lo:lo + per_walk]
+                   for lo in range(0, len(bernoulli), per_walk)])
+    for group in requests:
         for piece in pieces:
-            if piece.size:
-                counts, rows, signs = self.entries(piece)
-                apply_signed(out, rows, signs, np.repeat(v[piece], counts))
-        return out
+            if not piece.size:
+                continue
+            if len(group) == 1:
+                b, = group
+                counts, rows, signs = blocks[b].entries(piece)
+                apply_signed(out[start[b]:start[b + 1]], rows, signs,
+                             np.repeat(v[piece], counts))
+            else:
+                counts, rows, signs = sample_bernoulli(
+                    *zip(*((blocks[b].key, blocks[b].n_rows, blocks[b].p)
+                           for b in group)), piece)
+                per_block = counts.reshape(len(group), -1).sum(axis=1)
+                apply_signed(out, rows + np.repeat(start[group], per_block),
+                             signs, np.repeat(np.tile(v[piece], len(group)), counts))
+    return out
 
 
 @dataclass

@@ -444,6 +444,15 @@ def test_decode_refuses_negative_measurements():
         decode(ensembles[0], dataclasses.replace(measurements[0], y=y))
 
 
+def test_decode_refuses_a_batch():
+    # a (signals, rows) y once passed the row check and failed in the A
+    # block with a SketchError about its slice
+    ensembles, measurements, _ = amplified_setup(23, reps=1)
+    y = np.stack([measurements[0].y] * 2)
+    with pytest.raises(EnsembleError, match=rf"shape \(2, {y.shape[1]}\)"):
+        decode(ensembles[0], dataclasses.replace(measurements[0], y=y))
+
+
 def test_amplified_refuses_replicas_of_another_n():
     # such a replica once raised a bare IndexError, or voted with columns
     # of another signal length when S2 lay below its n

@@ -40,9 +40,12 @@ def test_offsets_partition_rows(ens):
 
 
 def test_sensing_applies_the_blocks_to_the_signal_itself(ens):
-    # y is |block x| for every block in order, with no sign flip in front
+    # y is |block x| for every block in order, with no sign flip in front;
+    # 500 scattered nonzero columns sample E and F in walks of 4 blocks
     rng = np.random.default_rng(6)
-    for x in (exact_sparse(rng, N, K)[0], rng.standard_normal(N)):
+    scattered = np.zeros(N)
+    scattered[rng.choice(N, 500, replace=False)] = rng.standard_normal(500)
+    for x in (exact_sparse(rng, N, K)[0], rng.standard_normal(N), scattered):
         want = np.concatenate([np.abs(blk.apply(x)) for blk in ens.blocks.values()])
         assert np.array_equal(apply_phaseless(ens, x).y, want)
 

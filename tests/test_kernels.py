@@ -170,9 +170,10 @@ def test_a_dense_signal_is_cut_at_every_aligned_range(monkeypatch):
 
 
 def test_a_sparse_signal_is_one_request_per_block(monkeypatch):
-    # a k-sparse signal spread over every range is still one request per
-    # block; a dense one is one request per aligned range, each a full
-    # range, and a second sense gets the kept entries back
+    # a k-sparse signal spread over every range is one sampler walk for
+    # every Bernoulli block and one request per hash block; a dense one is
+    # one request per block and aligned range, each a full range, and a
+    # second sense gets the kept entries back
     ens = build_ensemble(4096, 10, rng_seed=6)
     rng = np.random.default_rng(6)
     spikes = np.zeros(4096)
@@ -181,8 +182,19 @@ def test_a_sparse_signal_is_one_request_per_block(monkeypatch):
     dense = rng.standard_normal(4096)
     asked = {name: recorded_requests(monkeypatch, block)
              for name, block in ens.blocks.items()}
+    walks, sampler = [], sparse.sample_bernoulli
+    monkeypatch.setattr(sparse, "sample_bernoulli",
+                        lambda *args: walks.append(args) or sampler(*args))
     apply_phaseless(ens, spikes)
-    assert all(len(calls) == 1 for calls in asked.values())
+    bernoulli = [name for name, block in ens.blocks.items()
+                 if isinstance(block, SparseSignMatrix)]
+    assert len(bernoulli) == 6 and len(walks) == 1
+    keys, n_rows, p, cols = walks[0]
+    assert [(ens.blocks[name].key, ens.blocks[name].n_rows, ens.blocks[name].p)
+            for name in bernoulli] == list(zip(keys, n_rows, p))
+    assert np.array_equal(cols, np.flatnonzero(spikes))
+    assert {name: len(calls) for name, calls in asked.items()} == \
+        {name: 0 if name in bernoulli else 1 for name in ens.blocks}
     for calls in asked.values():
         calls.clear()
     apply_phaseless(ens, dense)

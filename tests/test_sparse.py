@@ -76,3 +76,21 @@ def test_one_request_equals_its_chunked_requests():
     empty = sample_bernoulli(5, 400, 0.02, [])
     assert [a.dtype for a in empty] == [a.dtype for a in whole]
     assert all(a.size == 0 for a in empty)
+
+
+def test_a_stacked_walk_equals_its_one_block_walks(monkeypatch):
+    # blocks with their own keys, row counts and densities walk the same
+    # columns in one call; the entries come grouped by block, then by
+    # column, exactly as the one-block calls return them, also when every
+    # pair runs short of its first words and continues
+    keys, n_rows, p = (7, 2 ** 64 - 5, 123456789), (50, 1120, 3), (0.3, 0.01, 0.5)
+    cols = np.random.default_rng(12).integers(0, 10 ** 6, 40)
+    for slack in (4.0, -100.0):
+        monkeypatch.setattr(sparse, "_SLACK_SD", slack)
+        for columns in (cols, cols[:0]):
+            stacked = sample_bernoulli(keys, n_rows, p, columns)
+            single = [sample_bernoulli(*block, columns)
+                      for block in zip(keys, n_rows, p)]
+            for got, parts in zip(stacked, zip(*single)):
+                want = np.concatenate(parts)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
