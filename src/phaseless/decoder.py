@@ -38,7 +38,7 @@ from .ensemble import EnsembleError, Measurements, SensingEnsemble, \
     e_inverse_density, f_inverse_density
 from .signs import ClusterLabels, SignGraph, build_sign_graph, \
     recover_communities
-from .sketch import estimate_magnitudes, identify_heavy
+from .sketch import estimate_magnitudes, identify_heavy, median
 
 __all__ = [
     "TailEnergyEstimate",
@@ -147,7 +147,7 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
             "increase C1 or rep_log_n")
     sums = np.where(disjoint, yE ** 2, 0.0).sum(axis=1)
     per_rep = scale * (sums[kept] / count[kept])
-    return TailEnergyEstimate(L=float(np.median(per_rep)), per_rep=per_rep)
+    return TailEnergyEstimate(L=float(median(per_rep)), per_rep=per_rep)
 
 
 def prune(S1: np.ndarray, estimates: np.ndarray, L: float, k: int,

@@ -32,6 +32,7 @@ __all__ = [
     "build_countsketch_block",
     "identify_heavy",
     "estimate_magnitudes",
+    "median",
 ]
 
 CANDIDATE_CAP_FACTOR = 2  # |S0| <= this * K
@@ -71,14 +72,21 @@ class HashBlock(ColumnBlock):
     def n_rows(self) -> int:
         return self.reps * self.n_buckets * self.stride
 
+    def _words(self, columns: np.ndarray, reps: np.ndarray) -> np.ndarray:
+        return splitmix64(self.key, columns + reps * self.n_cols)
+
     def hash(self, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(len(columns), reps) bucket ids and +/-1 signs."""
         columns = np.asarray(columns, dtype=np.int64)
-        words = columns[:, None] + np.arange(self.reps) * self.n_cols
-        u = splitmix64(self.key, words)
+        u = self._words(columns[:, None], np.arange(self.reps))
         buckets = (u % np.uint64(self.n_buckets)).astype(np.int64)
         signs = (u >> np.uint64(63)).astype(np.int8) * 2 - 1
         return buckets, signs
+
+    def bucket_in(self, columns: np.ndarray, reps: np.ndarray) -> np.ndarray:
+        """Bucket of each column in the repetition beside it, one word each."""
+        u = self._words(columns, reps)
+        return (u % np.uint64(self.n_buckets)).astype(np.int64)
 
     def entries(self, columns: np.ndarray):
         buckets, signs = self.hash(columns)
@@ -110,7 +118,11 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     ``yA`` of the identification block ``block``.
 
     Returns a sorted index array of size <= 2K. Reads the whole (K polylog)
-    A block and nothing else.
+    A block and nothing else. A bucket is live when its total is positive
+    and its decoded index is below n; the index is kept when it hashes
+    back to that bucket in that repetition. That costs one hash per live
+    bucket, plus one per repetition for each kept index, to rank them by
+    their median whole-bucket magnitude.
     """
     if yA.shape != (block.n_rows,):
         raise SketchError(f"A-block slice has {yA.shape}, expected ({block.n_rows},)")
@@ -121,20 +133,12 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     bits = (high > low).astype(np.int64)
     weights = 1 << np.arange(block.n_bits, dtype=np.int64)
     decoded = bits @ weights                      # (reps, n_buckets)
-    live = (totals > 0) & (decoded < block.n_cols)
-    candidates = np.unique(decoded[live])
-    if candidates.size == 0:
-        return candidates
-    # keep only candidates whose index hashes back to a bucket that decoded it
+    rep, bucket = np.nonzero((totals > 0) & (decoded < block.n_cols))
+    found = decoded[rep, bucket]                  # one per live bucket
+    confirmed = np.sort(found[block.bucket_in(found, rep) == bucket])
+    candidates = confirmed[np.diff(confirmed, prepend=-1) != 0]
     buckets = block.hash(candidates)[0]           # (m, reps)
-    rep_idx = np.arange(block.reps)[None, :]
-    decoded_here = decoded[rep_idx, buckets] == candidates[:, None]
-    alive_here = live[rep_idx, buckets]
-    confirmed = np.any(decoded_here & alive_here, axis=1)
-    candidates = candidates[confirmed]
-    if candidates.size == 0:
-        return candidates
-    est = np.median(totals[rep_idx, buckets[confirmed]], axis=1)
+    est = median(totals[np.arange(block.reps), buckets])
     cap = CANDIDATE_CAP_FACTOR * K
     if candidates.size > cap:
         keep = np.argsort(-est, kind="stable")[:cap]
@@ -156,4 +160,19 @@ def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
     # columns were given, and every column sits in exactly one bucket per
     # repetition, so a plain reshape lines rows up with (index, repetition)
     rows, _, _ = B_block.rows_of_many(indices)
-    return np.median(yB[rows].reshape(indices.size, -1), axis=1)
+    return median(yB[rows].reshape(indices.size, -1))
+
+
+def median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1)`` from one sort: the middle value of an odd
+    count, (a + b) / 2 of the two middle values of an even one, and NaN
+    for a row holding NaN (NaN sorts last). Adding 0.0 makes a zero median
+    +0.0, as np.median's mean does."""
+    s = np.sort(a, axis=-1)
+    half = s.shape[-1] // 2
+    if s.shape[-1] % 2:
+        mid = s[..., half] + 0.0
+    else:
+        mid = (s[..., half - 1] + s[..., half] + 0.0) / 2
+    last = s[..., -1]
+    return np.where(np.isnan(last), last, mid)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from phaseless.signs import SignGraph
+from phaseless.sketch import CANDIDATE_CAP_FACTOR
 from phaseless.sparse import ColumnBlock
 
 
@@ -38,6 +39,33 @@ class ListBlock(ColumnBlock):
         take = np.concatenate(picked) if picked else np.empty(0, np.int64)
         counts = np.array([p.size for p in picked], dtype=np.int64)
         return counts, self.rows[take], self.signs[take]
+
+
+def identify_heavy_reference(block, K, yA):
+    """identify_heavy by the per-candidate rule: every distinct index a live
+    bucket decoded is hashed in all repetitions, and kept when some
+    repetition's bucket for it is live and decoded it; ranked by np.median."""
+    y = yA.reshape(block.reps, block.n_buckets, block.stride)
+    totals = y[:, :, 0]
+    bits = (y[:, :, 2::2] > y[:, :, 1::2]).astype(np.int64)
+    decoded = bits @ (1 << np.arange(block.n_bits, dtype=np.int64))
+    live = (totals > 0) & (decoded < block.n_cols)
+    candidates = np.unique(decoded[live])
+    if candidates.size == 0:
+        return candidates
+    buckets = block.hash(candidates)[0]
+    rep_idx = np.arange(block.reps)[None, :]
+    decoded_here = decoded[rep_idx, buckets] == candidates[:, None]
+    confirmed = np.any(decoded_here & live[rep_idx, buckets], axis=1)
+    candidates = candidates[confirmed]
+    if candidates.size == 0:
+        return candidates
+    est = np.median(totals[rep_idx, buckets[confirmed]], axis=1)
+    cap = CANDIDATE_CAP_FACTOR * K
+    if candidates.size > cap:
+        keep = np.argsort(-est, kind="stable")[:cap]
+        candidates = np.sort(candidates[keep])
+    return candidates
 
 
 def dense_det_matrix(n: int, k: int) -> np.ndarray:

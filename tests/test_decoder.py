@@ -64,6 +64,19 @@ def test_tail_energy_ignores_s1_coordinates():
     assert np.array_equal(base.per_rep, after.per_rep)
 
 
+def test_tail_energy_with_a_nan_band_is_nan():
+    # decode refuses non-finite y; estimate_tail_energy keeps np.median's NaN
+    ens = build(5)
+    rng = np.random.default_rng(5)
+    x, pos = spikes_plus_tail(rng, N, K)
+    meas = apply_phaseless(ens, x)
+    y = meas.y.copy()
+    y[ens.rows("E")][:ens.blocks["E"].n_rows // ens.config.rep_log_n] = np.nan
+    tail = estimate_tail_energy(ens, dataclasses.replace(meas, y=y), pos)
+    assert np.isnan(tail.per_rep).sum() == 1    # the first band only
+    assert math.isnan(tail.L)
+
+
 def test_tail_energy_all_blocks_excluded_raises():
     # k = 2 gives E density 1/2; with S1 = everything, any nonempty row hits
     ens = build_ensemble(128, 2, config=EnsembleConfig(C1=4.0), rng_seed=4)

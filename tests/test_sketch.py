@@ -9,9 +9,9 @@ import pytest
 
 from phaseless.sketch import (CANDIDATE_CAP_FACTOR, SketchError,
                               build_countsketch_block, build_hh_block,
-                              estimate_magnitudes, identify_heavy)
+                              estimate_magnitudes, identify_heavy, median)
 
-from helpers import tail_sq
+from helpers import identify_heavy_reference, tail_sq
 
 
 def make_block(key, n, K, reps=5):
@@ -66,6 +66,101 @@ def test_identification_rejects_malformed_slice():
     block = make_block(3, 256, K=5)
     with pytest.raises(SketchError):
         identify_heavy(block, 5, np.zeros(7))
+
+
+def identified(block, K, yA):
+    """identify_heavy's result, checked against the per-candidate rule."""
+    got = identify_heavy(block, K, yA)
+    want = identify_heavy_reference(block, K, yA)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want), (got, want)
+    return got
+
+
+def plant(block, indices, value=1.0, yA=None):
+    """An A slice in which each index fills its bucket in every repetition
+    with ``value``, bit rows included, unless an earlier index holds it."""
+    yA = np.zeros(block.n_rows) if yA is None else yA
+    y = yA.reshape(block.reps, block.n_buckets, block.stride)
+    buckets = block.hash(np.asarray(indices))[0]
+    bits = (np.asarray(indices)[:, None] >> np.arange(block.n_bits)) & 1
+    for i, per_rep in enumerate(buckets):
+        for r, h in enumerate(per_rep):
+            if y[r, h, 0] == 0:
+                y[r, h, 0] = value
+                y[r, h, 1 + 2 * np.arange(block.n_bits) + bits[i]] = value
+    return yA
+
+
+@pytest.mark.parametrize("n, K, reps", [(256, 3, 1), (1000, 5, 4),
+                                        (4096, 10, 6), (5000, 20, 7)])
+def test_identification_matches_the_per_candidate_rule(n, K, reps):
+    for t in range(10):
+        rng = np.random.default_rng([n, K, reps, t])
+        block = make_block(int(rng.integers(2 ** 62)), n, K, reps)
+        x = rng.standard_normal(n) * 0.1
+        x[rng.choice(n, K, replace=False)] = rng.uniform(1.0, 10.0, K)
+        assert identified(block, K, np.abs(block.apply(x))).size > 0
+        noise = rng.exponential(size=block.n_rows)
+        noise[rng.random(block.n_rows) < 0.2] = 0.0
+        identified(block, K, noise)
+        noise[rng.choice(block.n_rows, 20)] = np.nan
+        identified(block, K, noise)
+
+
+def test_identification_of_nothing_is_an_empty_index_array():
+    block = make_block(4, 1024, K=5, reps=4)
+    S0 = identified(block, 5, np.zeros(block.n_rows))
+    assert S0.shape == (0,) and S0.dtype == np.int64
+
+
+def test_indices_decoded_past_n_are_dropped():
+    # 600 needs 10 bits, so a bucket can decode any index up to 1023
+    n, K = 600, 8
+    rng = np.random.default_rng(5)
+    block = make_block(12, n, K, reps=5)
+    yA = rng.exponential(size=block.n_rows)
+    yA = plant(block, rng.choice(n, K, replace=False), 100.0, yA)
+    y = yA.reshape(block.reps, block.n_buckets, block.stride)
+    decoded = (y[:, :, 2::2] > y[:, :, 1::2]) @ (1 << np.arange(block.n_bits))
+    assert (decoded >= n).any()
+    S0 = identified(block, K, yA)
+    assert S0.size > 0 and S0.max() < n
+
+
+def test_an_index_decoded_in_every_repetition_is_one_candidate():
+    block = make_block(6, 2048, K=4, reps=6)
+    S0 = identified(block, 4, plant(block, [1234], 3.0))
+    assert S0.tolist() == [1234]
+
+
+def test_one_live_repetition_confirms_an_index():
+    block = make_block(7, 2048, K=4, reps=6)
+    yA = plant(block, [777], 3.0)
+    y = yA.reshape(block.reps, block.n_buckets, block.stride)
+    buckets = block.hash(np.array([777]))[0][0]
+    for r in range(1, block.reps):
+        y[r, buckets[r]] = 0.0    # dead in every other repetition
+    assert identified(block, 4, yA).tolist() == [777]
+
+
+def test_the_cap_breaks_ties_in_the_median_by_lower_index():
+    n, K = 4096, 2
+    block = build_hh_block(8, n, 256, 12, 3)
+    rng = np.random.default_rng(8)
+    picks = []
+    taken = np.zeros((block.reps, block.n_buckets), dtype=bool)
+    for i in rng.permutation(n):     # indices that own all their buckets
+        buckets = block.hash(np.array([i]))[0][0]
+        if not taken[np.arange(block.reps), buckets].any():
+            taken[np.arange(block.reps), buckets] = True
+            picks.append(int(i))
+        if len(picks) == 5 * CANDIDATE_CAP_FACTOR * K:
+            break
+    picks = sorted(picks)
+    top, tied = picks[7:9], picks[:7] + picks[9:]
+    S0 = identified(block, K, plant(block, tied, 2.0, plant(block, top, 3.0)))
+    assert S0.tolist() == sorted(top + tied[:CANDIDATE_CAP_FACTOR * K - 2])
 
 
 def test_containment_rate_planted_heavy():
@@ -161,6 +256,44 @@ def test_median_absorbs_single_corrupted_repetition():
     y_corrupt = y.copy()
     y_corrupt[:W] = 1e6  # wipe out repetition 0 entirely
     assert estimate_one(block, y_corrupt, 7) == clean
+
+
+def bits_of(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (8,), (6, 1), (9, 4),
+                                   (9, 5), (3, 8)])
+def test_median_is_np_median_bit_for_bit(shape):
+    rng = np.random.default_rng(list(shape))
+    for a in (rng.standard_normal(shape),
+              rng.exponential(size=shape),
+              rng.choice([0.0, -0.0, 1.5, 2.0], shape),   # ties, signed zeros
+              np.full(shape, 0.1)):
+        assert bits_of(median(a)) == bits_of(np.median(a, axis=-1))
+
+
+def test_median_of_a_row_holding_nan_is_nan():
+    rng = np.random.default_rng(3)
+    for reps in (5, 6):
+        a = rng.exponential(size=(4, reps))
+        a[1, 0] = np.nan    # sorts last, away from the middle
+        a[3] = np.nan
+        got = median(a)
+        assert np.isnan(got[[1, 3]]).all()
+        assert bits_of(got) == bits_of(np.median(a, axis=-1))
+
+
+def test_estimates_keep_a_nan_repetition():
+    # decode refuses non-finite y, but the stages take raw slices
+    block = build_countsketch_block(10, 256, 128, 5)
+    x = np.zeros(256)
+    x[3] = 2.0
+    y = np.abs(block.apply(x))
+    y[block.hash(np.array([3]))[0][0, 2] + 2 * 128] = np.nan
+    est = estimate_magnitudes(block, y, [3, 4])
+    assert np.isnan(est[0]) and not np.isnan(est[1])
 
 
 def test_identification_reads_scale_sublinearly():
