@@ -17,13 +17,12 @@ from .decoder import (DecodeDiagnostics, RecoveryResult, TailEnergyEstimate,
                       estimate_tail_energy, prune)
 from .ensemble import (EnsembleConfig, EnsembleError, Measurements,
                        SensingEnsemble, apply_phaseless, build_ensemble,
-                       planned_row_counts, row_count)
+                       row_count)
 from .prony import (ComplexSignal, DeterministicScheme,
                     InconsistentMeasurements, NumericalFailure,
                     PhaseUnderdetermined, conjugate_reflection, det_measure,
                     det_recover, prony_solve, resolve_phase)
-from .signs import (ClusterLabels, SignGraph, build_sign_graph,
-                    recover_communities)
+from .signs import SignGraph, build_sign_graph, recover_communities
 from .sketch import SketchError, estimate_magnitudes, identify_heavy
 from .sparse import SparseSignMatrix
 
@@ -36,12 +35,12 @@ __all__ = [
     "kernel_backend",
     "SparseSignMatrix",
     "EnsembleConfig", "SensingEnsemble", "Measurements", "EnsembleError",
-    "build_ensemble", "apply_phaseless", "row_count", "planned_row_counts",
+    "build_ensemble", "apply_phaseless", "row_count",
     "SketchError", "identify_heavy", "estimate_magnitudes",
     "TailEnergyEstimate", "TailEstimationError", "DecodeDiagnostics",
     "RecoveryResult", "estimate_tail_energy", "prune", "decode",
     "decode_amplified",
-    "SignGraph", "ClusterLabels", "build_sign_graph", "recover_communities",
+    "SignGraph", "build_sign_graph", "recover_communities",
     "ComplexSignal", "DeterministicScheme", "det_measure", "det_recover",
     "resolve_phase", "prony_solve", "conjugate_reflection",
     "PhaseUnderdetermined", "InconsistentMeasurements", "NumericalFailure",

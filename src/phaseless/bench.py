@@ -24,8 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .decoder import decode_amplified
-from .ensemble import EnsembleConfig, EnsembleError, apply_phaseless, \
-    build_ensemble, planned_row_counts
+from .ensemble import EnsembleConfig, apply_phaseless, build_ensemble
 from .prony import DeterministicScheme, conjugate_reflection, det_measure, \
     det_recover
 from .signs import build_sign_graph
@@ -229,7 +228,7 @@ def _run_one(spec: TrialSpec, t: int) -> dict:
                                                   for ens in ensembles])
             x_hat = result.to_dense()
             err_sq = min_flip_error_sq(x, x_hat)
-            acc, errs = sign_accuracy(x, result.indices, result.values)
+            acc, errs = sign_accuracy(x, result.S2, result.values)
             record.update(
                 error_sq=err_sq, tail_sq=tail_sq,
                 success=bool(err_sq <= SUCCESS_FACTOR * tail_sq),
@@ -313,13 +312,10 @@ def run_trials(spec: TrialSpec, workers: int = 1) -> TrialReport:
 
 def _config_grid(grid: dict[str, list], base: EnsembleConfig
                  ) -> list[EnsembleConfig]:
-    keys = sorted(grid)
-    unknown = set(keys) - set(EnsembleConfig.__dataclass_fields__)
-    if unknown:
-        raise EnsembleError(f"unknown config keys in grid: {sorted(unknown)}")
     configs = [base]
-    for key in keys:
-        configs = [replace(c, **{key: v}) for c in configs for v in grid[key]]
+    for key in sorted(grid):
+        configs = [EnsembleConfig.from_dict({**asdict(c), key: v})
+                   for c in configs for v in grid[key]]
     return configs
 
 
@@ -337,7 +333,7 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
     if base_spec.pipeline == "prony":
         raise ValueError("the prony pipeline reads no ensemble config")
     configs = _config_grid(grid, base_spec.config)
-    sizes = [planned_row_counts(base_spec.n, base_spec.k, c)["total"]
+    sizes = [build_ensemble(base_spec.n, base_spec.k, c).total_rows
              for c in configs]
     summaries = []
     winner = None
@@ -372,10 +368,12 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
     wrong = total = 0
     for t in range(trials):
         x = gen_signal(spec, t)
+        support = np.sort(np.argsort(-np.abs(x))[:k])
+        if support.size < 2:   # no pair to vote on, as in decode
+            continue
         ens = build_ensemble(n, k, config=config,
                              rng_seed=_ensemble_seed(seed, t))
         meas = apply_phaseless(ens, x)
-        support = np.sort(np.argsort(-np.abs(x))[:k])
         name = ens.f_block(support.size)
         graph = build_sign_graph(ens.blocks[name], meas.y[ens.rows(name)],
                                  support, np.abs(x[support]))

@@ -36,8 +36,7 @@ import numpy as np
 
 from .ensemble import EnsembleError, Measurements, SensingEnsemble, \
     e_inverse_density, f_inverse_density
-from .signs import ClusterLabels, SignGraph, build_sign_graph, \
-    recover_communities
+from .signs import SignGraph, build_sign_graph, recover_communities
 from .sketch import estimate_magnitudes, identify_heavy, median
 
 __all__ = [
@@ -81,26 +80,24 @@ class DecodeDiagnostics:
 @dataclass
 class RecoveryResult:
     n: int
-    indices: np.ndarray          # support of the estimate (= S2), sorted
-    values: np.ndarray           # signed estimates on the support
-    S0: np.ndarray
-    S1: np.ndarray
-    S2: np.ndarray
+    values: np.ndarray           # signed estimates, aligned to S2
+    S0: np.ndarray               # identified candidates, sorted
+    S1: np.ndarray               # the top_select largest of S0, sorted
+    S2: np.ndarray               # pruned S1: the estimate's support, sorted
     tail_energy: TailEnergyEstimate | None
-    labels: ClusterLabels | None  # of the summed vote graph; None if |S2| < 2
     signs_failed: bool           # |S2| > 1 and the summed graph is disconnected
     diagnostics: DecodeDiagnostics = field(default_factory=DecodeDiagnostics)
 
     def to_dense(self) -> np.ndarray:
         x = np.zeros(self.n)
-        x[self.indices] = self.values
+        x[self.S2] = self.values
         return x
 
     def to_json(self) -> str:
         return json.dumps({
             "n": self.n,
             "estimate": [[int(i), float(v)] for i, v in
-                         zip(self.indices, self.values)],
+                         zip(self.S2, self.values)],
             "S0": [int(i) for i in self.S0],
             "S1": [int(i) for i in self.S1],
             "S2": [int(i) for i in self.S2],
@@ -131,7 +128,7 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
     cfg = ensemble.config
     scale = cfg.c1 * (e_inverse_density(ensemble.k) / ensemble.k)
     block = ensemble.blocks["E"]
-    hit_rows, _, _ = block.rows_of_many(np.asarray(S1, dtype=np.int64))
+    _, hit_rows, _ = block.entries(np.asarray(S1, dtype=np.int64))
     disjoint = np.ones(block.n_rows, dtype=bool)
     disjoint[hit_rows] = False
     disjoint = disjoint.reshape(cfg.rep_log_n, -1)
@@ -240,16 +237,14 @@ def decode_amplified(ensembles: list[SensingEnsemble],
                cfg.C0)
     est2 = estimates[np.searchsorted(S0, S2)]
 
-    labels, values, signs_failed = None, est2, False
+    values, signs_failed = est2, False
     if S2.size > 1:
         graphs = [_sign_stage(ens, meas, S2, est2, diagnostics)
                   for ens, meas in zip(ensembles, y_list)]
         edges = [(g.edge_u, g.edge_v, g.weights) for g in graphs]
         graph = SignGraph(S2, *map(np.concatenate, zip(*edges)), signed=True)
-        labels = recover_communities(graph)
-        values = np.where(labels.isolated, 1, labels.labels) * est2
+        values = recover_communities(graph) * est2
         signs_failed = not graph.connected
-    return RecoveryResult(n=primary.n, indices=S2, values=values,
-                          S0=S0, S1=S1, S2=S2, tail_energy=tail,
-                          labels=labels, signs_failed=signs_failed,
+    return RecoveryResult(n=primary.n, values=values, S0=S0, S1=S1, S2=S2,
+                          tail_energy=tail, signs_failed=signs_failed,
                           diagnostics=diagnostics)

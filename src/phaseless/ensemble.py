@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import sketch
-from .sparse import ColumnBlock, SparseSignMatrix, apply_blocks
+from .sparse import SparseSignMatrix, apply_blocks
 
 __all__ = [
     "EnsembleConfig",
@@ -52,7 +52,6 @@ __all__ = [
     "build_ensemble",
     "apply_phaseless",
     "row_count",
-    "planned_row_counts",
 ]
 
 
@@ -211,7 +210,7 @@ class SensingEnsemble:
     k: int
     seed: int                       # keys every stream
     config: EnsembleConfig          # fully resolved
-    blocks: dict[str, ColumnBlock]
+    blocks: dict[str, sketch.HashBlock | SparseSignMatrix]
     offsets: dict[str, int]
     total_rows: int
 
@@ -341,7 +340,7 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     keys = {"A": words[1], "B": words[2], "E": words[3]}
     keys.update({_f_name(l): words[3 + cfg.rep_log_n + l] for l in f_levels})
 
-    blocks: dict[str, ColumnBlock] = {}
+    blocks = {}
     # the hash-block builders are looked up on their module at call time, so
     # a tracer that wraps them there times these calls too
     blocks["A"] = sketch.build_hh_block(
@@ -395,10 +394,3 @@ def row_count(ensemble: SensingEnsemble) -> dict[str, int]:
     out["total"] = sum(per_block.values())
     return out
 
-
-def planned_row_counts(n: int, k: int, config: EnsembleConfig | None = None) -> dict[str, int]:
-    """Per-family row counts of the (n, k, config) ensemble, which no seed
-    changes. Building one
-    computes only the block keys, so the planner counts a build."""
-    counts = row_count(build_ensemble(n, k, config))
-    return {fam: counts[f"{fam}_family"] for fam in "ABEF"} | {"total": counts["total"]}

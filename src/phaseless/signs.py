@@ -27,11 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import ColumnBlock
-
 __all__ = [
     "SignGraph",
-    "ClusterLabels",
     "build_sign_graph",
     "recover_communities",
 ]
@@ -79,25 +76,16 @@ class SignGraph:
         return bool(self.reach.all())
 
 
-@dataclass
-class ClusterLabels:
-    labels: np.ndarray            # +1 / -1 per vertex, aligned to the vertices
-    isolated: np.ndarray          # per vertex: no evidence, label defaulted to +1
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.isolated.any())
-
-
-def build_sign_graph(F_block: ColumnBlock, yF: np.ndarray,
-                     S2: np.ndarray, estimates: np.ndarray) -> SignGraph:
+def build_sign_graph(F_block, yF: np.ndarray, S2: np.ndarray,
+                     estimates: np.ndarray) -> SignGraph:
     """Vote on the relative sign of every pair that a row meets S2 in.
 
     ``S2`` is sorted and ``estimates`` holds its magnitude estimates,
     aligned to it.
     """
     S2 = np.asarray(S2, dtype=np.int64)
-    rows, sigs, owners = F_block.rows_of_many(S2)
+    counts, rows, sigs = F_block.entries(S2)
+    owners = np.repeat(S2, counts)
     n_entries = int(rows.size)
     hits = np.bincount(rows, minlength=F_block.n_rows)
     pair_entry = hits[rows] == 2
@@ -120,8 +108,9 @@ def _leading_signs(M: np.ndarray) -> np.ndarray:
     return np.where(np.linalg.eigh(M)[1][:, -1] >= 0, 1, -1)
 
 
-def recover_communities(g: SignGraph) -> ClusterLabels:
-    """Split the vertices into the two sign classes.
+def recover_communities(g: SignGraph) -> np.ndarray:
+    """Split the vertices into the two sign classes: +1 / -1 labels,
+    aligned to the vertices.
 
     The labels are the signs of the leading eigenvector of the vote matrix
     W (of W minus its mean entry for an unsigned graph, whose classes show
@@ -131,8 +120,7 @@ def recover_communities(g: SignGraph) -> ClusterLabels:
     direction. A disconnected signed graph takes one eigenvector per
     component, so each component's labels agree with its own votes; how
     two components relate is not determined. A vertex whose row of W is
-    zero is isolated: it defaults to +1 and flags the result.
-    Deterministic given the graph.
+    zero is isolated: it defaults to +1. Deterministic given the graph.
     """
     n = g.vertices.size
     if n == 0:
@@ -150,7 +138,6 @@ def recover_communities(g: SignGraph) -> ClusterLabels:
         labels[part] = _leading_signs(M[np.ix_(part, part)])
     field = W @ labels
     labels = np.where(field > 0, 1, np.where(field < 0, -1, labels))
-    isolated = ~W.any(axis=1)
-    labels[isolated] = 1
-    return ClusterLabels(labels, isolated)
+    labels[~W.any(axis=1)] = 1
+    return labels
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import ColumnBlock, splitmix64
+from .sparse import splitmix64
 
 __all__ = [
     "HashBlock",
@@ -43,7 +43,7 @@ class SketchError(ValueError):
 
 
 @dataclass
-class HashBlock(ColumnBlock):
+class HashBlock:
     """Bucket/sign hash block, defined by its stream key.
 
     In repetition r, column i falls in bucket h = u % n_buckets with sign
@@ -156,10 +156,10 @@ def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
     outside = indices[(indices < 0) | (indices >= B_block.n_cols)]
     if outside.size:
         raise SketchError(f"index {outside[0]} out of range [0, {B_block.n_cols})")
-    # rows_of_many returns each column's rows contiguously, in the order the
+    # entries returns each column's rows contiguously, in the order the
     # columns were given, and every column sits in exactly one bucket per
     # repetition, so a plain reshape lines rows up with (index, repetition)
-    rows, _, _ = B_block.rows_of_many(indices)
+    _, rows, _ = B_block.entries(indices)
     return median(yB[rows].reshape(indices.size, -1))
 
 

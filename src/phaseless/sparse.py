@@ -8,17 +8,17 @@ asks for the nonzero columns of the signal. Densities run as low as a few
 parts in ten thousand, so dense storage is never built.
 
 Both block kinds (the Bernoulli blocks here, the hash blocks in
-``sketch``) answer ``entries(columns)`` with (per-column counts, rows,
-signs), grouped by column in the order asked and with rows increasing
-within a column; ``ColumnBlock`` builds the rest of the interface on that.
-``apply_blocks`` senses a signal through a stack of blocks in one pass,
-and ``ColumnBlock.apply`` is its one-block case. ``APPLY_CHUNK`` bounds
-each request it makes, counted in (block, column) pairs, so a k-sparse
-signal is one sampler walk for every Bernoulli block, and sensing a dense
-signal, cut at every aligned range of ``APPLY_CHUNK`` columns, never holds
-more than one range's entries of one block in temporaries. A range with
-no zero entry is asked for whole, and a Bernoulli block keeps and reuses
-its entries.
+``sketch``) have ``n_rows`` and ``n_cols`` and answer ``entries(columns)``,
+for an int64 array of columns, with (per-column counts, rows, signs),
+grouped by column in the order asked and with rows increasing within a
+column; that is a block's whole interface. ``apply_blocks`` senses a
+signal through a stack of blocks in one pass (one block is
+``apply_blocks([block], v)``). ``APPLY_CHUNK`` bounds each request it
+makes, counted in (block, column) pairs, so a k-sparse signal is one
+sampler walk for every Bernoulli block, and sensing a dense signal, cut at
+every aligned range of ``APPLY_CHUNK`` columns, never holds more than one
+range's entries of one block in temporaries. A range with no zero entry is
+asked for whole, and a Bernoulli block keeps and reuses its entries.
 """
 
 from __future__ import annotations
@@ -166,27 +166,6 @@ def apply_signed(out: np.ndarray, rows: np.ndarray, signs: np.ndarray,
     np.add.at(out, rows, values)
 
 
-class ColumnBlock:
-    """Column access and signed apply for a block that defines
-    ``entries(columns)``, ``n_rows`` and ``n_cols``."""
-
-    def rows_of_many(self, columns):
-        """Concatenated (row ids, signs, owning column) over several
-        columns, grouped by column in the order given.
-
-        Cost is the number of returned entries, not the block size.
-        """
-        columns = np.asarray(columns, dtype=np.int64)
-        counts, rows, signs = self.entries(columns)
-        return rows, signs, np.repeat(columns, counts)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Signed row sums over the entries of v's nonzero columns: the
-        one-block case of ``apply_blocks``, so each request holds at most
-        ``APPLY_CHUNK`` (block, column) pairs, one per column."""
-        return apply_blocks([self], v)
-
-
 def apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
     """Signed row sums of the blocks stacked in the order given (the first
     block's rows first) over the entries of v's nonzero columns.
@@ -240,7 +219,7 @@ def apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SparseSignMatrix(ColumnBlock):
+class SparseSignMatrix:
     """n_rows x n_cols block whose cells are i.i.d. Bernoulli(p), each
     nonzero with a uniform +/-1 sign, defined by its stream key.
 

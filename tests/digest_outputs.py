@@ -1,0 +1,87 @@
+"""Digest the randomized pipeline's outputs, to show that a change keeps
+them byte for byte.
+
+For every case of the grid n in {1024, 4096}, k in {1, 3, 10}, signal model
+exact-sparse and spikes-plus-tail, 16 trials each, it hashes:
+
+* y of each of the trial's three ensembles, seeded as ``bench`` seeds a
+  ``cphase-amplified`` trial;
+* the JSON of ``decode`` on the first ensemble and of ``decode_amplified``
+  on all three (or the error either raises);
+* the ``run_trials`` records of the ``cphase`` and ``cphase-amplified``
+  pipelines, without ``wall_time``.
+
+It prints one SHA-256 digest per case and a total over them. Run it on two
+trees and compare the totals:
+
+    PYTHONPATH=<tree>/src python tests/digest_outputs.py
+
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+from phaseless.bench import (AMPLIFIED_REPLICAS, TrialSpec,  # noqa: E402
+                             _ensemble_seed, gen_signal, run_trials)
+from phaseless.decoder import decode, decode_amplified  # noqa: E402
+from phaseless.ensemble import apply_phaseless, build_ensemble  # noqa: E402
+
+NS = (1024, 4096)
+KS = (1, 3, 10)
+MODELS = ("exact-sparse", "spikes-plus-tail")
+TRIALS = 16
+SEED = 20261019
+
+
+def _json_or_error(run) -> str:
+    try:
+        return run().to_json()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def case_digest(n: int, k: int, model: str) -> str:
+    h = hashlib.sha256()
+    spec = TrialSpec(n=n, k=k, signal_model=model, trials=TRIALS, seed=SEED)
+    for t in range(TRIALS):
+        x = gen_signal(spec, t)
+        ensembles = [build_ensemble(n, k, rng_seed=_ensemble_seed(SEED, t, r))
+                     for r in range(AMPLIFIED_REPLICAS)]
+        measured = [apply_phaseless(ens, x) for ens in ensembles]
+        for m in measured:
+            h.update(m.y.tobytes())
+        h.update(_json_or_error(
+            lambda: decode(ensembles[0], measured[0])).encode())
+        h.update(_json_or_error(
+            lambda: decode_amplified(ensembles, measured)).encode())
+    for pipeline in ("cphase", "cphase-amplified"):
+        report = run_trials(TrialSpec(n=n, k=k, signal_model=model,
+                                      trials=TRIALS, seed=SEED,
+                                      pipeline=pipeline))
+        for record in report.records:
+            record = {key: value for key, value in record.items()
+                      if key != "wall_time"}
+            h.update(json.dumps(record, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    total = hashlib.sha256()
+    for n in NS:
+        for k in KS:
+            for model in MODELS:
+                digest = case_digest(n, k, model)
+                total.update(digest.encode())
+                print(f"n={n} k={k} {model}: {digest}")
+    print(f"total: {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

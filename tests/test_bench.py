@@ -203,6 +203,13 @@ def test_doubling_c0_reduces_edge_noise():
     assert rho < 0, (grid, rates)
 
 
+def test_edge_error_experiment_skips_a_support_without_pairs():
+    # a one-coordinate support has no pair to vote on; with top_select = 1
+    # no F level is built, and the experiment once raised KeyError: 'F2'
+    for config in (EnsembleConfig(top_select=1), EnsembleConfig()):
+        assert edge_error_experiment(256, 1, config, trials=2, seed=3) == 0.0
+
+
 def test_wilson_interval_sane():
     lo, hi = wilson_interval(90, 100)
     assert 0.8 < lo < 0.9 < hi <= 1.0

@@ -13,7 +13,7 @@ from phaseless.bench import (AMPLIFIED_REPLICAS, SUCCESS_FACTOR, TrialSpec,
                              tail_norm_sq)
 from phaseless.signs import SignGraph, build_sign_graph, recover_communities
 
-from helpers import exact_sparse, spikes_plus_tail
+from helpers import column_entries, exact_sparse, spikes_plus_tail
 
 N, K = 1024, 8
 
@@ -156,7 +156,7 @@ def test_prune_random_agrees_with_oracle():
 def test_decode_zero_signal_returns_zero():
     ens = build(5)
     res = decode(ens, apply_phaseless(ens, np.zeros(N)))
-    assert res.indices.size == 0
+    assert res.S2.size == 0
     assert np.all(res.to_dense() == 0)
 
 
@@ -168,7 +168,8 @@ def test_decode_s_chain_invariant():
         res = decode(ens, apply_phaseless(ens, x))
         assert set(res.S2) <= set(res.S1) <= set(res.S0)
         assert res.S1.size <= ens.config.top_select
-        assert np.array_equal(np.sort(res.indices), res.S2)
+        assert np.array_equal(np.sort(res.S2), res.S2)
+        assert res.values.size == res.S2.size
 
 
 def test_decode_negated_signal_same_estimate():
@@ -231,7 +232,7 @@ def test_decode_signs_failure_still_returns_magnitudes():
         assert np.all(res.values >= 0)  # bare magnitudes
         assert res.S2.size > 0
         assert np.allclose(np.sort(res.values),
-                           np.sort(np.abs(x[res.indices])), atol=1e-12)
+                           np.sort(np.abs(x[res.S2])), atol=1e-12)
 
 
 def test_decode_rejects_non_finite_measurements():
@@ -255,11 +256,11 @@ def test_decode_diagnostics_counters_positive():
     # index reads = the B, E and F column entries of S0, S1 and S2
     cfg = ens.config
     expect = res.S0.size * cfg.countsketch_reps
-    expect += ens.blocks["E"].rows_of_many(res.S1)[0].size
+    expect += column_entries(ens.blocks["E"], res.S1)[0].size
     if res.S2.size > 1:
         level = min(math.ceil(math.log2(res.S2.size)), ens.f_top_level)
         F = ens.blocks[f"F{2 ** level}"]
-        expect += sum(F.rows_of_many([j])[0].size for j in res.S2)
+        expect += sum(column_entries(F, [j])[0].size for j in res.S2)
     assert d.index_reads == expect
 
 
@@ -358,7 +359,7 @@ def test_a_disconnected_vote_graph_is_flagged(monkeypatch):
     res = decode(ens, apply_phaseless(ens, x))
     assert res.S2.size == 8 and res.signs_failed
     # each component keeps its eigenvector signs; no vote relates them
-    labels = recover_communities(seen[0]).labels
+    labels = recover_communities(seen[0])
     assert np.array_equal(res.values, labels * np.abs(res.values))
     # and each 4-member chain's signs agree with its own votes
     signs = np.sign(res.values) * pattern(res.S2.size)
@@ -401,8 +402,8 @@ def test_amplified_absorbs_one_corrupted_replica():
 def test_amplified_counts_every_replicas_reads():
     ensembles, measurements, _ = amplified_setup(24)
     base = decode(ensembles[0], measurements[0])
-    assert base.S2.size > 1 and base.labels is not None
-    estimates = np.abs(base.values)   # aligned to base.indices == base.S2
+    assert base.S2.size > 1
+    estimates = np.abs(base.values)   # aligned to base.S2
     expect = base.diagnostics.as_dict()
     level = min(math.ceil(math.log2(base.S2.size)), ensembles[0].f_top_level)
     for ens, meas in zip(ensembles[1:], measurements[1:]):

@@ -5,9 +5,10 @@ import pytest
 
 from phaseless import apply_phaseless, build_ensemble, sparse
 from phaseless.sketch import build_countsketch_block, build_hh_block
-from phaseless.sparse import SparseSignMatrix, sample_bernoulli, splitmix64
+from phaseless.sparse import (SparseSignMatrix, apply_blocks, sample_bernoulli,
+                              splitmix64)
 
-from helpers import dense_block
+from helpers import column_entries, dense_block
 
 
 def test_sampler_is_deterministic():
@@ -83,11 +84,12 @@ def test_apply_matches_dense_oracle():
         v = rng.standard_normal(WIDE)
         sparse_v = v * (rng.random(WIDE) < 0.02)
         # a signal with zero entries samples its nonzero columns ...
-        assert np.allclose(block.apply(sparse_v), dense @ sparse_v, atol=1e-10)
+        assert np.allclose(apply_blocks([block], sparse_v), dense @ sparse_v,
+                           atol=1e-10)
         assert block._kept.keys() == (kept or {}).keys()
         # ... and one with none keeps each aligned full chunk for the next
         # such call; the partial last chunk is sampled every time
-        assert np.allclose(block.apply(v), dense @ v, atol=1e-10)
+        assert np.allclose(apply_blocks([block], v), dense @ v, atol=1e-10)
         assert sorted(block._kept) == [0, CHUNK]
         if kept is not None:
             assert all(block._kept[lo] is kept[lo] for lo in kept)
@@ -97,14 +99,14 @@ def test_apply_matches_dense_oracle():
 def test_a_zero_entry_samples_only_its_own_chunk(monkeypatch):
     block = SparseSignMatrix.bernoulli(12, 60, WIDE, 0.05)
     v = np.random.default_rng(4).standard_normal(WIDE)
-    block.apply(v)
+    apply_blocks([block], v)
     kept = dict(block._kept)
     v[5] = 0.0
     asked = recorded_requests(monkeypatch, block)
     fresh = SparseSignMatrix.bernoulli(12, 60, WIDE, 0.05)
-    rows, signs, owners = fresh.rows_of_many(np.flatnonzero(v))
+    rows, signs, owners = column_entries(fresh, np.flatnonzero(v))
     want = np.bincount(rows, weights=v[owners] * signs, minlength=60)
-    assert np.array_equal(block.apply(v), want)
+    assert np.array_equal(apply_blocks([block], v), want)
     # the chunk holding the zero and the partial chunk sample; the chunk at
     # CHUNK is still asked for whole and gets its kept result back
     assert [cols.size for cols, _ in asked] == [CHUNK - 1, CHUNK, 37]
@@ -141,10 +143,10 @@ def test_apply_is_one_bincount_in_column_order_across_chunks():
                   build_hh_block(7, WIDE, 40, 13, 3),
                   build_countsketch_block(8, WIDE, 64, 5)):
         for v in (full, middle, scattered, spikes, full):
-            rows, signs, owners = block.rows_of_many(np.flatnonzero(v))
+            rows, signs, owners = column_entries(block, np.flatnonzero(v))
             want = np.bincount(rows, weights=v[owners] * signs,
                                minlength=block.n_rows)
-            assert np.array_equal(block.apply(v), want)
+            assert np.array_equal(apply_blocks([block], v), want)
 
 
 def test_a_dense_signal_is_cut_at_every_aligned_range(monkeypatch):
@@ -159,11 +161,11 @@ def test_a_dense_signal_is_cut_at_every_aligned_range(monkeypatch):
     for block in (SparseSignMatrix.bernoulli(6, 90, WIDE, 0.03),
                   build_hh_block(7, WIDE, 40, 13, 3),
                   build_countsketch_block(8, WIDE, 64, 5)):
-        rows, signs, owners = block.rows_of_many(cols)
+        rows, signs, owners = column_entries(block, cols)
         want = np.bincount(rows, weights=v[owners] * signs,
                            minlength=block.n_rows)
         asked = recorded_requests(monkeypatch, block)
-        assert np.array_equal(block.apply(v), want)
+        assert np.array_equal(apply_blocks([block], v), want)
         assert [(c[0] // CHUNK, c[-1] // CHUNK) for c, _ in asked] == \
             [(0, 0), (1, 1), (2, 2)]
         assert np.array_equal(np.concatenate([c for c, _ in asked]), cols)
@@ -215,7 +217,8 @@ def test_hash_blocks_apply_matches_dense_oracle():
     v = rng.standard_normal(300)
     for block in (build_hh_block(3, 300, 7, 9, 4),
                   build_countsketch_block(4, 300, 16, 5)):
-        assert np.allclose(block.apply(v), dense_block(block) @ v, atol=1e-10)
+        assert np.allclose(apply_blocks([block], v), dense_block(block) @ v,
+                           atol=1e-10)
 
 
 def test_hash_block_rows_follow_the_stream_words():
@@ -229,10 +232,10 @@ def test_hash_block_rows_follow_the_stream_words():
     A = build_hh_block(17, n, buckets, bits, reps)
     stride = 2 * bits + 1
     for i in (0, 5, 199):
-        rows, signs, _ = B.rows_of_many([i])
+        rows, signs, _ = column_entries(B, [i])
         assert rows.tolist() == [r * buckets + bucket[r, i] for r in range(reps)]
         assert signs.tolist() == sign[:, i].tolist()
-        rows, signs, _ = A.rows_of_many([i])
+        rows, signs, _ = column_entries(A, [i])
         expect = []
         for r in range(reps):
             base = (r * buckets + bucket[r, i]) * stride
@@ -246,13 +249,13 @@ def test_apply_empty_rows_are_zero():
     m = SparseSignMatrix.bernoulli(8, 50, 40, 0.01)
     empty = ~dense_block(SparseSignMatrix.bernoulli(8, 50, 40, 0.01)).any(axis=1)
     assert empty.any()
-    y = m.apply(np.ones(40))
+    y = apply_blocks([m], np.ones(40))
     assert np.all(y[empty] == 0)
 
 
 def test_cached_columns_match_on_the_fly_sample():
     cached = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
-    cached.apply(np.ones(WIDE))         # every column: each full chunk kept
+    apply_blocks([cached], np.ones(WIDE))   # every column: each full chunk kept
     kept = dict(cached._kept)
     assert sorted(kept) == [0, CHUNK]
     fresh = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
@@ -262,7 +265,8 @@ def test_cached_columns_match_on_the_fly_sample():
             assert np.array_equal(a, b) and a.dtype == b.dtype
     for query in ([0], [WIDE - 1, 3, 3, 200], np.arange(WIDE)[::-1],
                   np.arange(WIDE), np.arange(CHUNK, 2 * CHUNK)):
-        for a, b in zip(cached.rows_of_many(query), fresh.rows_of_many(query)):
+        for a, b in zip(column_entries(cached, query),
+                        column_entries(fresh, query)):
             assert np.array_equal(a, b) and a.dtype == b.dtype
     # a request of exactly one aligned full chunk reuses its kept result ...
     assert cached._kept.keys() == kept.keys()
@@ -278,5 +282,5 @@ def test_cached_columns_match_on_the_fly_sample():
                   np.arange(CHUNK - 1),                   # part of a chunk
                   np.arange(1, CHUNK + 1),                # unaligned
                   np.arange(WIDE)):                       # several chunks
-        other.rows_of_many(query)
+        column_entries(other, query)
     assert other._kept == {}

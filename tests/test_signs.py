@@ -81,9 +81,8 @@ def test_small_vertex_sets():
                                       np.empty(0, np.int64)))
     single = SignGraph(np.array([9]), np.empty(0, np.int64),
                        np.empty(0, np.int64), np.empty(0, np.int64))
-    labels = recover_communities(single)
-    assert labels.labels.tolist() == [1] and labels.flagged
-    assert labels.isolated.tolist() == [True]
+    assert recover_communities(single).tolist() == [1]
+    assert not single.W.any()             # isolated: the label defaults
 
 
 def test_two_disjoint_cliques_recover_exactly():
@@ -94,9 +93,9 @@ def test_two_disjoint_cliques_recover_exactly():
     v = np.array([p[1] for p in pairs], dtype=np.int64)
     g = SignGraph(verts, u, v, np.ones(u.size, np.int64))
     labels = recover_communities(g)
-    assert not labels.flagged
-    first = set(labels.labels[:5])
-    second = set(labels.labels[5:])
+    assert g.W.any(axis=1).all()          # no vertex isolated
+    first = set(labels[:5])
+    second = set(labels[5:])
     assert len(first) == 1 and len(second) == 1 and first != second
 
 
@@ -104,9 +103,9 @@ def test_isolated_vertex_flagged_and_defaulted():
     g = SignGraph(np.array([0, 1, 2]), np.array([0]), np.array([1]),
                   np.array([3]))
     labels = recover_communities(g)
-    assert labels.flagged
-    assert labels.isolated.tolist() == [False, False, True]
-    assert labels.labels[2] == 1
+    assert not g.connected                # what decode flags
+    assert (~g.W.any(axis=1)).tolist() == [False, False, True]
+    assert labels[2] == 1
 
 
 def test_connected_counts_components_of_the_summed_votes():
@@ -129,7 +128,7 @@ def test_recovery_is_deterministic():
     g, _ = sample_sbm(128, 9, 1, rng)
     a = recover_communities(g)
     b = recover_communities(g)
-    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a, b)
 
 
 def test_sbm_at_threshold_quick():

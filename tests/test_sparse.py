@@ -3,13 +3,13 @@ import numpy as np
 from phaseless import sparse
 from phaseless.sparse import SparseSignMatrix, sample_bernoulli
 
-from helpers import dense_block
+from helpers import column_entries, dense_block
 
 
 def test_sampled_columns_are_well_formed():
     m = SparseSignMatrix.bernoulli(1, 60, 200, 0.05)
     for col in range(m.n_cols):
-        rows, signs, _ = m.rows_of_many([col])
+        rows, signs, _ = column_entries(m, [col])
         assert rows.dtype == np.int32 and signs.dtype == np.int8
         assert np.all(np.diff(rows) > 0)           # strictly increasing
         assert rows.size == 0 or (rows[0] >= 0 and rows[-1] < m.n_rows)
@@ -22,19 +22,19 @@ def test_rows_of_matches_dense():
     dense = dense_block(SparseSignMatrix.bernoulli(4, 80, 120, 0.06))
     m = SparseSignMatrix.bernoulli(4, 80, 120, 0.06)
     for col in [0, 17, 63, 119]:
-        rows, signs, _ = m.rows_of_many([col])
+        rows, signs, _ = column_entries(m, [col])
         expected = np.where(dense[:, col] != 0)[0]
         assert np.array_equal(rows, expected)
         assert np.array_equal(signs, dense[expected, col])
 
 
-def test_rows_of_many_is_grouped_in_input_order():
+def test_entries_are_grouped_in_input_order():
     m = SparseSignMatrix.bernoulli(4, 80, 120, 0.06)
     query = np.array([63, 0, 17])
-    rows, signs, owners = m.rows_of_many(query)
+    rows, signs, owners = column_entries(m, query)
     cursor = 0
     for col in query:
-        r, s, _ = m.rows_of_many([col])
+        r, s, _ = column_entries(m, [col])
         span = slice(cursor, cursor + r.size)
         assert np.array_equal(rows[span], r)
         assert np.array_equal(signs[span], s)
