@@ -234,7 +234,7 @@ def _run_one(spec: TrialSpec, t: int) -> dict:
                 success=bool(err_sq <= SUCCESS_FACTOR * tail_sq),
                 s0_size=int(result.S0.size), s1_size=int(result.S1.size),
                 s2_size=int(result.S2.size),
-                L=None if result.tail_energy is None else result.tail_energy.L,
+                L=result.tail_energy.L,
                 sign_accuracy=acc, sign_errors=errs,
                 signs_failed=bool(result.signs_failed),
                 rows_total=sum(ens.total_rows for ens in ensembles),

@@ -84,7 +84,7 @@ class RecoveryResult:
     S0: np.ndarray               # identified candidates, sorted
     S1: np.ndarray               # the top_select largest of S0, sorted
     S2: np.ndarray               # pruned S1: the estimate's support, sorted
-    tail_energy: TailEnergyEstimate | None
+    tail_energy: TailEnergyEstimate
     signs_failed: bool           # |S2| > 1 and the summed graph is disconnected
     diagnostics: DecodeDiagnostics = field(default_factory=DecodeDiagnostics)
 
@@ -101,9 +101,8 @@ class RecoveryResult:
             "S0": [int(i) for i in self.S0],
             "S1": [int(i) for i in self.S1],
             "S2": [int(i) for i in self.S2],
-            "L": None if self.tail_energy is None else self.tail_energy.L,
-            "L_per_rep": None if self.tail_energy is None else
-                         [float(v) for v in self.tail_energy.per_rep],
+            "L": self.tail_energy.L,
+            "L_per_rep": [float(v) for v in self.tail_energy.per_rep],
             "signs_failed": self.signs_failed,
             "diagnostics": self.diagnostics.as_dict(),
         }, indent=2)
@@ -242,7 +241,8 @@ def decode_amplified(ensembles: list[SensingEnsemble],
         graphs = [_sign_stage(ens, meas, S2, est2, diagnostics)
                   for ens, meas in zip(ensembles, y_list)]
         edges = [(g.edge_u, g.edge_v, g.weights) for g in graphs]
-        graph = SignGraph(S2, *map(np.concatenate, zip(*edges)), signed=True)
+        graph = graphs[0] if len(graphs) == 1 else SignGraph(
+            S2, *map(np.concatenate, zip(*edges)), signed=True)
         values = recover_communities(graph) * est2
         signs_failed = not graph.connected
     return RecoveryResult(n=primary.n, values=values, S0=S0, S1=S1, S2=S2,

@@ -222,7 +222,11 @@ class SensingEnsemble:
     def f_block(self, size: int) -> str:
         """Name of the F level that tests a candidate set of ``size``: the
         smallest l with size <= 2^l, clamped to the ladder and to level 1,
-        so a single candidate names a block it never reads."""
+        so a single candidate names a block it never reads. With no level
+        built (top_select = 1) there is none to name: EnsembleError."""
+        if not self.f_top_level:
+            raise EnsembleError(f"no F level is built at top_select="
+                                f"{self.config.top_select}")
         return _f_name(max(1, min(math.ceil(math.log2(max(size, 1))),
                                   self.f_top_level)))
 

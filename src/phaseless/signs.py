@@ -85,23 +85,20 @@ def build_sign_graph(F_block, yF: np.ndarray, S2: np.ndarray,
     """
     S2 = np.asarray(S2, dtype=np.int64)
     counts, rows, sigs = F_block.entries(S2)
-    owners = np.repeat(S2, counts)
-    n_entries = int(rows.size)
     hits = np.bincount(rows, minlength=F_block.n_rows)
-    pair_entry = hits[rows] == 2
-    rows, sigs, owners = rows[pair_entry], sigs[pair_entry], owners[pair_entry]
-    order = np.argsort(rows, kind="stable")
-    rows, sigs, owners = rows[order], sigs[order], owners[order]
-    u, v = owners[0::2], owners[1::2]
-    yq = yF[rows[0::2]]
-    eu = estimates[np.searchsorted(S2, u)]
-    ev = estimates[np.searchsorted(S2, v)]
+    pair_entry = np.flatnonzero(hits[rows] == 2)
+    order = pair_entry[np.argsort(rows[pair_entry], kind="stable")]
+    owners = np.repeat(np.arange(S2.size), counts)[order]   # S2 positions
+    pu, pv = owners[0::2], owners[1::2]
+    yq = yF[rows[order[0::2]]]
+    eu, ev = estimates[pu], estimates[pv]
     d_same = np.abs(yq - (eu + ev))
     d_diff = np.abs(yq - np.abs(eu - ev))
+    sigs = sigs[order]
     vote = (np.sign(d_diff - d_same) * sigs[0::2] * sigs[1::2]).astype(np.int64)
     cast = vote != 0
-    return SignGraph(S2, u[cast], v[cast], vote[cast], int(u.size), n_entries,
-                     signed=True)
+    return SignGraph(S2, S2[pu[cast]], S2[pv[cast]], vote[cast], int(pu.size),
+                     int(rows.size), signed=True)
 
 
 def _leading_signs(M: np.ndarray) -> np.ndarray:
@@ -133,9 +130,9 @@ def recover_communities(g: SignGraph) -> np.ndarray:
     else:
         M, first = W - W.sum() / (n * n), np.zeros(n, np.int64)
     labels = np.empty(n, np.int64)
-    for c in np.unique(first):
-        part = first == c
-        labels[part] = _leading_signs(M[np.ix_(part, part)])
+    for c in np.flatnonzero(first == np.arange(n)):   # components' lowest
+        part = np.flatnonzero(first == c)
+        labels[part] = _leading_signs(M[part[:, None], part])
     field = W @ labels
     labels = np.where(field > 0, 1, np.where(field < 0, -1, labels))
     labels[~W.any(axis=1)] = 1

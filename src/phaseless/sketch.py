@@ -8,8 +8,8 @@ coordinate dominates its bucket, each bit of its index is recovered by
 comparing the two sub-bucket magnitudes, so identification never looks at
 signs - which is what makes the scheme usable when only |Phi x| is observed.
 A candidate is kept only if its assembled index actually hashes back to the
-bucket it was decoded from; survivors are ranked by the median over
-repetitions of their whole-bucket magnitudes and capped at 2K.
+bucket it was decoded from; more than 2K survivors are ranked by the median
+over repetitions of their whole-bucket magnitudes and cut to 2K.
 
 Estimation block (B). Plain bucket/sign hashing, several repetitions; the
 estimate of |x_i| is the median over repetitions of the magnitude of i's
@@ -121,26 +121,34 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     A block and nothing else. A bucket is live when its total is positive
     and its decoded index is below n; the index is kept when it hashes
     back to that bucket in that repetition. That costs one hash per live
-    bucket, plus one per repetition for each kept index, to rank them by
-    their median whole-bucket magnitude.
+    bucket; only when more than 2K are kept, one per repetition for each,
+    to rank them by their median whole-bucket magnitude.
     """
     if yA.shape != (block.n_rows,):
         raise SketchError(f"A-block slice has {yA.shape}, expected ({block.n_rows},)")
-    y = yA.reshape(block.reps, block.n_buckets, block.stride)
-    totals = y[:, :, 0]
-    low = y[:, :, 1::2]   # bit = 0 sub-buckets
-    high = y[:, :, 2::2]  # bit = 1 sub-buckets
-    bits = (high > low).astype(np.int64)
-    weights = 1 << np.arange(block.n_bits, dtype=np.int64)
-    decoded = bits @ weights                      # (reps, n_buckets)
-    rep, bucket = np.nonzero((totals > 0) & (decoded < block.n_cols))
-    found = decoded[rep, bucket]                  # one per live bucket
+    # bucket h of repetition r owns row r * n_buckets + h of (rows, stride):
+    # its whole bucket, then its bit j = 0 and = 1 sub-buckets at 2j + 1
+    # and 2j + 2. One contiguous pass sets slot t to yA[t + 1] > yA[t]; the
+    # slot at 2j + 1 is bit j, weighted 2**j (sums below 2**53 are exact),
+    # and every other slot 0. The last has no t + 1: zeroed, not NaN * 0
+    above = np.empty(yA.size)
+    above[-1] = 0.0
+    np.greater(yA[1:], yA[:-1], out=above[:-1])
+    weights = np.zeros(block.stride)
+    weights[1::2] = 2.0 ** np.arange(block.n_bits)
+    decoded = (above.reshape(-1, block.stride) @ weights).astype(np.int64)
+    totals = yA[::block.stride]
+    live = np.flatnonzero((totals > 0) & (decoded < block.n_cols))
+    rep, bucket = np.divmod(live, block.n_buckets)
+    found = decoded[live]                         # one per live bucket
     confirmed = np.sort(found[block.bucket_in(found, rep) == bucket])
-    candidates = confirmed[np.diff(confirmed, prepend=-1) != 0]
-    buckets = block.hash(candidates)[0]           # (m, reps)
-    est = median(totals[np.arange(block.reps), buckets])
+    first = np.ones(confirmed.size, dtype=bool)   # first of equal values
+    np.not_equal(confirmed[1:], confirmed[:-1], out=first[1:])
+    candidates = confirmed[first]
     cap = CANDIDATE_CAP_FACTOR * K
     if candidates.size > cap:
+        buckets = block.bucket_in(candidates[:, None], np.arange(block.reps))
+        est = median(totals[buckets + np.arange(0, totals.size, block.n_buckets)])
         keep = np.argsort(-est, kind="stable")[:cap]
         candidates = np.sort(candidates[keep])
     return candidates
@@ -156,11 +164,10 @@ def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
     outside = indices[(indices < 0) | (indices >= B_block.n_cols)]
     if outside.size:
         raise SketchError(f"index {outside[0]} out of range [0, {B_block.n_cols})")
-    # entries returns each column's rows contiguously, in the order the
-    # columns were given, and every column sits in exactly one bucket per
-    # repetition, so a plain reshape lines rows up with (index, repetition)
-    _, rows, _ = B_block.entries(indices)
-    return median(yB[rows].reshape(indices.size, -1))
+    # B's stride is 1: an index's row in repetition r is r * n_buckets
+    # plus its bucket there
+    buckets = B_block.bucket_in(indices[:, None], np.arange(B_block.reps))
+    return median(yB[buckets + np.arange(0, B_block.n_rows, B_block.n_buckets)])
 
 
 def median(a: np.ndarray) -> np.ndarray:

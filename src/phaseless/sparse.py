@@ -70,7 +70,11 @@ def splitmix64(key, idx) -> np.ndarray:
 def _walk(col_keys: np.ndarray, inv, first: int, width: int, last):
     """Rows reached by words ``first`` .. ``first + width - 1`` of each
     column's stream, walking geometric gaps down from row ``last``, and the
-    words that drew them; both ``col_keys.shape + (width,)``."""
+    words that drew them; both ``col_keys.shape + (width,)``. A gap is
+    floor(log1p(-u) * inv) + 1 for a uniform u in [0, 1): u < 1 and
+    inv = 1/log(1 - p) < 0 make the product >= 0 (+0.0 at u = 0), so the
+    int64 cast floors it, and word i's running sum of + 1s, i + 1, is
+    added after the cumulative sum."""
     idx = np.arange(first, first + width, dtype=np.uint64)
     idx *= _GOLDEN
     u = col_keys[..., None] + idx
@@ -81,12 +85,10 @@ def _walk(col_keys: np.ndarray, inv, first: int, width: int, last):
     g *= -_U53                        # -uniform: a power of two, so exact
     np.log1p(g, out=g)
     g *= inv
-    np.floor(g, out=g)
-    g += 1
     gaps = scratch.view(np.int64)     # the shifted words are spent
     gaps[...] = g
     np.cumsum(gaps, axis=-1, out=gaps)
-    gaps += last
+    gaps += np.arange(1, width + 1) + last
     return gaps, u
 
 
@@ -101,9 +103,11 @@ def _draw_width(mean: float) -> int:
 def sample_bernoulli(key, n_rows, p, columns):
     """Entries of the given columns of i.i.d. Bernoulli(p) sign blocks.
 
-    ``key``, ``n_rows`` and ``p`` name one block, or, as equal-length
-    sequences, several, and one walk covers every (block, column) pair.
-    Column j of a block walks its own stream, keyed by word j of the
+    ``key``, ``n_rows`` and ``p`` name one block, as scalars, or, as
+    equal-length sequences, several, and one walk covers every (block,
+    column) pair. Scalars broadcast through the same walk without the
+    per-block arrays, so a one-block call equals the one-element-sequence
+    call. Column j of a block walks its own stream, keyed by word j of the
     block's stream: each word gives a geometric gap down the rows (top 53
     bits) and a sign (low bit). Returns (counts, rows, signs): entries per
     pair, and the int32 rows (within the pair's block) and int8 signs of
@@ -113,20 +117,24 @@ def sample_bernoulli(key, n_rows, p, columns):
     block with the most entries per column draws, so the caller bounds the
     request (``apply_blocks`` asks for at most ``APPLY_CHUNK`` pairs).
     """
-    blocks = list(zip(key, n_rows, p)) if np.ndim(key) else [(key, n_rows, p)]
-    for _, _, q in blocks:
+    stacked = np.ndim(key) > 0
+    for q in (p if stacked else (p,)):
         if not 0.0 < q < 1.0:
             raise ValueError(f"density must be in (0, 1), got {q}")
     columns = np.asarray(columns, dtype=np.int64)
-    # per block: its columns' stream keys, row count, density, 1/log(1 - p)
-    keys = splitmix64(np.array([k for k, _, _ in blocks], dtype=np.uint64)[:, None],
-                      columns)
-    rows_of = np.array([r for _, r, _ in blocks], dtype=np.int64)
-    p_of = np.array([q for _, _, q in blocks])
-    inv = np.array([1.0 / math.log1p(-q) for _, _, q in blocks])
-    width = max(_draw_width(r * q) for _, r, q in blocks)
-    at, u = _walk(keys, inv[:, None, None], 0, width, -1)  # (block, col, word)
-    inside = at < rows_of[:, None, None]
+    # per block: its columns' stream keys, row count, density, 1/log(1 - p),
+    # shaped to broadcast against (block, column, word)
+    if stacked:
+        width = max(_draw_width(r * q) for r, q in zip(n_rows, p))
+        inv = np.array([1.0 / math.log1p(-q) for q in p])[:, None, None]
+        key = np.array(key, dtype=np.uint64)[:, None]
+        n_rows = np.array(n_rows, dtype=np.int64)[:, None, None]
+        p = np.array(p, dtype=np.float64)[:, None, None]
+    else:
+        width, inv = _draw_width(n_rows * p), 1.0 / math.log1p(-p)
+    keys = splitmix64(key, columns)
+    at, u = _walk(keys, inv, 0, width, -1)    # ([block,] col, word)
+    inside = at < n_rows
     count = inside.sum(axis=-1).ravel()
     rows = at[inside].astype(np.int32)
     signs = _signs(u[inside])
@@ -138,9 +146,11 @@ def sample_bernoulli(key, n_rows, p, columns):
     more_cols, more_rows, more_signs = [], [], []
     while short.size:
         owner = (short // columns.size)[:, None]
-        w = _draw_width(float(((rows_of[owner] - 1 - last) * p_of[owner]).max()))
-        at, u = _walk(keys[short], inv[owner], word, w, last)
-        inside = at < rows_of[owner]
+        rows_of, p_of, inv_of = (np.reshape(a, -1)[owner]
+                                 for a in (n_rows, p, inv))
+        w = _draw_width(float(((rows_of - 1 - last) * p_of).max()))
+        at, u = _walk(keys[short], inv_of, word, w, last)
+        inside = at < rows_of
         more_cols.append(np.repeat(short, inside.sum(axis=1)))
         more_rows.append(at[inside])
         more_signs.append(u[inside])

@@ -11,6 +11,10 @@ exact-sparse and spikes-plus-tail, 16 trials each, it hashes:
 * the ``run_trials`` records of the ``cphase`` and ``cphase-amplified``
   pipelines, without ``wall_time``.
 
+At the benchmark's n = 65536, k = 10 it also hashes the y and ``decode``
+JSON of 16 exactly 10-sparse signals and 16 signals with 500 scattered
+nonzeros, so the identification path runs at that n too.
+
 It prints one SHA-256 digest per case and a total over them. Run it on two
 trees and compare the totals:
 
@@ -28,6 +32,8 @@ import os
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 
+import numpy as np  # noqa: E402
+
 from phaseless.bench import (AMPLIFIED_REPLICAS, TrialSpec,  # noqa: E402
                              _ensemble_seed, gen_signal, run_trials)
 from phaseless.decoder import decode, decode_amplified  # noqa: E402
@@ -38,6 +44,7 @@ KS = (1, 3, 10)
 MODELS = ("exact-sparse", "spikes-plus-tail")
 TRIALS = 16
 SEED = 20261019
+LARGE_N, LARGE_K, SCATTERED = 65536, 10, 500
 
 
 def _json_or_error(run) -> str:
@@ -72,14 +79,38 @@ def case_digest(n: int, k: int, model: str) -> str:
     return h.hexdigest()
 
 
+def large_digest(model: str) -> str:
+    """y and ``decode`` JSON at n = 65536, k = 10, one ensemble per trial."""
+    h = hashlib.sha256()
+    spec = TrialSpec(n=LARGE_N, k=LARGE_K, signal_model="exact-sparse",
+                     trials=TRIALS, seed=SEED)
+    for t in range(TRIALS):
+        if model == "exact-sparse":
+            x = gen_signal(spec, t)
+        else:
+            rng = np.random.default_rng([SEED, t, SCATTERED])
+            x = np.zeros(LARGE_N)
+            x[rng.choice(LARGE_N, SCATTERED, replace=False)] = \
+                rng.standard_normal(SCATTERED)
+        ens = build_ensemble(LARGE_N, LARGE_K, rng_seed=_ensemble_seed(SEED, t))
+        measured = apply_phaseless(ens, x)
+        h.update(measured.y.tobytes())
+        h.update(_json_or_error(lambda: decode(ens, measured)).encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     total = hashlib.sha256()
-    for n in NS:
-        for k in KS:
-            for model in MODELS:
-                digest = case_digest(n, k, model)
-                total.update(digest.encode())
-                print(f"n={n} k={k} {model}: {digest}")
+    cases = [(f"n={n} k={k} {model}", lambda n=n, k=k, model=model:
+              case_digest(n, k, model))
+             for n in NS for k in KS for model in MODELS]
+    cases += [(f"n={LARGE_N} k={LARGE_K} {model}",
+               lambda model=model: large_digest(model))
+              for model in ("exact-sparse", f"{SCATTERED}-scattered")]
+    for name, digest_of in cases:
+        digest = digest_of()
+        total.update(digest.encode())
+        print(f"{name}: {digest}")
     print(f"total: {total.hexdigest()}")
 
 

@@ -112,6 +112,16 @@ def test_top_select_one_builds_no_f_level_and_decodes():
     assert res.S2.tolist() == [77] and np.allclose(np.abs(res.values), 3.0)
 
 
+def test_f_block_refuses_when_no_level_is_built():
+    # top_select = 1 builds no F level, so no set size names one
+    e = build_ensemble(4096, 1, config=EnsembleConfig(top_select=1),
+                       rng_seed=2)
+    assert e.f_top_level == 0
+    for size in (1, 2, 3):
+        with pytest.raises(EnsembleError, match="top_select=1"):
+            e.f_block(size)
+
+
 def test_e_density_is_capped_at_one_half():
     # at k = 1 a density of 1/k = 1 would put every coordinate in every row
     e = build_ensemble(4096, 1, rng_seed=0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from phaseless import sparse
@@ -94,3 +96,60 @@ def test_a_stacked_walk_equals_its_one_block_walks(monkeypatch):
             for got, parts in zip(stacked, zip(*single)):
                 want = np.concatenate(parts)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+            # a scalar block is the one-element sequence of it
+            for block, scalar in zip(zip(keys, n_rows, p), single):
+                listed = sample_bernoulli(*([v] for v in block), columns)
+                for got, want in zip(scalar, listed):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64_word(key: int, i: int) -> int:
+    """Word i of stream ``key``: splitmix64 over Python ints."""
+    z = (key + i * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_entries(key: int, n_rows: int, p: float, columns):
+    """One block's entries, word by word: column j walks the stream keyed
+    by word j of ``key``; word i moves floor(log1p(-u) / log1p(-p)) + 1
+    rows down, u the top 53 bits as a fraction, and signs by its low bit."""
+    inv = 1.0 / math.log1p(-p)
+    counts, rows, signs = [], [], []
+    for j in columns:
+        column_key = _splitmix64_word(key, int(j))
+        row, i, count = -1, 0, 0
+        while True:
+            u = _splitmix64_word(column_key, i)
+            row += math.floor(math.log1p(-(u >> 11) * 2.0 ** -53) * inv) + 1
+            if row >= n_rows:
+                break
+            rows.append(row)
+            signs.append(1 if u & 1 else -1)
+            count, i = count + 1, i + 1
+        counts.append(count)
+    return (np.array(counts, dtype=np.int64), np.array(rows, dtype=np.int32),
+            np.array(signs, dtype=np.int8))
+
+
+def test_the_walk_equals_a_word_by_word_reference(monkeypatch):
+    # the sampler's arithmetic against splitmix64 and the geometric gap
+    # computed one word at a time in Python, for one to three blocks, with
+    # every column walking on past its first words at a slack of -100
+    blocks = [(7, 50, 0.3), (2 ** 64 - 5, 1120, 0.01), (123456789, 3, 0.5)]
+    columns = np.array([0, 5, 999_999, 3, 5])
+    for slack in (4.0, -100.0):
+        monkeypatch.setattr(sparse, "_SLACK_SD", slack)
+        for used in (blocks[:1], blocks[:2], blocks):
+            parts = [_reference_entries(*block, columns) for block in used]
+            want = [np.concatenate(part) for part in zip(*parts)]
+            calls = [sample_bernoulli(*zip(*used), columns)]
+            if len(used) == 1:
+                calls.append(sample_bernoulli(*used[0], columns))
+            for got in calls:
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
