@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .decoder import decode_amplified
-from .ensemble import EnsembleConfig, apply_phaseless, build_ensemble
+from .ensemble import _NUMBER, EnsembleConfig, _integer, apply_phaseless, \
+    build_ensemble
 from .prony import DeterministicScheme, conjugate_reflection, det_measure, \
     det_recover
 from .signs import build_sign_graph
@@ -69,8 +70,20 @@ class TrialSpec:
     decay: float = 1.0              # power-law exponent
 
     def __post_init__(self):
+        # spec files and flags reach here: refuse a wrong type by field name
+        for name in ("n", "k", "trials", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("tail_norm", "spike_energy_ratio", "decay"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _NUMBER) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.config, EnsembleConfig):
+            raise ValueError(f"config must be an EnsembleConfig, got {self.config!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.signal_model not in SIGNAL_MODELS:
             raise ValueError(f"unknown signal model {self.signal_model!r}")
         if self.pipeline not in PIPELINES:
@@ -91,6 +104,8 @@ class TrialSpec:
     @classmethod
     def from_json(cls, text: str) -> "TrialSpec":
         d = json.loads(text)
+        if not isinstance(d, dict) or not {"n", "k"} <= set(d):
+            raise ValueError(f"a trial spec is a JSON object with n and k, got {d!r}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown trial spec keys: {sorted(unknown)}")
@@ -112,15 +127,13 @@ def gen_signal(spec: TrialSpec, trial_index: int) -> np.ndarray:
     """Deterministic signal for one trial; complex for the prony pipeline."""
     rng = _rng(spec.seed, trial_index, 0)
     n, k = spec.n, spec.k
+    pos = rng.choice(n, k, replace=False)
+    mags = 10.0 ** rng.uniform(0.0, 1.0, k)
     if spec.pipeline == "prony":
         x = np.zeros(n, dtype=np.complex128)
-        pos = rng.choice(n, k, replace=False)
-        mags = 10.0 ** rng.uniform(0.0, 1.0, k)
         x[pos] = mags * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, k))
         return x
     x = np.zeros(n)
-    pos = rng.choice(n, k, replace=False)
-    mags = 10.0 ** rng.uniform(0.0, 1.0, k)
     signs = rng.choice([-1.0, 1.0], k)
     if spec.signal_model == "exact-sparse":
         x[pos] = mags * signs
@@ -265,24 +278,19 @@ class TrialReport:
                   if r["tail_sq"] not in (None, 0) and r["error_sq"] is not None]
         if ratios:
             agg["median_error_ratio"] = float(np.median(ratios))
-        rels = [r["rel_error"] for r in self.records if r["rel_error"] is not None]
-        if rels:
-            agg["median_rel_error"] = float(np.median(rels))
-        leaves = [r["leaves"] for r in self.records if r["leaves"] is not None]
-        if leaves:
-            agg["median_leaves"] = float(np.median(leaves))
-        accs = [r["sign_accuracy"] for r in self.records
-                if r["sign_accuracy"] is not None]
-        if accs:
-            agg["mean_sign_accuracy"] = float(np.mean(accs))
+        for key, column, stat in (("median_rel_error", "rel_error", np.median),
+                                  ("median_leaves", "leaves", np.median),
+                                  ("mean_sign_accuracy", "sign_accuracy", np.mean)):
+            values = [r[column] for r in self.records if r[column] is not None]
+            if values:
+                agg[key] = float(stat(values))
         return agg
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS)
         writer.writeheader()
-        for r in self.records:
-            writer.writerow(r)
+        writer.writerows(self.records)
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -328,8 +336,8 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
     count ascending). Writes the winner as a config file (``to_json``) when
     a winner exists and out_path is given.
     """
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise ValueError("empty calibration grid")
+    if not isinstance(grid, dict) or not grid or any(len(v) == 0 for v in grid.values()):
+        raise ValueError(f"empty calibration grid or not a JSON object: {grid!r}")
     if base_spec.pipeline == "prony":
         raise ValueError("the prony pipeline reads no ensemble config")
     configs = _config_grid(grid, base_spec.config)
@@ -377,7 +385,7 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
         name = ens.f_block(support.size)
         graph = build_sign_graph(ens.blocks[name], meas.y[ens.rows(name)],
                                  support, np.abs(x[support]))
-        planted = np.sign(x)
+        planted = np.sign(x[support])
         relation = planted[graph.edge_u] * planted[graph.edge_v]
         total += graph.weights.size
         wrong += int(np.sum(graph.weights != relation))

@@ -53,10 +53,16 @@ def _add_spec_flags(p, pipelines=PIPELINES, required=True) -> None:
 
 
 def _trial_spec(args) -> TrialSpec:
-    given = {d: getattr(args, d) for d in SPEC_DESTS if getattr(args, d) is not None}
-    if "config" in given:
-        given["config"] = _load_config(args.config)
-    return TrialSpec(**given)
+    # a malformed spec or config, or one that cannot be read, is a usage error
+    try:
+        if getattr(args, "spec", None) is not None:
+            return TrialSpec.from_json(Path(args.spec).read_text())
+        given = {d: v for d in SPEC_DESTS if (v := getattr(args, d)) is not None}
+        if "config" in given:
+            given["config"] = _load_config(args.config)
+        return TrialSpec(**given)
+    except (OSError, ValueError) as exc:
+        args.error(str(exc))
 
 
 def cmd_gen(args) -> int:
@@ -106,9 +112,7 @@ def cmd_bench(args) -> int:
         args.error("--spec replaces the spec flags; give one or the other")
     if args.spec is None and (args.n is None or args.k is None):
         args.error("--n and --k are required without --spec")
-    spec = _trial_spec(args) if args.spec is None else \
-        TrialSpec.from_json(Path(args.spec).read_text())
-    report = run_trials(spec, workers=args.workers)
+    report = run_trials(_trial_spec(args), workers=args.workers)
     (args.out / "report.csv").write_text(report.to_csv())
     (args.out / "report.json").write_text(report.to_json())
     agg = report.aggregates()
@@ -117,8 +121,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    grid = json.loads(Path(args.grid).read_text())
-    winner, summaries = calibrate(grid, _trial_spec(args), args.target,
+    spec = _trial_spec(args)
+    try:
+        grid = json.loads(Path(args.grid).read_text())
+    except (OSError, ValueError) as exc:
+        args.error(f"--grid: {exc}")
+    winner, summaries = calibrate(grid, spec, args.target,
                                   out_path=args.out / "defaults.json")
     (args.out / "calibration.json").write_text(json.dumps(summaries, indent=2))
     if winner is None:
@@ -154,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_spec_flags(p, required=False)
     p.add_argument("--spec", help="TrialSpec JSON file, in place of the spec flags")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_bench, error=p.error)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("calibrate", help="grid-search ensemble constants")
     # the prony pipeline builds no ensemble, so it has no constant to tune
@@ -166,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for p in sub.choices.values():
         p.add_argument("--out", type=Path, default=Path("."))
+        p.set_defaults(error=p.error)
 
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)

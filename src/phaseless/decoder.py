@@ -23,14 +23,15 @@ Every stage reads measurements through block slices and the columns of the
 candidates, which each block recomputes from its stream, so the work after
 sensing is polynomial in k and log n, not in n; the diagnostics counters
 record exactly how much was touched. The candidate sets are sorted index
-arrays, and the magnitude estimates an array aligned to S0 that later
-stages index through ``np.searchsorted``.
+arrays, and each stage hands the next positions in them: S1 is S0 at the
+top estimates' positions, S2 is S1 at the mask ``prune`` returns, and the
+sign graph's edges are positions in S2.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -73,8 +74,7 @@ class DecodeDiagnostics:
         return self.y_reads + self.index_reads
 
     def as_dict(self) -> dict:
-        return {"y_reads": self.y_reads, "index_reads": self.index_reads,
-                "edges_sampled": self.edges_sampled}
+        return asdict(self)
 
 
 @dataclass
@@ -146,30 +146,18 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
     return TailEnergyEstimate(L=float(median(per_rep)), per_rep=per_rep)
 
 
-def prune(S1: np.ndarray, estimates: np.ndarray, L: float, k: int,
-          C0: float) -> np.ndarray:
-    """Keep the largest prefix of S1 (by estimated magnitude) that clears the
-    level-dependent threshold  k*L / (C0 * 2^l0 * (log2(5k) - l0 + 2)^2),
-    k*L times F level l0's density (``f_inverse_density``), where
-    2^l0 < m <= 2^(l0+1) for prefix length m. ``S1`` is sorted and
-    ``estimates`` is aligned to it. Ties at the cut are all kept. Empty
-    result is legal and means the zero vector."""
-    S1 = np.asarray(S1, dtype=np.int64)
+def prune(estimates: np.ndarray, L: float, k: int, C0: float) -> np.ndarray:
+    """Keep the largest prefix of the candidates (by estimated magnitude)
+    that clears the level-dependent threshold
+    k*L / (C0 * 2^l0 * (log2(5k) - l0 + 2)^2), k*L times F level l0's
+    density (``f_inverse_density``), where 2^l0 < m <= 2^(l0+1) for prefix
+    length m. Returns a boolean mask aligned to ``estimates``; ties at the
+    cut are all kept, and an all-false mask means the zero vector."""
     z_sorted = -np.sort(-estimates)
-    l0 = np.ceil(np.log2(np.arange(1, S1.size + 1))) - 1
+    l0 = np.ceil(np.log2(np.arange(1, estimates.size + 1))) - 1
     threshold = k * L / f_inverse_density(k, l0, C0)
     passing = np.flatnonzero(z_sorted ** 2 > threshold)
-    if passing.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return S1[estimates >= z_sorted[passing[-1]]]
-
-
-def _select_top(S0: np.ndarray, estimates: np.ndarray, cap: int) -> np.ndarray:
-    """Largest ``cap`` candidates by estimate (aligned to the sorted S0);
-    ties broken by lower index."""
-    if S0.size <= cap:
-        return S0
-    return np.sort(S0[np.lexsort((S0, -estimates))[:cap]])
+    return estimates >= (z_sorted[passing[-1]] if passing.size else np.inf)
 
 
 def _sign_stage(ensemble: SensingEnsemble, measurements: Measurements,
@@ -230,11 +218,12 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     diagnostics.y_reads += S0.size * cfg.countsketch_reps
     diagnostics.index_reads += S0.size * cfg.countsketch_reps
 
-    S1 = _select_top(S0, estimates, cfg.top_select)
+    # S0 is sorted, so a stable sort breaks ties by lower index
+    top = np.sort(np.argsort(-estimates, kind="stable")[:cfg.top_select])
+    S1, est1 = S0[top], estimates[top]
     tail = estimate_tail_energy(primary, measurements, S1, diagnostics)
-    S2 = prune(S1, estimates[np.searchsorted(S0, S1)], tail.L, primary.k,
-               cfg.C0)
-    est2 = estimates[np.searchsorted(S0, S2)]
+    keep = prune(est1, tail.L, primary.k, cfg.C0)
+    S2, est2 = S1[keep], est1[keep]
 
     values, signs_failed = est2, False
     if S2.size > 1:

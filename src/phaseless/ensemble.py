@@ -159,6 +159,8 @@ class EnsembleConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleConfig":
+        if not isinstance(data, dict):
+            raise EnsembleError(f"config must be a JSON object, got {data!r}")
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise EnsembleError(f"unknown config keys: {sorted(unknown)}")
@@ -300,11 +302,9 @@ class Measurements:
             version = header.pop("version", None)
             if version != cls.VERSION:
                 raise EnsembleError(f"unsupported measurements version {version}")
-            identity = {key: header.pop(key, None) for key in ("n", "k", "seed")}
-            for key, value in identity.items():
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise EnsembleError(f"measurements header: {key} must be "
-                                        f"an integer, got {value!r}")
+            identity = {key: _integer(f"measurements header: {key}",
+                                      header.pop(key, None))
+                        for key in ("n", "k", "seed")}
             return cls(y=data["y"], **identity,
                        config=EnsembleConfig.from_dict(header))
 
@@ -390,11 +390,7 @@ def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
 def row_count(ensemble: SensingEnsemble) -> dict[str, int]:
     """Measured rows per block, per family rollup, and total."""
     per_block = {name: blk.n_rows for name, blk in ensemble.blocks.items()}
-    families = {"A": 0, "B": 0, "E": 0, "F": 0}
-    for name, rows in per_block.items():
-        families[name[0]] += rows
-    out = dict(per_block)
-    out.update({f"{fam}_family": rows for fam, rows in families.items()})
-    out["total"] = sum(per_block.values())
-    return out
+    families = {f"{fam}_family": sum(rows for name, rows in per_block.items()
+                                     if name[0] == fam) for fam in "ABEF"}
+    return {**per_block, **families, "total": ensemble.total_rows}
 

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import _integer
+
 __all__ = [
     "ComplexSignal",
     "DeterministicScheme",
@@ -89,10 +91,7 @@ class DeterministicScheme:
 
     def __post_init__(self):
         for name in ("n", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # frozen
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= 2 * self.k <= self.n:
             raise ValueError(f"need 1 <= 2k <= n, got n={self.n}, k={self.k}")
 
@@ -200,7 +199,7 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                  sum_mag: np.ndarray, anchor: int, tol_zero: float,
                  tol_branch: float):
     """Every coefficient sequence consistent with every magnitude measurement,
-    yielded as (leaves, parent) chunks of at most _CHUNK_LEAVES.
+    yielded as (leaves, siblings) chunks of at most _CHUNK_LEAVES.
 
     In the frame of the running sum S_{j-1}, whose magnitude is measured,
     z_j is one of resolve_phase's candidates and the minus candidate is the
@@ -215,8 +214,8 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     every leaf, the twin the scheme cannot distinguish anyway. Leaf i takes
     the minus branch at the b-th remaining split when bit b of i, counted
     from the highest, is set, which is depth-first, plus-first order.
-    Chunks are aligned ranges of i, so siblings (leaves with equal parent,
-    differing only in the last coefficient) share a chunk.
+    Chunks are aligned ranges of i, so leaves differing only in the last
+    coefficient are runs of ``siblings`` (2 if it splits, else 1) in one.
     """
     two_k = 2 * scheme.k
     frame = np.zeros(two_k, dtype=np.complex128)  # plus z_j in S_{j-1}'s frame
@@ -242,7 +241,7 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     contrib += np.diag(np.angle(frame))
     base, flip = contrib.sum(axis=0), -2 * contrib[splits]
     shifts = np.arange(len(splits))[::-1]
-    last = int(two_k - 1 in splits)  # siblings differ in the last bit
+    siblings = 2 if two_k - 1 in splits else 1  # leaves per prefix
     mag, total = np.abs(frame), 1 << len(splits)
     for start in range(0, total, _CHUNK_LEAVES):
         i = np.arange(start, min(start + _CHUNK_LEAVES, total))
@@ -253,10 +252,10 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
         leaves = np.exp(1j * phases)
         del phases
         leaves *= mag
-        yield leaves, i >> last
+        yield leaves, siblings
 
 
-def _grid_annihilator_filter(leaves: np.ndarray, parent: np.ndarray, n: int,
+def _grid_annihilator_filter(leaves: np.ndarray, siblings: int, n: int,
                              k: int) -> tuple[np.ndarray, np.ndarray]:
     """The leaves worth fitting, and the supports (rows) their annihilating
     polynomials P read off the n-point grid: where the k smallest |P| lie.
@@ -269,8 +268,7 @@ def _grid_annihilator_filter(leaves: np.ndarray, parent: np.ndarray, n: int,
     vector instead and is always kept, ahead of the others: a signal
     sparser than k has no gap at order k, and is the preimage to prefer.
     """
-    _, first, inv = np.unique(parent, return_index=True, return_inverse=True)
-    heads = leaves[first]
+    heads = leaves[::siblings]
     lead = np.lib.stride_tricks.sliding_window_view(
         heads[:, : 2 * k - 1], k, axis=1)
     rhs = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
@@ -286,9 +284,9 @@ def _grid_annihilator_filter(leaves: np.ndarray, parent: np.ndarray, n: int,
     except np.linalg.LinAlgError:
         # a pivot-level singularity slipped past the determinant screen
         solvable[:] = False
-    solvable = solvable[inv]
+    sol, solvable = np.repeat(sol, siblings, 0), np.repeat(solvable, siblings)
     poly = np.ones((leaves.shape[0], k + 1), dtype=np.complex128)
-    poly[:, :k] = sol[inv, :, 0] + leaves[:, 2 * k - 1, None] * sol[inv, :, 1]
+    poly[:, :k] = sol[:, :, 0] + leaves[:, 2 * k - 1, None] * sol[:, :, 1]
     poly[~solvable] = _null_vectors(leaves[~solvable], k)
     values = _grid_values(poly, n)
     ranked = np.sort(values, axis=1)
@@ -324,11 +322,11 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
             f"phase search may walk 2^{nonzero.size - 2} leaves > BRANCH_CAP")
 
     walked = 0
-    for leaves, parent in _phase_chain(scheme, z_mag, sum_mag, anchor,
-                                       tol_zero, tol_branch):
+    for leaves, siblings in _phase_chain(scheme, z_mag, sum_mag, anchor,
+                                         tol_zero, tol_branch):
         walked += leaves.shape[0]
         for idx, support in zip(*_grid_annihilator_filter(
-                leaves, parent, scheme.n, scheme.k)):
+                leaves, siblings, scheme.n, scheme.k)):
             rows, v = _fit(leaves[idx], support, scheme.n)
             if np.max(np.abs(np.abs(rows @ v) - y)) <= tol_branch:
                 x = np.zeros(scheme.n, dtype=np.complex128)

@@ -16,8 +16,8 @@ they relate two vertices only when the graph connects them
 (``SignGraph.connected``).
 
 The candidate set is a sorted index array; its magnitude estimates and the
-returned labels are arrays aligned to it, and edge endpoints are mapped to
-positions with ``np.searchsorted``.
+returned labels are arrays aligned to it, and an edge's endpoints are
+positions in it, which the vote matrix indexes directly.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
 @dataclass
 class SignGraph:
     vertices: np.ndarray          # candidate coordinates (sorted)
-    edge_u: np.ndarray            # per edge, one endpoint
-    edge_v: np.ndarray            # per edge, the other endpoint
+    edge_u: np.ndarray            # per edge, one endpoint's vertex position
+    edge_v: np.ndarray            # per edge, the other endpoint's position
     weights: np.ndarray           # per edge; repeated pairs add up
     pair_rows: int = 0            # rows whose support met the set in exactly 2
     entries: int = 0              # column entries fetched for the set
@@ -53,9 +53,8 @@ class SignGraph:
         """(|V|, |V|) symmetric vote matrix: the summed weight of each pair,
         both ways round."""
         m = self.vertices.size
-        i = np.searchsorted(self.vertices, self.edge_u)
-        j = np.searchsorted(self.vertices, self.edge_v)
-        W = np.bincount(i * m + j, self.weights, minlength=m * m).reshape(m, m)
+        W = np.bincount(self.edge_u * m + self.edge_v, self.weights,
+                        minlength=m * m).reshape(m, m)
         return W + W.T
 
     @cached_property
@@ -81,7 +80,7 @@ def build_sign_graph(F_block, yF: np.ndarray, S2: np.ndarray,
     """Vote on the relative sign of every pair that a row meets S2 in.
 
     ``S2`` is sorted and ``estimates`` holds its magnitude estimates,
-    aligned to it.
+    aligned to it. The edges are positions in S2.
     """
     S2 = np.asarray(S2, dtype=np.int64)
     counts, rows, sigs = F_block.entries(S2)
@@ -97,7 +96,7 @@ def build_sign_graph(F_block, yF: np.ndarray, S2: np.ndarray,
     sigs = sigs[order]
     vote = (np.sign(d_diff - d_same) * sigs[0::2] * sigs[1::2]).astype(np.int64)
     cast = vote != 0
-    return SignGraph(S2, S2[pu[cast]], S2[pv[cast]], vote[cast], int(pu.size),
+    return SignGraph(S2, pu[cast], pv[cast], vote[cast], int(pu.size),
                      int(rows.size), signed=True)
 
 

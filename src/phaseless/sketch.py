@@ -88,6 +88,12 @@ class HashBlock:
         u = self._words(columns, reps)
         return (u % np.uint64(self.n_buckets)).astype(np.int64)
 
+    def bucket_rows(self, columns: np.ndarray) -> np.ndarray:
+        """Row of each column's whole bucket in every repetition."""
+        reps = np.arange(self.reps)
+        return (reps * self.n_buckets
+                + self.bucket_in(columns[:, None], reps)) * self.stride
+
     def entries(self, columns: np.ndarray):
         buckets, signs = self.hash(columns)
         per_rep = np.zeros((columns.size, self.n_bits + 1), dtype=np.int64)
@@ -147,8 +153,7 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     candidates = confirmed[first]
     cap = CANDIDATE_CAP_FACTOR * K
     if candidates.size > cap:
-        buckets = block.bucket_in(candidates[:, None], np.arange(block.reps))
-        est = median(totals[buckets + np.arange(0, totals.size, block.n_buckets)])
+        est = median(yA[block.bucket_rows(candidates)])
         keep = np.argsort(-est, kind="stable")[:cap]
         candidates = np.sort(candidates[keep])
     return candidates
@@ -159,15 +164,10 @@ def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
     """Per index, the median over repetitions of |bucket containing it|,
     as a float array aligned to ``indices``."""
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return np.empty(0)
     outside = indices[(indices < 0) | (indices >= B_block.n_cols)]
     if outside.size:
         raise SketchError(f"index {outside[0]} out of range [0, {B_block.n_cols})")
-    # B's stride is 1: an index's row in repetition r is r * n_buckets
-    # plus its bucket there
-    buckets = B_block.bucket_in(indices[:, None], np.arange(B_block.reps))
-    return median(yB[buckets + np.arange(0, B_block.n_rows, B_block.n_buckets)])
+    return median(yB[B_block.bucket_rows(indices)])
 
 
 def median(a: np.ndarray) -> np.ndarray:

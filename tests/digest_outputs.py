@@ -15,6 +15,11 @@ At the benchmark's n = 65536, k = 10 it also hashes the y and ``decode``
 JSON of 16 exactly 10-sparse signals and 16 signals with 500 scattered
 nonzeros, so the identification path runs at that n too.
 
+For the deterministic scheme it hashes the ``det_recover`` values and
+``leaves`` (or the error it raises) of 30 signals per k = 1..8 at n = 64,
+drawn as ``bench --pipeline prony`` draws them. It also hashes the rates of
+``edge_error_experiment`` at n = 2048, k = 12 over four values of C0.
+
 It prints one SHA-256 digest per case and a total over them. Run it on two
 trees and compare the totals:
 
@@ -35,9 +40,13 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from phaseless.bench import (AMPLIFIED_REPLICAS, TrialSpec,  # noqa: E402
-                             _ensemble_seed, gen_signal, run_trials)
+                             _ensemble_seed, edge_error_experiment,
+                             gen_signal, run_trials)
 from phaseless.decoder import decode, decode_amplified  # noqa: E402
-from phaseless.ensemble import apply_phaseless, build_ensemble  # noqa: E402
+from phaseless.ensemble import EnsembleConfig, apply_phaseless, \
+    build_ensemble  # noqa: E402
+from phaseless.prony import DeterministicScheme, det_measure, \
+    det_recover  # noqa: E402
 
 NS = (1024, 4096)
 KS = (1, 3, 10)
@@ -45,6 +54,8 @@ MODELS = ("exact-sparse", "spikes-plus-tail")
 TRIALS = 16
 SEED = 20261019
 LARGE_N, LARGE_K, SCATTERED = 65536, 10, 500
+PRONY_N, PRONY_KS, PRONY_TRIALS = 64, range(1, 9), 30
+EDGE_C0S = (0.125, 0.25, 0.5, 1.0)
 
 
 def _json_or_error(run) -> str:
@@ -99,6 +110,30 @@ def large_digest(model: str) -> str:
     return h.hexdigest()
 
 
+def prony_digest(k: int) -> str:
+    """``det_recover`` values and leaves at n = 64, or the error raised."""
+    h = hashlib.sha256()
+    scheme = DeterministicScheme(PRONY_N, k)
+    spec = TrialSpec(n=PRONY_N, k=k, trials=PRONY_TRIALS, seed=SEED,
+                     pipeline="prony")
+    for t in range(PRONY_TRIALS):
+        try:
+            out = det_recover(scheme, det_measure(scheme, gen_signal(spec, t)))
+            h.update(out.values.tobytes())
+            h.update(str(out.leaves).encode())
+        except Exception as exc:
+            h.update(f"{type(exc).__name__}: {exc}".encode())
+    return h.hexdigest()
+
+
+def edge_digest() -> str:
+    """``edge_error_experiment`` rates, as their float reprs."""
+    rates = [edge_error_experiment(2048, 12, EnsembleConfig(C0=c0), trials=10,
+                                   seed=SEED, spike_energy_ratio=4.0)
+             for c0 in EDGE_C0S]
+    return hashlib.sha256(repr(rates).encode()).hexdigest()
+
+
 def main() -> None:
     total = hashlib.sha256()
     cases = [(f"n={n} k={k} {model}", lambda n=n, k=k, model=model:
@@ -107,6 +142,9 @@ def main() -> None:
     cases += [(f"n={LARGE_N} k={LARGE_K} {model}",
                lambda model=model: large_digest(model))
               for model in ("exact-sparse", f"{SCATTERED}-scattered")]
+    cases += [(f"det_recover n={PRONY_N} k={k}", lambda k=k: prony_digest(k))
+              for k in PRONY_KS]
+    cases += [("edge_error_experiment n=2048 k=12", edge_digest)]
     for name, digest_of in cases:
         digest = digest_of()
         total.update(digest.encode())

@@ -61,6 +61,21 @@ def test_trial_spec_validation_and_json():
     # unknown keys once escaped as a bare TypeError from __init__
     with pytest.raises(ValueError, match="outer_reps"):
         TrialSpec.from_json(json.dumps({"n": 64, "k": 2, "outer_reps": 3}))
+    # numpy integers are taken as ints, so the spec still writes as JSON
+    spec = TrialSpec(n=np.int64(64), k=np.int32(2), seed=np.uint8(5))
+    assert type(spec.n) is int and TrialSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 64.0), ("k", "2"), ("trials", 2.5), ("trials", True), ("seed", -1),
+    ("seed", None), ("tail_norm", "1"), ("spike_energy_ratio", False),
+    ("decay", float("nan")), ("config", None), ("config", {"C0": 0.5}),
+])
+def test_trial_spec_refuses_a_malformed_field_by_name(field, value):
+    # each once failed later with a TypeError, or made every trial fail
+    fields = {"n": 64, "k": 2, field: value}
+    with pytest.raises(ValueError, match=field):
+        TrialSpec(**fields)
 
 
 def test_prony_spec_holds_only_what_the_pipeline_reads():
@@ -177,6 +192,9 @@ def test_calibrate_rejects_empty_grid():
         calibrate({}, TrialSpec(n=64, k=2, trials=1), 0.5)
     with pytest.raises(ValueError):
         calibrate({"C0": []}, TrialSpec(n=64, k=2, trials=1), 0.5)
+    # a grid file holding a list once failed with an AttributeError
+    with pytest.raises(ValueError, match="not a JSON object"):
+        calibrate([{"C0": [0.5]}], TrialSpec(n=64, k=2, trials=1), 0.5)
 
 
 def test_calibrate_grid_names_unknown_keys():

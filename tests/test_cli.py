@@ -108,14 +108,14 @@ def test_config_file_is_honored(tmp_path):
     assert spec["config"]["C0"] == 0.5
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
-    # an unknown key once escaped as a bare TypeError
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # an unknown key once escaped as a bare TypeError; it is a usage error
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nope": 1}))
-    with pytest.raises(EnsembleError, match="nope"):
-        main(["bench", "--n", "512", "--k", "4", "--trials", "2",
-              "--seed", "2", "--config", str(cfg),
-              "--out", str(tmp_path / "bench")])
+    assert _exit_code(["bench", "--n", "512", "--k", "4", "--trials", "2",
+                       "--seed", "2", "--config", str(cfg),
+                       "--out", str(tmp_path / "bench")]) == 2
+    assert "unknown config keys: ['nope']" in capsys.readouterr().err
 
 
 def _exit_code(argv):
@@ -172,10 +172,52 @@ def test_sense_writes_its_seed_and_config_files_hold_no_seed(tmp_path):
               "--config", str(cfg), "--out", str(tmp_path)])
 
 
-def test_gen_refuses_a_model_the_prony_pipeline_ignores(tmp_path):
-    with pytest.raises(ValueError, match="prony"):
-        main(["gen", "--n", "64", "--k", "3", "--pipeline", "prony",
-              "--model", "power-law", "--out", str(tmp_path)])
+def test_gen_refuses_a_model_the_prony_pipeline_ignores(tmp_path, capsys):
+    assert _exit_code(["gen", "--n", "64", "--k", "3", "--pipeline", "prony",
+                       "--model", "power-law", "--out", str(tmp_path)]) == 2
+    assert "the prony pipeline takes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"n": 64, "k": 2, "trials": 2.5}, "trials must be an integer"),
+    ({"n": 64, "k": 2, "trials": True}, "trials must be an integer"),
+    ({"n": "64", "k": 2}, "n must be an integer"),
+    ({"n": 64, "k": 2, "seed": -1}, "seed must be >= 0"),
+    ({"n": 64, "k": 2, "config": None}, "config must be a JSON object"),
+    ({"n": 64, "k": 2, "config": [1]}, "config must be a JSON object"),
+    ({"n": 64, "k": 2, "decay": "1"}, "decay must be a finite number"),
+    ({"k": 2}, "a JSON object with n and k"),
+    ([64, 2], "a JSON object with n and k"),
+])
+def test_bench_refuses_a_malformed_spec_as_a_usage_error(tmp_path, capsys,
+                                                         spec, field):
+    # each once ended in a TypeError traceback, or ran every trial into
+    # an error, with exit status 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert _exit_code(["bench", "--spec", str(path),
+                       "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_unreadable_inputs_are_usage_errors(tmp_path, capsys):
+    # each once ended in a traceback with exit status 1
+    out = ["--out", str(tmp_path)]
+    assert _exit_code(["gen", "--n", "64", "--k", "2", "--trials", "0",
+                       *out]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert _exit_code(["bench", "--spec", str(tmp_path / "none.json"),
+                       *out]) == 2
+    assert "none.json" in capsys.readouterr().err
+    grid = tmp_path / "grid.json"
+    grid.write_text("{bad")
+    for path in (grid, tmp_path / "none.json"):
+        assert _exit_code(["calibrate", "--grid", str(path), "--n", "64",
+                           "--k", "2", *out]) == 2
+        assert "--grid" in capsys.readouterr().err
+    assert _exit_code(["calibrate", "--grid", str(tmp_path / "none.json"),
+                       "--n", "64", "--k", "2", "--seed", "-1", *out]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def _one_signal():

@@ -107,14 +107,16 @@ def prune_oracle(S1, estimates, L, k, C0):
 def test_prune_zero_threshold_keeps_positive_estimates():
     S1 = np.arange(6)
     est = np.array([3.0, 2.0, 0.0, 1.0, 0.0, 0.5])
-    kept = prune(S1, est, L=0.0, k=4, C0=1.0)
+    kept = S1[prune(est, L=0.0, k=4, C0=1.0)]
     assert kept.tolist() == [0, 1, 3, 5]
 
 
 def test_prune_everything_below_threshold_is_empty():
     S1 = np.arange(4)
     est = np.full(4, 0.01)
-    kept = prune(S1, est, L=100.0, k=4, C0=1.0)
+    mask = prune(est, L=100.0, k=4, C0=1.0)
+    assert mask.shape == est.shape and mask.dtype == bool
+    kept = S1[mask]
     assert kept.size == 0
 
 
@@ -123,7 +125,7 @@ def test_prune_matches_exhaustive_oracle_geometric():
     S1 = np.arange(20)
     est = 2.0 ** -np.arange(20)
     for L in [0.0, 1e-6, 1e-4, 1e-2, 0.3, 2.0]:
-        got = prune(S1, est, L, k, C0)
+        got = S1[prune(est, L, k, C0)]
         want = prune_oracle(S1, est, L, k, C0)
         assert got.tolist() == want.tolist(), L
 
@@ -135,7 +137,7 @@ def test_prune_includes_ties_at_the_cut():
     k, C0 = 4, 1.0
     log5k = math.log2(20)
     L_mid = 0.9 ** 2 * C0 * 2.0 ** 1 * (log5k - 1 + 2) ** 2 / k
-    kept = prune(S1, est, L_mid, k, C0)
+    kept = S1[prune(est, L_mid, k, C0)]
     assert kept.tolist() == [0, 1, 2, 3, 4]  # all four tied values included
 
 
@@ -146,7 +148,7 @@ def test_prune_random_agrees_with_oracle():
         S1 = np.sort(rng.choice(200, size, replace=False))
         est = np.abs(rng.standard_normal(size))
         L = float(abs(rng.standard_normal()) * 0.1)
-        got = prune(S1, est, L, 10, 0.5)
+        got = S1[prune(est, L, 10, 0.5)]
         want = prune_oracle(S1, est, L, 10, 0.5)
         assert got.tolist() == want.tolist()
 
@@ -314,7 +316,7 @@ def chain_graph(S2, members):
     voting the relative signs of ``pattern``."""
     u, v = members[:-1], members[1:]
     p = pattern(S2.size)
-    return SignGraph(S2, S2[u], S2[v], p[u] * p[v], signed=True)
+    return SignGraph(S2, u, v, p[u] * p[v], signed=True)
 
 
 def test_a_member_no_replica_reached_keeps_its_bare_magnitude(monkeypatch):

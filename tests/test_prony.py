@@ -210,8 +210,7 @@ def test_grid_filter_keeps_the_true_leaf_with_pronys_support():
               for k in range(1, 9) for _ in range(40)]
     for n, k, x, pos in cases:
         g = fourier_prefix(x, k)
-        kept, supports = prony._grid_annihilator_filter(
-            g[None, :], np.zeros(1, dtype=np.int64), n, k)
+        kept, supports = prony._grid_annihilator_filter(g[None, :], 1, n, k)
         assert kept.tolist() == [0], (n, k)
         want = np.flatnonzero(prony_solve(g, n, k).values)
         assert np.array_equal(want, pos)
@@ -394,7 +393,7 @@ def test_recover_flags_inconsistent_measurements():
 # -- streamed phase chain -----------------------------------------------------
 
 def chain_chunks(scheme, x):
-    """The (leaves, parent) chunks det_recover walks for signal x."""
+    """The (leaves, siblings) chunks det_recover walks for signal x."""
     y = det_measure(scheme, x)
     scale = float(np.max(y))
     z_mag, sum_mag = y[: 2 * scheme.k], y[2 * scheme.k:]
@@ -416,12 +415,17 @@ def test_chunks_are_bounded_and_keep_siblings_together():
     chunks = chain_chunks(scheme, x)
     assert len(chunks) > 1
     seen = set()
-    for leaves, parent in chunks:
+    for leaves, siblings in chunks:
+        assert siblings == 2                  # this signal's last step splits
         assert leaves.shape[0] <= prony._CHUNK_LEAVES
+        assert leaves.shape[0] % siblings == 0
         prefixes = [leaf[:-1].tobytes() for leaf in leaves]
-        # equal parent <=> equal prefix, and no prefix spans two chunks
-        pairs = set(zip(parent.tolist(), prefixes))
-        assert len(pairs) == len(set(parent.tolist())) == len(set(prefixes))
+        runs = [prefixes[i:i + siblings]
+                for i in range(0, len(prefixes), siblings)]
+        # each run shares one prefix, runs have distinct prefixes, and no
+        # prefix spans two chunks
+        assert all(len(set(run)) == 1 for run in runs)
+        assert len(set(prefixes)) == len(runs)
         assert seen.isdisjoint(prefixes)
         seen.update(prefixes)
 

@@ -28,7 +28,7 @@ def test_noiseless_same_sign_pair_adds_edge():
     est = np.array([3.0, 4.0])
     g = build_sign_graph(block, np.array([7.0]), np.array([2, 5]), est)
     assert g.n_edges == 1
-    assert (g.edge_u[0], g.edge_v[0]) == (2, 5)
+    assert (g.edge_u[0], g.edge_v[0]) == (0, 1)     # positions in S2
 
 
 def test_noiseless_opposite_sign_pair_votes_differ():
@@ -69,7 +69,7 @@ def test_graph_is_undirected_and_weighted():
     est = np.array([1.0, 2.0])
     g = build_sign_graph(block, np.array([3.0, 3.0]), np.array([4, 6]), est)
     assert g.weights.tolist() == [1, 1]
-    assert sorted(zip(g.edge_u.tolist(), g.edge_v.tolist())) == [(4, 6)] * 2
+    assert sorted(zip(g.edge_u.tolist(), g.edge_v.tolist())) == [(0, 1)] * 2
     assert g.W.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
 
@@ -110,8 +110,10 @@ def test_isolated_vertex_flagged_and_defaulted():
 
 def test_connected_counts_components_of_the_summed_votes():
     def graph(m, u, v, w):
-        return SignGraph(np.arange(m) * 7, np.asarray(u) * 7,
-                         np.asarray(v) * 7, np.asarray(w), signed=True)
+        # coordinates 7 apart; the endpoints are positions among them
+        return SignGraph(np.arange(m) * 7, np.asarray(u, dtype=np.int64),
+                         np.asarray(v, dtype=np.int64), np.asarray(w),
+                         signed=True)
 
     assert graph(1, [], [], []).connected            # one vertex
     assert graph(5, [0, 1, 2, 3], [1, 2, 3, 4], [1, -1, 1, 1]).connected
@@ -121,6 +123,30 @@ def test_connected_counts_components_of_the_summed_votes():
     assert not graph(2, [0, 0], [1, 1], [1, -1]).connected
     # a path of eight edges is crossed end to end
     assert graph(9, range(8), range(1, 9), [1] * 8).connected
+
+
+def test_a_vote_graph_reads_positions_not_coordinates():
+    # the same rows over S2 = 7 * arange(m) and over 0..m-1 give the same
+    # positional edges, W, labels and connectivity
+    rng = np.random.default_rng(13)
+    for m in (2, 5, 9, 16):
+        n_rows = 40
+        rows = rng.integers(0, n_rows, 6 * m)
+        owners = rng.integers(0, m, rows.size)
+        signs = rng.choice([-1, 1], rows.size)
+        yF = rng.uniform(0.0, 4.0, n_rows)
+        est = rng.uniform(0.5, 2.0, m)
+        graphs = [build_sign_graph(ListBlock(n_rows, 7 * m, rows, S2[owners],
+                                             signs), yF, S2, est)
+                  for S2 in (7 * np.arange(m), np.arange(m))]
+        spread, packed = graphs
+        assert spread.n_edges > 0
+        assert np.array_equal(spread.edge_u, packed.edge_u)
+        assert np.array_equal(spread.edge_v, packed.edge_v)
+        assert np.array_equal(spread.W, packed.W)
+        assert np.array_equal(recover_communities(spread),
+                              recover_communities(packed))
+        assert spread.connected == packed.connected
 
 
 def test_recovery_is_deterministic():
@@ -163,8 +189,8 @@ def test_edge_rate_separation_with_planted_signs():
         name = ens.f_block(k)
         g = build_sign_graph(ens.blocks[name], meas.y[ens.rows(name)], support,
                              est)
-        planted = np.sign(x)
-        n_plus = int(np.sum(planted[support] > 0))
+        planted = np.sign(x[support])     # by position, as the edges are
+        n_plus = int(np.sum(planted > 0))
         same_pairs += n_plus * (n_plus - 1) // 2 + \
             (k - n_plus) * (k - n_plus - 1) // 2
         cross_pairs += n_plus * (k - n_plus)

@@ -42,6 +42,19 @@ def test_countsketch_sign_is_not_a_function_of_the_bucket():
     assert abs(agree / pairs - 0.5) < 0.03, agree / pairs
 
 
+@pytest.mark.parametrize("block", [
+    build_hh_block(3, 1000, 24, 10, 4),
+    build_countsketch_block(4, 1000, 64, 5),
+], ids=["A", "B"])
+def test_bucket_rows_are_the_whole_bucket_rows_of_entries(block):
+    # a column's entries in a repetition start with its whole-bucket row
+    columns = np.arange(block.n_cols)
+    counts, rows, _ = block.entries(columns)
+    assert np.all(counts == block.reps * (block.n_bits + 1))
+    whole = rows.reshape(columns.size, block.reps, block.n_bits + 1)[:, :, 0]
+    assert np.array_equal(block.bucket_rows(columns), whole)
+
+
 def test_single_spike_is_identified():
     n = 512
     block = make_block(1, n, K=10)
