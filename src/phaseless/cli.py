@@ -15,7 +15,8 @@ and ``bench --spec FILE`` replaces them all. A config file holds
 prony`` runs the Monte-Carlo of the deterministic 4k-1 scheme.
 
 Exit status is 0 only if no trial-level hard errors occurred (and, for
-calibrate, the target was met); a usage error exits with status 2.
+calibrate, the target was met); a usage error, such as an input file, config,
+grid or (n, k) that a subcommand refuses, exits with status 2.
 """
 
 from __future__ import annotations
@@ -75,14 +76,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sense(args) -> int:
-    with np.load(Path(args.signals)) as data:
-        signals = np.atleast_2d(data["signals"])
+    try:
+        with np.load(Path(args.signals)) as data:
+            signals = np.atleast_2d(data["signals"])
+        ensemble = build_ensemble(signals.shape[-1], args.k,
+                                  config=_load_config(args.config), rng_seed=args.seed)
+    except (OSError, ValueError, KeyError) as exc:
+        args.error(str(exc))
     if np.iscomplexobj(signals):
         print("sense drives the randomized (real-signal) pipeline; this "
               "file holds complex signals for the deterministic one")
         return 1
-    ensemble = build_ensemble(signals.shape[-1], args.k,
-                              config=_load_config(args.config), rng_seed=args.seed)
     y = np.stack([apply_phaseless(ensemble, x).y for x in signals])
     Measurements(y, ensemble.n, ensemble.k, ensemble.seed, ensemble.config).save(
         args.out / "measurements.npz")
@@ -91,7 +95,10 @@ def cmd_sense(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    batch = Measurements.load(Path(args.measurements))
+    try:
+        batch = Measurements.load(Path(args.measurements))
+    except (OSError, ValueError) as exc:
+        args.error(f"--measurements: {exc}")
     ensemble = build_ensemble(batch.n, batch.k, config=batch.config,
                               rng_seed=batch.seed)
     failures = 0
@@ -126,8 +133,12 @@ def cmd_calibrate(args) -> int:
         grid = json.loads(Path(args.grid).read_text())
     except (OSError, ValueError) as exc:
         args.error(f"--grid: {exc}")
-    winner, summaries = calibrate(grid, spec, args.target,
-                                  out_path=args.out / "defaults.json")
+    # trials record their own errors: a ValueError is a refused grid or (n, k)
+    try:
+        winner, summaries = calibrate(grid, spec, args.target,
+                                      out_path=args.out / "defaults.json")
+    except ValueError as exc:
+        args.error(str(exc))
     (args.out / "calibration.json").write_text(json.dumps(summaries, indent=2))
     if winner is None:
         best = max((s["success_rate"] for s in summaries), default=0.0)

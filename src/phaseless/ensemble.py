@@ -296,6 +296,8 @@ class Measurements:
     @classmethod
     def load(cls, path) -> "Measurements":
         with np.load(path) as data:
+            if not {"header", "y"} <= set(data.files):
+                raise EnsembleError("not a measurements container")
             header = json.loads(bytes(data["header"]).decode())
             if header.pop("format", None) != cls.FORMAT:
                 raise EnsembleError("not a measurements container")

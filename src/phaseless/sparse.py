@@ -39,7 +39,7 @@ _U53 = 1.0 / 9007199254740992.0  # 2**-53
 APPLY_CHUNK = 2048
 # Words a column draws first: its mean entry count plus this many standard
 # deviations. Any value gives the same entries; a column that runs short
-# continues its walk with its next words.
+# is walked again from its first word with twice the words.
 _SLACK_SD = 4.0
 
 
@@ -67,15 +67,14 @@ def splitmix64(key, idx) -> np.ndarray:
     return _mix64(z, np.empty_like(z))
 
 
-def _walk(col_keys: np.ndarray, inv, first: int, width: int, last):
-    """Rows reached by words ``first`` .. ``first + width - 1`` of each
-    column's stream, walking geometric gaps down from row ``last``, and the
-    words that drew them; both ``col_keys.shape + (width,)``. A gap is
-    floor(log1p(-u) * inv) + 1 for a uniform u in [0, 1): u < 1 and
-    inv = 1/log(1 - p) < 0 make the product >= 0 (+0.0 at u = 0), so the
-    int64 cast floors it, and word i's running sum of + 1s, i + 1, is
-    added after the cumulative sum."""
-    idx = np.arange(first, first + width, dtype=np.uint64)
+def _walk(col_keys: np.ndarray, inv, width: int):
+    """Rows reached by words 0 .. ``width - 1`` of each column's stream,
+    walking geometric gaps down from row -1, and the words that drew them;
+    both ``col_keys.shape + (width,)``. A gap is floor(log1p(-u) * inv) + 1
+    for a uniform u in [0, 1): u < 1 and inv = 1/log(1 - p) < 0 make the
+    product >= 0 (+0.0 at u = 0), so the int64 cast floors it; the + 1s,
+    from row -1, add i to word i after the cumulative sum."""
+    idx = np.arange(width, dtype=np.uint64)
     idx *= _GOLDEN
     u = col_keys[..., None] + idx
     scratch = np.empty_like(u)
@@ -88,7 +87,7 @@ def _walk(col_keys: np.ndarray, inv, first: int, width: int, last):
     gaps = scratch.view(np.int64)     # the shifted words are spent
     gaps[...] = g
     np.cumsum(gaps, axis=-1, out=gaps)
-    gaps += np.arange(1, width + 1) + last
+    gaps += np.arange(width)
     return gaps, u
 
 
@@ -113,57 +112,49 @@ def sample_bernoulli(key, n_rows, p, columns):
     pair, and the int32 rows (within the pair's block) and int8 signs of
     all entries, grouped by block, then by column in the order given, so a
     call over several blocks returns the concatenation of their one-block
-    calls. Every pair is walked at once, first with as many words as the
-    block with the most entries per column draws, so the caller bounds the
-    request (``apply_blocks`` asks for at most ``APPLY_CHUNK`` pairs).
+    calls. Every pair is walked at once, with as many words as the block
+    with the most entries per column draws (a pair they leave above its
+    block's last row is walked again), so the caller bounds the request
+    (``apply_blocks`` asks for at most ``APPLY_CHUNK`` pairs).
     """
     stacked = np.ndim(key) > 0
     for q in (p if stacked else (p,)):
         if not 0.0 < q < 1.0:
             raise ValueError(f"density must be in (0, 1), got {q}")
     columns = np.asarray(columns, dtype=np.int64)
-    # per block: its columns' stream keys, row count, density, 1/log(1 - p),
+    # per block: its columns' stream keys, row count and 1/log(1 - p),
     # shaped to broadcast against (block, column, word)
     if stacked:
         width = max(_draw_width(r * q) for r, q in zip(n_rows, p))
         inv = np.array([1.0 / math.log1p(-q) for q in p])[:, None, None]
         key = np.array(key, dtype=np.uint64)[:, None]
         n_rows = np.array(n_rows, dtype=np.int64)[:, None, None]
-        p = np.array(p, dtype=np.float64)[:, None, None]
     else:
         width, inv = _draw_width(n_rows * p), 1.0 / math.log1p(-p)
     keys = splitmix64(key, columns)
-    at, u = _walk(keys, inv, 0, width, -1)    # ([block,] col, word)
+    at, u = _walk(keys, inv, width)           # ([block,] col, word)
     inside = at < n_rows
-    count = inside.sum(axis=-1).ravel()
-    rows = at[inside].astype(np.int32)
-    signs = _signs(u[inside])
-    # rare: a pair still above its block's last row continues its walk from
-    # its last row with its next words
+    # rare: a pair still above its block's last row after its words is
+    # walked again from word 0, doubling its words until it passes the row
     short = np.flatnonzero(inside[..., -1])
-    last, word = at.reshape(-1, width)[short, -1:], width
-    keys = keys.ravel()
-    more_cols, more_rows, more_signs = [], [], []
-    while short.size:
-        owner = (short // columns.size)[:, None]
-        rows_of, p_of, inv_of = (np.reshape(a, -1)[owner]
-                                 for a in (n_rows, p, inv))
-        w = _draw_width(float(((rows_of - 1 - last) * p_of).max()))
-        at, u = _walk(keys[short], inv_of, word, w, last)
-        inside = at < rows_of
-        more_cols.append(np.repeat(short, inside.sum(axis=1)))
-        more_rows.append(at[inside])
-        more_signs.append(u[inside])
-        keep = inside[:, -1]
-        short, last, word = short[keep], at[keep, -1:], word + w
-    if more_cols:
-        cols = np.concatenate(more_cols)
-        order = np.argsort(cols, kind="stable")   # by pair, walk order
-        before = np.cumsum(count)[cols[order]]   # end of each main walk
-        rows = np.insert(rows, before, np.concatenate(more_rows)[order])
-        signs = np.insert(signs, before,
-                          _signs(np.concatenate(more_signs)[order]))
-        count += np.bincount(cols, minlength=count.size)
+    inside.reshape(-1, width)[short] = False
+    count = inside.sum(axis=-1).ravel()
+    rows, signs = at[inside].astype(np.int32), _signs(u[inside])
+    if short.size:
+        owner = short // columns.size
+        inv, n_rows = (np.reshape(a, -1)[owner, None] for a in (inv, n_rows))
+        keys = keys.reshape(-1)[short]
+        while True:
+            width *= 2
+            at, u = _walk(keys, inv, width)
+            inside = at < n_rows
+            if not inside[:, -1].any():
+                break
+        added = inside.sum(axis=1)
+        before = np.repeat(np.cumsum(count)[short], added)  # its first walk's place
+        rows = np.insert(rows, before, at[inside])
+        signs = np.insert(signs, before, _signs(u[inside]))
+        count[short] = added
     return count, rows, signs
 
 

@@ -15,6 +15,11 @@ At the benchmark's n = 65536, k = 10 it also hashes the y and ``decode``
 JSON of 16 exactly 10-sparse signals and 16 signals with 500 scattered
 nonzeros, so the identification path runs at that n too.
 
+It hashes the entries of direct ``sample_bernoulli`` requests, scalar and
+stacked (one to six blocks, 0 to 2048 columns, at most 2048 pairs), at a
+first-walk slack ``_SLACK_SD`` of 0, 1 and 4, so the pairs that outrun
+their first walk's words, rare at the default 4, are hashed too.
+
 For the deterministic scheme it hashes the ``det_recover`` values and
 ``leaves`` (or the error it raises) of 30 signals per k = 1..8 at n = 64,
 drawn as ``bench --pipeline prony`` draws them. It also hashes the rates of
@@ -39,6 +44,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from phaseless import sparse  # noqa: E402
 from phaseless.bench import (AMPLIFIED_REPLICAS, TrialSpec,  # noqa: E402
                              _ensemble_seed, edge_error_experiment,
                              gen_signal, run_trials)
@@ -55,6 +61,7 @@ TRIALS = 16
 SEED = 20261019
 LARGE_N, LARGE_K, SCATTERED = 65536, 10, 500
 PRONY_N, PRONY_KS, PRONY_TRIALS = 64, range(1, 9), 30
+SAMPLER_SLACKS, SAMPLER_REQUESTS = (0.0, 1.0, 4.0), 60
 EDGE_C0S = (0.125, 0.25, 0.5, 1.0)
 
 
@@ -110,6 +117,31 @@ def large_digest(model: str) -> str:
     return h.hexdigest()
 
 
+def sampler_digest(slack: float) -> str:
+    """Entries and dtypes of ``sample_bernoulli`` requests at
+    ``_SLACK_SD = slack``; even requests name one block as scalars, odd
+    ones stack one to six blocks."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng([SEED, int(slack)])
+    saved, sparse._SLACK_SD = sparse._SLACK_SD, slack
+    try:
+        for r in range(SAMPLER_REQUESTS):
+            n_blocks = 1 if r % 2 == 0 else int(rng.integers(1, 7))
+            keys = [int(key) for key in rng.integers(0, 2 ** 63, n_blocks)]
+            n_rows = [int(rows) for rows in rng.integers(1, 2000, n_blocks)]
+            p = [float(q) for q in np.exp(rng.uniform(np.log(1e-3),
+                                                      np.log(0.3), n_blocks))]
+            columns = rng.integers(0, 10 ** 6, int(rng.integers(
+                0, sparse.APPLY_CHUNK // n_blocks + 1)))
+            block = (keys, n_rows, p) if r % 2 else (keys[0], n_rows[0], p[0])
+            for part in sparse.sample_bernoulli(*block, columns):
+                h.update(part.dtype.str.encode())
+                h.update(part.tobytes())
+    finally:
+        sparse._SLACK_SD = saved
+    return h.hexdigest()
+
+
 def prony_digest(k: int) -> str:
     """``det_recover`` values and leaves at n = 64, or the error raised."""
     h = hashlib.sha256()
@@ -142,6 +174,9 @@ def main() -> None:
     cases += [(f"n={LARGE_N} k={LARGE_K} {model}",
                lambda model=model: large_digest(model))
               for model in ("exact-sparse", f"{SCATTERED}-scattered")]
+    cases += [(f"sample_bernoulli slack={slack}",
+               lambda slack=slack: sampler_digest(slack))
+              for slack in SAMPLER_SLACKS]
     cases += [(f"det_recover n={PRONY_N} k={k}", lambda k=k: prony_digest(k))
               for k in PRONY_KS]
     cases += [("edge_error_experiment n=2048 k=12", edge_digest)]

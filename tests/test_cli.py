@@ -157,19 +157,79 @@ def test_flags_a_subcommand_ignored_are_exit_codes(tmp_path):
     assert _exit_code(["bench", "--k", "3", "--out", str(tmp_path)]) == 2
 
 
-def test_sense_writes_its_seed_and_config_files_hold_no_seed(tmp_path):
+def test_sense_writes_its_seed_and_config_files_hold_no_seed(tmp_path, capsys):
     sig = tmp_path / "sig"
     assert main(["gen", "--n", "256", "--k", "3", "--trials", "1",
                  "--out", str(sig)]) == 0
     assert main(["sense", "--signals", str(sig / "signals.npz"), "--k", "3",
                  "--seed", "9", "--out", str(tmp_path)]) == 0
     assert Measurements.load(tmp_path / "measurements.npz").seed == 9
-    # a seed in a config file was once read by no command
+    # a seed in a config file was once read by no command; a config that
+    # `build_ensemble` refuses is a usage error
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"C0": 0.5, "seed": 9}))
-    with pytest.raises(EnsembleError, match="seed"):
-        main(["sense", "--signals", str(sig / "signals.npz"), "--k", "3",
-              "--config", str(cfg), "--out", str(tmp_path)])
+    assert _exit_code(["sense", "--signals", str(sig / "signals.npz"),
+                       "--k", "3", "--config", str(cfg),
+                       "--out", str(tmp_path)]) == 2
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
+
+def test_sense_refuses_a_k_or_signals_file_as_a_usage_error(tmp_path, capsys):
+    # each once ended in a traceback with exit status 1
+    sig = tmp_path / "sig"
+    assert main(["gen", "--n", "256", "--k", "3", "--trials", "1",
+                 "--out", str(sig)]) == 0
+    assert _exit_code(["sense", "--signals", str(sig / "signals.npz"),
+                       "--k", "50", "--out", str(tmp_path)]) == 2
+    assert "k=50 too large for n=256" in capsys.readouterr().err
+    assert _exit_code(["sense", "--signals", str(tmp_path / "none.npz"),
+                       "--k", "3", "--out", str(tmp_path)]) == 2
+    assert "none.npz" in capsys.readouterr().err
+
+
+def test_decode_refuses_a_file_that_holds_no_measurements(tmp_path, capsys):
+    # the signals file `gen` writes once ended in a bare KeyError
+    sig = tmp_path / "sig"
+    assert main(["gen", "--n", "256", "--k", "3", "--trials", "1",
+                 "--out", str(sig)]) == 0
+    with pytest.raises(EnsembleError, match="not a measurements container"):
+        Measurements.load(sig / "signals.npz")
+    assert _exit_code(["decode", "--measurements", str(sig / "signals.npz"),
+                       "--out", str(tmp_path)]) == 2
+    assert "not a measurements container" in capsys.readouterr().err
+    assert _exit_code(["decode", "--measurements", str(tmp_path / "none.npz"),
+                       "--out", str(tmp_path)]) == 2
+    assert "none.npz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, n, k, message", [
+    ([1], 64, 2, "not a JSON object"),
+    ({"C0": []}, 64, 2, "empty calibration grid"),
+    ({"nope": [1]}, 64, 2, "unknown config keys: ['nope']"),
+    ({"C0": [-1]}, 64, 2, "C0 must be finite and > 0, got -1"),
+    ({"C0": [0.125]}, 100, 50, "k=50 too large for n=100"),
+])
+def test_calibrate_refuses_a_grid_or_n_and_k_as_a_usage_error(
+        tmp_path, capsys, grid, n, k, message):
+    # each once ended in a traceback with exit status 1
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    assert _exit_code(["calibrate", "--grid", str(path), "--n", str(n),
+                       "--k", str(k), "--trials", "1",
+                       "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "defaults.json").exists()
+
+
+def test_calibrate_leaves_a_failed_write_of_its_winner_a_traceback(tmp_path):
+    # an OSError is not a usage error: the grid and spec were accepted
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"C0": [0.125]}))
+    (tmp_path / "defaults.json").mkdir()
+    with pytest.raises(OSError):
+        main(["calibrate", "--grid", str(grid), "--n", "512", "--k", "4",
+              "--trials", "1", "--seed", "4", "--target", "0.0",
+              "--out", str(tmp_path)])
 
 
 def test_gen_refuses_a_model_the_prony_pipeline_ignores(tmp_path, capsys):

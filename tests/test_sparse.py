@@ -80,17 +80,30 @@ def test_one_request_equals_its_chunked_requests():
     assert all(a.size == 0 for a in empty)
 
 
+def _blocks_with_short_and_full_pairs(counts, n_rows, p) -> int:
+    """Blocks in which some pairs outrun the words of the first walk and
+    are walked again, and others do not: a pair outruns them when it has
+    at least as many entries as words."""
+    width = max(sparse._draw_width(r * q) for r, q in zip(n_rows, p))
+    short = counts.reshape(len(n_rows), -1) >= width
+    return int(np.sum(short.any(axis=1) & ~short.all(axis=1)))
+
+
 def test_a_stacked_walk_equals_its_one_block_walks(monkeypatch):
     # blocks with their own keys, row counts and densities walk the same
     # columns in one call; the entries come grouped by block, then by
-    # column, exactly as the one-block calls return them, also when every
-    # pair runs short of its first words and continues
+    # column, exactly as the one-block calls return them, also when some
+    # pairs (at a slack of 0) or every pair (at -100) run short of their
+    # first words and are walked again
     keys, n_rows, p = (7, 2 ** 64 - 5, 123456789), (50, 1120, 3), (0.3, 0.01, 0.5)
     cols = np.random.default_rng(12).integers(0, 10 ** 6, 40)
-    for slack in (4.0, -100.0):
+    for slack in (4.0, 0.0, -100.0):
         monkeypatch.setattr(sparse, "_SLACK_SD", slack)
         for columns in (cols, cols[:0]):
             stacked = sample_bernoulli(keys, n_rows, p, columns)
+            if slack == 0.0 and columns.size:
+                assert _blocks_with_short_and_full_pairs(
+                    stacked[0], n_rows, p) > 1
             single = [sample_bernoulli(*block, columns)
                       for block in zip(keys, n_rows, p)]
             for got, parts in zip(stacked, zip(*single)):
@@ -139,14 +152,19 @@ def _reference_entries(key: int, n_rows: int, p: float, columns):
 def test_the_walk_equals_a_word_by_word_reference(monkeypatch):
     # the sampler's arithmetic against splitmix64 and the geometric gap
     # computed one word at a time in Python, for one to three blocks, with
-    # every column walking on past its first words at a slack of -100
+    # some columns walked again at a slack of 0, their entries spliced
+    # between full ones, and every column walked again at a slack of -100
     blocks = [(7, 50, 0.3), (2 ** 64 - 5, 1120, 0.01), (123456789, 3, 0.5)]
     columns = np.array([0, 5, 999_999, 3, 5])
-    for slack in (4.0, -100.0):
+    for slack in (4.0, 0.0, -100.0):
         monkeypatch.setattr(sparse, "_SLACK_SD", slack)
         for used in (blocks[:1], blocks[:2], blocks):
             parts = [_reference_entries(*block, columns) for block in used]
             want = [np.concatenate(part) for part in zip(*parts)]
+            if slack == 0.0 and len(used) > 1:
+                _, n_rows, p = zip(*used)
+                assert _blocks_with_short_and_full_pairs(
+                    want[0], n_rows, p) > 1
             calls = [sample_bernoulli(*zip(*used), columns)]
             if len(used) == 1:
                 calls.append(sample_bernoulli(*used[0], columns))
