@@ -77,7 +77,10 @@ def cmd_gen(args) -> int:
 
 def cmd_sense(args) -> int:
     try:
-        with np.load(Path(args.signals)) as data:
+        data = np.load(Path(args.signals))
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not a signals container")
+        with data:
             signals = np.atleast_2d(data["signals"])
         ensemble = build_ensemble(signals.shape[-1], args.k,
                                   config=_load_config(args.config), rng_seed=args.seed)

@@ -295,7 +295,10 @@ class Measurements:
 
     @classmethod
     def load(cls, path) -> "Measurements":
-        with np.load(path) as data:
+        data = np.load(path)   # an .npy file loads as a bare array
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise EnsembleError("not a measurements container")
+        with data:
             if not {"header", "y"} <= set(data.files):
                 raise EnsembleError("not a measurements container")
             header = json.loads(bytes(data["header"]).decode())

@@ -18,7 +18,8 @@ makes, counted in (block, column) pairs, so a k-sparse signal is one
 sampler walk for every Bernoulli block, and sensing a dense signal, cut at
 every aligned range of ``APPLY_CHUNK`` columns, never holds more than one
 range's entries of one block in temporaries. A range with no zero entry is
-asked for whole, and a Bernoulli block keeps and reuses its entries.
+asked for whole; a Bernoulli block keeps its entries in about 17 bits each
+and reuses them, its rows then in a narrower unsigned dtype than int32.
 """
 
 from __future__ import annotations
@@ -227,7 +228,9 @@ class SparseSignMatrix:
     It holds no entries until a call asks for exactly one aligned range
     lo .. lo + APPLY_CHUNK - 1 (lo a multiple of APPLY_CHUNK), as sensing
     a signal with no zero entry there does, and keeps that result for the
-    next such request. Every other call, a partial last range included,
+    next such request: its rows in the narrowest unsigned dtype that holds
+    ``n_rows - 1``, in which a later request gets them back, and its signs
+    packed one bit each. Every other call, a partial last range included,
     samples its columns.
     """
 
@@ -253,6 +256,11 @@ class SparseSignMatrix:
             return sample_bernoulli(self.key, self.n_rows, self.p, columns)
         kept = self._kept.get(lo)
         if kept is None:
-            kept = self._kept[lo] = sample_bernoulli(self.key, self.n_rows,
-                                                     self.p, columns)
-        return kept
+            counts, rows, signs = sample_bernoulli(self.key, self.n_rows,
+                                                   self.p, columns)
+            self._kept[lo] = (counts, rows.astype(np.min_scalar_type(
+                self.n_rows - 1)), np.packbits(signs < 0))
+            return counts, rows, signs
+        counts, rows, negative = kept
+        bits = np.unpackbits(negative, count=rows.size).view(np.int8)
+        return counts, rows, 1 - 2 * bits

@@ -20,13 +20,18 @@ stacked (one to six blocks, 0 to 2048 columns, at most 2048 pairs), at a
 first-walk slack ``_SLACK_SD`` of 0, 1 and 4, so the pairs that outrun
 their first walk's words, rare at the default 4, are hashed too.
 
+It hashes the y of three dense signals sensed in order by one ensemble
+at n = 16384, k = 10, so the second and third read the aligned ranges the
+first kept.
+
 For the deterministic scheme it hashes the ``det_recover`` values and
 ``leaves`` (or the error it raises) of 30 signals per k = 1..8 at n = 64,
 drawn as ``bench --pipeline prony`` draws them. It also hashes the rates of
 ``edge_error_experiment`` at n = 2048, k = 12 over four values of C0.
 
-It prints one SHA-256 digest per case and a total over them. Run it on two
-trees and compare the totals:
+It prints one SHA-256 digest per case and a total over them, and the
+total without the kept-range case, which digests of older trees can be
+compared with. Run it on two trees and compare the totals:
 
     PYTHONPATH=<tree>/src python tests/digest_outputs.py
 
@@ -63,6 +68,7 @@ LARGE_N, LARGE_K, SCATTERED = 65536, 10, 500
 PRONY_N, PRONY_KS, PRONY_TRIALS = 64, range(1, 9), 30
 SAMPLER_SLACKS, SAMPLER_REQUESTS = (0.0, 1.0, 4.0), 60
 EDGE_C0S = (0.125, 0.25, 0.5, 1.0)
+KEPT_N, KEPT_K, KEPT_SIGNALS = 16384, 10, 3
 
 
 def _json_or_error(run) -> str:
@@ -166,6 +172,17 @@ def edge_digest() -> str:
     return hashlib.sha256(repr(rates).encode()).hexdigest()
 
 
+def kept_digest() -> str:
+    """y of dense signals sensed in order by one ensemble: every sense after
+    the first reads the kept aligned ranges."""
+    h = hashlib.sha256()
+    ens = build_ensemble(KEPT_N, KEPT_K, rng_seed=SEED)
+    rng = np.random.default_rng([SEED, KEPT_N])
+    for _ in range(KEPT_SIGNALS):
+        h.update(apply_phaseless(ens, rng.standard_normal(KEPT_N)).y.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     total = hashlib.sha256()
     cases = [(f"n={n} k={k} {model}", lambda n=n, k=k, model=model:
@@ -184,6 +201,11 @@ def main() -> None:
         digest = digest_of()
         total.update(digest.encode())
         print(f"{name}: {digest}")
+    without_kept = total.hexdigest()
+    digest = kept_digest()
+    total.update(digest.encode())
+    print(f"n={KEPT_N} k={KEPT_K} {KEPT_SIGNALS} dense senses: {digest}")
+    print(f"total without the kept-range case: {without_kept}")
     print(f"total: {total.hexdigest()}")
 
 

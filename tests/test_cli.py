@@ -185,18 +185,40 @@ def test_sense_refuses_a_k_or_signals_file_as_a_usage_error(tmp_path, capsys):
     assert _exit_code(["sense", "--signals", str(tmp_path / "none.npz"),
                        "--k", "3", "--out", str(tmp_path)]) == 2
     assert "none.npz" in capsys.readouterr().err
+    # np.load gives an .npy file's array, which `with` cannot enter
+    np.save(tmp_path / "a.npy", np.zeros(3))
+    assert _exit_code(["sense", "--signals", str(tmp_path / "a.npy"),
+                       "--k", "1", "--out", str(tmp_path)]) == 2
+    assert "not a signals container" in capsys.readouterr().err
+
+
+def test_sense_of_dense_signals_equals_a_fresh_ensemble_per_signal(tmp_path):
+    # every aligned range of a dense signal is kept by the first sense and
+    # read back by the next two
+    signals = np.random.default_rng(8).standard_normal((3, 4096))
+    np.savez_compressed(tmp_path / "dense.npz", signals=signals)
+    assert main(["sense", "--signals", str(tmp_path / "dense.npz"),
+                 "--k", "10", "--seed", "8", "--out", str(tmp_path)]) == 0
+    y = Measurements.load(tmp_path / "measurements.npz").y
+    assert y.shape[0] == 3
+    for row, x in zip(y, signals):
+        fresh = apply_phaseless(build_ensemble(4096, 10, rng_seed=8), x).y
+        assert row.tobytes() == fresh.tobytes()
 
 
 def test_decode_refuses_a_file_that_holds_no_measurements(tmp_path, capsys):
-    # the signals file `gen` writes once ended in a bare KeyError
+    # the signals file `gen` writes once ended in a bare KeyError, and an
+    # .npy file, which np.load gives as a bare array, in a TypeError
     sig = tmp_path / "sig"
     assert main(["gen", "--n", "256", "--k", "3", "--trials", "1",
                  "--out", str(sig)]) == 0
-    with pytest.raises(EnsembleError, match="not a measurements container"):
-        Measurements.load(sig / "signals.npz")
-    assert _exit_code(["decode", "--measurements", str(sig / "signals.npz"),
-                       "--out", str(tmp_path)]) == 2
-    assert "not a measurements container" in capsys.readouterr().err
+    np.save(tmp_path / "a.npy", np.zeros(3))
+    for path in (sig / "signals.npz", tmp_path / "a.npy"):
+        with pytest.raises(EnsembleError, match="not a measurements container"):
+            Measurements.load(path)
+        assert _exit_code(["decode", "--measurements", str(path),
+                           "--out", str(tmp_path)]) == 2
+        assert "not a measurements container" in capsys.readouterr().err
     assert _exit_code(["decode", "--measurements", str(tmp_path / "none.npz"),
                        "--out", str(tmp_path)]) == 2
     assert "none.npz" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import phaseless
 from phaseless import (EnsembleConfig, EnsembleError, Measurements,
                        apply_phaseless, build_ensemble, decode, row_count)
-from phaseless.sparse import apply_blocks
+from phaseless.sparse import APPLY_CHUNK, SparseSignMatrix, apply_blocks
 
 from helpers import block_entries, exact_sparse
 
@@ -273,6 +273,19 @@ def test_dense_sensing_temporaries_stay_chunk_sized():
         tracemalloc.stop()
     assert np.array_equal(again, first)
     assert peak < 12e6
+
+
+def test_a_dense_sense_keeps_at_most_17_bits_per_entry():
+    # a kept range holds its counts, 16-bit rows and one bit of sign per
+    # entry; an int32 row and an int8 sign took 5 bytes
+    big = build_ensemble(16384, 10, rng_seed=5)
+    apply_phaseless(big, np.random.default_rng(5).standard_normal(16384))
+    for block in big.blocks.values():
+        if isinstance(block, SparseSignMatrix):
+            assert sorted(block._kept) == list(range(0, 16384, APPLY_CHUNK))
+            for counts, rows, signs in block._kept.values():
+                assert rows.nbytes + signs.nbytes <= \
+                    math.ceil(2.125 * counts.sum())
 
 
 def test_measurements_nonnegative_and_sized(ens):

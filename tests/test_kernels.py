@@ -75,6 +75,26 @@ def recorded_requests(monkeypatch, block):
     return asked
 
 
+def counted_walks(monkeypatch):
+    """The arguments of every ``sparse.sample_bernoulli`` call from now on."""
+    walks, sampler = [], sparse.sample_bernoulli
+    monkeypatch.setattr(sparse, "sample_bernoulli",
+                        lambda *args: walks.append(args) or sampler(*args))
+    return walks
+
+
+def assert_kept_read(block, lo, got):
+    """``got``, a read of the aligned range at ``lo`` that ``block`` keeps,
+    equals in value a fresh sample of the range, with rows in the narrowest
+    unsigned dtype that holds the block's rows and int8 signs."""
+    want = sample_bernoulli(block.key, block.n_rows, block.p,
+                            np.arange(lo, lo + CHUNK))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert got[1].dtype == np.min_scalar_type(block.n_rows - 1)
+    assert got[2].dtype == np.int8
+
+
 def test_apply_matches_dense_oracle():
     dense = dense_block(SparseSignMatrix.bernoulli(5, 40, WIDE, 0.04))
     rng = np.random.default_rng(0)
@@ -106,11 +126,13 @@ def test_a_zero_entry_samples_only_its_own_chunk(monkeypatch):
     fresh = SparseSignMatrix.bernoulli(12, 60, WIDE, 0.05)
     rows, signs, owners = column_entries(fresh, np.flatnonzero(v))
     want = np.bincount(rows, weights=v[owners] * signs, minlength=60)
+    walks = counted_walks(monkeypatch)
     assert np.array_equal(apply_blocks([block], v), want)
     # the chunk holding the zero and the partial chunk sample; the chunk at
-    # CHUNK is still asked for whole and gets its kept result back
+    # CHUNK is still asked for whole and reads its kept result, no walk
     assert [cols.size for cols, _ in asked] == [CHUNK - 1, CHUNK, 37]
-    assert asked[1][1] is kept[CHUNK]
+    assert [cols.size for *_, cols in walks] == [CHUNK - 1, 37]
+    assert_kept_read(block, CHUNK, asked[1][1])
     assert block._kept.keys() == kept.keys()
 
 
@@ -184,9 +206,7 @@ def test_a_sparse_signal_is_one_request_per_block(monkeypatch):
     dense = rng.standard_normal(4096)
     asked = {name: recorded_requests(monkeypatch, block)
              for name, block in ens.blocks.items()}
-    walks, sampler = [], sparse.sample_bernoulli
-    monkeypatch.setattr(sparse, "sample_bernoulli",
-                        lambda *args: walks.append(args) or sampler(*args))
+    walks = counted_walks(monkeypatch)
     apply_phaseless(ens, spikes)
     bernoulli = [name for name, block in ens.blocks.items()
                  if isinstance(block, SparseSignMatrix)]
@@ -206,10 +226,15 @@ def test_a_sparse_signal_is_one_request_per_block(monkeypatch):
         assert [c.tolist() for c, _ in calls] == \
             [list(range(lo, lo + CHUNK)) for lo in (0, CHUNK)]
         calls.clear()
+    walks.clear()
     apply_phaseless(ens, dense)
+    assert walks == []
     for name, block in ens.blocks.items():
         if isinstance(block, SparseSignMatrix):
-            assert all(a is b for (_, a), b in zip(asked[name], first[name]))
+            for (cols, again), sampled in zip(asked[name], first[name]):
+                assert_kept_read(block, cols[0], again)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(again, sampled))
 
 
 def test_hash_blocks_apply_matches_dense_oracle():
@@ -253,27 +278,32 @@ def test_apply_empty_rows_are_zero():
     assert np.all(y[empty] == 0)
 
 
-def test_cached_columns_match_on_the_fly_sample():
+def test_cached_columns_match_on_the_fly_sample(monkeypatch):
     cached = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
     apply_blocks([cached], np.ones(WIDE))   # every column: each full chunk kept
     kept = dict(cached._kept)
     assert sorted(kept) == [0, CHUNK]
     fresh = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
-    for lo in kept:
-        sampled = sample_bernoulli(11, 123, 0.07, np.arange(lo, lo + CHUNK))
-        for a, b in zip(kept[lo], sampled):
-            assert np.array_equal(a, b) and a.dtype == b.dtype
     for query in ([0], [WIDE - 1, 3, 3, 200], np.arange(WIDE)[::-1],
-                  np.arange(WIDE), np.arange(CHUNK, 2 * CHUNK)):
+                  np.arange(WIDE)):
         for a, b in zip(column_entries(cached, query),
                         column_entries(fresh, query)):
             assert np.array_equal(a, b) and a.dtype == b.dtype
-    # a request of exactly one aligned full chunk reuses its kept result ...
+    # the first request of a chunk returns its sample as sampled ...
+    chunk = np.arange(CHUNK, 2 * CHUNK)
+    sampled = fresh.entries(chunk)
+    for a, b in zip(sampled, sample_bernoulli(11, 123, 0.07, chunk)):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+    assert sorted(fresh._kept) == [CHUNK]   # asking for the chunk keeps it
+    # ... and a request of exactly one aligned full chunk reads its kept
+    # result back without a walk
+    walks = counted_walks(monkeypatch)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(cached.entries(chunk), sampled))
     assert cached._kept.keys() == kept.keys()
     for lo in kept:
-        chunk = cached.entries(np.arange(lo, lo + CHUNK))
-        assert all(a is b for a, b in zip(chunk, kept[lo]))
-    assert sorted(fresh._kept) == [CHUNK]   # asking for the chunk keeps it
+        assert_kept_read(cached, lo, cached.entries(np.arange(lo, lo + CHUNK)))
+    assert walks == []
     # ... and every other request samples
     other = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
     for query in (np.array([5, 900, 4100]),               # candidate-style
@@ -284,3 +314,18 @@ def test_cached_columns_match_on_the_fly_sample():
                   np.arange(WIDE)):                       # several chunks
         column_entries(other, query)
     assert other._kept == {}
+
+
+@pytest.mark.parametrize("n_rows, dtype", [
+    (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)])
+def test_kept_rows_take_the_narrowest_dtype(n_rows, dtype):
+    # a repeat dense sense reads the narrow rows and still adds every row's
+    # entries in the same order: y equals a fresh block's, byte for byte
+    block = SparseSignMatrix.bernoulli(21, n_rows, WIDE, 40 / n_rows)
+    v = np.random.default_rng(21).standard_normal(WIDE)
+    first = apply_blocks([block], v)
+    assert all(kept[1].dtype == dtype for kept in block._kept.values())
+    again = apply_blocks([block], v)
+    fresh = apply_blocks([SparseSignMatrix.bernoulli(21, n_rows, WIDE,
+                                                     40 / n_rows)], v)
+    assert again.tobytes() == first.tobytes() == fresh.tobytes()
