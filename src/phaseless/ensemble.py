@@ -92,15 +92,18 @@ class EnsembleConfig:
             pair-sampling yield per level roughly constant in C0.
     rep_log_n        number of bands of E (the repetitions the tail
                      estimate takes its median over).
-    countsketch_rows buckets per magnitude-estimation repetition.
+    countsketch_rows buckets per magnitude-estimation repetition (default
+                     2^ceil(log2 25k), 256 at k = 10: count-sketch needs
+                     O(k) buckets to rank the at most 2 heavy_K candidates).
     countsketch_reps magnitude-estimation repetitions (median over these).
     heavy_K          heaviness parameter of the identification block
-                     (default 10k).
+                     (default 4k).
     top_select       candidate cap after magnitude estimation (default 2k;
                      any value in [k, 5k] is supported, smaller keeps the
                      tail-estimate rows cheaper).
     hh_bucket_factor buckets per unit of heavy_K in the identification block.
-    hh_reps          identification repetitions.
+    hh_reps          identification repetitions (default 5 at every n, so
+                     A grows as k log n, not k log^2 n).
     """
 
     C0: float = 0.125
@@ -113,7 +116,7 @@ class EnsembleConfig:
     heavy_K: int | None = None
     top_select: int | None = None
     hh_bucket_factor: float = 1.5
-    hh_reps: int | None = None
+    hh_reps: int = 5
 
     def __post_init__(self):
         # config files and calibration grids reach here: refuse a value of
@@ -122,6 +125,8 @@ class EnsembleConfig:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
             if value is None:
+                if self.__dataclass_fields__[name].default is not None:
+                    raise EnsembleError(f"{name} must be set, got None")
                 continue
             kind, noun = (_INTEGER, "an integer") if name in _COUNTS \
                 else (_NUMBER, "a number")
@@ -141,13 +146,11 @@ class EnsembleConfig:
             r = max(3, log2n // 2)
             updates["rep_log_n"] = r + 1 - r % 2  # odd, for a clean median
         if self.countsketch_rows is None:
-            updates["countsketch_rows"] = 2 ** math.ceil(math.log2(max(100 * k, 2)))
+            updates["countsketch_rows"] = 2 ** math.ceil(math.log2(max(25 * k, 2)))
         if self.heavy_K is None:
-            updates["heavy_K"] = 10 * k
+            updates["heavy_K"] = 4 * k
         if self.top_select is None:
             updates["top_select"] = 2 * k
-        if self.hh_reps is None:
-            updates["hh_reps"] = max(3, math.ceil(log2n / 2))
         resolved = replace(self, **updates) if updates else self
         for name in ("heavy_K", "top_select"):
             if getattr(resolved, name) < k:

@@ -223,6 +223,24 @@ def test_criterion_7_row_count_scaling():
            ", ".join(f"{f}={worst[f]:.0f}<={ROW_CEILINGS[f]:.0f}" for f in worst))
 
 
+def test_default_rows_per_k_log_n_do_not_grow():
+    """The default config's rows/(k log2 n) does not increase over
+    n = 2^10, 2^12, ..., 2^20 at k=10: hh_reps is one constant, so A grows
+    as k log n. The per-family rows at n=4096 and 65536 are pinned."""
+    k = 10
+    assert {EnsembleConfig().resolve(2 ** e, k).hh_reps
+            for e in range(10, 21)} == {5}
+    ratios = [build_ensemble(2 ** e, k).total_rows / (k * e)
+              for e in range(10, 21, 2)]
+    assert all(b <= a for a, b in zip(ratios, ratios[1:])), ratios
+    pinned = {4096: (7500, 1280, 1120, 7928, 17828),
+              65536: (9900, 1280, 1440, 7928, 20548)}
+    for n, want in pinned.items():
+        counts = row_count(build_ensemble(n, k))
+        assert tuple(counts[f"{fam}_family"] for fam in "ABEF") \
+            + (counts["total"],) == want, n
+
+
 # ---------------------------------------------------------------------------
 # community recovery
 # ---------------------------------------------------------------------------

@@ -213,6 +213,15 @@ def test_config_rejects_values_of_the_wrong_type(field, value):
         EnsembleConfig.from_json(json.dumps({field: value}))
 
 
+@pytest.mark.parametrize("field", ["C0", "C1", "c1", "countsketch_reps",
+                                   "hh_bucket_factor", "hh_reps"])
+def test_config_refuses_null_for_a_field_that_resolve_leaves(field):
+    # resolve fills only the fields that default to None: a JSON null
+    # elsewhere reached the build and failed there as a bare TypeError
+    with pytest.raises(EnsembleError, match=field):
+        EnsembleConfig.from_json(json.dumps({field: None}))
+
+
 def test_the_seed_is_a_build_argument_not_a_constant():
     assert "seed" not in EnsembleConfig.__dataclass_fields__
     with pytest.raises(EnsembleError, match="seed"):
@@ -334,6 +343,47 @@ def test_measurements_serialization_round_trip(tmp_path, ens):
     rebuilt = build_ensemble(loaded.n, loaded.k, config=loaded.config,
                              rng_seed=loaded.seed)
     assert decode(rebuilt, loaded).to_json() == decode(ens, meas).to_json()
+
+
+# the defaults before A and B were made lean, as (4096, 10) resolved them
+OLD_AB = {"heavy_K": 100, "hh_reps": 6, "countsketch_rows": 1024}
+OLD_RESOLVED = {"C0": 0.125, "C1": 16.0, "c1": 0.7, "c_F": 0.1875,
+                "rep_log_n": 7, "countsketch_reps": 5, "top_select": 20,
+                "hh_bucket_factor": 1.5, **OLD_AB}
+
+
+def test_lean_defaults_move_only_the_a_and_b_rows():
+    # block keys do not depend on any block's size, so E and every F level
+    # sense the same rows byte for byte under the old and the new A and B
+    n, k, seed = 4096, 10, 2028
+    old = build_ensemble(n, k, EnsembleConfig(**OLD_AB), rng_seed=seed)
+    new = build_ensemble(n, k, rng_seed=seed)
+    assert dataclasses.asdict(old.config) == OLD_RESOLVED
+    assert (old.total_rows, new.total_rows) == (36668, 17828)
+    rng = np.random.default_rng(28)
+    for x in (exact_sparse(rng, n, k)[0], rng.standard_normal(n)):
+        y_old, y_new = apply_phaseless(old, x).y, apply_phaseless(new, x).y
+        for name in old.blocks:
+            if name[0] in "EF":
+                assert y_old[old.rows(name)].tobytes() \
+                    == y_new[new.rows(name)].tobytes(), name
+
+
+def test_a_file_saved_under_the_old_defaults_decodes_as_before(tmp_path):
+    # its header holds its resolved config, so the rebuild is the old ensemble
+    n, k, seed = 4096, 10, 2028
+    old = build_ensemble(n, k, EnsembleConfig(**OLD_AB), rng_seed=seed)
+    x, _ = exact_sparse(np.random.default_rng(29), n, k)
+    meas = apply_phaseless(old, x)
+    meas.save(tmp_path / "old.npz")
+    loaded = Measurements.load(tmp_path / "old.npz")
+    assert dataclasses.asdict(loaded.config) == OLD_RESOLVED
+    rebuilt = build_ensemble(loaded.n, loaded.k, config=loaded.config,
+                             rng_seed=loaded.seed)
+    assert rebuilt.total_rows == 36668
+    result = decode(rebuilt, loaded)
+    assert result.to_json() == decode(old, meas).to_json()
+    assert np.array_equal(np.abs(result.to_dense()), np.abs(x))
 
 
 def test_measurement_batch_blocks_slice_the_last_axis(tmp_path, ens):

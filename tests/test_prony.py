@@ -296,6 +296,43 @@ def test_recover_leaf_built_off_the_truth():
     assert gap <= 1e-8 * np.max(y)
 
 
+# prony-64-k8 workload operations whose true leaf, built a few 1e-6 off the
+# truth at a tangent step, has an annihilator gap ratio above 1e-3
+OFF_TRUTH_LEAVES = {
+    # seed 8905, operation 157: 8th smallest |P| 1.8e-5, gap ratio 2.6e-3
+    "8905-157": ([6, 10, 13, 20, 27, 35, 51, 62], [
+        -0.5785209696357897 + 0.5697456637555229j,
+        -0.5937109971929275 + 0.3851301997254582j,
+        -0.00251180834163178 - 0.3399979860368563j,
+        0.04370155962128622 - 1.2152822354597743j,
+        -1.0206262853574561 + 0.7268496591333763j,
+        0.7151213344962631 - 0.19231902217589147j,
+        0.09313695336481888 + 0.4684395383724906j,
+        0.05368252286335476 - 0.8758756999061396j]),
+    # seed 9117, operation 99: gap ratio 2.6e-2
+    "9117-99": ([0, 10, 14, 22, 26, 30, 34, 55], [
+        -2.5418780044652123 + 0.8670605890179829j,
+        1.3897228521724947 - 0.1126287234455787j,
+        0.8980907140166156 + 0.13682136915959994j,
+        -0.4142088521947157 + 0.31159216433856196j,
+        -0.8375230008645569 - 0.4365977529052495j,
+        1.4330212047398696 + 1.8592939484598874j,
+        -0.3199974753028131 - 0.567193980199478j,
+        0.9599175236570263 - 0.3861835967432102j]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_TRUTH_LEAVES))
+def test_recover_true_leaf_whose_gap_ratio_is_above_1e_3(case):
+    n, k = 64, 8
+    support, values = OFF_TRUTH_LEAVES[case]
+    x = np.zeros(n, complex)
+    x[support] = values
+    scheme = DeterministicScheme(n, k)
+    out = det_recover(scheme, det_measure(scheme, x))
+    assert twin_phase_error(out.values, x) < 1e-8 * np.linalg.norm(x)
+
+
 def test_recover_sparser_than_k_with_near_singular_block():
     # the true leaf's rank-3 leading block has det / max^k = 1.8e-13
     n, k = 64, 4
