@@ -6,8 +6,9 @@ Stages, in order:
 2. estimation        - magnitude estimates on S0 from the B block;
                        S1 = largest ``top_select`` of them.
 3. tail energy       - L, a guarded estimate of (1/k) * energy outside S1,
-                       from rows of E whose support misses S1 entirely:
-                       the median over E's bands of their scaled means.
+                       from the B buckets that no member of S1 hashes to:
+                       the median over B's repetitions of their scaled
+                       means.
 4. pruning           - S2 = members of S1 whose estimated magnitude clears a
                        level-dependent threshold built from L; keeps the
                        relative-sign tests above the interference floor.
@@ -36,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .ensemble import EnsembleError, Measurements, SensingEnsemble, \
-    e_inverse_density, f_inverse_density
+    f_inverse_density
 from .signs import SignGraph, build_sign_graph, recover_communities
 from .sketch import estimate_magnitudes, identify_heavy, median
 
@@ -53,13 +54,13 @@ __all__ = [
 
 
 class TailEstimationError(RuntimeError):
-    """Every band of E was hit by S1; the E row budget is misconfigured."""
+    """S1 hit every bucket of B; countsketch_rows is misconfigured."""
 
 
 @dataclass
 class TailEnergyEstimate:
     L: float
-    per_rep: np.ndarray          # kept bands' values, median of which is L
+    per_rep: np.ndarray          # kept repetitions' values; L is their median
 
 
 @dataclass
@@ -112,36 +113,36 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
                          S1: np.ndarray,
                          diagnostics: DecodeDiagnostics | None = None
                          ) -> TailEnergyEstimate:
-    """Median over the bands of E of the scaled mean squared measurement of
-    rows disjoint from S1.
+    """Median over B's repetitions of the scaled mean squared measurement
+    of the buckets that S1 misses.
 
-    E's rows split into ``rep_log_n`` bands of ceil(C1 * k) rows each.
-    Conditioned on missing S1, a row's squared measurement has expectation
-    density * (energy outside S1), so a band's mean scaled by
-    c1 / (k * density) tracks (1/k) * ||x restricted off S1||^2; that factor
-    is c1 for every k >= 2, where the density is 1/k. Bands with no
-    disjoint row are dropped from the median; if all of them drop,
-    construction constants were too small for this S1 and estimation fails.
+    B is a count-sketch: in each repetition every coordinate falls in one
+    of ``countsketch_rows`` buckets, independently of S1's. So a bucket no
+    member of S1 hashes to has expected squared measurement
+    (energy outside S1) / countsketch_rows, and a repetition's mean over
+    such buckets, scaled by c1 * countsketch_rows / k, tracks
+    (1/k) * ||x restricted off S1||^2. A repetition whose every bucket S1
+    hits is dropped from the median; if all of them drop, countsketch_rows
+    was too small for this S1 and estimation fails.
     """
     ensemble.check(measurements)
-    cfg = ensemble.config
-    scale = cfg.c1 * (e_inverse_density(ensemble.k) / ensemble.k)
-    block = ensemble.blocks["E"]
-    _, hit_rows, _ = block.entries(np.asarray(S1, dtype=np.int64))
-    disjoint = np.ones(block.n_rows, dtype=bool)
-    disjoint[hit_rows] = False
-    disjoint = disjoint.reshape(cfg.rep_log_n, -1)
-    yE = measurements.y[ensemble.rows("E")].reshape(disjoint.shape)
-    count = disjoint.sum(axis=1)
+    block = ensemble.blocks["B"]
+    hit_rows = block.bucket_rows(np.asarray(S1, dtype=np.int64))
+    missed = np.ones(block.n_rows, dtype=bool)
+    missed[hit_rows] = False
+    missed = missed.reshape(block.reps, block.n_buckets)
+    yB = measurements.y[ensemble.rows("B")].reshape(missed.shape)
+    count = missed.sum(axis=1)
     kept = count > 0
     if diagnostics is not None:
         diagnostics.index_reads += int(hit_rows.size)
         diagnostics.y_reads += int(count.sum())
     if not kept.any():
         raise TailEstimationError(
-            f"no band of E had a row disjoint from S1 (|S1|={len(S1)}); "
-            "increase C1 or rep_log_n")
-    sums = np.where(disjoint, yE ** 2, 0.0).sum(axis=1)
+            f"S1 hit every bucket of B (|S1|={len(S1)}); increase "
+            "countsketch_rows")
+    sums = np.where(missed, yB ** 2, 0.0).sum(axis=1)
+    scale = ensemble.config.c1 * block.n_buckets / ensemble.k
     per_rep = scale * (sums[kept] / count[kept])
     return TailEnergyEstimate(L=float(median(per_rep)), per_rep=per_rep)
 

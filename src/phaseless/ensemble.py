@@ -1,16 +1,14 @@
 """Construction and application of the randomized phaseless sensing ensemble.
 
-The ensemble stacks four families of sparse +/-1 blocks, each of which
+The ensemble stacks three families of sparse +/-1 blocks, each of which
 gives every nonzero entry its own random sign:
 
   A   heavy-hitter identification structure (see sketch.py): per repetition,
       hash buckets split by the bits of the coordinate index, so a bucket's
       dominant coordinate can be read off by comparing magnitudes.
-  B   bucket/sign hashing used for per-coordinate magnitude estimates.
-  E   one i.i.d. Bernoulli(min(1/k, 1/2)) sign block used to estimate the
-      energy of everything outside the candidate set; its rows split into
-      rep_log_n bands of ceil(C1 * k) rows, the repetitions the estimate
-      takes its median over.
+  B   bucket/sign hashing (a count-sketch) used for per-coordinate
+      magnitude estimates; its buckets that no candidate hashes to also
+      give the estimate of the energy outside the candidate set.
   F   a ladder of levels, one per candidate-set scale 2^l, dense enough to
       sample coordinate pairs but sparse enough to keep per-row interference
       low; used for relative-sign tests. The levels run over
@@ -64,8 +62,8 @@ class EnsembleError(ValueError):
 # ---------------------------------------------------------------------------
 
 # the config fields that count rows, buckets or repetitions
-_COUNTS = ("rep_log_n", "countsketch_rows", "countsketch_reps", "heavy_K",
-           "top_select", "hh_reps")
+_COUNTS = ("countsketch_rows", "countsketch_reps", "heavy_K", "top_select",
+           "hh_reps")
 _INTEGER = (int, np.integer)
 _NUMBER = (int, float, np.integer, np.floating)
 
@@ -85,17 +83,17 @@ class EnsembleConfig:
     C0      density constant of the F levels (level density
             1 / (C0 * 2^l * (log2(5k) - l + 2)^2), for the levels
             l = 1 .. min(ceil(log2 top_select), ceil(log2 5k))).
-    C1      rows per band of E, in units of k.
-    c1      scale applied to the mean squared disjoint-row measurement when
-            forming the tail-energy estimate.
+    c1      scale applied to the mean squared measurement of the B buckets
+            that miss the candidates when forming the tail-energy estimate.
     c_F     row-count constant of the F levels; default 12 * C0^2 keeps the
             pair-sampling yield per level roughly constant in C0.
-    rep_log_n        number of bands of E (the repetitions the tail
-                     estimate takes its median over).
     countsketch_rows buckets per magnitude-estimation repetition (default
-                     2^ceil(log2 25k), 256 at k = 10: count-sketch needs
-                     O(k) buckets to rank the at most 2 heavy_K candidates).
-    countsketch_reps magnitude-estimation repetitions (median over these).
+                     2^ceil(log2 max(25k, 64)), 256 at k = 10: count-sketch
+                     needs O(k) buckets to rank the at most 2 heavy_K
+                     candidates; at k = 1, 32 buckets let a false candidate
+                     share the spike's bucket in most repetitions).
+    countsketch_reps magnitude-estimation and tail-estimation repetitions
+                     (median over these).
     heavy_K          heaviness parameter of the identification block
                      (default 4k).
     top_select       candidate cap after magnitude estimation (default 2k;
@@ -107,10 +105,8 @@ class EnsembleConfig:
     """
 
     C0: float = 0.125
-    C1: float = 16.0
     c1: float = 0.7
     c_F: float | None = None
-    rep_log_n: int | None = None
     countsketch_rows: int | None = None
     countsketch_reps: int = 5
     heavy_K: int | None = None
@@ -138,15 +134,11 @@ class EnsembleConfig:
                 raise EnsembleError(f"{name} must be finite and > 0, got {value}")
 
     def resolve(self, n: int, k: int) -> "EnsembleConfig":
-        log2n = max(1, math.ceil(math.log2(max(n, 2))))
         updates = {}
         if self.c_F is None:
             updates["c_F"] = 12.0 * self.C0 * self.C0
-        if self.rep_log_n is None:
-            r = max(3, log2n // 2)
-            updates["rep_log_n"] = r + 1 - r % 2  # odd, for a clean median
         if self.countsketch_rows is None:
-            updates["countsketch_rows"] = 2 ** math.ceil(math.log2(max(25 * k, 2)))
+            updates["countsketch_rows"] = 2 ** math.ceil(math.log2(max(25 * k, 64)))
         if self.heavy_K is None:
             updates["heavy_K"] = 4 * k
         if self.top_select is None:
@@ -177,11 +169,6 @@ class EnsembleConfig:
 # ---------------------------------------------------------------------------
 # structural helpers of the builder
 # ---------------------------------------------------------------------------
-
-def e_inverse_density(k: int) -> int:
-    """max(k, 2), one over E's entry density: at k = 1 a density of 1 would
-    put S1 in every row. ``decoder.estimate_tail_energy`` scales by it."""
-    return max(k, 2)
 
 def _f_levels(k: int, top_select: int) -> range:
     """The F levels the sign stage can pick: 2 to top_select candidates."""
@@ -286,7 +273,7 @@ class Measurements:
     config: EnsembleConfig
 
     FORMAT = "phaseless-measurements"
-    VERSION = 5
+    VERSION = 6
 
     def save(self, path) -> None:
         header = {"format": self.FORMAT, "version": self.VERSION,
@@ -345,12 +332,15 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     cfg = (config or EnsembleConfig()).resolve(n, k)
 
     f_levels = _f_levels(k, cfg.top_select)
+    skip = 3 + (max(3, (n - 1).bit_length() // 2) | 1)
     words = np.random.SeedSequence(seed).generate_state(
-        3 + cfg.rep_log_n + f_levels.stop, dtype=np.uint64)
-    # stream words: A 1, B 2, E 3, F{2^l} 3 + rep_log_n + l. Word 0 is
-    # unused: renumbering would change every block a seed names
-    keys = {"A": words[1], "B": words[2], "E": words[3]}
-    keys.update({_f_name(l): words[3 + cfg.rep_log_n + l] for l in f_levels})
+        skip + f_levels.stop, dtype=np.uint64)
+    # stream words: A 1, B 2, F{2^l} skip + l, where skip is 3 plus the odd
+    # max(3, ceil(log2 n) // 2). Word 0 is unused, and words 3 .. skip - 1
+    # keyed the E block that B's buckets replaced: renumbering would change
+    # every block a seed names, and every row of y it senses
+    keys = {"A": words[1], "B": words[2]}
+    keys.update({_f_name(l): words[skip + l] for l in f_levels})
 
     blocks = {}
     # the hash-block builders are looked up on their module at call time, so
@@ -360,9 +350,6 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
         max(1, math.ceil(math.log2(max(n, 2)))), cfg.hh_reps)
     blocks["B"] = sketch.build_countsketch_block(
         keys["B"], n, cfg.countsketch_rows, cfg.countsketch_reps)
-    blocks["E"] = SparseSignMatrix.bernoulli(
-        keys["E"], cfg.rep_log_n * math.ceil(cfg.C1 * k), n,
-        1.0 / e_inverse_density(k))
     for level in f_levels:
         p = 1.0 / f_inverse_density(k, level, cfg.C0)
         if not p < 1.0:
@@ -399,6 +386,6 @@ def row_count(ensemble: SensingEnsemble) -> dict[str, int]:
     """Measured rows per block, per family rollup, and total."""
     per_block = {name: blk.n_rows for name, blk in ensemble.blocks.items()}
     families = {f"{fam}_family": sum(rows for name, rows in per_block.items()
-                                     if name[0] == fam) for fam in "ABEF"}
+                                     if name[0] == fam) for fam in "ABF"}
     return {**per_block, **families, "total": ensemble.total_rows}
 

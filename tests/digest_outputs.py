@@ -31,7 +31,11 @@ drawn as ``bench --pipeline prony`` draws them. It also hashes the rates of
 
 It prints one SHA-256 digest per case and a total over them, and the
 total without the kept-range case, which digests of older trees can be
-compared with. Run it on two trees and compare the totals:
+compared with. For each case that senses, it also prints a digest of
+the A, B and F rows of every y, read through ``SensingEnsemble.rows``,
+and a second total over those: equal second totals show that a change
+left those rows of y as they were. Run it on two trees and compare the
+totals:
 
     PYTHONPATH=<tree>/src python tests/digest_outputs.py
 
@@ -78,16 +82,24 @@ def _json_or_error(run) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def case_digest(n: int, k: int, model: str) -> str:
-    h = hashlib.sha256()
+def _hash_y(h, rows, ens, y: np.ndarray) -> None:
+    """Hash y into ``h``, and its A, B and F rows into ``rows``."""
+    h.update(y.tobytes())
+    for name in ens.blocks:
+        if name[0] in "ABF":
+            rows.update(y[ens.rows(name)].tobytes())
+
+
+def case_digest(n: int, k: int, model: str) -> tuple[str, str]:
+    h, rows = hashlib.sha256(), hashlib.sha256()
     spec = TrialSpec(n=n, k=k, signal_model=model, trials=TRIALS, seed=SEED)
     for t in range(TRIALS):
         x = gen_signal(spec, t)
         ensembles = [build_ensemble(n, k, rng_seed=_ensemble_seed(SEED, t, r))
                      for r in range(AMPLIFIED_REPLICAS)]
         measured = [apply_phaseless(ens, x) for ens in ensembles]
-        for m in measured:
-            h.update(m.y.tobytes())
+        for ens, m in zip(ensembles, measured):
+            _hash_y(h, rows, ens, m.y)
         h.update(_json_or_error(
             lambda: decode(ensembles[0], measured[0])).encode())
         h.update(_json_or_error(
@@ -100,12 +112,12 @@ def case_digest(n: int, k: int, model: str) -> str:
             record = {key: value for key, value in record.items()
                       if key != "wall_time"}
             h.update(json.dumps(record, sort_keys=True).encode())
-    return h.hexdigest()
+    return h.hexdigest(), rows.hexdigest()
 
 
-def large_digest(model: str) -> str:
+def large_digest(model: str) -> tuple[str, str]:
     """y and ``decode`` JSON at n = 65536, k = 10, one ensemble per trial."""
-    h = hashlib.sha256()
+    h, rows = hashlib.sha256(), hashlib.sha256()
     spec = TrialSpec(n=LARGE_N, k=LARGE_K, signal_model="exact-sparse",
                      trials=TRIALS, seed=SEED)
     for t in range(TRIALS):
@@ -118,9 +130,9 @@ def large_digest(model: str) -> str:
                 rng.standard_normal(SCATTERED)
         ens = build_ensemble(LARGE_N, LARGE_K, rng_seed=_ensemble_seed(SEED, t))
         measured = apply_phaseless(ens, x)
-        h.update(measured.y.tobytes())
+        _hash_y(h, rows, ens, measured.y)
         h.update(_json_or_error(lambda: decode(ens, measured)).encode())
-    return h.hexdigest()
+    return h.hexdigest(), rows.hexdigest()
 
 
 def sampler_digest(slack: float) -> str:
@@ -172,19 +184,31 @@ def edge_digest() -> str:
     return hashlib.sha256(repr(rates).encode()).hexdigest()
 
 
-def kept_digest() -> str:
+def kept_digest() -> tuple[str, str]:
     """y of dense signals sensed in order by one ensemble: every sense after
     the first reads the kept aligned ranges."""
-    h = hashlib.sha256()
+    h, rows = hashlib.sha256(), hashlib.sha256()
     ens = build_ensemble(KEPT_N, KEPT_K, rng_seed=SEED)
     rng = np.random.default_rng([SEED, KEPT_N])
     for _ in range(KEPT_SIGNALS):
-        h.update(apply_phaseless(ens, rng.standard_normal(KEPT_N)).y.tobytes())
-    return h.hexdigest()
+        _hash_y(h, rows, ens,
+                apply_phaseless(ens, rng.standard_normal(KEPT_N)).y)
+    return h.hexdigest(), rows.hexdigest()
 
 
 def main() -> None:
-    total = hashlib.sha256()
+    total, rows_total = hashlib.sha256(), hashlib.sha256()
+
+    def show(name, digest_of):
+        digest = digest_of()
+        if isinstance(digest, tuple):   # a case that senses
+            digest, rows = digest
+            rows_total.update(rows.encode())
+            print(f"{name}: {digest} (A, B and F rows: {rows})")
+        else:
+            print(f"{name}: {digest}")
+        total.update(digest.encode())
+
     cases = [(f"n={n} k={k} {model}", lambda n=n, k=k, model=model:
               case_digest(n, k, model))
              for n in NS for k in KS for model in MODELS]
@@ -198,15 +222,12 @@ def main() -> None:
               for k in PRONY_KS]
     cases += [("edge_error_experiment n=2048 k=12", edge_digest)]
     for name, digest_of in cases:
-        digest = digest_of()
-        total.update(digest.encode())
-        print(f"{name}: {digest}")
+        show(name, digest_of)
     without_kept = total.hexdigest()
-    digest = kept_digest()
-    total.update(digest.encode())
-    print(f"n={KEPT_N} k={KEPT_K} {KEPT_SIGNALS} dense senses: {digest}")
+    show(f"n={KEPT_N} k={KEPT_K} {KEPT_SIGNALS} dense senses", kept_digest)
     print(f"total without the kept-range case: {without_kept}")
     print(f"total: {total.hexdigest()}")
+    print(f"total of the A, B and F rows: {rows_total.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -224,6 +224,25 @@ def test_decode_refuses_a_file_that_holds_no_measurements(tmp_path, capsys):
     assert "none.npz" in capsys.readouterr().err
 
 
+def test_decode_refuses_a_version_5_file(tmp_path, capsys):
+    # version 5 files hold the rows of the E block, which no ensemble builds
+    # now, and their config names its C1 and rep_log_n
+    header = {"format": Measurements.FORMAT, "version": 5, "n": 4096, "k": 10,
+              "seed": 2028, "C0": 0.125, "C1": 16.0, "c1": 0.7, "c_F": 0.1875,
+              "rep_log_n": 7, "countsketch_rows": 256, "countsketch_reps": 5,
+              "heavy_K": 40, "top_select": 20, "hh_bucket_factor": 1.5,
+              "hh_reps": 5}
+    path = tmp_path / "v5.npz"
+    np.savez_compressed(path, header=np.frombuffer(
+        json.dumps(header).encode(), dtype=np.uint8), y=np.zeros(17828))
+    message = "unsupported measurements version 5"
+    with pytest.raises(EnsembleError, match=f"^{message}$"):
+        Measurements.load(path)
+    assert _exit_code(["decode", "--measurements", str(path),
+                       "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid, n, k, message", [
     ([1], 64, 2, "not a JSON object"),
     ({"C0": []}, 64, 2, "empty calibration grid"),

@@ -9,8 +9,8 @@ import pytest
 from phaseless import (EnsembleConfig, EnsembleError, TailEstimationError, apply_phaseless, build_ensemble,
                        decode, decode_amplified, decoder, estimate_tail_energy, prune)
 from phaseless.bench import (AMPLIFIED_REPLICAS, SUCCESS_FACTOR, TrialSpec,
-                             _ensemble_seed, gen_signal, min_flip_error_sq,
-                             tail_norm_sq)
+                             _ensemble_seed, _run_one, gen_signal,
+                             min_flip_error_sq, tail_norm_sq)
 from phaseless.signs import SignGraph, build_sign_graph, recover_communities
 
 from helpers import column_entries, exact_sparse, spikes_plus_tail
@@ -34,12 +34,12 @@ def test_tail_energy_zero_for_covered_support():
 
 
 def test_tail_energy_unbiased_concentration():
-    """With c1 = 1 and a row budget giving ~200 disjoint rows per band of E,
+    """With c1 = 1 and ~248 of B's 256 buckets per repetition missing S1,
     L/(energy off S1 / k) lands in [0.8, 1.2] in >= 99% of seeded trials
     (unit i.i.d. tail outside S1)."""
     hits = 0
     trials = 150
-    cfg = EnsembleConfig(c1=1.0, C1=80.0)
+    cfg = EnsembleConfig(c1=1.0)
     for t in range(trials):
         ens = build_ensemble(N, K, config=cfg, rng_seed=5000 + t)
         rng = np.random.default_rng(t)
@@ -59,9 +59,35 @@ def test_tail_energy_ignores_s1_coordinates():
     S1 = pos
     base = estimate_tail_energy(ens, apply_phaseless(ens, x), S1)
     bumped = x.copy()
-    bumped[pos] *= -3.7  # disjoint rows never see S1 coordinates
+    bumped[pos] *= -3.7  # missed buckets never see S1 coordinates
     after = estimate_tail_energy(ens, apply_phaseless(ens, bumped), S1)
     assert np.array_equal(base.per_rep, after.per_rep)
+
+
+def test_tail_energy_reads_only_the_b_buckets_that_s1_misses():
+    ens = build(6)
+    rng = np.random.default_rng(6)
+    x, pos = spikes_plus_tail(rng, N, K)
+    meas = apply_phaseless(ens, x)
+    base = estimate_tail_energy(ens, meas, pos).per_rep
+    B = ens.blocks["B"]
+    b_rows = np.arange(ens.total_rows)[ens.rows("B")]
+    hit = b_rows[B.bucket_rows(pos)].ravel()
+    missed = np.setdiff1d(b_rows, hit)
+    outside_b = np.setdiff1d(np.arange(ens.total_rows), b_rows)
+
+    def per_rep(rows, factor):
+        y = meas.y.copy()
+        y[rows] *= factor
+        return estimate_tail_energy(ens, dataclasses.replace(meas, y=y),
+                                    pos).per_rep
+
+    assert np.array_equal(per_rep(outside_b, 3.0), base)
+    assert np.array_equal(per_rep(hit, 3.0), base)
+    changed = per_rep(missed[:1], 3.0)
+    assert not np.array_equal(changed, base)
+    rep = (missed[0] - b_rows[0]) // B.n_buckets   # the scaled row's repetition
+    assert np.flatnonzero(changed != base).tolist() == [rep]
 
 
 def test_tail_energy_with_a_nan_band_is_nan():
@@ -71,17 +97,19 @@ def test_tail_energy_with_a_nan_band_is_nan():
     x, pos = spikes_plus_tail(rng, N, K)
     meas = apply_phaseless(ens, x)
     y = meas.y.copy()
-    y[ens.rows("E")][:ens.blocks["E"].n_rows // ens.config.rep_log_n] = np.nan
+    y[ens.rows("B")][:ens.blocks["B"].n_buckets] = np.nan
     tail = estimate_tail_energy(ens, dataclasses.replace(meas, y=y), pos)
-    assert np.isnan(tail.per_rep).sum() == 1    # the first band only
+    assert np.isnan(tail.per_rep).sum() == 1    # B's first repetition only
     assert math.isnan(tail.L)
 
 
 def test_tail_energy_all_blocks_excluded_raises():
-    # k = 2 gives E density 1/2; with S1 = everything, any nonempty row hits
-    ens = build_ensemble(128, 2, config=EnsembleConfig(C1=4.0), rng_seed=4)
+    # with S1 = every coordinate, each of B's 4 buckets per repetition is
+    # hit unless all 128 coordinates miss it (probability 4 * (3/4)^128)
+    ens = build_ensemble(128, 2, config=EnsembleConfig(countsketch_rows=4),
+                         rng_seed=4)
     y = apply_phaseless(ens, np.zeros(128))
-    with pytest.raises(TailEstimationError):
+    with pytest.raises(TailEstimationError, match="countsketch_rows"):
         estimate_tail_energy(ens, y, np.arange(128))
 
 
@@ -213,7 +241,7 @@ def test_decode_one_sparse_signals(n):
 def test_decode_small_k(n, k, model):
     # at small k a sign class is often reached only through "differ" votes,
     # so every decisive pair test must count. One ensemble serves all 40
-    # signals: its first dense signal keeps the E/F columns, so the
+    # signals: its first dense signal keeps the F columns, so the
     # spikes-plus-tail point does not resample them for every trial
     ens = build_ensemble(n, k, rng_seed=13_000 + 100 * k)
     ok = 0
@@ -223,6 +251,16 @@ def test_decode_small_k(n, k, model):
         ok += min_flip_error_sq(x, res.to_dense()) \
             <= SUCCESS_FACTOR * tail_norm_sq(x, k)
     assert ok >= 36, ok
+
+
+def test_one_spike_keeps_no_false_candidate_with_its_magnitude():
+    # with 32 buckets per B repetition, a false candidate shared the spike's
+    # bucket in 3 of 5 repetitions, took its magnitude as its median
+    # estimate and was kept in S2 beside it (error^2 about 100 tail^2)
+    spec = TrialSpec(n=1024, k=1, signal_model="spikes-plus-tail", trials=60,
+                     seed=2810)
+    record = _run_one(spec, 52)
+    assert record["success"], record
 
 
 def test_decode_signs_failure_still_returns_magnitudes():
@@ -255,10 +293,9 @@ def test_decode_diagnostics_counters_positive():
     d = res.diagnostics
     assert d.y_reads > 0 and d.index_reads > 0
     assert d.total_touches() == d.y_reads + d.index_reads
-    # index reads = the B, E and F column entries of S0, S1 and S2
+    # index reads = the B column entries of S0 and S1 and the F ones of S2
     cfg = ens.config
-    expect = res.S0.size * cfg.countsketch_reps
-    expect += column_entries(ens.blocks["E"], res.S1)[0].size
+    expect = (res.S0.size + res.S1.size) * cfg.countsketch_reps
     if res.S2.size > 1:
         level = min(math.ceil(math.log2(res.S2.size)), ens.f_top_level)
         F = ens.blocks[f"F{2 ** level}"]
@@ -483,7 +520,7 @@ def test_amplified_refuses_replicas_of_another_n():
 
 # -- ensemble identity -------------------------------------------------------
 
-@pytest.mark.parametrize("change", [{"C1": 12.0}, {"c_F": 0.5}, {"seed": 6}])
+@pytest.mark.parametrize("change", [{"c1": 0.5}, {"c_F": 0.5}, {"seed": 6}])
 def test_measurements_from_another_ensemble_are_refused(change):
     # such pairs once decoded without an error, or failed with a bare
     # ValueError or IndexError, depending on which constant differed

@@ -41,7 +41,7 @@ def test_offsets_partition_rows(ens):
 
 def test_sensing_applies_the_blocks_to_the_signal_itself(ens):
     # y is |block x| for every block in order, with no sign flip in front;
-    # 500 scattered nonzero columns sample E and F in walks of 4 blocks
+    # 500 scattered nonzero columns sample the F levels in walks of 4 blocks
     rng = np.random.default_rng(6)
     scattered = np.zeros(N)
     scattered[rng.choice(N, 500, replace=False)] = rng.standard_normal(500)
@@ -55,19 +55,6 @@ def test_planned_counts_match_measured(ens):
     # calibrate ranks a config by the rows of one build: no seed changes them
     other = build_ensemble(N, K, ens.config, rng_seed=SEED + 1)
     assert row_count(other) == row_count(ens)
-
-
-def test_e_block_density_within_3_sigma(ens):
-    # each E entry is nonzero with probability 1/k, in every band of E
-    p = 1.0 / K
-    block = ens.blocks["E"]
-    bands = ens.config.rep_log_n
-    band_rows = block.n_rows // bands
-    assert band_rows * bands == block.n_rows
-    cells = band_rows * block.n_cols
-    sigma = math.sqrt(cells * p * (1 - p))
-    nnz = np.bincount(block_entries(block)[0] // band_rows, minlength=bands)
-    assert np.all(np.abs(nnz - cells * p) < 3 * sigma), nnz
 
 
 def test_f_block_density_within_4_sigma(ens):
@@ -122,13 +109,6 @@ def test_f_block_refuses_when_no_level_is_built():
             e.f_block(size)
 
 
-def test_e_density_is_capped_at_one_half():
-    # at k = 1 a density of 1/k = 1 would put every coordinate in every row
-    e = build_ensemble(4096, 1, rng_seed=0)
-    assert e.blocks["E"].p == 0.5
-    assert build_ensemble(4096, 3, rng_seed=0).blocks["E"].p == 1.0 / 3
-
-
 def test_f_family_rows_obey_series_bound(ens):
     # sum_{i>=1} i^4 / 2^i converges to 150; the F family's row total is
     # bounded by c_F * 20k * (log2(5k) + 2) * that constant
@@ -157,7 +137,7 @@ def test_config_validation():
 def test_config_checks_every_field_at_construction():
     # ranges are checked when a config is made, and a derived value when
     # resolve makes its config: 12 * C0^2 overflows to inf here
-    for field, value in (("countsketch_reps", 0), ("heavy_K", -3), ("C1", 0.0)):
+    for field, value in (("countsketch_reps", 0), ("heavy_K", -3), ("c1", 0.0)):
         with pytest.raises(EnsembleError, match=field):
             EnsembleConfig(**{field: value})
     with pytest.raises(EnsembleError, match="c_F"):
@@ -187,12 +167,11 @@ def test_numpy_integer_dimensions_round_trip(tmp_path):
     assert decode(rebuilt, loaded).to_json() == decode(ens, meas).to_json()
 
 
-@pytest.mark.parametrize("field", ["C0", "C1", "c1", "c_F", "hh_bucket_factor"])
+@pytest.mark.parametrize("field", ["C0", "c1", "c_F", "hh_bucket_factor"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_constants(field, value):
-    # c1=NaN once decoded to an empty estimate, C1=NaN escaped as a bare
-    # ValueError and C0=inf as an OverflowError; JSON config files can
-    # carry NaN and Infinity
+    # c1=NaN once decoded to an empty estimate and C0=inf escaped as an
+    # OverflowError; JSON config files can carry NaN and Infinity
     with pytest.raises(EnsembleError, match=field):
         EnsembleConfig(**{field: value}).resolve(4096, 3)
     with pytest.raises(EnsembleError, match=field):
@@ -201,7 +180,7 @@ def test_config_rejects_non_finite_constants(field, value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("rep_log_n", 3.0), ("hh_reps", 3.0), ("countsketch_reps", True),
+    ("countsketch_rows", 3.0), ("hh_reps", 3.0), ("countsketch_reps", True),
     ("heavy_K", "40"), ("c1", "0.7"), ("C0", "0.5"), ("hh_bucket_factor", False),
 ])
 def test_config_rejects_values_of_the_wrong_type(field, value):
@@ -213,7 +192,7 @@ def test_config_rejects_values_of_the_wrong_type(field, value):
         EnsembleConfig.from_json(json.dumps({field: value}))
 
 
-@pytest.mark.parametrize("field", ["C0", "C1", "c1", "countsketch_reps",
+@pytest.mark.parametrize("field", ["C0", "c1", "countsketch_reps",
                                    "hh_bucket_factor", "hh_reps"])
 def test_config_refuses_null_for_a_field_that_resolve_leaves(field):
     # resolve fills only the fields that default to None: a JSON null
@@ -347,43 +326,25 @@ def test_measurements_serialization_round_trip(tmp_path, ens):
 
 # the defaults before A and B were made lean, as (4096, 10) resolved them
 OLD_AB = {"heavy_K": 100, "hh_reps": 6, "countsketch_rows": 1024}
-OLD_RESOLVED = {"C0": 0.125, "C1": 16.0, "c1": 0.7, "c_F": 0.1875,
-                "rep_log_n": 7, "countsketch_reps": 5, "top_select": 20,
-                "hh_bucket_factor": 1.5, **OLD_AB}
+OLD_RESOLVED = {"C0": 0.125, "c1": 0.7, "c_F": 0.1875, "countsketch_reps": 5,
+                "top_select": 20, "hh_bucket_factor": 1.5, **OLD_AB}
 
 
 def test_lean_defaults_move_only_the_a_and_b_rows():
-    # block keys do not depend on any block's size, so E and every F level
-    # sense the same rows byte for byte under the old and the new A and B
+    # block keys do not depend on any block's size, so every F level senses
+    # the same rows byte for byte under the old and the new A and B
     n, k, seed = 4096, 10, 2028
     old = build_ensemble(n, k, EnsembleConfig(**OLD_AB), rng_seed=seed)
     new = build_ensemble(n, k, rng_seed=seed)
     assert dataclasses.asdict(old.config) == OLD_RESOLVED
-    assert (old.total_rows, new.total_rows) == (36668, 17828)
+    assert (old.total_rows, new.total_rows) == (35548, 16708)
     rng = np.random.default_rng(28)
     for x in (exact_sparse(rng, n, k)[0], rng.standard_normal(n)):
         y_old, y_new = apply_phaseless(old, x).y, apply_phaseless(new, x).y
         for name in old.blocks:
-            if name[0] in "EF":
+            if name[0] == "F":
                 assert y_old[old.rows(name)].tobytes() \
                     == y_new[new.rows(name)].tobytes(), name
-
-
-def test_a_file_saved_under_the_old_defaults_decodes_as_before(tmp_path):
-    # its header holds its resolved config, so the rebuild is the old ensemble
-    n, k, seed = 4096, 10, 2028
-    old = build_ensemble(n, k, EnsembleConfig(**OLD_AB), rng_seed=seed)
-    x, _ = exact_sparse(np.random.default_rng(29), n, k)
-    meas = apply_phaseless(old, x)
-    meas.save(tmp_path / "old.npz")
-    loaded = Measurements.load(tmp_path / "old.npz")
-    assert dataclasses.asdict(loaded.config) == OLD_RESOLVED
-    rebuilt = build_ensemble(loaded.n, loaded.k, config=loaded.config,
-                             rng_seed=loaded.seed)
-    assert rebuilt.total_rows == 36668
-    result = decode(rebuilt, loaded)
-    assert result.to_json() == decode(old, meas).to_json()
-    assert np.array_equal(np.abs(result.to_dense()), np.abs(x))
 
 
 def test_measurement_batch_blocks_slice_the_last_axis(tmp_path, ens):

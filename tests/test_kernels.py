@@ -210,7 +210,7 @@ def test_a_sparse_signal_is_one_request_per_block(monkeypatch):
     apply_phaseless(ens, spikes)
     bernoulli = [name for name, block in ens.blocks.items()
                  if isinstance(block, SparseSignMatrix)]
-    assert len(bernoulli) == 6 and len(walks) == 1
+    assert len(bernoulli) == 5 and len(walks) == 1
     keys, n_rows, p, cols = walks[0]
     assert [(ens.blocks[name].key, ens.blocks[name].n_rows, ens.blocks[name].p)
             for name in bernoulli] == list(zip(keys, n_rows, p))
