@@ -80,8 +80,11 @@ class TrialSpec:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.config, EnsembleConfig):
             raise ValueError(f"config must be an EnsembleConfig, got {self.config!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("n", "k", "trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.k > self.n:
+            raise ValueError(f"k must be <= n, got k={self.k}, n={self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.signal_model not in SIGNAL_MODELS:
@@ -351,7 +354,7 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
         summaries.append({"config": asdict(cfg), "rows": rows,
                           "success_rate": agg["success_rate"]})
         if winner is None and agg["success_rate"] >= target_rate:
-            winner = cfg.resolve(base_spec.n, base_spec.k)
+            winner = cfg.resolve(base_spec.k)
             break
     if winner is not None and out_path is not None:
         with open(out_path, "w") as fh:

@@ -122,6 +122,8 @@ def cmd_bench(args) -> int:
         args.error("--spec replaces the spec flags; give one or the other")
     if args.spec is None and (args.n is None or args.k is None):
         args.error("--n and --k are required without --spec")
+    if args.workers < 1:
+        args.error(f"--workers must be >= 1, got {args.workers}")
     report = run_trials(_trial_spec(args), workers=args.workers)
     (args.out / "report.csv").write_text(report.to_csv())
     (args.out / "report.json").write_text(report.to_json())
@@ -131,6 +133,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if not 0.0 <= args.target <= 1.0:   # NaN too: no success rate meets it
+        args.error(f"--target must be a rate in [0, 1], got {args.target}")
     spec = _trial_spec(args)
     try:
         grid = json.loads(Path(args.grid).read_text())

@@ -73,7 +73,7 @@ class EnsembleConfig:
     """Constants of the construction; the random draw's seed is not one of
     them but ``build_ensemble``'s ``rng_seed``.
 
-    ``None`` fields are resolved from (n, k) at build time; ``resolve``
+    ``None`` fields are resolved from k at build time; ``resolve``
     returns a config with every field concrete. Defaults were calibrated
     on the acceptance experiments (the guarantees only pin these constants
     up to "large enough"). Count fields must be integers >= 1 and the
@@ -133,7 +133,7 @@ class EnsembleConfig:
             if name not in _COUNTS and not 0 < value < math.inf:
                 raise EnsembleError(f"{name} must be finite and > 0, got {value}")
 
-    def resolve(self, n: int, k: int) -> "EnsembleConfig":
+    def resolve(self, k: int) -> "EnsembleConfig":
         updates = {}
         if self.c_F is None:
             updates["c_F"] = 12.0 * self.C0 * self.C0
@@ -241,7 +241,10 @@ class SensingEnsemble:
                                 + ", ".join(f"{key}={theirs[key]!r} (ensemble: "
                                             f"{mine[key]!r})" for key in mine
                                             if theirs[key] != mine[key]))
-        shape = np.shape(measurements.y)
+        if not isinstance(measurements.y, np.ndarray):
+            raise EnsembleError(f"y must be a numpy array, got "
+                                f"{type(measurements.y).__name__}")
+        shape = measurements.y.shape
         if len(shape) != 1:
             raise EnsembleError(f"decoding takes one signal's measurements, "
                                 f"got y of shape {shape}")
@@ -273,7 +276,7 @@ class Measurements:
     config: EnsembleConfig
 
     FORMAT = "phaseless-measurements"
-    VERSION = 6
+    VERSION = 7
 
     def save(self, path) -> None:
         header = {"format": self.FORMAT, "version": self.VERSION,
@@ -329,18 +332,13 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
         raise EnsembleError(f"k={k} too large for n={n} (need k <= n/20)")
     if seed < 0:
         raise EnsembleError(f"rng_seed must be an integer >= 0, got {seed!r}")
-    cfg = (config or EnsembleConfig()).resolve(n, k)
+    cfg = (config or EnsembleConfig()).resolve(k)
 
     f_levels = _f_levels(k, cfg.top_select)
-    skip = 3 + (max(3, (n - 1).bit_length() // 2) | 1)
-    words = np.random.SeedSequence(seed).generate_state(
-        skip + f_levels.stop, dtype=np.uint64)
-    # stream words: A 1, B 2, F{2^l} skip + l, where skip is 3 plus the odd
-    # max(3, ceil(log2 n) // 2). Word 0 is unused, and words 3 .. skip - 1
-    # keyed the E block that B's buckets replaced: renumbering would change
-    # every block a seed names, and every row of y it senses
-    keys = {"A": words[1], "B": words[2]}
-    keys.update({_f_name(l): words[skip + l] for l in f_levels})
+    names = ["A", "B"] + [_f_name(l) for l in f_levels]
+    # block i of the build order takes stream word i
+    keys = dict(zip(names, np.random.SeedSequence(seed).generate_state(
+        len(names), dtype=np.uint64)))
 
     blocks = {}
     # the hash-block builders are looked up on their module at call time, so

@@ -29,13 +29,15 @@ For the deterministic scheme it hashes the ``det_recover`` values and
 drawn as ``bench --pipeline prony`` draws them. It also hashes the rates of
 ``edge_error_experiment`` at n = 2048, k = 12 over four values of C0.
 
-It prints one SHA-256 digest per case and a total over them, and the
-total without the kept-range case, which digests of older trees can be
-compared with. For each case that senses, it also prints a digest of
-the A, B and F rows of every y, read through ``SensingEnsemble.rows``,
-and a second total over those: equal second totals show that a change
-left those rows of y as they were. Run it on two trees and compare the
-totals:
+It hashes the block names and keys of ``build_ensemble`` over n in
+{1024, 4096, 65536}, k in {1, 3, 10} and four seeds, so a change to the
+rule that keys the blocks shows as a case of its own.
+
+It prints one SHA-256 digest per case and a total over them. For each
+case that senses, it also prints a digest of the A, B and F rows of
+every y, read through ``SensingEnsemble.rows``, and a second total over
+those: equal second totals show that a change left those rows of y as
+they were. Run it on two trees and compare the totals:
 
     PYTHONPATH=<tree>/src python tests/digest_outputs.py
 
@@ -73,6 +75,7 @@ PRONY_N, PRONY_KS, PRONY_TRIALS = 64, range(1, 9), 30
 SAMPLER_SLACKS, SAMPLER_REQUESTS = (0.0, 1.0, 4.0), 60
 EDGE_C0S = (0.125, 0.25, 0.5, 1.0)
 KEPT_N, KEPT_K, KEPT_SIGNALS = 16384, 10, 3
+KEY_NS, KEY_SEEDS = (1024, 4096, 65536), (0, 1, SEED, 2 ** 63 - 1)
 
 
 def _json_or_error(run) -> str:
@@ -196,6 +199,18 @@ def kept_digest() -> tuple[str, str]:
     return h.hexdigest(), rows.hexdigest()
 
 
+def keys_digest() -> str:
+    """Each block's name and stream key, in build order."""
+    h = hashlib.sha256()
+    for n in KEY_NS:
+        for k in KS:
+            for seed in KEY_SEEDS:
+                for name, block in build_ensemble(n, k, rng_seed=seed
+                                                  ).blocks.items():
+                    h.update(f"{name}={block.key};".encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     total, rows_total = hashlib.sha256(), hashlib.sha256()
 
@@ -220,12 +235,12 @@ def main() -> None:
               for slack in SAMPLER_SLACKS]
     cases += [(f"det_recover n={PRONY_N} k={k}", lambda k=k: prony_digest(k))
               for k in PRONY_KS]
-    cases += [("edge_error_experiment n=2048 k=12", edge_digest)]
+    cases += [("edge_error_experiment n=2048 k=12", edge_digest),
+              (f"n={KEPT_N} k={KEPT_K} {KEPT_SIGNALS} dense senses",
+               kept_digest),
+              ("build_ensemble block keys", keys_digest)]
     for name, digest_of in cases:
         show(name, digest_of)
-    without_kept = total.hexdigest()
-    show(f"n={KEPT_N} k={KEPT_K} {KEPT_SIGNALS} dense senses", kept_digest)
-    print(f"total without the kept-range case: {without_kept}")
     print(f"total: {total.hexdigest()}")
     print(f"total of the A, B and F rows: {rows_total.hexdigest()}")
 

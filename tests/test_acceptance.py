@@ -227,7 +227,7 @@ def test_default_rows_per_k_log_n_do_not_grow():
     n = 2^10, 2^12, ..., 2^20 at k=10: hh_reps is one constant, so A grows
     as k log n. The per-family rows at n=4096 and 65536 are pinned."""
     k = 10
-    assert {EnsembleConfig().resolve(2 ** e, k).hh_reps
+    assert {EnsembleConfig().resolve(k).hh_reps
             for e in range(10, 21)} == {5}
     ratios = [build_ensemble(2 ** e, k).total_rows / (k * e)
               for e in range(10, 21, 2)]

@@ -70,9 +70,12 @@ def test_trial_spec_validation_and_json():
     ("n", 64.0), ("k", "2"), ("trials", 2.5), ("trials", True), ("seed", -1),
     ("seed", None), ("tail_norm", "1"), ("spike_energy_ratio", False),
     ("decay", float("nan")), ("config", None), ("config", {"C0": 0.5}),
+    ("n", 0), ("k", 0), ("k", -1), ("k", 65),
 ])
 def test_trial_spec_refuses_a_malformed_field_by_name(field, value):
-    # each once failed later with a TypeError, or made every trial fail
+    # each once failed later with a TypeError, or made every trial fail;
+    # k = 65 > n once failed every trial in numpy's sampler, and k = 0 drew
+    # zero signals
     fields = {"n": 64, "k": 2, field: value}
     with pytest.raises(ValueError, match=field):
         TrialSpec(**fields)

@@ -88,12 +88,16 @@ def test_calibrate_exit_codes(tmp_path):
                  "--out", str(out)]) == 0
     assert (out / "defaults.json").exists()
 
+    # c1 = 1e6 makes prune keep nothing, so no trial with a tail succeeds
+    # and no config meets a target of 1
     out2 = tmp_path / "calib2"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"hh_reps": 3}))
+    grid.write_text(json.dumps({"c1": [1e6]}))
     assert main(["calibrate", "--grid", str(grid), "--n", "512", "--k", "4",
-                 "--trials", "3", "--seed", "4", "--target", "1.01",
-                 "--config", str(cfg), "--out", str(out2)]) == 1
+                 "--trials", "3", "--seed", "4", "--target", "1.0",
+                 "--model", "spikes-plus-tail", "--config", str(cfg),
+                 "--out", str(out2)]) == 1
     summaries = json.loads((out2 / "calibration.json").read_text())
     assert [s["config"]["hh_reps"] for s in summaries] == [3]
 
@@ -224,18 +228,22 @@ def test_decode_refuses_a_file_that_holds_no_measurements(tmp_path, capsys):
     assert "none.npz" in capsys.readouterr().err
 
 
-def test_decode_refuses_a_version_5_file(tmp_path, capsys):
-    # version 5 files hold the rows of the E block, which no ensemble builds
-    # now, and their config names its C1 and rep_log_n
-    header = {"format": Measurements.FORMAT, "version": 5, "n": 4096, "k": 10,
-              "seed": 2028, "C0": 0.125, "C1": 16.0, "c1": 0.7, "c_F": 0.1875,
-              "rep_log_n": 7, "countsketch_rows": 256, "countsketch_reps": 5,
-              "heavy_K": 40, "top_select": 20, "hh_bucket_factor": 1.5,
-              "hh_reps": 5}
-    path = tmp_path / "v5.npz"
+# version 5 files hold the rows of the E block, which no ensemble builds
+# now, and their config names its C1 and rep_log_n; version 6 files key the
+# blocks by other stream words, so a rebuild would decode them into garbage
+@pytest.mark.parametrize("version", [5, 6])
+def test_decode_refuses_a_version_5_or_6_file(tmp_path, capsys, version):
+    extra, rows = {5: ({"C1": 16.0, "rep_log_n": 7}, 17828),
+                   6: ({}, 16708)}[version]
+    header = {"format": Measurements.FORMAT, "version": version, "n": 4096,
+              "k": 10, "seed": 2028, "C0": 0.125, "c1": 0.7, "c_F": 0.1875,
+              "countsketch_rows": 256, "countsketch_reps": 5, "heavy_K": 40,
+              "top_select": 20, "hh_bucket_factor": 1.5, "hh_reps": 5,
+              **extra}
+    path = tmp_path / f"v{version}.npz"
     np.savez_compressed(path, header=np.frombuffer(
-        json.dumps(header).encode(), dtype=np.uint8), y=np.zeros(17828))
-    message = "unsupported measurements version 5"
+        json.dumps(header).encode(), dtype=np.uint8), y=np.zeros(rows))
+    message = f"unsupported measurements version {version}"
     with pytest.raises(EnsembleError, match=f"^{message}$"):
         Measurements.load(path)
     assert _exit_code(["decode", "--measurements", str(path),
@@ -348,3 +356,34 @@ def test_decode_takes_one_signals_measurements_as_a_batch_of_one(tmp_path):
     assert [p.name for p in dec.iterdir()] == ["result_y00000.json"]
     assert (dec / "result_y00000.json").read_text() == \
         decode(ens, apply_phaseless(ens, x)).to_json()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--n", "64", "--k", "100"], "k must be <= n, got k=100, n=64"),
+    (["gen", "--n", "64", "--k", "0"], "k must be >= 1, got 0"),
+    (["gen", "--n", "0", "--k", "1"], "n must be >= 1, got 0"),
+    (["bench", "--n", "64", "--k", "100", "--trials", "1"], "k must be <= n"),
+    (["calibrate", "--grid", "grid.json", "--n", "64", "--k", "-2",
+      "--trials", "1"], "k must be >= 1, got -2"),
+    (["bench", "--n", "512", "--k", "4", "--trials", "1", "--workers", "0"],
+     "--workers must be >= 1, got 0"),
+    (["bench", "--n", "512", "--k", "4", "--trials", "1", "--workers", "-3"],
+     "--workers must be >= 1, got -3"),
+    (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
+      "--trials", "1", "--target", "nan"], "--target must be a rate in [0, 1]"),
+    (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
+      "--trials", "1", "--target", "-0.5"], "got -0.5"),
+    (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
+      "--trials", "1", "--target", "1.01"], "got 1.01"),
+])
+def test_dimensions_workers_and_targets_out_of_range_are_usage_errors(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # gen --k 100 once ended in numpy's "Cannot take a larger sample than
+    # population" with exit 1, and --k 0 wrote zero signals; --workers 0 ran
+    # serially and --target nan ran the whole grid, then exited 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(json.dumps({"C0": [0.125]}))
+    assert _exit_code([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out" / "calibration.json").exists()

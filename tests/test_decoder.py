@@ -506,6 +506,17 @@ def test_decode_refuses_a_batch():
         decode(ensembles[0], dataclasses.replace(measurements[0], y=y))
 
 
+def test_decode_refuses_a_y_that_is_not_an_array():
+    # a list of the right length once passed the row check and failed in
+    # decode with "'list' object has no attribute 'min'"
+    ensembles, measurements, _ = amplified_setup(23, reps=1)
+    listed = dataclasses.replace(measurements[0], y=measurements[0].y.tolist())
+    with pytest.raises(EnsembleError, match="y must be a numpy array, got list"):
+        decode(ensembles[0], listed)
+    with pytest.raises(EnsembleError, match="numpy array"):
+        estimate_tail_energy(ensembles[0], listed, np.arange(K))
+
+
 def test_amplified_refuses_replicas_of_another_n():
     # such a replica once raised a bare IndexError, or voted with columns
     # of another signal length when S2 lay below its n

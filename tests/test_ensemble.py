@@ -127,11 +127,11 @@ def test_build_rejects_bad_dimensions():
 
 def test_config_validation():
     with pytest.raises(EnsembleError):
-        EnsembleConfig(C0=-1.0).resolve(N, K)
+        EnsembleConfig(C0=-1.0).resolve(K)
     with pytest.raises(EnsembleError):
-        EnsembleConfig(heavy_K=2).resolve(N, K)  # heavy_K < k
+        EnsembleConfig(heavy_K=2).resolve(K)  # heavy_K < k
     with pytest.raises(EnsembleError):
-        EnsembleConfig(countsketch_reps=0).resolve(N, K)
+        EnsembleConfig(countsketch_reps=0).resolve(K)
 
 
 def test_config_checks_every_field_at_construction():
@@ -141,7 +141,7 @@ def test_config_checks_every_field_at_construction():
         with pytest.raises(EnsembleError, match=field):
             EnsembleConfig(**{field: value})
     with pytest.raises(EnsembleError, match="c_F"):
-        EnsembleConfig(C0=1e200).resolve(N, K)
+        EnsembleConfig(C0=1e200).resolve(K)
 
 
 @pytest.mark.parametrize("n, k, name", [
@@ -173,7 +173,7 @@ def test_config_rejects_non_finite_constants(field, value):
     # c1=NaN once decoded to an empty estimate and C0=inf escaped as an
     # OverflowError; JSON config files can carry NaN and Infinity
     with pytest.raises(EnsembleError, match=field):
-        EnsembleConfig(**{field: value}).resolve(4096, 3)
+        EnsembleConfig(**{field: value}).resolve(3)
     with pytest.raises(EnsembleError, match=field):
         build_ensemble(4096, 3, config=EnsembleConfig.from_json(
             json.dumps({field: value})))
@@ -213,11 +213,27 @@ def test_the_seed_is_a_build_argument_not_a_constant():
 
 
 def test_config_json_round_trip():
-    cfg = EnsembleConfig().resolve(N, K)
+    cfg = EnsembleConfig().resolve(K)
     again = EnsembleConfig.from_json(cfg.to_json())
     assert again == cfg
     with pytest.raises(EnsembleError, match="unknown"):
         EnsembleConfig.from_json('{"nope": 1}')
+
+
+@pytest.mark.parametrize("n, k, seed", [(N, K, SEED), (4096, 10, 7),
+                                        (65536, 1, 2 ** 62 + 5)])
+def test_block_i_is_keyed_by_seed_word_i(n, k, seed):
+    ens = build_ensemble(n, k, rng_seed=seed)
+    words = np.random.SeedSequence(seed).generate_state(len(ens.blocks),
+                                                        dtype=np.uint64)
+    assert [block.key for block in ens.blocks.values()] == words.tolist()
+
+
+def test_block_keys_do_not_depend_on_n():
+    # F's keys once followed a run of stream words whose length grew with n
+    keys = [[block.key for block in build_ensemble(n, 10, rng_seed=SEED)
+             .blocks.values()] for n in (1024, 65536)]
+    assert keys[0] == keys[1]
 
 
 def test_rebuild_is_bit_identical(ens):
@@ -367,8 +383,9 @@ def test_measurements_load_rejects_other_versions(tmp_path, ens):
     # ones hold the F1 level and the levels above top_select, and versions
     # up to 3 store the row layout and need a separate ensemble file;
     # version 4 files hold |Phi D x| for a stored sign flip D, so decoding
-    # one now would return D x
-    for version in range(5):
+    # one now would return D x; versions 5 and 6 key the blocks by other
+    # stream words, so a rebuild would decode them into garbage
+    for version in range(7):
         header = {"format": Measurements.FORMAT, "version": version,
                   "offsets": {"A": 0}, "block_rows": {"A": 3}}
         np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
