@@ -343,6 +343,8 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
         raise ValueError(f"empty calibration grid or not a JSON object: {grid!r}")
     if base_spec.pipeline == "prony":
         raise ValueError("the prony pipeline reads no ensemble config")
+    if not 0.0 <= target_rate <= 1.0:   # NaN too: no success rate meets it
+        raise ValueError(f"target_rate must be a rate in [0, 1], got {target_rate}")
     configs = _config_grid(grid, base_spec.config)
     sizes = [build_ensemble(base_spec.n, base_spec.k, c).total_rows
              for c in configs]

@@ -85,13 +85,15 @@ class EnsembleConfig:
             l = 1 .. min(ceil(log2 top_select), ceil(log2 5k))).
     c1      scale applied to the mean squared measurement of the B buckets
             that miss the candidates when forming the tail-energy estimate.
-    c_F     row-count constant of the F levels; default 12 * C0^2 keeps the
+    c_F     row-count constant of the F levels; default 6 * C0^2 keeps the
             pair-sampling yield per level roughly constant in C0.
     countsketch_rows buckets per magnitude-estimation repetition (default
-                     2^ceil(log2 max(25k, 64)), 256 at k = 10: count-sketch
+                     2^ceil(log2 max(12.5k, 64)), 128 at k = 10: count-sketch
                      needs O(k) buckets to rank the at most 2 heavy_K
-                     candidates; at k = 1, 32 buckets let a false candidate
-                     share the spike's bucket in most repetitions).
+                     candidates, each read from the buckets no other
+                     candidate shares; 64 at k <= 5, where 32 buckets let
+                     a false candidate share the spike's bucket in most
+                     repetitions).
     countsketch_reps magnitude-estimation and tail-estimation repetitions
                      (median over these).
     heavy_K          heaviness parameter of the identification block
@@ -99,7 +101,8 @@ class EnsembleConfig:
     top_select       candidate cap after magnitude estimation (default 2k;
                      any value in [k, 5k] is supported, smaller keeps the
                      tail-estimate rows cheaper).
-    hh_bucket_factor buckets per unit of heavy_K in the identification block.
+    hh_bucket_factor buckets per unit of heavy_K in the identification block
+                     (default 1.25).
     hh_reps          identification repetitions (default 5 at every n, so
                      A grows as k log n, not k log^2 n).
     """
@@ -111,7 +114,7 @@ class EnsembleConfig:
     countsketch_reps: int = 5
     heavy_K: int | None = None
     top_select: int | None = None
-    hh_bucket_factor: float = 1.5
+    hh_bucket_factor: float = 1.25
     hh_reps: int = 5
 
     def __post_init__(self):
@@ -136,9 +139,9 @@ class EnsembleConfig:
     def resolve(self, k: int) -> "EnsembleConfig":
         updates = {}
         if self.c_F is None:
-            updates["c_F"] = 12.0 * self.C0 * self.C0
+            updates["c_F"] = 6.0 * self.C0 * self.C0
         if self.countsketch_rows is None:
-            updates["countsketch_rows"] = 2 ** math.ceil(math.log2(max(25 * k, 64)))
+            updates["countsketch_rows"] = 2 ** math.ceil(math.log2(max(12.5 * k, 64)))
         if self.heavy_K is None:
             updates["heavy_K"] = 4 * k
         if self.top_select is None:

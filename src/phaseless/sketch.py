@@ -11,10 +11,16 @@ A candidate is kept only if its assembled index actually hashes back to the
 bucket it was decoded from; more than 2K survivors are ranked by the median
 over repetitions of their whole-bucket magnitudes and cut to 2K.
 
-Estimation block (B). Plain bucket/sign hashing, several repetitions; the
-estimate of |x_i| is the median over repetitions of the magnitude of i's
-bucket. The median of magnitudes (rather than of signed values) is the
-phaseless-compatible variant and estimates |x_i| rather than x_i.
+Estimation block (B). Plain bucket/sign hashing, several repetitions. The
+candidates are known before estimation, so this is a set query (Price,
+"Efficient sketches for the set query problem", SODA 2011): the estimate
+of |x_i| is the median of the magnitude of i's bucket over the repetitions
+in which no other candidate hashes to that bucket, or over all of them
+when there is no such repetition. A bucket two candidates share is
+evidence about neither: read, it would give a light candidate its heavy
+neighbour's magnitude. The median of magnitudes (rather than of signed
+values) is the phaseless-compatible variant and estimates |x_i| rather
+than x_i.
 """
 
 from __future__ import annotations
@@ -161,13 +167,29 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
 
 def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
                         indices: np.ndarray) -> np.ndarray:
-    """Per index, the median over repetitions of |bucket containing it|,
-    as a float array aligned to ``indices``."""
+    """Per index, the median of |bucket containing it| over the
+    repetitions in which no other of ``indices`` shares that bucket (over
+    all repetitions when there is none), as a float array aligned to
+    ``indices``. NaN when a repetition it reads is NaN."""
     indices = np.asarray(indices, dtype=np.int64)
     outside = indices[(indices < 0) | (indices >= B_block.n_cols)]
     if outside.size:
         raise SketchError(f"index {outside[0]} out of range [0, {B_block.n_cols})")
-    return median(yB[B_block.bucket_rows(indices)])
+    rows = B_block.bucket_rows(indices)
+    values = yB[rows]
+    shared = np.bincount(rows.ravel(), minlength=yB.size)[rows] > 1
+    # a candidate that shares its bucket in every repetition reads them all
+    shared &= ~shared.all(axis=-1, keepdims=True)
+    # shared entries sort above the m read ones, and NaN sorts last: the
+    # median of the read ones is the mean of sorted entries (m - 1) // 2
+    # and m // 2, unless one of them is NaN
+    values[shared] = np.inf
+    s = np.sort(values, axis=-1)
+    m = shared.shape[-1] - shared.sum(axis=-1)
+    at = np.arange(indices.size)
+    mid = (s[at, (m - 1) // 2] + s[at, m // 2]) / 2
+    last = s[:, -1]
+    return np.where(np.isnan(last), last, mid)
 
 
 def median(a: np.ndarray) -> np.ndarray:

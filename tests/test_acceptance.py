@@ -232,8 +232,8 @@ def test_default_rows_per_k_log_n_do_not_grow():
     ratios = [build_ensemble(2 ** e, k).total_rows / (k * e)
               for e in range(10, 21, 2)]
     assert all(b <= a for a, b in zip(ratios, ratios[1:])), ratios
-    pinned = {4096: (7500, 1280, 7928, 16708),
-              65536: (9900, 1280, 7928, 19108)}
+    pinned = {4096: (6250, 640, 3965, 10855),
+              65536: (8250, 640, 3965, 12855)}
     for n, want in pinned.items():
         counts = row_count(build_ensemble(n, k))
         assert tuple(counts[f"{fam}_family"] for fam in "ABF") \

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phaseless import build_ensemble
+from phaseless import bench, build_ensemble
 from phaseless.bench import (AMPLIFIED_REPLICAS, TrialSpec, calibrate,
                              edge_error_experiment, gen_signal,
                              min_flip_error_sq, run_trials, tail_norm_sq,
@@ -182,12 +182,29 @@ def test_calibrate_unattainable_target_reports_best():
     assert all(0.0 <= s["success_rate"] <= 1.0 for s in summaries)
 
 
-def test_calibrate_grid_starts_from_the_base_config():
+def test_calibrate_grid_starts_from_the_base_config(monkeypatch):
+    class NoSuccess:        # no config meets the target: the whole grid runs
+        def aggregates(self):
+            return {"success_rate": 0.0}
+
+    specs = []
+    monkeypatch.setattr(bench, "run_trials",
+                        lambda spec: specs.append(spec) or NoSuccess())
     base = TrialSpec(n=512, k=4, trials=2, seed=31,
                      config=EnsembleConfig(hh_reps=3))
-    _, summaries = calibrate({"C0": [0.125, 0.25]}, base, target_rate=1.1)
+    winner, summaries = calibrate({"C0": [0.125, 0.25]}, base, target_rate=1.0)
+    assert winner is None
     assert [s["config"]["hh_reps"] for s in summaries] == [3, 3]
     assert sorted(s["config"]["C0"] for s in summaries) == [0.125, 0.25]
+    assert [s.config for s in specs] \
+        == [EnsembleConfig.from_dict(s["config"]) for s in summaries]
+
+
+@pytest.mark.parametrize("target", [float("nan"), 1.1, -0.1])
+def test_calibrate_refuses_a_target_that_is_not_a_rate(target):
+    # a target no success rate can meet once ran the whole grid for nothing
+    with pytest.raises(ValueError, match="target_rate"):
+        calibrate({"C0": [0.125]}, TrialSpec(n=64, k=2, trials=1), target)
 
 
 def test_calibrate_rejects_empty_grid():

@@ -263,6 +263,31 @@ def test_one_spike_keeps_no_false_candidate_with_its_magnitude():
     assert record["success"], record
 
 
+# the defaults' resolved config before B, A and F were made leaner: 256 B
+# buckets at k = 10, the floor of 64 at k = 1
+BEFORE_LEAN = {"hh_bucket_factor": 1.5, "c_F": 0.1875}
+
+
+@pytest.mark.parametrize("n, k, model, seed, trial", [
+    (4096, 10, "spikes-plus-tail", 2910, 2),
+    (4096, 10, "spikes-plus-tail", 2910, 194),
+    (64, 1, "spikes-plus-tail", 2903, 627),
+    (4096, 10, "exact-sparse", 2970, 186)])
+@pytest.mark.parametrize("lean", [False, True], ids=["before-lean", "default"])
+def test_a_candidate_reads_only_the_b_buckets_it_has_to_itself(
+        n, k, model, seed, trial, lean):
+    # each trial once had a member of S0 share a heavier member's B bucket
+    # in 3 of 5 repetitions and take its magnitude as the median: a false
+    # candidate kept in S2 (the first three), or a true one given a wrong
+    # value (the last, with S2 exactly the support)
+    config = EnsembleConfig() if lean else EnsembleConfig(
+        **BEFORE_LEAN, countsketch_rows=256 if k == 10 else 64)
+    spec = TrialSpec(n=n, k=k, signal_model=model, trials=trial + 1,
+                     seed=seed, config=config)
+    record = _run_one(spec, trial)
+    assert record["success"], record
+
+
 def test_decode_signs_failure_still_returns_magnitudes():
     # C0 large enough that F rows almost never pair up: edgeless graph
     ens = build(7, C0=50.0, c_F=0.01)

@@ -340,27 +340,31 @@ def test_measurements_serialization_round_trip(tmp_path, ens):
     assert decode(rebuilt, loaded).to_json() == decode(ens, meas).to_json()
 
 
-# the defaults before A and B were made lean, as (4096, 10) resolved them
-OLD_AB = {"heavy_K": 100, "hh_reps": 6, "countsketch_rows": 1024}
-OLD_RESOLVED = {"C0": 0.125, "c1": 0.7, "c_F": 0.1875, "countsketch_reps": 5,
-                "top_select": 20, "hh_bucket_factor": 1.5, **OLD_AB}
+# the defaults before the lean B, A and F, as (4096, 10) resolved them, and
+# the rows they built per block
+OLD_RESOLVED = {"C0": 0.125, "c1": 0.7, "c_F": 0.1875, "countsketch_rows": 256,
+                "countsketch_reps": 5, "heavy_K": 40, "top_select": 20,
+                "hh_bucket_factor": 1.5, "hh_reps": 5}
+OLD_ROWS = {"A": 7500, "B": 1280, "F2": 731, "F4": 1522, "F8": 2093,
+            "F16": 2116, "F32": 1466, "total": 16708}
 
 
-def test_lean_defaults_move_only_the_a_and_b_rows():
-    # block keys do not depend on any block's size, so every F level senses
-    # the same rows byte for byte under the old and the new A and B
+def test_an_old_default_header_rebuilds_its_own_rows(tmp_path):
+    # a measurements header holds its resolved config, so a file sensed
+    # under the old defaults rebuilds the old ensemble, not today's
     n, k, seed = 4096, 10, 2028
-    old = build_ensemble(n, k, EnsembleConfig(**OLD_AB), rng_seed=seed)
-    new = build_ensemble(n, k, rng_seed=seed)
+    old = build_ensemble(n, k, EnsembleConfig(**OLD_RESOLVED), rng_seed=seed)
     assert dataclasses.asdict(old.config) == OLD_RESOLVED
-    assert (old.total_rows, new.total_rows) == (35548, 16708)
-    rng = np.random.default_rng(28)
-    for x in (exact_sparse(rng, n, k)[0], rng.standard_normal(n)):
-        y_old, y_new = apply_phaseless(old, x).y, apply_phaseless(new, x).y
-        for name in old.blocks:
-            if name[0] == "F":
-                assert y_old[old.rows(name)].tobytes() \
-                    == y_new[new.rows(name)].tobytes(), name
+    counts = row_count(old)
+    assert {name: counts[name] for name in OLD_ROWS} == OLD_ROWS
+    assert build_ensemble(n, k, rng_seed=seed).total_rows == 10855
+    x = exact_sparse(np.random.default_rng(28), n, k)[0]
+    path = tmp_path / "old.npz"
+    apply_phaseless(old, x).save(path)
+    loaded = Measurements.load(path)
+    rebuilt = build_ensemble(loaded.n, loaded.k, loaded.config, loaded.seed)
+    assert row_count(rebuilt) == counts
+    assert apply_phaseless(rebuilt, x).y.tobytes() == loaded.y.tobytes()
 
 
 def test_measurement_batch_blocks_slice_the_last_axis(tmp_path, ens):

@@ -176,7 +176,7 @@ def test_edge_rate_separation_with_planted_signs():
     import math
 
     n, k = 4096, 10
-    spec = TrialSpec(n=n, k=k, signal_model="spikes-plus-tail", trials=12,
+    spec = TrialSpec(n=n, k=k, signal_model="spikes-plus-tail", trials=24,
                      seed=71)
     same_edges = cross_edges = 0
     same_pairs = cross_pairs = pair_rows = 0

@@ -272,6 +272,41 @@ def test_median_absorbs_single_corrupted_repetition():
     assert estimate_one(block, y_corrupt, 7) == clean
 
 
+def pair_sharing(block, count):
+    """(0, j, shared): the first column j whose bucket column 0 shares in
+    exactly ``count`` repetitions, and the boolean mask of those."""
+    buckets = block.hash(np.arange(block.n_cols))[0]
+    shared = buckets == buckets[0]
+    j = next(j for j in range(1, block.n_cols) if shared[j].sum() == count)
+    return 0, j, shared[j]
+
+
+def test_a_candidate_reads_only_the_repetitions_it_has_to_itself():
+    # a light candidate sharing a heavier one's bucket in 3 of 5 repetitions
+    # once took that bucket's magnitude as its median; the set-query
+    # estimate is the median, here the mean, of its 2 unshared buckets
+    block = build_countsketch_block(12, 256, 8, 5)
+    light, heavy, shared = pair_sharing(block, 3)
+    rows = block.bucket_rows(np.array([light, heavy]))
+    y = np.zeros(block.n_rows)
+    y[rows[0, shared]] = 9.0
+    y[rows[0, ~shared]] = [1.0, 2.0]
+    y[rows[1, ~shared]] = [10.0, 12.0]
+    est = estimate_magnitudes(block, y, [light, heavy])
+    assert est.tolist() == [1.5, 11.0]
+    # alone, each reads all 5 repetitions
+    assert estimate_one(block, y, light) == 9.0
+    assert estimate_one(block, y, heavy) == 9.0
+
+
+def test_a_candidate_sharing_every_repetition_reads_them_all():
+    block = build_countsketch_block(13, 256, 2, 5)
+    a, b, _ = pair_sharing(block, 5)
+    y = np.arange(1.0, block.n_rows + 1)
+    est = estimate_magnitudes(block, y, [a, b])
+    assert est[0] == est[1] == estimate_one(block, y, a)
+
+
 def bits_of(a):
     a = np.asarray(a)
     return a.shape, a.dtype, a.tobytes()
