@@ -23,12 +23,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .decoder import decode_amplified
+from .decoder import DecodeDiagnostics, _sign_stage, decode_amplified
 from .ensemble import _NUMBER, EnsembleConfig, _integer, apply_phaseless, \
     build_ensemble
 from .prony import DeterministicScheme, conjugate_reflection, det_measure, \
     det_recover
-from .signs import build_sign_graph
 
 __all__ = [
     "TrialSpec",
@@ -373,7 +372,8 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
 
     Isolates the pair-test stage: the candidate set and magnitudes are taken
     from the planted truth so that only measurement interference produces
-    wrong votes. Used to check that raising C0 lowers vote noise.
+    wrong votes, which the decoder's own sign stage casts on the F level it
+    picks. Used to check that raising C0 lowers vote noise.
     """
     spec = TrialSpec(n=n, k=k, signal_model="spikes-plus-tail", trials=trials,
                      seed=seed, config=config, tail_norm=tail_norm,
@@ -386,10 +386,8 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
             continue
         ens = build_ensemble(n, k, config=config,
                              rng_seed=_ensemble_seed(seed, t))
-        meas = apply_phaseless(ens, x)
-        name = ens.f_block(support.size)
-        graph = build_sign_graph(ens.blocks[name], meas.y[ens.rows(name)],
-                                 support, np.abs(x[support]))
+        graph = _sign_stage(ens, apply_phaseless(ens, x), support,
+                            np.abs(x[support]), DecodeDiagnostics())
         planted = np.sign(x[support])
         relation = planted[graph.edge_u] * planted[graph.edge_v]
         total += graph.weights.size

@@ -230,9 +230,8 @@ def decode_amplified(ensembles: list[SensingEnsemble],
     if S2.size > 1:
         graphs = [_sign_stage(ens, meas, S2, est2, diagnostics)
                   for ens, meas in zip(ensembles, y_list)]
-        edges = [(g.edge_u, g.edge_v, g.weights) for g in graphs]
-        graph = graphs[0] if len(graphs) == 1 else SignGraph(
-            S2, *map(np.concatenate, zip(*edges)), signed=True)
+        edges = zip(*((g.edge_u, g.edge_v, g.weights) for g in graphs))
+        graph = SignGraph(S2, *map(np.concatenate, edges), signed=True)
         values = recover_communities(graph) * est2
         signs_failed = not graph.connected
     return RecoveryResult(n=primary.n, values=values, S0=S0, S1=S1, S2=S2,

@@ -326,7 +326,9 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     """Construct the full sensing ensemble for an n-dimensional, k-sparse
     target; ``rng_seed`` (a non-negative integer) keys every random stream.
     n, k and the seed are ints or numpy integers. Requires k <= n/20 so the
-    heavy-hitter and candidate-cap machinery has room to operate."""
+    heavy-hitter and candidate-cap machinery has room to operate. An F level
+    whose density is not below 1 (C0 too small) or whose row count reaches
+    2^31 (c_F too large) raises EnsembleError naming the level."""
     n, k, seed = (_integer(name, value) for name, value in
                   (("n", n), ("k", k), ("rng_seed", rng_seed)))
     if n < 1 or k < 1:
@@ -352,12 +354,13 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     blocks["B"] = sketch.build_countsketch_block(
         keys["B"], n, cfg.countsketch_rows, cfg.countsketch_reps)
     for level in f_levels:
-        p = 1.0 / f_inverse_density(k, level, cfg.C0)
-        if not p < 1.0:
-            raise EnsembleError(f"F level {level} density {p} >= 1; increase C0")
         name = _f_name(level)
-        blocks[name] = SparseSignMatrix.bernoulli(keys[name], _f_rows(k, level, cfg.c_F),
-                                                  n, p)
+        rows = _f_rows(k, level, cfg.c_F)
+        p = 1.0 / f_inverse_density(k, level, cfg.C0)
+        try:
+            blocks[name] = SparseSignMatrix.bernoulli(keys[name], rows, n, p)
+        except ValueError as exc:
+            raise EnsembleError(f"F level {level}: {exc}") from exc
 
     offsets, total = {}, 0
     for name in blocks:

@@ -11,15 +11,18 @@ Both block kinds (the Bernoulli blocks here, the hash blocks in
 ``sketch``) have ``n_rows`` and ``n_cols`` and answer ``entries(columns)``,
 for an int64 array of columns, with (per-column counts, rows, signs),
 grouped by column in the order asked and with rows increasing within a
-column; that is a block's whole interface. ``apply_blocks`` senses a
-signal through a stack of blocks in one pass (one block is
-``apply_blocks([block], v)``). ``APPLY_CHUNK`` bounds each request it
-makes, counted in (block, column) pairs, so a k-sparse signal is one
-sampler walk for every Bernoulli block, and sensing a dense signal, cut at
-every aligned range of ``APPLY_CHUNK`` columns, never holds more than one
-range's entries of one block in temporaries. A range with no zero entry is
-asked for whole; a Bernoulli block keeps its entries in about 17 bits each
-and reuses them, its rows then in a narrower unsigned dtype than int32.
+column; that is a block's whole interface. ``sample_bernoulli`` draws the
+entries of a sequence of Bernoulli blocks, one or several, in one walk;
+a block checks its density and row count once, when it is made.
+``apply_blocks`` senses a signal through a stack of blocks in one pass
+(one block is ``apply_blocks([block], v)``). ``APPLY_CHUNK`` bounds each
+request it makes, counted in (block, column) pairs, so a k-sparse signal
+is one sampler walk for every Bernoulli block, and sensing a dense
+signal, cut at every aligned range of ``APPLY_CHUNK`` columns, never
+holds more than one range's entries of one block in temporaries. A range
+with no zero entry is asked for whole; a Bernoulli block keeps its
+entries in about 17 bits each and reuses them, its rows then in a
+narrower unsigned dtype than int32.
 """
 
 from __future__ import annotations
@@ -100,14 +103,11 @@ def _draw_width(mean: float) -> int:
     return max(1, int(mean + _SLACK_SD * math.sqrt(mean)) + 2)
 
 
-def sample_bernoulli(key, n_rows, p, columns):
-    """Entries of the given columns of i.i.d. Bernoulli(p) sign blocks.
+def sample_bernoulli(blocks, columns):
+    """Entries of the given columns of a sequence of ``SparseSignMatrix``
+    blocks; one walk covers every (block, column) pair.
 
-    ``key``, ``n_rows`` and ``p`` name one block, as scalars, or, as
-    equal-length sequences, several, and one walk covers every (block,
-    column) pair. Scalars broadcast through the same walk without the
-    per-block arrays, so a one-block call equals the one-element-sequence
-    call. Column j of a block walks its own stream, keyed by word j of the
+    Column j of a block walks its own stream, keyed by word j of the
     block's stream: each word gives a geometric gap down the rows (top 53
     bits) and a sign (low bit). Returns (counts, rows, signs): entries per
     pair, and the int32 rows (within the pair's block) and int8 signs of
@@ -116,24 +116,18 @@ def sample_bernoulli(key, n_rows, p, columns):
     calls. Every pair is walked at once, with as many words as the block
     with the most entries per column draws (a pair they leave above its
     block's last row is walked again), so the caller bounds the request
-    (``apply_blocks`` asks for at most ``APPLY_CHUNK`` pairs).
+    (``apply_blocks`` asks for at most ``APPLY_CHUNK`` pairs). The blocks
+    checked their densities and row counts when they were made.
     """
-    stacked = np.ndim(key) > 0
-    for q in (p if stacked else (p,)):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"density must be in (0, 1), got {q}")
     columns = np.asarray(columns, dtype=np.int64)
     # per block: its columns' stream keys, row count and 1/log(1 - p),
     # shaped to broadcast against (block, column, word)
-    if stacked:
-        width = max(_draw_width(r * q) for r, q in zip(n_rows, p))
-        inv = np.array([1.0 / math.log1p(-q) for q in p])[:, None, None]
-        key = np.array(key, dtype=np.uint64)[:, None]
-        n_rows = np.array(n_rows, dtype=np.int64)[:, None, None]
-    else:
-        width, inv = _draw_width(n_rows * p), 1.0 / math.log1p(-p)
-    keys = splitmix64(key, columns)
-    at, u = _walk(keys, inv, width)           # ([block,] col, word)
+    width = max(_draw_width(b.n_rows * b.p) for b in blocks)
+    inv = np.array([1.0 / math.log1p(-b.p) for b in blocks])[:, None, None]
+    n_rows = np.array([b.n_rows for b in blocks], dtype=np.int64)[:, None, None]
+    keys = splitmix64(np.array([b.key for b in blocks], dtype=np.uint64)[:, None],
+                      columns)
+    at, u = _walk(keys, inv, width)           # (block, col, word)
     inside = at < n_rows
     # rare: a pair still above its block's last row after its words is
     # walked again from word 0, doubling its words until it passes the row
@@ -143,7 +137,7 @@ def sample_bernoulli(key, n_rows, p, columns):
     rows, signs = at[inside].astype(np.int32), _signs(u[inside])
     if short.size:
         owner = short // columns.size
-        inv, n_rows = (np.reshape(a, -1)[owner, None] for a in (inv, n_rows))
+        inv, n_rows = (a.reshape(-1)[owner, None] for a in (inv, n_rows))
         keys = keys.reshape(-1)[short]
         while True:
             width *= 2
@@ -212,8 +206,7 @@ def apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
                              np.repeat(v[piece], counts))
             else:
                 counts, rows, signs = sample_bernoulli(
-                    *zip(*((blocks[b].key, blocks[b].n_rows, blocks[b].p)
-                           for b in group)), piece)
+                    [blocks[b] for b in group], piece)
                 per_block = counts.reshape(len(group), -1).sum(axis=1)
                 apply_signed(out, rows + np.repeat(start[group], per_block),
                              signs, np.repeat(np.tile(v[piece], len(group)), counts))
@@ -240,27 +233,30 @@ class SparseSignMatrix:
     p: float
     _kept: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self):
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"density must be in (0, 1), got {self.p}")
+        if not 1 <= self.n_rows < 2 ** 31:     # the sampler's rows are int32
+            raise ValueError(f"n_rows must be in [1, 2^31), got {self.n_rows}")
+
     @classmethod
     def bernoulli(cls, key: int, n_rows: int, n_cols: int, p: float
                   ) -> "SparseSignMatrix":
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"density must be in (0, 1), got {p}")
         return cls(int(key), n_rows, n_cols, float(p))
 
     def entries(self, columns: np.ndarray):
         """(counts, rows, signs) of the columns: sampled, or the kept
         result when the columns are exactly one aligned range."""
         lo = int(columns[0]) if columns.size == APPLY_CHUNK else -1  # -1: none
-        if lo % APPLY_CHUNK or not np.array_equal(
-                columns, np.arange(lo, lo + APPLY_CHUNK)):
-            return sample_bernoulli(self.key, self.n_rows, self.p, columns)
-        kept = self._kept.get(lo)
-        if kept is None:
-            counts, rows, signs = sample_bernoulli(self.key, self.n_rows,
-                                                   self.p, columns)
+        whole = lo % APPLY_CHUNK == 0 and np.array_equal(
+            columns, np.arange(lo, lo + APPLY_CHUNK))
+        kept = self._kept.get(lo) if whole else None
+        if kept is not None:
+            counts, rows, negative = kept
+            bits = np.unpackbits(negative, count=rows.size).view(np.int8)
+            return counts, rows, 1 - 2 * bits
+        counts, rows, signs = sample_bernoulli([self], columns)
+        if whole:
             self._kept[lo] = (counts, rows.astype(np.min_scalar_type(
                 self.n_rows - 1)), np.packbits(signs < 0))
-            return counts, rows, signs
-        counts, rows, negative = kept
-        bits = np.unpackbits(negative, count=rows.size).view(np.int8)
-        return counts, rows, 1 - 2 * bits
+        return counts, rows, signs

@@ -15,10 +15,10 @@ At the benchmark's n = 65536, k = 10 it also hashes the y and ``decode``
 JSON of 16 exactly 10-sparse signals and 16 signals with 500 scattered
 nonzeros, so the identification path runs at that n too.
 
-It hashes the entries of direct ``sample_bernoulli`` requests, scalar and
-stacked (one to six blocks, 0 to 2048 columns, at most 2048 pairs), at a
-first-walk slack ``_SLACK_SD`` of 0, 1 and 4, so the pairs that outrun
-their first walk's words, rare at the default 4, are hashed too.
+It hashes the entries of direct ``sample_bernoulli`` requests of one to
+six blocks (0 to 2048 columns, at most 2048 pairs), at a first-walk slack
+``_SLACK_SD`` of 0, 1 and 4, so the pairs that outrun their first walk's
+words, rare at the default 4, are hashed too.
 
 It hashes the y of three dense signals sensed in order by one ensemble
 at n = 16384, k = 10, so the second and third read the aligned ranges the
@@ -140,8 +140,8 @@ def large_digest(model: str) -> tuple[str, str]:
 
 def sampler_digest(slack: float) -> str:
     """Entries and dtypes of ``sample_bernoulli`` requests at
-    ``_SLACK_SD = slack``; even requests name one block as scalars, odd
-    ones stack one to six blocks."""
+    ``_SLACK_SD = slack``; even requests ask for one block, odd ones for
+    one to six."""
     h = hashlib.sha256()
     rng = np.random.default_rng([SEED, int(slack)])
     saved, sparse._SLACK_SD = sparse._SLACK_SD, slack
@@ -154,8 +154,9 @@ def sampler_digest(slack: float) -> str:
                                                       np.log(0.3), n_blocks))]
             columns = rng.integers(0, 10 ** 6, int(rng.integers(
                 0, sparse.APPLY_CHUNK // n_blocks + 1)))
-            block = (keys, n_rows, p) if r % 2 else (keys[0], n_rows[0], p[0])
-            for part in sparse.sample_bernoulli(*block, columns):
+            blocks = [sparse.SparseSignMatrix.bernoulli(key, rows, 10 ** 6, q)
+                      for key, rows, q in zip(keys, n_rows, p)]
+            for part in sparse.sample_bernoulli(blocks, columns):
                 h.update(part.dtype.str.encode())
                 h.update(part.tobytes())
     finally:

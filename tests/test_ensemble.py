@@ -125,6 +125,14 @@ def test_build_rejects_bad_dimensions():
         build_ensemble(100, 6)  # k > n/20
 
 
+def test_build_refuses_an_f_level_it_cannot_sample():
+    # C0=200 once built F8 with 2,678,782,986 rows, past the int32 rows the
+    # sampler returns; C0=0.001 makes F2's density exceed 1
+    for C0, level in ((200, 3), (0.001, 1)):
+        with pytest.raises(EnsembleError, match=f"F level {level}: "):
+            build_ensemble(4096, 10, EnsembleConfig(C0=C0))
+
+
 def test_config_validation():
     with pytest.raises(EnsembleError):
         EnsembleConfig(C0=-1.0).resolve(K)

@@ -13,17 +13,19 @@ from helpers import column_entries, dense_block
 
 def test_sampler_is_deterministic():
     cols = np.arange(512)
-    a = sample_bernoulli(99, 200, 0.05, cols)
-    b = sample_bernoulli(99, 200, 0.05, cols)
+    a = sample_bernoulli([SparseSignMatrix.bernoulli(99, 200, 512, 0.05)], cols)
+    b = sample_bernoulli([SparseSignMatrix.bernoulli(99, 200, 512, 0.05)], cols)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    other = sample_bernoulli(100, 200, 0.05, cols)
+    other = sample_bernoulli([SparseSignMatrix.bernoulli(100, 200, 512, 0.05)],
+                             cols)
     assert not np.array_equal(a[1], other[1])
 
 
 def test_sampler_density_within_binomial_bounds():
     n_rows, n_cols, p = 400, 2048, 0.02
-    counts, rows, signs = sample_bernoulli(3, n_rows, p, np.arange(n_cols))
+    counts, rows, signs = sample_bernoulli(
+        [SparseSignMatrix.bernoulli(3, n_rows, n_cols, p)], np.arange(n_cols))
     # per block
     n_cells = n_rows * n_cols
     sigma = np.sqrt(n_cells * p * (1 - p))
@@ -41,7 +43,8 @@ def test_sampler_density_within_binomial_bounds():
 
 
 def test_sampler_signs_are_unbiased():
-    counts, rows, signs = sample_bernoulli(8, 300, 0.05, np.arange(4000))
+    counts, rows, signs = sample_bernoulli(
+        [SparseSignMatrix.bernoulli(8, 300, 4000, 0.05)], np.arange(4000))
     assert set(np.unique(signs)) == {-1, 1}
     assert abs(int(signs.sum())) < 4 * np.sqrt(signs.size)
     # and independent of the row they land in
@@ -50,12 +53,27 @@ def test_sampler_signs_are_unbiased():
 
 
 def test_sampler_rejects_degenerate_density():
-    with pytest.raises(ValueError):
-        sample_bernoulli(1, 10, 0.0, [0])
-    with pytest.raises(ValueError):
-        sample_bernoulli(1, 10, 1.0, [0])
-    with pytest.raises(ValueError):
-        SparseSignMatrix.bernoulli(1, 10, 10, 1.0)
+    # the sampler takes only blocks, and a block refuses the density
+    # however it is made
+    for p in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="density"):
+            SparseSignMatrix.bernoulli(1, 10, 10, p)
+        with pytest.raises(ValueError, match="density"):
+            SparseSignMatrix(1, 10, 10, p)
+
+
+def test_a_block_refuses_rows_the_sampler_cannot_return():
+    # the sampler returns int32 rows: 2^33 rows once came back wrapped to
+    # negative ones, and 0 rows has no row to return
+    for n_rows in (0, -3, 2 ** 31, 2 ** 33):
+        with pytest.raises(ValueError, match="n_rows"):
+            SparseSignMatrix.bernoulli(1, n_rows, 10, 1e-9)
+        with pytest.raises(ValueError, match="n_rows"):
+            SparseSignMatrix(1, n_rows, 10, 1e-9)
+    block = SparseSignMatrix.bernoulli(1, 2 ** 31 - 1, 10, 1e-9)
+    counts, rows, _ = block.entries(np.arange(10))
+    assert rows.size == counts.sum() > 0
+    assert rows.min() >= 0 and rows.max() < block.n_rows
 
 
 CHUNK = sparse.APPLY_CHUNK
@@ -87,8 +105,7 @@ def assert_kept_read(block, lo, got):
     """``got``, a read of the aligned range at ``lo`` that ``block`` keeps,
     equals in value a fresh sample of the range, with rows in the narrowest
     unsigned dtype that holds the block's rows and int8 signs."""
-    want = sample_bernoulli(block.key, block.n_rows, block.p,
-                            np.arange(lo, lo + CHUNK))
+    want = sample_bernoulli([block], np.arange(lo, lo + CHUNK))
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert got[1].dtype == np.min_scalar_type(block.n_rows - 1)
@@ -211,9 +228,8 @@ def test_a_sparse_signal_is_one_request_per_block(monkeypatch):
     bernoulli = [name for name, block in ens.blocks.items()
                  if isinstance(block, SparseSignMatrix)]
     assert len(bernoulli) == 5 and len(walks) == 1
-    keys, n_rows, p, cols = walks[0]
-    assert [(ens.blocks[name].key, ens.blocks[name].n_rows, ens.blocks[name].p)
-            for name in bernoulli] == list(zip(keys, n_rows, p))
+    blocks, cols = walks[0]
+    assert blocks == [ens.blocks[name] for name in bernoulli]
     assert np.array_equal(cols, np.flatnonzero(spikes))
     assert {name: len(calls) for name, calls in asked.items()} == \
         {name: 0 if name in bernoulli else 1 for name in ens.blocks}
@@ -292,7 +308,7 @@ def test_cached_columns_match_on_the_fly_sample(monkeypatch):
     # the first request of a chunk returns its sample as sampled ...
     chunk = np.arange(CHUNK, 2 * CHUNK)
     sampled = fresh.entries(chunk)
-    for a, b in zip(sampled, sample_bernoulli(11, 123, 0.07, chunk)):
+    for a, b in zip(sampled, sample_bernoulli([fresh], chunk)):
         assert np.array_equal(a, b) and a.dtype == b.dtype
     assert sorted(fresh._kept) == [CHUNK]   # asking for the chunk keeps it
     # ... and a request of exactly one aligned full chunk reads its kept

@@ -49,17 +49,19 @@ def test_short_first_draw_never_truncates_a_column(monkeypatch):
     # with too few words drawn first, columns run short and must keep
     # drawing until they pass the last row
     cols = np.arange(300)
-    full = sample_bernoulli(21, 50, 0.3, cols)
+    blocks = [SparseSignMatrix.bernoulli(21, 50, 300, 0.3)]
+    full = sample_bernoulli(blocks, cols)
     for slack in (-100.0, -2.0, 0.0):
         monkeypatch.setattr(sparse, "_SLACK_SD", slack)
-        short = sample_bernoulli(21, 50, 0.3, cols)
+        short = sample_bernoulli(blocks, cols)
         for a, b in zip(full, short):
             assert np.array_equal(a, b)
 
 
 def test_column_does_not_depend_on_its_batch():
-    a = sample_bernoulli(5, 400, 0.02, [9, 3, 77])
-    b = sample_bernoulli(5, 400, 0.02, [77])
+    blocks = [SparseSignMatrix.bernoulli(5, 400, 100, 0.02)]
+    a = sample_bernoulli(blocks, [9, 3, 77])
+    b = sample_bernoulli(blocks, [77])
     assert np.array_equal(a[1][-a[0][-1]:], b[1])
     assert np.array_equal(a[2][-a[0][-1]:], b[2])
 
@@ -69,23 +71,24 @@ def test_one_request_equals_its_chunked_requests():
     # 70000 columns (1.47M first-draw words) returns what its 2048-column
     # pieces return, dtypes included
     cols = np.random.default_rng(11).integers(0, 10 ** 7, 70000)
-    whole = sample_bernoulli(5, 400, 0.02, cols)
-    pieces = [sample_bernoulli(5, 400, 0.02, cols[lo:lo + 2048])
+    blocks = [SparseSignMatrix.bernoulli(5, 400, 10 ** 7, 0.02)]
+    whole = sample_bernoulli(blocks, cols)
+    pieces = [sample_bernoulli(blocks, cols[lo:lo + 2048])
               for lo in range(0, cols.size, 2048)]
     for got, parts in zip(whole, zip(*pieces)):
         want = np.concatenate(parts)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    empty = sample_bernoulli(5, 400, 0.02, [])
+    empty = sample_bernoulli(blocks, [])
     assert [a.dtype for a in empty] == [a.dtype for a in whole]
     assert all(a.size == 0 for a in empty)
 
 
-def _blocks_with_short_and_full_pairs(counts, n_rows, p) -> int:
+def _blocks_with_short_and_full_pairs(counts, blocks) -> int:
     """Blocks in which some pairs outrun the words of the first walk and
     are walked again, and others do not: a pair outruns them when it has
     at least as many entries as words."""
-    width = max(sparse._draw_width(r * q) for r, q in zip(n_rows, p))
-    short = counts.reshape(len(n_rows), -1) >= width
+    width = max(sparse._draw_width(b.n_rows * b.p) for b in blocks)
+    short = counts.reshape(len(blocks), -1) >= width
     return int(np.sum(short.any(axis=1) & ~short.all(axis=1)))
 
 
@@ -95,25 +98,21 @@ def test_a_stacked_walk_equals_its_one_block_walks(monkeypatch):
     # column, exactly as the one-block calls return them, also when some
     # pairs (at a slack of 0) or every pair (at -100) run short of their
     # first words and are walked again
-    keys, n_rows, p = (7, 2 ** 64 - 5, 123456789), (50, 1120, 3), (0.3, 0.01, 0.5)
+    blocks = [SparseSignMatrix.bernoulli(key, n_rows, 10 ** 6, p)
+              for key, n_rows, p in ((7, 50, 0.3), (2 ** 64 - 5, 1120, 0.01),
+                                     (123456789, 3, 0.5))]
     cols = np.random.default_rng(12).integers(0, 10 ** 6, 40)
     for slack in (4.0, 0.0, -100.0):
         monkeypatch.setattr(sparse, "_SLACK_SD", slack)
         for columns in (cols, cols[:0]):
-            stacked = sample_bernoulli(keys, n_rows, p, columns)
+            stacked = sample_bernoulli(blocks, columns)
             if slack == 0.0 and columns.size:
                 assert _blocks_with_short_and_full_pairs(
-                    stacked[0], n_rows, p) > 1
-            single = [sample_bernoulli(*block, columns)
-                      for block in zip(keys, n_rows, p)]
+                    stacked[0], blocks) > 1
+            single = [sample_bernoulli([block], columns) for block in blocks]
             for got, parts in zip(stacked, zip(*single)):
                 want = np.concatenate(parts)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
-            # a scalar block is the one-element sequence of it
-            for block, scalar in zip(zip(keys, n_rows, p), single):
-                listed = sample_bernoulli(*([v] for v in block), columns)
-                for got, want in zip(scalar, listed):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 _MASK64 = (1 << 64) - 1
@@ -161,13 +160,9 @@ def test_the_walk_equals_a_word_by_word_reference(monkeypatch):
         for used in (blocks[:1], blocks[:2], blocks):
             parts = [_reference_entries(*block, columns) for block in used]
             want = [np.concatenate(part) for part in zip(*parts)]
+            made = [SparseSignMatrix.bernoulli(key, n_rows, 10 ** 6, p)
+                    for key, n_rows, p in used]
             if slack == 0.0 and len(used) > 1:
-                _, n_rows, p = zip(*used)
-                assert _blocks_with_short_and_full_pairs(
-                    want[0], n_rows, p) > 1
-            calls = [sample_bernoulli(*zip(*used), columns)]
-            if len(used) == 1:
-                calls.append(sample_bernoulli(*used[0], columns))
-            for got in calls:
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and np.array_equal(g, w)
+                assert _blocks_with_short_and_full_pairs(want[0], made) > 1
+            for g, w in zip(sample_bernoulli(made, columns), want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
