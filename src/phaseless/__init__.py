@@ -20,8 +20,8 @@ from .ensemble import (EnsembleConfig, EnsembleError, Measurements,
                        row_count)
 from .prony import (ComplexSignal, DeterministicScheme,
                     InconsistentMeasurements, NumericalFailure,
-                    PhaseUnderdetermined, conjugate_reflection, det_measure,
-                    det_recover, prony_solve, resolve_phase)
+                    conjugate_reflection, det_measure, det_recover,
+                    prony_solve)
 from .signs import SignGraph, build_sign_graph, recover_communities
 from .sketch import SketchError, estimate_magnitudes, identify_heavy
 from .sparse import SparseSignMatrix
@@ -42,6 +42,6 @@ __all__ = [
     "decode_amplified",
     "SignGraph", "build_sign_graph", "recover_communities",
     "ComplexSignal", "DeterministicScheme", "det_measure", "det_recover",
-    "resolve_phase", "prony_solve", "conjugate_reflection",
-    "PhaseUnderdetermined", "InconsistentMeasurements", "NumericalFailure",
+    "prony_solve", "conjugate_reflection",
+    "InconsistentMeasurements", "NumericalFailure",
 ]

@@ -45,12 +45,10 @@ from .ensemble import _integer
 __all__ = [
     "ComplexSignal",
     "DeterministicScheme",
-    "PhaseUnderdetermined",
     "InconsistentMeasurements",
     "NumericalFailure",
     "det_measure",
     "det_recover",
-    "resolve_phase",
     "prony_solve",
     "conjugate_reflection",
 ]
@@ -64,10 +62,6 @@ _CHUNK_LEAVES = 1024  # leaves filtered and solved at once
 # a tangent step sits a few BRANCH_TOL off the truth, which lifts |P| at its
 # roots: the true leaves of two valid n=64, k=8 signals read 2.6e-3 and 2.6e-2.
 _GAP_RATIO = 0.1
-
-
-class PhaseUnderdetermined(ValueError):
-    """|x| and |x + a| with a = 0 leave the phase of x free."""
 
 
 class InconsistentMeasurements(ValueError):
@@ -113,44 +107,6 @@ def det_measure(scheme: DeterministicScheme, x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.abs(z), np.abs(running[1:])])
 
 
-def resolve_phase(mag_x: float, a: complex, mag_sum: float,
-                  tol: float = 1e-10) -> list[complex]:
-    """All x with |x| = mag_x and |x + a| = mag_sum, given a.
-
-    Generically two candidates, reflections of each other about a's
-    direction. They lie 2 * mag_x * sin apart; when mag_x * sin <= tol they
-    are one tangent candidate on a's line (sin = 0), so that a roundoff sin
-    neither splits a collinear case nor moves it off that line. Raises
-    PhaseUnderdetermined when a = 0 and mag_x > 0 (any phase works), and
-    InconsistentMeasurements when the triangle inequality is violated
-    beyond tol.
-    """
-    abs_a = abs(a)
-    if mag_x < 0 or mag_sum < 0:
-        raise ValueError("magnitudes must be nonnegative")
-    if mag_x == 0:
-        if abs(mag_sum - abs_a) > tol:
-            raise InconsistentMeasurements(
-                f"|0 + a| = {abs_a}, measured {mag_sum}")
-        return [0j]
-    if abs_a == 0:
-        raise PhaseUnderdetermined("a = 0 leaves the phase free")
-    cos_val = (mag_sum ** 2 - mag_x ** 2 - abs_a ** 2) / (2 * mag_x * abs_a)
-    if abs(cos_val) > 1.0:
-        # allow roundoff past the triangle boundary, scaled to the inputs
-        slack = (abs(cos_val) - 1.0) * 2 * mag_x * abs_a
-        if slack > tol * max(1.0, mag_sum + mag_x + abs_a):
-            raise InconsistentMeasurements(
-                f"no phase gives |x+a| = {mag_sum} from |x| = {mag_x}, |a| = {abs_a}")
-        cos_val = math.copysign(1.0, cos_val)
-    sin_val = math.sqrt(max(0.0, 1.0 - cos_val * cos_val))
-    unit = a / abs_a
-    if mag_x * sin_val <= tol:
-        return [complex(mag_x * unit * cos_val)]
-    return [complex(mag_x * unit * complex(cos_val, s))
-            for s in (sin_val, -sin_val)]
-
-
 def prony_solve(fourier_coeffs: np.ndarray, n: int, k: int) -> ComplexSignal:
     """Recover a <=k-sparse x from its first 2k unitary DFT coefficients.
 
@@ -158,10 +114,11 @@ def prony_solve(fourier_coeffs: np.ndarray, n: int, k: int) -> ComplexSignal:
     is smallest on the n-point grid, and the values are the least-squares
     fit on it. A sparser x leaves its spare support positions at round-off.
     """
+    DeterministicScheme(n, k)  # the one owner of the (n, k) rule
     g = np.asarray(fourier_coeffs, dtype=np.complex128)
     if g.shape != (2 * k,):
         raise ValueError(f"need exactly 2k = {2 * k} coefficients, got {g.shape}")
-    if k == 0 or np.max(np.abs(g)) == 0:
+    if np.max(np.abs(g)) == 0:
         return ComplexSignal(np.zeros(n, dtype=np.complex128))
     support = np.sort(np.argsort(_grid_values(_null_vectors(g, k), n))[:k])
     x = np.zeros(n, dtype=np.complex128)
@@ -204,21 +161,23 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     """Every coefficient sequence consistent with every magnitude measurement,
     yielded as (leaves, siblings) chunks of at most _CHUNK_LEAVES.
 
-    In the frame of the running sum S_{j-1}, whose magnitude is measured,
-    z_j is one of resolve_phase's candidates and the minus candidate is the
-    conjugate of the plus one. So each step's check, candidates and turn
-    arg S_j - arg S_{j-1} depend on y alone and are resolved once, before
-    the first chunk; a step's errors are raised there. A leaf's phases are
-    the sum of every step's contribution (its coefficient's angle in its
-    frame, and its turn, which every later coefficient inherits), and the
-    minus branch of a split step negates that step's contribution. So the
-    leaves are the sign vectors over the split steps. The first split is
-    cut to its plus branch: its minus branch is the entrywise conjugate of
-    every leaf, the twin the scheme cannot distinguish anyway. Leaf i takes
-    the minus branch at the b-th remaining split when bit b of i, counted
-    from the highest, is set, which is depth-first, plus-first order.
-    Chunks are aligned ranges of i, so leaves differing only in the last
-    coefficient are runs of ``siblings`` (2 if it splits, else 1) in one.
+    In the frame of the running sum S_{j-1}, the law of cosines on the
+    measured |S_{j-1}|, |z_j| and |S_j| gives z_j = |z_j| (cos +- i sin):
+    two candidates 2 |z_j| sin apart, or one on S_{j-1}'s line (sin = 0)
+    when |z_j| sin <= tol_branch, so a roundoff sin splits no tangent step.
+    So each step's check, candidates and turn arg S_j - arg S_{j-1} depend
+    on y alone and are resolved once, before the first chunk, where the
+    first failing step raises. A leaf's phases are the sum of every step's
+    contribution (its coefficient's angle in its frame, and its turn, which
+    every later coefficient inherits), and the minus branch of a split step
+    negates that step's contribution. So the leaves are the sign vectors
+    over the split steps. The first split is cut to its plus branch: its
+    minus branch is the entrywise conjugate of every leaf, the twin the
+    scheme cannot distinguish anyway. Leaf i takes the minus branch at the
+    b-th remaining split when bit b of i, counted from the highest, is set,
+    which is depth-first, plus-first order. Chunks are aligned ranges of i,
+    so leaves differing only in the last coefficient are runs of
+    ``siblings`` (2 if it splits, else 1) in one.
     """
     two_k = 2 * scheme.k
     frame = np.zeros(two_k, dtype=np.complex128)  # plus z_j in S_{j-1}'s frame
@@ -228,16 +187,33 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     prev = float(z_mag[anchor])                   # |S_{j-1}|
     for j in range(anchor + 1, two_k):
         mag = float(z_mag[j]) if z_mag[j] > tol_zero else 0.0
-        if mag > 0 and prev <= tol_zero:
+        cur = float(sum_mag[j - 1])               # |S_j|
+        plus = 0j
+        if mag == 0:
+            if abs(cur - prev) > tol_branch:
+                raise InconsistentMeasurements(
+                    f"z_{j} = 0 but |S_{j}| = {cur} != |S_{j - 1}| = {prev}")
+        elif prev <= tol_zero:
             raise NumericalFailure(
                 f"running sum vanished before coefficient {j}; "
                 "phase chain breaks")
-        cands = resolve_phase(mag, prev, float(sum_mag[j - 1]), tol_branch)
-        frame[j] = cands[0]
-        turn[j] = np.angle(prev + cands[0])
-        if len(cands) == 2:
-            splits.append(j)
-        prev = float(sum_mag[j - 1])
+        else:
+            cos = (cur ** 2 - mag ** 2 - prev ** 2) / (2 * mag * prev)
+            # allow roundoff past the triangle bound, scaled to the inputs
+            if (abs(cos) - 1.0) * 2 * mag * prev > \
+                    tol_branch * max(1.0, cur + mag + prev):
+                raise InconsistentMeasurements(
+                    f"no phase of z_{j} gives |S_{j}| = {cur} from "
+                    f"|z_{j}| = {mag}, |S_{j - 1}| = {prev}")
+            cos = max(-1.0, min(1.0, cos))
+            sin = math.sqrt(max(0.0, 1.0 - cos * cos))
+            split = mag * sin > tol_branch
+            plus = complex(mag * cos, mag * sin if split else 0.0)
+            if split:
+                splits.append(j)
+        frame[j] = plus
+        turn[j] = np.angle(prev + plus)
+        prev = cur
     splits = splits[1:]  # conjugate-twin cut
     # row j: step j's share of every phase, its angle at j, its turn after j
     contrib = np.triu(np.tile(turn[:, None], two_k), 1)

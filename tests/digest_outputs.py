@@ -26,8 +26,12 @@ first kept.
 
 For the deterministic scheme it hashes the ``det_recover`` values and
 ``leaves`` (or the error it raises) of 30 signals per k = 1..8 at n = 64,
-drawn as ``bench --pipeline prony`` draws them. It also hashes the rates of
-``edge_error_experiment`` at n = 2048, k = 12 over four values of C0.
+drawn as ``bench --pipeline prony`` draws them. So that its error paths
+show too, it hashes the outcome of every one-spike input at n = 64, k in
+{1, 2, 3, 4, 6, 8}, measured as is and with one running sum scaled by
+1.5: values and ``leaves``, or the error's type without its message. It
+also hashes the rates of ``edge_error_experiment`` at n = 2048, k = 12
+over four values of C0.
 
 It hashes the block names and keys of ``build_ensemble`` over n in
 {1024, 4096, 65536}, k in {1, 3, 10} and four seeds, so a change to the
@@ -72,6 +76,7 @@ TRIALS = 16
 SEED = 20261019
 LARGE_N, LARGE_K, SCATTERED = 65536, 10, 500
 PRONY_N, PRONY_KS, PRONY_TRIALS = 64, range(1, 9), 30
+SPIKE_KS, SPIKE_SUM_SCALE = (1, 2, 3, 4, 6, 8), 1.5
 SAMPLER_SLACKS, SAMPLER_REQUESTS = (0.0, 1.0, 4.0), 60
 EDGE_C0S = (0.125, 0.25, 0.5, 1.0)
 KEPT_N, KEPT_K, KEPT_SIGNALS = 16384, 10, 3
@@ -180,6 +185,29 @@ def prony_digest(k: int) -> str:
     return h.hexdigest()
 
 
+def spike_digest() -> str:
+    """``det_recover`` outcomes of every spike at n = 64, measured as is and
+    with running sum t mod (2k - 1) scaled: values and leaves, or the error
+    type."""
+    h = hashlib.sha256()
+    for k in SPIKE_KS:
+        scheme = DeterministicScheme(PRONY_N, k)
+        for t in range(PRONY_N):
+            x = np.zeros(PRONY_N, dtype=np.complex128)
+            x[t] = 1.0
+            y = det_measure(scheme, x)
+            scaled = y.copy()
+            scaled[2 * k + t % (2 * k - 1)] *= SPIKE_SUM_SCALE
+            for measured in (y, scaled):
+                try:
+                    out = det_recover(scheme, measured)
+                    h.update(out.values.tobytes())
+                    h.update(str(out.leaves).encode())
+                except Exception as exc:
+                    h.update(type(exc).__name__.encode())
+    return h.hexdigest()
+
+
 def edge_digest() -> str:
     """``edge_error_experiment`` rates, as their float reprs."""
     rates = [edge_error_experiment(2048, 12, EnsembleConfig(C0=c0), trials=10,
@@ -236,6 +264,8 @@ def main() -> None:
               for slack in SAMPLER_SLACKS]
     cases += [(f"det_recover n={PRONY_N} k={k}", lambda k=k: prony_digest(k))
               for k in PRONY_KS]
+    cases += [(f"det_recover n={PRONY_N} one spike, k in {SPIKE_KS}",
+               spike_digest)]
     cases += [("edge_error_experiment n=2048 k=12", edge_digest),
               (f"n={KEPT_N} k={KEPT_K} {KEPT_SIGNALS} dense senses",
                kept_digest),

@@ -5,13 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from phaseless import (DeterministicScheme, InconsistentMeasurements,
-                       NumericalFailure, PhaseUnderdetermined,
-                       conjugate_reflection, det_measure, det_recover,
-                       prony, prony_solve, resolve_phase)
+                       NumericalFailure, conjugate_reflection, det_measure,
+                       det_recover, prony, prony_solve)
 from phaseless.bench import twin_phase_error
 
 from helpers import dense_det_matrix, random_complex_sparse
@@ -72,55 +69,6 @@ def test_scheme_takes_integer_sizes_only():
                             x) < 1e-9
 
 
-# -- resolve_phase ------------------------------------------------------------
-
-def test_resolve_phase_collinear_cases():
-    assert resolve_phase(1.0, 1.0 + 0j, 2.0) == [(1 + 0j)]
-    assert resolve_phase(1.0, 1.0 + 0j, 0.0) == [(-1 + 0j)]
-
-
-def test_resolve_phase_two_candidates_from_forward_reference():
-    x_ref = 5 * np.exp(1j * 0.7)
-    a = 3 + 4j
-    cands = resolve_phase(5.0, a, abs(x_ref + a))
-    assert len(cands) == 2
-    assert min(abs(c - x_ref) for c in cands) < 1e-9
-    for c in cands:
-        assert abs(abs(c) - 5.0) <= 1e-10
-        assert abs(abs(c + a) - abs(x_ref + a)) <= 1e-10
-
-
-def test_resolve_phase_error_cases():
-    with pytest.raises(InconsistentMeasurements):
-        resolve_phase(1.0, 1.0 + 0j, 5.0)  # triangle inequality broken
-    with pytest.raises(PhaseUnderdetermined):
-        resolve_phase(1.0, 0j, 1.0)
-    assert resolve_phase(0.0, 2.0 + 0j, 2.0) == [0j]
-    with pytest.raises(InconsistentMeasurements):
-        resolve_phase(0.0, 2.0 + 0j, 5.0)
-
-
-def test_resolve_phase_near_tangent_is_one_candidate():
-    # a roundoff-sized sin must not split a tangent case in two
-    mag_x, a, mag_sum, tol = 1.0, 3.0 + 4.0j, np.nextafter(6.0, 0.0), 1e-6
-    cos_val = (mag_sum ** 2 - mag_x ** 2 - abs(a) ** 2) / (2 * mag_x * abs(a))
-    sin_val = math.sqrt(1.0 - cos_val ** 2)
-    assert 0.0 < 2 * mag_x * sin_val < tol
-    (cand,) = resolve_phase(mag_x, a, mag_sum, tol)
-    assert abs(cand - a / abs(a)) < 1e-12  # on a's line
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(0.1, 10), st.floats(0.1, 10), st.floats(-np.pi, np.pi),
-       st.floats(-np.pi, np.pi))
-def test_resolve_phase_candidates_satisfy_constraints(mx, ma, phx, pha):
-    x = mx * np.exp(1j * phx)
-    a = ma * np.exp(1j * pha)
-    for c in resolve_phase(mx, a, abs(x + a)):
-        assert abs(abs(c) - mx) <= 1e-10
-        assert abs(abs(c + a) - abs(x + a)) <= 1e-9 * max(1.0, mx + ma)
-
-
 # -- prony_solve --------------------------------------------------------------
 
 def fourier_prefix(x, k):
@@ -160,6 +108,14 @@ def test_prony_sparser_than_k():
     rec = prony_solve(fourier_prefix(x, k), n, k)
     assert np.max(np.abs(rec.values - x)) < 1e-8
     assert np.count_nonzero(np.abs(rec.values) > 1e-9) <= k
+
+
+def test_prony_solve_refuses_what_the_scheme_refuses():
+    # these returned a length-3 "signal", and values although 2k > n
+    for n, k in ((3, 4), (6, 4), (8, 0), (8, 2.0)):
+        with pytest.raises(ValueError):
+            prony_solve(np.ones(2 * int(k), complex), n, k)
+    assert np.all(prony_solve(np.zeros(4, complex), 8, 2).values == 0)
 
 
 def brute_force_recover(g, n, k):
@@ -257,6 +213,40 @@ def test_recover_near_tangent_one_sparse_signal():
     scheme = DeterministicScheme(64, 1)
     out = det_recover(scheme, det_measure(scheme, x))
     assert twin_phase_error(out.values, x) < 1e-8 * np.linalg.norm(x)
+
+
+def test_recover_tangent_steps_do_not_split():
+    # a spike at index 0 makes every running sum collinear with the next
+    # coefficient; roundoff leaves mag * sin a few 1e-9 off zero at some
+    # steps, below tol_branch, so no step splits and one leaf is walked
+    n, k = 64, 3
+    x = np.zeros(n, complex)
+    x[0] = 1.3
+    scheme = DeterministicScheme(n, k)
+    y = det_measure(scheme, x)
+    prev, off_zero = y[0], 0
+    for mag, cur in zip(y[1: 2 * k], y[2 * k:]):
+        cos = min(1.0, (cur ** 2 - mag ** 2 - prev ** 2) / (2 * mag * prev))
+        off_zero += 0 < mag * math.sqrt(1 - cos ** 2) < 1e-8
+        prev = cur
+    assert off_zero >= 2
+    out = det_recover(scheme, y)
+    assert out.leaves == 1
+    assert twin_phase_error(out.values, x) < 1e-9
+
+
+def test_recover_zero_coefficient_checks_its_running_sum():
+    # x = delta_0 - delta_32 has z_0 = z_2 = 0, so |S_2| must equal |S_1|
+    n, k = 64, 2
+    x = np.zeros(n, complex)
+    x[[0, 32]] = [1.0, -1.0]
+    scheme = DeterministicScheme(n, k)
+    y = det_measure(scheme, x)
+    assert y[2] == 0
+    assert twin_phase_error(det_recover(scheme, y).values, x) < 1e-9
+    y[2 * k + 1] *= 1.5  # |S_2|
+    with pytest.raises(InconsistentMeasurements, match="z_2 = 0"):
+        det_recover(scheme, y)
 
 
 def test_recover_clustered_support():
