@@ -328,7 +328,8 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     n, k and the seed are ints or numpy integers. Requires k <= n/20 so the
     heavy-hitter and candidate-cap machinery has room to operate. An F level
     whose density is not below 1 (C0 too small) or whose row count reaches
-    2^31 (c_F too large) raises EnsembleError naming the level."""
+    2^31 (c_F too large) raises EnsembleError naming the level, and so does
+    an ensemble whose total rows reach 2^31, the bound each block has."""
     n, k, seed = (_integer(name, value) for name, value in
                   (("n", n), ("k", k), ("rng_seed", rng_seed)))
     if n < 1 or k < 1:
@@ -366,6 +367,9 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     for name in blocks:
         offsets[name] = total
         total += blocks[name].n_rows
+    if total >= 1 << 31:
+        raise EnsembleError(f"ensemble has {total} rows, at or above the "
+                            f"bound 2^31 = {1 << 31} (C0 or c_F too large)")
     return SensingEnsemble(n=n, k=k, seed=seed, config=cfg, blocks=blocks,
                            offsets=offsets, total_rows=total)
 

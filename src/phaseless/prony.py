@@ -9,18 +9,22 @@ z_j down to at most two candidates (the law-of-cosines angle up to sign).
 These checks depend on y alone, so they are made once and prune no branch:
 the leaves are the sign vectors over the coefficients that split, 4^(k-1)
 for a generic signal, walked depth first in prefix-aligned chunks of at
-most _CHUNK_LEAVES. At n=64 on one x86 core (BENCH_prony-stream.json),
-k = 9, 10, 11 took a median 0.10, 1.0, 5.0 s. BRANCH_CAP is checked before
-walking, so every k >= 12 raises NumericalFailure at once.
+most _CHUNK_LEAVES. At n=64 on one x86 core (BENCH_prony-prefix.json),
+k = 9, 10, 11 took a median 0.027, 0.25, 1.1 s. BRANCH_CAP is checked
+before walking, so every k >= 12 raises NumericalFailure at once.
 
 A leaf becomes a signal one way, annihilating-filter support recovery
 (Vetterli, Marziliano, Blu, IEEE TSP 2002), which is all prony_solve does:
 the annihilating polynomial is evaluated on the n-point grid of roots of
-unity, the support is where its k smallest values lie, and the values are
-the least-squares fit of the 2k coefficients there. The walk fits only
-leaves whose k-th smallest value is far below the (k+1)-th, takes the
-first fit that re-measures within BRANCH_TOL of y, and polishes it by
-Gauss-Newton on the 4k-1 magnitudes.
+unity by one product with the grid's powers, the support is where its k
+smallest values lie, and the values are the least-squares fit of the 2k
+coefficients there. The walk solves each leaf's k x k Hankel system once
+per shared prefix: siblings differing only in the last coefficient share
+the system's matrix, and up to four matrices differing only in their last
+two coefficients share a leading (k-1) x (k-1) block, solved once for
+them all (a bordered solve). It fits only leaves whose k-th smallest value
+is far below the (k+1)-th, takes the first fit that re-measures within
+BRANCH_TOL of y, and polishes it by Gauss-Newton on the 4k-1 magnitudes.
 
 The result is exact up to a global phase times the conjugate reflection
 (t -> -t mod n with conjugated values), which no magnitude can tell apart.
@@ -58,6 +62,7 @@ ZERO_TOL = 1e-9       # relative to max(y): first-nonzero detection
 BRANCH_TOL = 1e-6     # relative to max(y): running-sum consistency
 BRANCH_CAP = 4 ** 10  # phase-chain leaves one recovery may walk
 _CHUNK_LEAVES = 1024  # leaves filtered and solved at once
+_GRID_ROWS = 256      # of which evaluated on the grid at once
 # k-th over (k+1)-th smallest |annihilator| on the grid. A true leaf built at
 # a tangent step sits a few BRANCH_TOL off the truth, which lifts |P| at its
 # roots: the true leaves of two valid n=64, k=8 signals read 2.6e-3 and 2.6e-2.
@@ -120,7 +125,8 @@ def prony_solve(fourier_coeffs: np.ndarray, n: int, k: int) -> ComplexSignal:
         raise ValueError(f"need exactly 2k = {2 * k} coefficients, got {g.shape}")
     if np.max(np.abs(g)) == 0:
         return ComplexSignal(np.zeros(n, dtype=np.complex128))
-    support = np.sort(np.argsort(_grid_values(_null_vectors(g, k), n))[:k])
+    values = np.abs(_null_vectors(g, k) @ _grid_basis(n, k))
+    support = np.sort(np.argsort(values)[:k])
     x = np.zeros(n, dtype=np.complex128)
     x[support] = _fit(g, support, n)[1]
     return ComplexSignal(x)
@@ -133,10 +139,11 @@ def _null_vectors(g: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.svd(hankel)[2][..., -1, :].conj()
 
 
-def _grid_values(poly: np.ndarray, n: int) -> np.ndarray:
-    """|P| at every grid point exp(-2 pi i t / n), where a support position
-    t is a root: the length-n DFT of the zero-padded coefficients."""
-    return np.abs(np.fft.fft(poly, n=n, axis=-1))
+def _grid_basis(n: int, k: int) -> np.ndarray:
+    """G[m, t] = exp(-2 pi i m t / n) for m <= k: poly @ G is the annihilating
+    polynomial P at every grid point, where a support position t is a root."""
+    m_t = np.outer(np.arange(k + 1), np.arange(n)) % n
+    return np.exp(-2j * math.pi / n * m_t)
 
 
 def _fit(g: np.ndarray, support: np.ndarray, n: int):
@@ -159,7 +166,7 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                  sum_mag: np.ndarray, anchor: int, tol_zero: float,
                  tol_branch: float):
     """Every coefficient sequence consistent with every magnitude measurement,
-    yielded as (leaves, siblings) chunks of at most _CHUNK_LEAVES.
+    yielded as (leaves, siblings, group) chunks of at most _CHUNK_LEAVES.
 
     In the frame of the running sum S_{j-1}, the law of cosines on the
     measured |S_{j-1}|, |z_j| and |S_j| gives z_j = |z_j| (cos +- i sin):
@@ -176,8 +183,12 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     scheme cannot distinguish anyway. Leaf i takes the minus branch at the
     b-th remaining split when bit b of i, counted from the highest, is set,
     which is depth-first, plus-first order. Chunks are aligned ranges of i,
-    so leaves differing only in the last coefficient are runs of
-    ``siblings`` (2 if it splits, else 1) in one.
+    yielded as (leaves, siblings, group): leaves differing only in the last
+    coefficient are runs of ``siblings`` (2 if it splits, else 1), and
+    leaves differing only in the last three are runs of ``group`` (2 to the
+    number of those steps that split), each within one chunk. A step's
+    phase depends only on the splits up to it, so a run's leaves share
+    their earlier coefficients byte for byte.
     """
     two_k = 2 * scheme.k
     frame = np.zeros(two_k, dtype=np.complex128)  # plus z_j in S_{j-1}'s frame
@@ -219,60 +230,165 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     contrib = np.triu(np.tile(turn[:, None], two_k), 1)
     contrib += np.diag(np.angle(frame))
     base, flip = contrib.sum(axis=0), -2 * contrib[splits]
-    shifts = np.arange(len(splits))[::-1]
     siblings = 2 if two_k - 1 in splits else 1  # leaves per prefix
-    mag, total = np.abs(frame), 1 << len(splits)
-    for start in range(0, total, _CHUNK_LEAVES):
-        i = np.arange(start, min(start + _CHUNK_LEAVES, total))
-        # in place, holding only the chunk across the yield: more temporaries
-        # tipped glibc's malloc into trimming and regrowing the heap per chunk
-        phases = ((i[:, None] >> shifts) & 1) @ flip
-        phases += base
-        leaves = np.exp(1j * phases)
-        del phases
-        leaves *= mag
-        yield leaves, siblings
+    group = 1 << sum(j >= two_k - 3 for j in splits)
+    # a chunk's leaves differ only at its low splits, whose phases are
+    # exponentiated once; the high splits turn a chunk by one phase vector
+    low = min(len(splits), _CHUNK_LEAVES.bit_length() - 1)
+    high = len(splits) - low
+    bits = (np.arange(1 << low)[:, None] >> np.arange(low)[::-1]) & 1
+    table = np.exp(1j * (bits @ flip[high:] + base))
+    table *= np.abs(frame)
+    shifts = np.arange(high)[::-1]
+    for start in range(1 << high):
+        yield (table * np.exp(1j * (((start >> shifts) & 1) @ flip[:high])),
+               siblings, group)
 
 
-def _grid_annihilator_filter(leaves: np.ndarray, siblings: int, n: int,
-                             k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The leaves worth fitting, and the supports (rows) their annihilating
-    polynomials P read off the n-point grid: where the k smallest |P| lie.
+class _Grid:
+    """Per-recovery workspace: the grid basis (see _grid_basis), each
+    chunk's annihilators and their |P| on the grid, and the complex values
+    of _GRID_ROWS of them, whose buffer then ranks their |P|. It is made
+    once per det_recover call, as one allocation: glibc's malloc raises its
+    heap-trim threshold to twice the largest block it has mapped and freed,
+    and as three buffers the heap was trimmed and faulted in again several
+    times per recovery (ru_minflt over 60 n=64, k=8 recoveries: 30k as one
+    block, 141k as three)."""
 
-    The leading Hankel block of a leaf holds every coefficient but the last,
-    so it is factored once per prefix (see _phase_chain) and the last
-    coefficient enters the recurrence linearly: p = p0 + z_last * q. Such a
-    leaf is kept when its k-th smallest |P| is at most _GAP_RATIO times the
-    (k+1)-th. A leaf whose leading block is singular takes its Hankel null
-    vector instead and is always kept, ahead of the others: a signal
-    sparser than k has no gap at order k, and is the preimage to prefer.
-    """
-    heads = leaves[::siblings]
+    def __init__(self, rows: int, n: int, k: int):
+        self.k = k
+        self.basis = _grid_basis(n, k)
+        split = [rows * (k + 1), min(rows, _GRID_ROWS) * n]
+        buf = np.empty(sum(split) + (rows * n + 1) // 2, dtype=np.complex128)
+        poly, values, mags = np.split(buf, np.cumsum(split))
+        self.poly = poly.reshape(rows, k + 1)
+        self.values = values.reshape(-1, n)
+        self.mags = mags.view(np.float64)[: rows * n].reshape(rows, n)
+
+
+def _screened(dets: np.ndarray, scale: np.ndarray, order: int) -> np.ndarray:
+    """The Hankel determinant screen: |det| above 1e-10 max|head|^order."""
+    return np.abs(dets) > 1e-10 * np.maximum(scale ** order, 1e-300)
+
+
+def _direct_solutions(heads: np.ndarray, scale: np.ndarray, k: int):
+    """Each head's (k, 2) solutions from its own k x k leading block, and
+    whether the block passes the screen."""
     lead = np.lib.stride_tricks.sliding_window_view(
         heads[:, : 2 * k - 1], k, axis=1)
     rhs = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
     rhs[:, : k - 1, 0] = -heads[:, k: 2 * k - 1]
     rhs[:, k - 1, 1] = -1.0
-    dets = np.linalg.det(lead)
-    # siblings share |z_last|, so the head's scale is every sibling's
-    scale = np.max(np.abs(heads), axis=1) ** k
-    solvable = np.abs(dets) > 1e-10 * np.maximum(scale, 1e-300)
+    solvable = _screened(np.linalg.det(lead), scale, k)
     sol = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
     try:
         sol[solvable] = np.linalg.solve(lead[solvable], rhs[solvable])
     except np.linalg.LinAlgError:
         # a pivot-level singularity slipped past the determinant screen
         solvable[:] = False
-    sol, solvable = np.repeat(sol, siblings, 0), np.repeat(solvable, siblings)
-    poly = np.ones((leaves.shape[0], k + 1), dtype=np.complex128)
-    poly[:, :k] = sol[:, :, 0] + leaves[:, 2 * k - 1, None] * sol[:, :, 1]
+    return sol, solvable
+
+
+def _bordered_solutions(heads: np.ndarray, scale: np.ndarray, per: int,
+                        k: int):
+    """_direct_solutions for runs of ``per`` heads that share coefficients
+    0 .. 2k-4, and so the leading (k-1) x (k-1) block A of H = [[A, b],
+    [b^T, d]], with b = g[k-1 .. 2k-3] and d = g[2k-2]. A is solved once
+    per run, against b and the first right-hand side r with their
+    run-varying g[2k-3] and g[2k-2] zeroed, and the unit vectors at those
+    entries; each head's A^-1 b and A^-1 r are combinations of the four. The
+    Schur complement s = d - b^T A^-1 b gives det H = det A * s and both
+    solutions by block elimination. Returns (sol, solvable, bordered): a
+    run whose A fails the screen at order k-1 is left to the direct path."""
+    runs = heads.reshape(-1, per, 2 * k)
+    first = runs[:, 0]
+    lead = np.lib.stride_tricks.sliding_window_view(
+        first[:, : 2 * k - 3], k - 1, axis=1)
+    det_lead = np.linalg.det(lead)
+    factored = _screened(det_lead, scale[::per], k - 1)
+    rhs = np.zeros((int(factored.sum()), k - 1, 4), dtype=np.complex128)
+    rhs[:, : k - 2, 0] = first[factored, k - 1: 2 * k - 3]
+    rhs[:, : k - 3, 1] = -first[factored, k: 2 * k - 3]
+    rhs[:, k - 3, 2] = 1.0
+    rhs[:, k - 2, 3] = 1.0
+    try:
+        basis = np.linalg.solve(lead[factored], rhs)[:, None]
+    except np.linalg.LinAlgError:
+        factored[:] = False
+        basis = rhs[:0, None]
+    runs = runs[factored]
+    g3, g2 = runs[..., 2 * k - 3, None], runs[..., 2 * k - 2, None]
+    a_b = basis[..., 0] + g3 * basis[..., 3]                       # A^-1 b
+    a_r = basis[..., 1] - g3 * basis[..., 2] - g2 * basis[..., 3]  # A^-1 r
+    b = runs[..., k - 1: 2 * k - 2]
+    schur = runs[..., 2 * k - 2] - np.einsum("gpi,gpi->gp", b, a_b)
+    sol = np.zeros(runs.shape[:2] + (k, 2), dtype=np.complex128)
+    # a zero complement fails the screen below; its solutions are not read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        last = np.stack([-np.einsum("gpi,gpi->gp", b, a_r),
+                         -np.ones_like(schur)], axis=-1) / schur[..., None]
+        sol[..., k - 1, :] = last
+        sol[..., : k - 1, 0] = a_r
+        sol[..., : k - 1, :] -= a_b[..., None] * last[..., None, :]
+    bordered = np.repeat(factored, per)
+    solvable = _screened(det_lead[factored, None] * schur,
+                         scale[bordered].reshape(-1, per), k)
+    return sol.reshape(-1, k, 2), solvable.ravel(), bordered
+
+
+def _grid_annihilator_filter(leaves: np.ndarray, siblings: int, group: int,
+                             grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves worth fitting, and the supports (rows) their annihilating
+    polynomials P read off the n-point grid: where the k smallest |P| lie.
+
+    The leading k x k Hankel block of a leaf holds every coefficient but the
+    last, so it is solved once per prefix (see _phase_chain), by the
+    bordered solve of _bordered_solutions over each run of ``group``
+    leaves, or directly at k <= 2 or when that run's shared block is
+    singular; the last coefficient enters the recurrence linearly: p = p0 +
+    z_last * q. Such a leaf is kept when its k-th smallest |P| is at most
+    _GAP_RATIO times the (k+1)-th. A leaf whose leading block is singular
+    takes its Hankel null vector instead and is always kept, ahead of the
+    others: a signal sparser than k has no gap at order k, and is the
+    preimage to prefer.
+    """
+    k, rows = grid.k, leaves.shape[0]
+    heads = leaves[::siblings]
+    # siblings share |z_last|, so the head's scale is every sibling's
+    scale = np.max(np.abs(heads), axis=1)
+    sol = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
+    solvable = np.zeros(heads.shape[0], dtype=bool)
+    direct = np.ones(heads.shape[0], dtype=bool)
+    if k >= 3:
+        part, part_solvable, bordered = _bordered_solutions(
+            heads, scale, group // siblings, k)
+        sol[bordered], solvable[bordered] = part, part_solvable
+        direct = ~bordered
+    if direct.any():
+        sol[direct], solvable[direct] = _direct_solutions(
+            heads[direct], scale[direct], k)
+    poly = grid.poly[:rows]
+    by_head = poly.reshape(-1, siblings, k + 1)
+    by_head[..., :k] = leaves.reshape(-1, siblings, 2 * k)[..., -1:]
+    by_head[..., :k] *= sol[:, None, :, 1]
+    by_head[..., :k] += sol[:, None, :, 0]
+    by_head[..., k] = 1.0
+    solvable = np.repeat(solvable, siblings)
     poly[~solvable] = _null_vectors(leaves[~solvable], k)
-    values = _grid_values(poly, n)
-    ranked = np.sort(values, axis=1)
-    gapped = ranked[:, k - 1] <= _GAP_RATIO * ranked[:, k]
+    mags = grid.mags[:rows]
+    gapped = np.empty(rows, dtype=bool)
+    for start in range(0, rows, _GRID_ROWS):
+        block = slice(start, min(start + _GRID_ROWS, rows))
+        values = grid.values[: block.stop - start]
+        np.abs(np.matmul(poly[block], grid.basis, out=values), out=mags[block])
+        # the block's values are read; their buffer ranks its |P| in place
+        ranked = values.view(np.float64)[:, : mags.shape[1]]
+        ranked[...] = mags[block]
+        ranked.sort(axis=1)
+        gapped[block] = ranked[:, k - 1] <= _GAP_RATIO * ranked[:, k]
     kept = np.where(~solvable | gapped)[0]
     kept = kept[np.argsort(solvable[kept], kind="stable")]
-    return kept, np.sort(np.argsort(values[kept], axis=1)[:, :k], axis=1)
+    return kept, np.sort(np.argsort(mags[kept], axis=1)[:, :k], axis=1)
 
 
 def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
@@ -300,12 +416,14 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
         raise NumericalFailure(
             f"phase search may walk 2^{nonzero.size - 2} leaves > BRANCH_CAP")
 
-    walked = 0
-    for leaves, siblings in _phase_chain(scheme, z_mag, sum_mag, anchor,
-                                         tol_zero, tol_branch):
+    walked, grid = 0, None
+    for leaves, siblings, group in _phase_chain(scheme, z_mag, sum_mag, anchor,
+                                                tol_zero, tol_branch):
+        if grid is None:  # every chunk has the first one's rows
+            grid = _Grid(leaves.shape[0], scheme.n, scheme.k)
         walked += leaves.shape[0]
         for idx, support in zip(*_grid_annihilator_filter(
-                leaves, siblings, scheme.n, scheme.k)):
+                leaves, siblings, group, grid)):
             rows, v = _fit(leaves[idx], support, scheme.n)
             if np.max(np.abs(np.abs(rows @ v) - y)) <= tol_branch:
                 x = np.zeros(scheme.n, dtype=np.complex128)

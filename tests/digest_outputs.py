@@ -41,7 +41,10 @@ It prints one SHA-256 digest per case and a total over them. For each
 case that senses, it also prints a digest of the A, B and F rows of
 every y, read through ``SensingEnsemble.rows``, and a second total over
 those: equal second totals show that a change left those rows of y as
-they were. Run it on two trees and compare the totals:
+they were. A third total covers every case but the ``det_recover`` ones:
+equal third totals show in one line that a change to the deterministic
+scheme left the randomized pipeline byte for byte as it was. Run it on
+two trees and compare the totals:
 
     PYTHONPATH=<tree>/src python tests/digest_outputs.py
 
@@ -242,6 +245,7 @@ def keys_digest() -> str:
 
 def main() -> None:
     total, rows_total = hashlib.sha256(), hashlib.sha256()
+    randomized_total = hashlib.sha256()
 
     def show(name, digest_of):
         digest = digest_of()
@@ -252,6 +256,8 @@ def main() -> None:
         else:
             print(f"{name}: {digest}")
         total.update(digest.encode())
+        if not name.startswith("det_recover"):
+            randomized_total.update(digest.encode())
 
     cases = [(f"n={n} k={k} {model}", lambda n=n, k=k, model=model:
               case_digest(n, k, model))
@@ -274,6 +280,8 @@ def main() -> None:
         show(name, digest_of)
     print(f"total: {total.hexdigest()}")
     print(f"total of the A, B and F rows: {rows_total.hexdigest()}")
+    print(f"total of the cases that do not call det_recover: "
+          f"{randomized_total.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -133,6 +133,15 @@ def test_build_refuses_an_f_level_it_cannot_sample():
             build_ensemble(4096, 10, EnsembleConfig(C0=C0))
 
 
+def test_build_refuses_an_ensemble_of_2_31_rows_or_more():
+    # C0=100 built 2,536,564,256 rows from F blocks each under 2^31, which
+    # sensing then asked numpy for as one y; the build refuses it instead
+    with pytest.raises(EnsembleError, match=r"2536564256 rows.* 2\^31 = "
+                                            r"2147483648"):
+        build_ensemble(4096, 10, EnsembleConfig(C0=100))
+    assert build_ensemble(2 ** 20, 10).total_rows < 2 ** 31
+
+
 def test_config_validation():
     with pytest.raises(EnsembleError):
         EnsembleConfig(C0=-1.0).resolve(K)

@@ -166,7 +166,8 @@ def test_grid_filter_keeps_the_true_leaf_with_pronys_support():
               for k in range(1, 9) for _ in range(40)]
     for n, k, x, pos in cases:
         g = fourier_prefix(x, k)
-        kept, supports = prony._grid_annihilator_filter(g[None, :], 1, n, k)
+        kept, supports = prony._grid_annihilator_filter(
+            g[None, :], 1, 1, prony._Grid(1, n, k))
         assert kept.tolist() == [0], (n, k)
         want = np.flatnonzero(prony_solve(g, n, k).values)
         assert np.array_equal(want, pos)
@@ -420,7 +421,7 @@ def test_recover_flags_inconsistent_measurements():
 # -- streamed phase chain -----------------------------------------------------
 
 def chain_chunks(scheme, x):
-    """The (leaves, siblings) chunks det_recover walks for signal x."""
+    """The (leaves, siblings, group) chunks det_recover walks for x."""
     y = det_measure(scheme, x)
     scale = float(np.max(y))
     z_mag, sum_mag = y[: 2 * scheme.k], y[2 * scheme.k:]
@@ -437,24 +438,96 @@ def sorted_rows(leaves):
 def test_chunks_are_bounded_and_keep_siblings_together():
     # fails at the parent, whose walk is one array of every leaf
     rng = np.random.default_rng(8)
-    scheme = DeterministicScheme(64, 7)
-    x, _ = random_complex_sparse(rng, 64, 7)
+    k = 7
+    scheme = DeterministicScheme(64, k)
+    x, _ = random_complex_sparse(rng, 64, k)
     chunks = chain_chunks(scheme, x)
     assert len(chunks) > 1
-    seen = set()
-    for leaves, siblings in chunks:
-        assert siblings == 2                  # this signal's last step splits
-        assert leaves.shape[0] <= prony._CHUNK_LEAVES
-        assert leaves.shape[0] % siblings == 0
-        prefixes = [leaf[:-1].tobytes() for leaf in leaves]
-        runs = [prefixes[i:i + siblings]
-                for i in range(0, len(prefixes), siblings)]
-        # each run shares one prefix, runs have distinct prefixes, and no
+
+    def runs_share_their_prefixes(leaves, size, length, seen):
+        # each run of ``size`` leaves shares its first ``length``
+        # coefficients byte for byte, runs have distinct prefixes, and no
         # prefix spans two chunks
+        prefixes = [leaf[:length].tobytes() for leaf in leaves]
+        runs = [prefixes[i:i + size] for i in range(0, len(prefixes), size)]
         assert all(len(set(run)) == 1 for run in runs)
         assert len(set(prefixes)) == len(runs)
         assert seen.isdisjoint(prefixes)
         seen.update(prefixes)
+
+    seen, seen_leads = set(), set()
+    for leaves, siblings, group in chunks:
+        assert siblings == 2                  # this signal's last step splits
+        assert group == 8                     # and so do the two before it
+        assert leaves.shape[0] <= prony._CHUNK_LEAVES
+        assert leaves.shape[0] % group == 0
+        runs_share_their_prefixes(leaves, siblings, 2 * k - 1, seen)
+        # a group's heads share the leading (k-1) x (k-1) Hankel block
+        runs_share_their_prefixes(leaves, group, 2 * k - 3, seen_leads)
+
+
+def reference_filter(leaves, siblings, n, k):
+    """_grid_annihilator_filter by its contract, with no shared block: every
+    leaf's full k x k Hankel system solved by np.linalg.solve, under the
+    same determinant screen (its head's max |coefficient|)."""
+    heads = np.repeat(leaves[::siblings], siblings, axis=0)
+    scale = np.max(np.abs(heads), axis=1) ** k
+    lead = np.lib.stride_tricks.sliding_window_view(leaves[:, :-1], k, axis=1)
+    solvable = np.abs(np.linalg.det(lead)) > 1e-10 * np.maximum(scale, 1e-300)
+    poly = np.ones((leaves.shape[0], k + 1), dtype=np.complex128)
+    poly[solvable, :k] = np.linalg.solve(
+        lead[solvable], -leaves[solvable, k:, None])[..., 0]
+    poly[~solvable] = prony._null_vectors(leaves[~solvable], k)
+    values = np.abs(poly @ prony._grid_basis(n, k))
+    ranked = np.sort(values, axis=1)
+    gapped = ranked[:, k - 1] <= prony._GAP_RATIO * ranked[:, k]
+    kept = np.concatenate([np.flatnonzero(~solvable),
+                           np.flatnonzero(solvable & gapped)])
+    return kept, np.sort(np.argsort(values[kept], axis=1)[:, :k], axis=1)
+
+
+def test_shared_block_filter_matches_the_per_leaf_solve(monkeypatch):
+    # the bordered solve per shared leading block, and its fall-back to the
+    # direct solve, keep the same leaves with the same supports as solving
+    # each leaf's own block
+    n = 64
+    direct_calls = []
+    direct = prony._direct_solutions
+    monkeypatch.setattr(prony, "_direct_solutions", lambda heads, scale, k: (
+        direct_calls.append(k) or direct(heads, scale, k)))
+    rng = np.random.default_rng(13)
+    cases = [(k, random_complex_sparse(rng, n, k)[0])
+             for k in range(1, 9) for _ in range(3)]
+    x = np.zeros(n, complex)
+    x[[5, 21]] = [1.0, -1.0]                  # sum 0: g_0 = 0 at k = 2
+    cases.append((2, x))
+    for k in (4, 8):                           # sparser than k
+        for s in (1, 2, k - 1):
+            cases.append((k, random_complex_sparse(rng, n, s)[0]))
+    # one-spike inputs: every t up to k = 6, and at k = 8, whose spikes walk
+    # up to 11264 leaves each, every tenth
+    for k, spikes in [(k, range(n)) for k in (1, 2, 3, 4, 6)] + \
+            [(8, range(3, n, 10))]:
+        for t in spikes:
+            x = np.zeros(n, complex)
+            x[t] = 1.0
+            cases.append((k, x))
+    chunks = 0
+    for k, x in cases:
+        try:
+            walk = chain_chunks(DeterministicScheme(n, k), x)
+        except NumericalFailure:               # a vanished running sum
+            continue
+        for leaves, siblings, group in walk:
+            kept, supports = prony._grid_annihilator_filter(
+                leaves, siblings, group, prony._Grid(leaves.shape[0], n, k))
+            want_kept, want_supports = reference_filter(leaves, siblings, n, k)
+            assert kept.tolist() == want_kept.tolist(), (k, x.nonzero())
+            assert np.array_equal(supports, want_supports), (k, x.nonzero())
+            chunks += 1
+    assert chunks > 200
+    # the spikes' rank-1 blocks send every k >= 3 group to the direct path
+    assert any(k >= 3 for k in direct_calls)
 
 
 def test_chunks_union_is_the_one_chunk_walk(monkeypatch):
@@ -463,9 +536,10 @@ def test_chunks_union_is_the_one_chunk_walk(monkeypatch):
     k = 6
     scheme = DeterministicScheme(64, k)
     x, _ = random_complex_sparse(rng, 64, k)
-    streamed = np.concatenate([leaves for leaves, _ in chain_chunks(scheme, x)])
+    streamed = np.concatenate([leaves
+                               for leaves, *_ in chain_chunks(scheme, x)])
     monkeypatch.setattr(prony, "_CHUNK_LEAVES", 4 ** (k - 1))
-    (whole, _), = chain_chunks(scheme, x)
+    (whole, *_), = chain_chunks(scheme, x)
     assert whole.shape[0] == 4 ** (k - 1)
     assert np.array_equal(sorted_rows(streamed), sorted_rows(whole))
 
@@ -478,7 +552,7 @@ def test_every_leaf_meets_every_magnitude():
     x, _ = random_complex_sparse(rng, 64, k)
     y = det_measure(scheme, x)
     tol_branch = prony.BRANCH_TOL * float(np.max(y))
-    leaves = np.concatenate([leaves for leaves, _ in chain_chunks(scheme, x)])
+    leaves = np.concatenate([leaves for leaves, *_ in chain_chunks(scheme, x)])
     assert leaves.shape[0] == 4 ** (k - 1)
     assert np.all(np.abs(np.abs(leaves) - y[: 2 * k]) <= tol_branch)
     sums = np.abs(np.cumsum(leaves, axis=1)[:, 1:])
