@@ -329,7 +329,9 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     heavy-hitter and candidate-cap machinery has room to operate. An F level
     whose density is not below 1 (C0 too small) or whose row count reaches
     2^31 (c_F too large) raises EnsembleError naming the level, and so does
-    an ensemble whose total rows reach 2^31, the bound each block has."""
+    an ensemble whose total rows reach 2^31, the bound each block has, and
+    an n whose hash words overflow int64: n at or above 2^63, or
+    max(hh_reps, countsketch_reps) * n above 2^63."""
     n, k, seed = (_integer(name, value) for name, value in
                   (("n", n), ("k", k), ("rng_seed", rng_seed)))
     if n < 1 or k < 1:
@@ -339,6 +341,12 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     if seed < 0:
         raise EnsembleError(f"rng_seed must be an integer >= 0, got {seed!r}")
     cfg = (config or EnsembleConfig()).resolve(k)
+    # a hash block keys column i of repetition r at the int64 word i + r n
+    reps = max(cfg.hh_reps, cfg.countsketch_reps)
+    largest = min((1 << 63) // reps, (1 << 63) - 1)
+    if n > largest:
+        raise EnsembleError(f"n={n} too large: hash words i + r*n must fit "
+                            f"int64 over {reps} repetition(s), so n <= {largest}")
 
     f_levels = _f_levels(k, cfg.top_select)
     names = ["A", "B"] + [_f_name(l) for l in f_levels]

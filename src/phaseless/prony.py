@@ -9,8 +9,8 @@ z_j down to at most two candidates (the law-of-cosines angle up to sign).
 These checks depend on y alone, so they are made once and prune no branch:
 the leaves are the sign vectors over the coefficients that split, 4^(k-1)
 for a generic signal, walked depth first in prefix-aligned chunks of at
-most _CHUNK_LEAVES. At n=64 on one x86 core (BENCH_prony-prefix.json),
-k = 9, 10, 11 took a median 0.027, 0.25, 1.1 s. BRANCH_CAP is checked
+most _CHUNK_LEAVES. At n=64 on one x86 core (BENCH_prony-tree.json),
+k = 9, 10, 11 took a median 0.021, 0.20, 0.86 s. BRANCH_CAP is checked
 before walking, so every k >= 12 raises NumericalFailure at once.
 
 A leaf becomes a signal one way, annihilating-filter support recovery
@@ -18,13 +18,17 @@ A leaf becomes a signal one way, annihilating-filter support recovery
 the annihilating polynomial is evaluated on the n-point grid of roots of
 unity by one product with the grid's powers, the support is where its k
 smallest values lie, and the values are the least-squares fit of the 2k
-coefficients there. The walk solves each leaf's k x k Hankel system once
-per shared prefix: siblings differing only in the last coefficient share
-the system's matrix, and up to four matrices differing only in their last
-two coefficients share a leading (k-1) x (k-1) block, solved once for
-them all (a bordered solve). It fits only leaves whose k-th smallest value
-is far below the (k+1)-th, takes the first fit that re-measures within
-BRANCH_TOL of y, and polishes it by Gauss-Newton on the 4k-1 magnitudes.
+coefficients there. The walk factors each Hankel block once, for every
+leaf that shares it: a leaf's leading m x m block H_m holds coefficients
+0 .. 2m-2, so a chunk's leaves form a prefix tree, and each distinct
+prefix borders its parent's H_{m-1}^-1 and det H_{m-1} into H_m^-1 and
+det H_m by one Schur step, for m = 1 .. k-1. One more step per k x k
+system, which siblings differing only in the last coefficient share,
+solves it. Under a prefix whose leading block fails the determinant
+screen at any order, each system is solved by a pivoted LU. The walk
+fits only leaves whose k-th smallest value is far below the (k+1)-th,
+takes the first fit that re-measures within BRANCH_TOL of y, and polishes
+it by Gauss-Newton on the 4k-1 magnitudes.
 
 The result is exact up to a global phase times the conjugate reflection
 (t -> -t mod n with conjugated values), which no magnitude can tell apart.
@@ -183,12 +187,11 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     scheme cannot distinguish anyway. Leaf i takes the minus branch at the
     b-th remaining split when bit b of i, counted from the highest, is set,
     which is depth-first, plus-first order. Chunks are aligned ranges of i,
-    yielded as (leaves, siblings, group): leaves differing only in the last
-    coefficient are runs of ``siblings`` (2 if it splits, else 1), and
-    leaves differing only in the last three are runs of ``group`` (2 to the
-    number of those steps that split), each within one chunk. A step's
-    phase depends only on the splits up to it, so a run's leaves share
-    their earlier coefficients byte for byte.
+    yielded as (leaves, shares): a chunk's leaves come in runs of
+    ``shares[c]`` that share coefficients 0 .. c, 2 to the number of the
+    chunk's splits after c. A step's phase depends only on the splits up to
+    it, so a run's leaves share those coefficients byte for byte, and where
+    a chunk holds more than one run of them, no run spans two chunks.
     """
     two_k = 2 * scheme.k
     frame = np.zeros(two_k, dtype=np.complex128)  # plus z_j in S_{j-1}'s frame
@@ -230,19 +233,21 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     contrib = np.triu(np.tile(turn[:, None], two_k), 1)
     contrib += np.diag(np.angle(frame))
     base, flip = contrib.sum(axis=0), -2 * contrib[splits]
-    siblings = 2 if two_k - 1 in splits else 1  # leaves per prefix
-    group = 1 << sum(j >= two_k - 3 for j in splits)
     # a chunk's leaves differ only at its low splits, whose phases are
     # exponentiated once; the high splits turn a chunk by one phase vector
     low = min(len(splits), _CHUNK_LEAVES.bit_length() - 1)
     high = len(splits) - low
+    # leaves of a chunk in a row that share g[0 .. c]: 2 to the number of
+    # its splits after c
+    later = low - np.searchsorted(splits[high:], np.arange(two_k), "right")
+    shares = tuple(1 << int(count) for count in later)
     bits = (np.arange(1 << low)[:, None] >> np.arange(low)[::-1]) & 1
     table = np.exp(1j * (bits @ flip[high:] + base))
     table *= np.abs(frame)
     shifts = np.arange(high)[::-1]
     for start in range(1 << high):
         yield (table * np.exp(1j * (((start >> shifts) & 1) @ flip[:high])),
-               siblings, group)
+               shares)
 
 
 class _Grid:
@@ -253,10 +258,13 @@ class _Grid:
     heap-trim threshold to twice the largest block it has mapped and freed,
     and as three buffers the heap was trimmed and faulted in again several
     times per recovery (ru_minflt over 60 n=64, k=8 recoveries: 30k as one
-    block, 141k as three)."""
+    block, 141k as three). It also holds the determinant screen's scale,
+    the largest coefficient magnitude: every leaf has the measured
+    magnitudes, so one number serves every block of the recovery."""
 
-    def __init__(self, rows: int, n: int, k: int):
+    def __init__(self, rows: int, n: int, k: int, scale: float):
         self.k = k
+        self.scale = scale
         self.basis = _grid_basis(n, k)
         split = [rows * (k + 1), min(rows, _GRID_ROWS) * n]
         buf = np.empty(sum(split) + (rows * n + 1) // 2, dtype=np.complex128)
@@ -266,19 +274,20 @@ class _Grid:
         self.mags = mags.view(np.float64)[: rows * n].reshape(rows, n)
 
 
-def _screened(dets: np.ndarray, scale: np.ndarray, order: int) -> np.ndarray:
-    """The Hankel determinant screen: |det| above 1e-10 max|head|^order."""
-    return np.abs(dets) > 1e-10 * np.maximum(scale ** order, 1e-300)
+def _screened(dets: np.ndarray, scale: float, order: int) -> np.ndarray:
+    """The Hankel determinant screen: |det| above 1e-10 scale^order."""
+    return np.abs(dets) > 1e-10 * max(scale ** order, 1e-300)
 
 
-def _direct_solutions(heads: np.ndarray, scale: np.ndarray, k: int):
-    """Each head's (k, 2) solutions from its own k x k leading block, and
-    whether the block passes the screen."""
+def _direct_solutions(heads: np.ndarray, scale: float, k: int):
+    """Each head's (2, k) solutions (see _bordered_solutions) from its own
+    k x k leading block, by a pivoted LU, and whether the block passes the
+    screen."""
     lead = np.lib.stride_tricks.sliding_window_view(
         heads[:, : 2 * k - 1], k, axis=1)
     rhs = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
-    rhs[:, : k - 1, 0] = -heads[:, k: 2 * k - 1]
-    rhs[:, k - 1, 1] = -1.0
+    rhs[:, k - 1, 0] = -1.0
+    rhs[:, : k - 1, 1] = -heads[:, k: 2 * k - 1]
     solvable = _screened(np.linalg.det(lead), scale, k)
     sol = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
     try:
@@ -286,95 +295,109 @@ def _direct_solutions(heads: np.ndarray, scale: np.ndarray, k: int):
     except np.linalg.LinAlgError:
         # a pivot-level singularity slipped past the determinant screen
         solvable[:] = False
-    return sol, solvable
+    return sol.swapaxes(1, 2), solvable
 
 
-def _bordered_solutions(heads: np.ndarray, scale: np.ndarray, per: int,
-                        k: int):
-    """_direct_solutions for runs of ``per`` heads that share coefficients
-    0 .. 2k-4, and so the leading (k-1) x (k-1) block A of H = [[A, b],
-    [b^T, d]], with b = g[k-1 .. 2k-3] and d = g[2k-2]. A is solved once
-    per run, against b and the first right-hand side r with their
-    run-varying g[2k-3] and g[2k-2] zeroed, and the unit vectors at those
-    entries; each head's A^-1 b and A^-1 r are combinations of the four. The
-    Schur complement s = d - b^T A^-1 b gives det H = det A * s and both
-    solutions by block elimination. Returns (sol, solvable, bordered): a
-    run whose A fails the screen at order k-1 is left to the direct path."""
-    runs = heads.reshape(-1, per, 2 * k)
-    first = runs[:, 0]
-    lead = np.lib.stride_tricks.sliding_window_view(
-        first[:, : 2 * k - 3], k - 1, axis=1)
-    det_lead = np.linalg.det(lead)
-    factored = _screened(det_lead, scale[::per], k - 1)
-    rhs = np.zeros((int(factored.sum()), k - 1, 4), dtype=np.complex128)
-    rhs[:, : k - 2, 0] = first[factored, k - 1: 2 * k - 3]
-    rhs[:, : k - 3, 1] = -first[factored, k: 2 * k - 3]
-    rhs[:, k - 3, 2] = 1.0
-    rhs[:, k - 2, 3] = 1.0
-    try:
-        basis = np.linalg.solve(lead[factored], rhs)[:, None]
-    except np.linalg.LinAlgError:
-        factored[:] = False
-        basis = rhs[:0, None]
-    runs = runs[factored]
-    g3, g2 = runs[..., 2 * k - 3, None], runs[..., 2 * k - 2, None]
-    a_b = basis[..., 0] + g3 * basis[..., 3]                       # A^-1 b
-    a_r = basis[..., 1] - g3 * basis[..., 2] - g2 * basis[..., 3]  # A^-1 r
-    b = runs[..., k - 1: 2 * k - 2]
-    schur = runs[..., 2 * k - 2] - np.einsum("gpi,gpi->gp", b, a_b)
-    sol = np.zeros(runs.shape[:2] + (k, 2), dtype=np.complex128)
-    # a zero complement fails the screen below; its solutions are not read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        last = np.stack([-np.einsum("gpi,gpi->gp", b, a_r),
-                         -np.ones_like(schur)], axis=-1) / schur[..., None]
-        sol[..., k - 1, :] = last
-        sol[..., : k - 1, 0] = a_r
-        sol[..., : k - 1, :] -= a_b[..., None] * last[..., None, :]
-    bordered = np.repeat(factored, per)
-    solvable = _screened(det_lead[factored, None] * schur,
-                         scale[bordered].reshape(-1, per), k)
-    return sol.reshape(-1, k, 2), solvable.ravel(), bordered
+def _leading_inverses(leaves: np.ndarray, shares, scale: float, k: int):
+    """-H_{k-1}^-1 and det H_{k-1} of each run of ``shares[2k-4]`` leaves,
+    whose leading (k-1) x (k-1) Hankel block H_{k-1} they share, and
+    whether each of the run's blocks H_1 .. H_{k-1} passes the screen.
+
+    H_m = [[H_{m-1}, b], [b^T, d]], with b = g[m-1 .. 2m-3] and d = g[2m-2],
+    is read from the prefix g[0 .. 2m-2], so the runs of each order refine
+    those of the order before, and each prefix borders its parent's inverse
+    by one Schur step. With v = [-H_{m-1}^-1 b, 1], the pivot is s = v^T
+    g[m-1 .. 2m-2] = d - b^T H_{m-1}^-1 b, det H_m = s det H_{m-1}, and
+    H_m^-1 = [[H_{m-1}^-1, 0], [0, 0]] + v v^T / s (Golub, Van Loan,
+    Matrix Computations, 4.7). A failed prefix's pivot is replaced by 1,
+    so no pivot that failed the screen is read; its runs are left to the
+    direct solve."""
+    neg_inv = np.zeros((1, 0, 0), dtype=np.complex128)  # H_0: the whole chunk
+    det = np.ones(1, dtype=np.complex128)
+    passed = np.ones(1, dtype=bool)
+    for m in range(1, k):
+        prefixes = leaves[:: shares[2 * m - 2]]
+        parents = neg_inv.shape[0]
+        children = prefixes.shape[0] // parents
+        v = np.ones((prefixes.shape[0], m), dtype=np.complex128)
+        np.matmul(prefixes[:, m - 1: 2 * m - 2].reshape(parents, children, m - 1),
+                  neg_inv, out=v.reshape(parents, children, m)[..., : m - 1])
+        s = np.einsum("pi,pi->p", v, prefixes[:, m - 1: 2 * m - 1])
+        det = np.repeat(det, children) * s
+        passed = np.repeat(passed, children) & _screened(det, scale, m)
+        s[~passed] = 1.0
+        grown = v[:, :, None] * (v / -s[:, None])[:, None, :]
+        grown.reshape(parents, children, m, m)[..., : m - 1, : m - 1] += \
+            neg_inv[:, None]
+        neg_inv = grown
+    return neg_inv, det, passed
 
 
-def _grid_annihilator_filter(leaves: np.ndarray, siblings: int, group: int,
+def _bordered_solutions(heads: np.ndarray, neg_inv: np.ndarray,
+                        det: np.ndarray, scale: float, k: int):
+    """Each head's solutions of H p = -e_k and H p = -[g[k .. 2k-2], 0],
+    as (heads, 2, k), and whether H passes the screen, for runs of heads
+    that share coefficients 0 .. 2k-4, and so the leading (k-1) x (k-1)
+    block A of H = [[A, b], [b^T, d]], with b = g[k-1 .. 2k-3] and d =
+    g[2k-2], given each run's -A^-1 and det A. The Schur step of
+    _leading_inverses for each head, with v = [-A^-1 b, 1] and s = v^T
+    g[k-1 .. 2k-2], gives det H = s det A and H^-1 = [[A^-1, 0], [0, 0]] +
+    v v^T / s. So the first solution is -v / s, and the second is -[A^-1
+    g[k .. 2k-2], 0] - v (v^T [g[k .. 2k-2], 0]) / s. A head whose s fails
+    the screen has its pivot replaced by 1; its solutions are not read."""
+    runs = heads.reshape(neg_inv.shape[0], -1, 2 * k)
+    # each head's b and g[k .. 2k-2]: its coefficients k-1 .. 2k-3 and k .. 2k-2
+    windows = runs[..., k - 1 + np.add.outer(np.arange(2), np.arange(k - 1))]
+    sol = np.empty(windows.shape[:3] + (k,), dtype=np.complex128)
+    np.matmul(windows.reshape(runs.shape[0], 2 * runs.shape[1], k - 1), neg_inv,
+              out=sol.reshape(runs.shape[0], 2 * runs.shape[1], k)[..., : k - 1])
+    v, base = sol[..., 0, :], sol[..., 1, :]
+    v[..., k - 1], base[..., k - 1] = 1.0, 0.0
+    # v^T b and v^T [g[k .. 2k-2], 0]
+    dots = np.einsum("gpi,gpji->gpj", v[..., : k - 1], windows)
+    schur = runs[..., 2 * k - 2] + dots[..., 0]
+    solvable = _screened(det[:, None] * schur, scale, k)
+    schur[~solvable] = 1.0
+    v /= -schur[..., None]
+    base += dots[..., 1, None] * v
+    return sol.reshape(-1, 2, k), solvable.ravel()
+
+
+def _grid_annihilator_filter(leaves: np.ndarray, shares,
                              grid: _Grid) -> tuple[np.ndarray, np.ndarray]:
     """The leaves worth fitting, and the supports (rows) their annihilating
     polynomials P read off the n-point grid: where the k smallest |P| lie.
 
     The leading k x k Hankel block of a leaf holds every coefficient but the
-    last, so it is solved once per prefix (see _phase_chain), by the
-    bordered solve of _bordered_solutions over each run of ``group``
-    leaves, or directly at k <= 2 or when that run's shared block is
-    singular; the last coefficient enters the recurrence linearly: p = p0 +
-    z_last * q. Such a leaf is kept when its k-th smallest |P| is at most
-    _GAP_RATIO times the (k+1)-th. A leaf whose leading block is singular
-    takes its Hankel null vector instead and is always kept, ahead of the
-    others: a signal sparser than k has no gap at order k, and is the
-    preimage to prefer.
+    last, so it is solved once per head, a run of ``shares[2k-2]`` leaves
+    (see _phase_chain): from the inverse of its leading (k-1) x (k-1)
+    block, built up the chunk's prefixes by _leading_inverses, by the
+    bordered solve of _bordered_solutions, or by the direct solve when one
+    of that block's leading blocks fails the screen. The last coefficient
+    enters the recurrence linearly: p = p0 + z_last * q. Such a leaf is
+    kept when its k-th smallest |P| is at most _GAP_RATIO times the
+    (k+1)-th. A leaf whose leading block is singular takes its Hankel null
+    vector instead and is always kept, ahead of the others: a signal
+    sparser than k has no gap at order k, and is the preimage to prefer.
     """
-    k, rows = grid.k, leaves.shape[0]
+    k, rows, scale = grid.k, leaves.shape[0], grid.scale
+    siblings = shares[2 * k - 2]
     heads = leaves[::siblings]
-    # siblings share |z_last|, so the head's scale is every sibling's
-    scale = np.max(np.abs(heads), axis=1)
-    sol = np.zeros((heads.shape[0], k, 2), dtype=np.complex128)
-    solvable = np.zeros(heads.shape[0], dtype=bool)
-    direct = np.ones(heads.shape[0], dtype=bool)
-    if k >= 3:
-        part, part_solvable, bordered = _bordered_solutions(
-            heads, scale, group // siblings, k)
-        sol[bordered], solvable[bordered] = part, part_solvable
-        direct = ~bordered
+    neg_inv, det, passed = _leading_inverses(leaves, shares, scale, k)
+    sol, solvable = _bordered_solutions(heads, neg_inv, det, scale, k)
+    direct = np.repeat(~passed, heads.shape[0] // passed.size)
     if direct.any():
         sol[direct], solvable[direct] = _direct_solutions(
-            heads[direct], scale[direct], k)
+            heads[direct], scale, k)
     poly = grid.poly[:rows]
     by_head = poly.reshape(-1, siblings, k + 1)
-    by_head[..., :k] = leaves.reshape(-1, siblings, 2 * k)[..., -1:]
-    by_head[..., :k] *= sol[:, None, :, 1]
-    by_head[..., :k] += sol[:, None, :, 0]
+    np.multiply(leaves.reshape(-1, siblings, 2 * k)[..., -1:], sol[:, None, 0],
+                out=by_head[..., :k])
+    by_head[..., :k] += sol[:, None, 1]
     by_head[..., k] = 1.0
     solvable = np.repeat(solvable, siblings)
-    poly[~solvable] = _null_vectors(leaves[~solvable], k)
+    if not solvable.all():
+        poly[~solvable] = _null_vectors(leaves[~solvable], k)
     mags = grid.mags[:rows]
     gapped = np.empty(rows, dtype=bool)
     for start in range(0, rows, _GRID_ROWS):
@@ -417,13 +440,14 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
             f"phase search may walk 2^{nonzero.size - 2} leaves > BRANCH_CAP")
 
     walked, grid = 0, None
-    for leaves, siblings, group in _phase_chain(scheme, z_mag, sum_mag, anchor,
-                                                tol_zero, tol_branch):
+    for leaves, shares in _phase_chain(scheme, z_mag, sum_mag, anchor,
+                                       tol_zero, tol_branch):
         if grid is None:  # every chunk has the first one's rows
-            grid = _Grid(leaves.shape[0], scheme.n, scheme.k)
+            grid = _Grid(leaves.shape[0], scheme.n, scheme.k,
+                         float(np.max(z_mag)))
         walked += leaves.shape[0]
         for idx, support in zip(*_grid_annihilator_filter(
-                leaves, siblings, group, grid)):
+                leaves, shares, grid)):
             rows, v = _fit(leaves[idx], support, scheme.n)
             if np.max(np.abs(np.abs(rows @ v) - y)) <= tol_branch:
                 x = np.zeros(scheme.n, dtype=np.complex128)

@@ -141,14 +141,15 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     # bucket h of repetition r owns row r * n_buckets + h of (rows, stride):
     # its whole bucket, then its bit j = 0 and = 1 sub-buckets at 2j + 1
     # and 2j + 2. One contiguous pass sets slot t to yA[t + 1] > yA[t]; the
-    # slot at 2j + 1 is bit j, weighted 2**j (sums below 2**53 are exact),
-    # and every other slot 0. The last has no t + 1: zeroed, not NaN * 0
-    above = np.empty(yA.size)
-    above[-1] = 0.0
+    # slot at 2j + 1 is bit j, weighted 2**j in int64, which is exact at
+    # every n (a float64 sum is not past 2**53), and every other slot 0.
+    # The last has no t + 1: zeroed
+    above = np.empty(yA.size, dtype=np.int64)
+    above[-1] = 0
     np.greater(yA[1:], yA[:-1], out=above[:-1])
-    weights = np.zeros(block.stride)
-    weights[1::2] = 2.0 ** np.arange(block.n_bits)
-    decoded = (above.reshape(-1, block.stride) @ weights).astype(np.int64)
+    weights = np.zeros(block.stride, dtype=np.int64)
+    weights[1::2] = 1 << np.arange(block.n_bits, dtype=np.int64)
+    decoded = above.reshape(-1, block.stride) @ weights
     totals = yA[::block.stride]
     live = np.flatnonzero((totals > 0) & (decoded < block.n_cols))
     rep, bucket = np.divmod(live, block.n_buckets)

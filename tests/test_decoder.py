@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from phaseless import (EnsembleConfig, EnsembleError, TailEstimationError, apply_phaseless, build_ensemble,
-                       decode, decode_amplified, decoder, estimate_tail_energy, prune)
+from phaseless import (EnsembleConfig, EnsembleError, Measurements,
+                       TailEstimationError, apply_phaseless, build_ensemble,
+                       decode, decode_amplified, decoder, estimate_tail_energy, prune,
+                       sparse)
 from phaseless.bench import (AMPLIFIED_REPLICAS, SUCCESS_FACTOR, TrialSpec,
                              _ensemble_seed, _run_one, gen_signal,
                              min_flip_error_sq, tail_norm_sq)
@@ -326,6 +328,36 @@ def test_decode_diagnostics_counters_positive():
         F = ens.blocks[f"F{2 ** level}"]
         expect += sum(column_entries(F, [j])[0].size for j in res.S2)
     assert d.index_reads == expect
+
+
+def sense_by_support(ens, support, values):
+    """The measurements of the signal holding ``values`` at ``support``: each
+    block's entries of the support scattered through ``apply_signed``, as a
+    dense x of length n cannot exist at the n below."""
+    y = np.zeros(ens.total_rows)
+    for name, block in ens.blocks.items():
+        counts, rows, signs = block.entries(support)
+        sparse.apply_signed(y[ens.rows(name)], rows, signs,
+                            np.repeat(values, counts))
+    return Measurements(np.abs(y), ens.n, ens.k, ens.seed, ens.config)
+
+
+@pytest.mark.parametrize("n", [2 ** 54, (1 << 63) // 5],
+                         ids=["2^54", "largest"])
+def test_decode_past_2_53_returns_the_exact_support(n):
+    # identification once assembled each bucket's index as a float64 sum,
+    # which rounds past 2^53: 1 of 10 supports decoded exactly at 2^54, 0
+    # of 10 at 2^60. The second n is the largest build_ensemble accepts
+    # with its 5 hash repetitions.
+    k = 10
+    ens = build_ensemble(n, k, rng_seed=54)
+    rng = np.random.default_rng(54)
+    for _ in range(10):
+        support = np.unique(rng.integers(0, n, size=k, dtype=np.int64))
+        values = rng.choice([-1.0, 1.0], support.size) * rng.uniform(
+            1.0, 2.0, support.size)
+        res = decode(ens, sense_by_support(ens, support, values))
+        assert np.array_equal(res.S2, support)
 
 
 # -- amplified ----------------------------------------------------------------

@@ -142,6 +142,22 @@ def test_build_refuses_an_ensemble_of_2_31_rows_or_more():
     assert build_ensemble(2 ** 20, 10).total_rows < 2 ** 31
 
 
+@pytest.mark.parametrize("hh_reps, countsketch_reps, largest", [
+    (5, 5, (1 << 63) // 5), (2, 8, 1 << 60), (8, 3, 1 << 60),
+    (1, 1, (1 << 63) - 1)])
+def test_build_refuses_an_n_whose_hash_words_overflow(hh_reps, countsketch_reps,
+                                                      largest):
+    # a hash block keys column i of repetition r at the int64 word i + r n:
+    # n = 2^63 - 1 once decoded wrong and raised nothing, and n = 2^63
+    # raised numpy's OverflowError when it sensed
+    cfg = EnsembleConfig(hh_reps=hh_reps, countsketch_reps=countsketch_reps)
+    assert build_ensemble(largest, 10, cfg).n == largest
+    for n in (largest + 1, (1 << 63) - 1, 1 << 63, 1 << 64):
+        if n > largest:
+            with pytest.raises(EnsembleError, match=rf"n <= {largest}$"):
+                build_ensemble(n, 10, cfg)
+
+
 def test_config_validation():
     with pytest.raises(EnsembleError):
         EnsembleConfig(C0=-1.0).resolve(K)

@@ -167,7 +167,7 @@ def test_grid_filter_keeps_the_true_leaf_with_pronys_support():
     for n, k, x, pos in cases:
         g = fourier_prefix(x, k)
         kept, supports = prony._grid_annihilator_filter(
-            g[None, :], 1, 1, prony._Grid(1, n, k))
+            g[None, :], (1,) * (2 * k), prony._Grid(1, n, k, np.max(np.abs(g))))
         assert kept.tolist() == [0], (n, k)
         want = np.flatnonzero(prony_solve(g, n, k).values)
         assert np.array_equal(want, pos)
@@ -421,7 +421,7 @@ def test_recover_flags_inconsistent_measurements():
 # -- streamed phase chain -----------------------------------------------------
 
 def chain_chunks(scheme, x):
-    """The (leaves, siblings, group) chunks det_recover walks for x."""
+    """The (leaves, shares) chunks det_recover walks for x."""
     y = det_measure(scheme, x)
     scale = float(np.max(y))
     z_mag, sum_mag = y[: 2 * scheme.k], y[2 * scheme.k:]
@@ -436,34 +436,31 @@ def sorted_rows(leaves):
 
 
 def test_chunks_are_bounded_and_keep_siblings_together():
-    # fails at the parent, whose walk is one array of every leaf
     rng = np.random.default_rng(8)
     k = 7
     scheme = DeterministicScheme(64, k)
     x, _ = random_complex_sparse(rng, 64, k)
     chunks = chain_chunks(scheme, x)
     assert len(chunks) > 1
-
-    def runs_share_their_prefixes(leaves, size, length, seen):
-        # each run of ``size`` leaves shares its first ``length``
-        # coefficients byte for byte, runs have distinct prefixes, and no
-        # prefix spans two chunks
-        prefixes = [leaf[:length].tobytes() for leaf in leaves]
-        runs = [prefixes[i:i + size] for i in range(0, len(prefixes), size)]
-        assert all(len(set(run)) == 1 for run in runs)
-        assert len(set(prefixes)) == len(runs)
-        assert seen.isdisjoint(prefixes)
-        seen.update(prefixes)
-
-    seen, seen_leads = set(), set()
-    for leaves, siblings, group in chunks:
-        assert siblings == 2                  # this signal's last step splits
-        assert group == 8                     # and so do the two before it
-        assert leaves.shape[0] <= prony._CHUNK_LEAVES
-        assert leaves.shape[0] % group == 0
-        runs_share_their_prefixes(leaves, siblings, 2 * k - 1, seen)
-        # a group's heads share the leading (k-1) x (k-1) Hankel block
-        runs_share_their_prefixes(leaves, group, 2 * k - 3, seen_leads)
+    seen = [set() for _ in range(2 * k)]
+    for leaves, shares in chunks:
+        rows = leaves.shape[0]
+        assert rows <= prony._CHUNK_LEAVES
+        assert len(shares) == 2 * k and shares[-1] == 1
+        assert shares[2 * k - 2] == 2        # this signal's last step splits
+        assert shares[2 * k - 4] == 8        # and so do the two before it
+        for c, size in enumerate(shares):
+            # each run of ``size`` leaves shares its coefficients 0 .. c
+            # byte for byte, and runs have distinct prefixes
+            assert rows % size == 0
+            prefixes = [leaf[: c + 1].tobytes() for leaf in leaves]
+            runs = [prefixes[i:i + size] for i in range(0, rows, size)]
+            assert all(len(set(run)) == 1 for run in runs)
+            assert len(set(prefixes)) == len(runs)
+            if size < rows:                   # no run spans two chunks
+                assert seen[c].isdisjoint(prefixes)
+                seen[c].update(prefixes)
+    assert all(seen[c] for c in (2 * k - 4, 2 * k - 2))
 
 
 def reference_filter(leaves, siblings, n, k):
@@ -494,7 +491,7 @@ def test_shared_block_filter_matches_the_per_leaf_solve(monkeypatch):
     direct_calls = []
     direct = prony._direct_solutions
     monkeypatch.setattr(prony, "_direct_solutions", lambda heads, scale, k: (
-        direct_calls.append(k) or direct(heads, scale, k)))
+        direct_calls.append((k, case)) or direct(heads, scale, k)))
     rng = np.random.default_rng(13)
     cases = [(k, random_complex_sparse(rng, n, k)[0])
              for k in range(1, 9) for _ in range(3)]
@@ -504,6 +501,15 @@ def test_shared_block_filter_matches_the_per_leaf_solve(monkeypatch):
     for k in (4, 8):                           # sparser than k
         for s in (1, 2, k - 1):
             cases.append((k, random_complex_sparse(rng, n, s)[0]))
+    # sum 0 at k = 4 and 8: H_1 = g_0 = 0 fails the screen while H_{k-1}
+    # passes, so only the screen at every order sends them to the
+    # direct solve
+    zero_sum = []
+    for k in (4, 8):
+        x, _ = random_complex_sparse(rng, n, k)
+        x[np.flatnonzero(x)[-1]] -= x.sum()
+        zero_sum.append(len(cases))
+        cases.append((k, x))
     # one-spike inputs: every t up to k = 6, and at k = 8, whose spikes walk
     # up to 11264 leaves each, every tenth
     for k, spikes in [(k, range(n)) for k in (1, 2, 3, 4, 6)] + \
@@ -513,21 +519,30 @@ def test_shared_block_filter_matches_the_per_leaf_solve(monkeypatch):
             x[t] = 1.0
             cases.append((k, x))
     chunks = 0
-    for k, x in cases:
+    for case, (k, x) in enumerate(cases):
         try:
             walk = chain_chunks(DeterministicScheme(n, k), x)
         except NumericalFailure:               # a vanished running sum
             continue
-        for leaves, siblings, group in walk:
+        scale = float(np.max(det_measure(DeterministicScheme(n, k), x)[: 2 * k]))
+        for leaves, shares in walk:
             kept, supports = prony._grid_annihilator_filter(
-                leaves, siblings, group, prony._Grid(leaves.shape[0], n, k))
-            want_kept, want_supports = reference_filter(leaves, siblings, n, k)
+                leaves, shares, prony._Grid(leaves.shape[0], n, k, scale))
+            want_kept, want_supports = reference_filter(
+                leaves, shares[2 * k - 2], n, k)
+            if case in zero_sum:              # H_{k-1} passes its screen
+                lead = np.lib.stride_tricks.sliding_window_view(
+                    leaves[:, : 2 * k - 3], k - 1, axis=1)
+                assert np.all(np.abs(np.linalg.det(lead))
+                              > 1e-10 * scale ** (k - 1))
             assert kept.tolist() == want_kept.tolist(), (k, x.nonzero())
             assert np.array_equal(supports, want_supports), (k, x.nonzero())
             chunks += 1
     assert chunks > 200
-    # the spikes' rank-1 blocks send every k >= 3 group to the direct path
-    assert any(k >= 3 for k in direct_calls)
+    # the spikes' rank-1 blocks send k >= 3 runs to the direct path, and
+    # so do the zero-sum signals' g_0 = 0
+    assert any(k >= 3 for k, _ in direct_calls)
+    assert {case for _, case in direct_calls} >= set(zero_sum)
 
 
 def test_chunks_union_is_the_one_chunk_walk(monkeypatch):
