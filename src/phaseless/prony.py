@@ -9,8 +9,8 @@ z_j down to at most two candidates (the law-of-cosines angle up to sign).
 These checks depend on y alone, so they are made once and prune no branch:
 the leaves are the sign vectors over the coefficients that split, 4^(k-1)
 for a generic signal, walked depth first in prefix-aligned chunks of at
-most _CHUNK_LEAVES. At n=64 on one x86 core (BENCH_prony-tree.json),
-k = 9, 10, 11 took a median 0.021, 0.20, 0.86 s. BRANCH_CAP is checked
+most _CHUNK_LEAVES. At n=64 on one x86 core (BENCH_grid-chunk.json),
+k = 9, 10, 11 took a median 0.020, 0.16, 0.75 s. BRANCH_CAP is checked
 before walking, so every k >= 12 raises NumericalFailure at once.
 
 A leaf becomes a signal one way, annihilating-filter support recovery
@@ -66,7 +66,6 @@ ZERO_TOL = 1e-9       # relative to max(y): first-nonzero detection
 BRANCH_TOL = 1e-6     # relative to max(y): running-sum consistency
 BRANCH_CAP = 4 ** 10  # phase-chain leaves one recovery may walk
 _CHUNK_LEAVES = 1024  # leaves filtered and solved at once
-_GRID_ROWS = 256      # of which evaluated on the grid at once
 # k-th over (k+1)-th smallest |annihilator| on the grid. A true leaf built at
 # a tangent step sits a few BRANCH_TOL off the truth, which lifts |P| at its
 # roots: the true leaves of two valid n=64, k=8 signals read 2.6e-3 and 2.6e-2.
@@ -170,7 +169,7 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                  sum_mag: np.ndarray, anchor: int, tol_zero: float,
                  tol_branch: float):
     """Every coefficient sequence consistent with every magnitude measurement,
-    yielded as (leaves, siblings, group) chunks of at most _CHUNK_LEAVES.
+    yielded as (leaves, shares) chunks of at most _CHUNK_LEAVES leaves.
 
     In the frame of the running sum S_{j-1}, the law of cosines on the
     measured |S_{j-1}|, |z_j| and |S_j| gives z_j = |z_j| (cos +- i sin):
@@ -251,26 +250,27 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
 
 
 class _Grid:
-    """Per-recovery workspace: the grid basis (see _grid_basis), each
-    chunk's annihilators and their |P| on the grid, and the complex values
-    of _GRID_ROWS of them, whose buffer then ranks their |P|. It is made
-    once per det_recover call, as one allocation: glibc's malloc raises its
-    heap-trim threshold to twice the largest block it has mapped and freed,
-    and as three buffers the heap was trimmed and faulted in again several
-    times per recovery (ru_minflt over 60 n=64, k=8 recoveries: 30k as one
-    block, 141k as three). It also holds the determinant screen's scale,
-    the largest coefficient magnitude: every leaf has the measured
+    """Per-recovery workspace: the grid basis (see _grid_basis), and for
+    every row of a chunk its annihilator, P's values on the grid and |P|,
+    16 (k + 1) + 24 n bytes (1.6 MiB for 1024 rows at n=64, k=8). It is
+    one allocation, made once per det_recover call: glibc's malloc raises
+    its heap-trim threshold to twice the largest block it has mapped and
+    freed, so separate buffers or temporaries per chunk were trimmed and
+    faulted in again several times per recovery. Over 60 n=64, k=8
+    recoveries, ru_minflt read 0.6k, against 29k when the workspace held
+    256 rows' values at a time. It also holds the determinant screen's
+    scale, the largest coefficient magnitude: every leaf has the measured
     magnitudes, so one number serves every block of the recovery."""
 
     def __init__(self, rows: int, n: int, k: int, scale: float):
         self.k = k
         self.scale = scale
         self.basis = _grid_basis(n, k)
-        split = [rows * (k + 1), min(rows, _GRID_ROWS) * n]
+        split = [rows * (k + 1), rows * n]
         buf = np.empty(sum(split) + (rows * n + 1) // 2, dtype=np.complex128)
         poly, values, mags = np.split(buf, np.cumsum(split))
         self.poly = poly.reshape(rows, k + 1)
-        self.values = values.reshape(-1, n)
+        self.values = values.reshape(rows, n)
         self.mags = mags.view(np.float64)[: rows * n].reshape(rows, n)
 
 
@@ -398,20 +398,14 @@ def _grid_annihilator_filter(leaves: np.ndarray, shares,
     solvable = np.repeat(solvable, siblings)
     if not solvable.all():
         poly[~solvable] = _null_vectors(leaves[~solvable], k)
-    mags = grid.mags[:rows]
-    gapped = np.empty(rows, dtype=bool)
-    for start in range(0, rows, _GRID_ROWS):
-        block = slice(start, min(start + _GRID_ROWS, rows))
-        values = grid.values[: block.stop - start]
-        np.abs(np.matmul(poly[block], grid.basis, out=values), out=mags[block])
-        # the block's values are read; their buffer ranks its |P| in place
-        ranked = values.view(np.float64)[:, : mags.shape[1]]
-        ranked[...] = mags[block]
-        ranked.sort(axis=1)
-        gapped[block] = ranked[:, k - 1] <= _GAP_RATIO * ranked[:, k]
-    kept = np.where(~solvable | gapped)[0]
+    values, mags = grid.values[:rows], grid.mags[:rows]
+    np.abs(np.matmul(poly, grid.basis, out=values), out=mags)
+    mags.sort(axis=1)
+    kept = np.where(~solvable | (mags[:, k - 1] <= _GAP_RATIO * mags[:, k]))[0]
     kept = kept[np.argsort(solvable[kept], kind="stable")]
-    return kept, np.sort(np.argsort(mags[kept], axis=1)[:, :k], axis=1)
+    # the kept leaves' |P| again, unsorted: the same floats as mags held
+    supports = np.argsort(np.abs(values[kept]), axis=1)[:, :k]
+    return kept, np.sort(supports, axis=1)
 
 
 def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:

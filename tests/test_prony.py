@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -543,6 +544,25 @@ def test_shared_block_filter_matches_the_per_leaf_solve(monkeypatch):
     # so do the zero-sum signals' g_0 = 0
     assert any(k >= 3 for k, _ in direct_calls)
     assert {case for _, case in direct_calls} >= set(zero_sum)
+
+
+def test_grid_filter_works_in_the_recoverys_one_workspace():
+    # |P| of a whole chunk goes into the _Grid made once per recovery: what
+    # the filter allocates itself stays below one chunk's grid values
+    n, k = 64, 8
+    scheme = DeterministicScheme(n, k)
+    x, _ = random_complex_sparse(np.random.default_rng(14), n, k)
+    leaves, shares = chain_chunks(scheme, x)[0]
+    rows = leaves.shape[0]
+    assert rows == prony._CHUNK_LEAVES
+    grid = prony._Grid(rows, n, k, float(np.max(np.abs(leaves[0]))))
+    tracemalloc.start()
+    try:
+        prony._grid_annihilator_filter(leaves, shares, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * n * 16, peak
 
 
 def test_chunks_union_is_the_one_chunk_walk(monkeypatch):
