@@ -43,14 +43,14 @@ def _load_config(path: str | None) -> EnsembleConfig | None:
     return None if path is None else EnsembleConfig.from_json(Path(path).read_text())
 
 
-def _add_spec_flags(p, pipelines=PIPELINES, required=True) -> None:
+def _add_spec_flags(p, required=True) -> None:
     p.add_argument("--n", type=int, required=required)
     p.add_argument("--k", type=int, required=required)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON file of EnsembleConfig constants")
     p.add_argument("--model", dest="signal_model", choices=SIGNAL_MODELS)
-    p.add_argument("--pipeline", choices=pipelines)
+    p.add_argument("--pipeline", choices=PIPELINES)
 
 
 def _trial_spec(args) -> TrialSpec:
@@ -84,13 +84,9 @@ def cmd_sense(args) -> int:
             signals = np.atleast_2d(data["signals"])
         ensemble = build_ensemble(signals.shape[-1], args.k,
                                   config=_load_config(args.config), rng_seed=args.seed)
+        y = np.stack([apply_phaseless(ensemble, x).y for x in signals])
     except (OSError, ValueError, KeyError) as exc:
         args.error(str(exc))
-    if np.iscomplexobj(signals):
-        print("sense drives the randomized (real-signal) pipeline; this "
-              "file holds complex signals for the deterministic one")
-        return 1
-    y = np.stack([apply_phaseless(ensemble, x).y for x in signals])
     Measurements(y, ensemble.n, ensemble.k, ensemble.seed, ensemble.config).save(
         args.out / "measurements.npz")
     print(f"wrote {len(signals)} measurement vectors to {args.out / 'measurements.npz'}")
@@ -100,10 +96,10 @@ def cmd_sense(args) -> int:
 def cmd_decode(args) -> int:
     try:
         batch = Measurements.load(Path(args.measurements))
+        ensemble = build_ensemble(batch.n, batch.k, config=batch.config,
+                                  rng_seed=batch.seed)
     except (OSError, ValueError) as exc:
         args.error(f"--measurements: {exc}")
-    ensemble = build_ensemble(batch.n, batch.k, config=batch.config,
-                              rng_seed=batch.seed)
     failures = 0
     ys = np.atleast_2d(batch.y)
     for t, y in enumerate(ys):
@@ -133,14 +129,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if not 0.0 <= args.target <= 1.0:   # NaN too: no success rate meets it
-        args.error(f"--target must be a rate in [0, 1], got {args.target}")
     spec = _trial_spec(args)
     try:
         grid = json.loads(Path(args.grid).read_text())
     except (OSError, ValueError) as exc:
         args.error(f"--grid: {exc}")
-    # trials record their own errors: a ValueError is a refused grid or (n, k)
+    # trials record their own errors: a ValueError is a refused input
     try:
         winner, summaries = calibrate(grid, spec, args.target,
                                       out_path=args.out / "defaults.json")
@@ -183,8 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("calibrate", help="grid-search ensemble constants")
-    # the prony pipeline builds no ensemble, so it has no constant to tune
-    _add_spec_flags(p, pipelines=[x for x in PIPELINES if x != "prony"])
+    _add_spec_flags(p)
     p.add_argument("--grid", required=True,
                    help="JSON dict: config field -> list of values")
     p.add_argument("--target", type=float, default=0.9)
@@ -195,7 +188,10 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(error=p.error)
 
     args = parser.parse_args(argv)
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        args.error(f"--out: {exc}")
     return args.func(args)
 
 

@@ -359,7 +359,7 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     # a tracer that wraps them there times these calls too
     blocks["A"] = sketch.build_hh_block(
         keys["A"], n, max(2, math.ceil(cfg.hh_bucket_factor * cfg.heavy_K)),
-        max(1, math.ceil(math.log2(max(n, 2)))), cfg.hh_reps)
+        cfg.hh_reps)
     blocks["B"] = sketch.build_countsketch_block(
         keys["B"], n, cfg.countsketch_rows, cfg.countsketch_reps)
     for level in f_levels:

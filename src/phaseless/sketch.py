@@ -112,11 +112,11 @@ class HashBlock:
                 np.repeat(signs, self.n_bits + 1, axis=1).ravel())
 
 
-def build_hh_block(key: int, n: int, n_buckets: int, n_bits: int,
-                   reps: int) -> HashBlock:
+def build_hh_block(key: int, n: int, n_buckets: int, reps: int) -> HashBlock:
     """Identification block: rows per repetition r and bucket h, laid out
-    contiguously: [whole bucket, bit0=0, bit0=1, bit1=0, bit1=1, ...]."""
-    return HashBlock(int(key), n, n_buckets, reps, n_bits)
+    contiguously: [whole bucket, bit0=0, bit0=1, bit1=0, bit1=1, ...], with
+    one bit pair per bit of the largest column index n - 1."""
+    return HashBlock(int(key), n, n_buckets, reps, max(1, (n - 1).bit_length()))
 
 
 def build_countsketch_block(key: int, n: int, n_buckets: int,

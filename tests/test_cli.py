@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from phaseless import (EnsembleError, Measurements, apply_phaseless,
-                       build_ensemble, decode)
+from phaseless import (EnsembleConfig, EnsembleError, Measurements,
+                       apply_phaseless, build_ensemble, decode)
 from phaseless.cli import main
 
 
@@ -67,8 +67,8 @@ def test_gen_complex_signals_use_native_dtype(tmp_path):
         spec = TrialSpec(n=64, k=3, trials=2, seed=7, pipeline="prony")
         assert np.array_equal(stored[1], gen_signal(spec, 1))
     # the real-signal pipeline refuses complex inputs
-    assert main(["sense", "--signals", str(out / "signals.npz"),
-                 "--k", "3", "--out", str(tmp_path / "x")]) == 1
+    assert _exit_code(["sense", "--signals", str(out / "signals.npz"),
+                       "--k", "3", "--out", str(tmp_path / "x")]) == 2
 
 
 def test_prony_subcommand(tmp_path):
@@ -145,7 +145,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(command, flags, capsys):
     assert shown - {"--help"} == flags
 
 
-def test_flags_a_subcommand_ignored_are_exit_codes(tmp_path):
+def test_flags_a_subcommand_ignored_are_exit_codes(tmp_path, capsys):
     # decode once took and ignored every spec flag, and sense took --n
     # beside the signals that fix it
     assert _exit_code(["decode", "--measurements", "m.npz",
@@ -153,8 +153,14 @@ def test_flags_a_subcommand_ignored_are_exit_codes(tmp_path):
     assert _exit_code(["sense", "--signals", "s.npz", "--k", "3",
                          "--n", "64"]) == 2
     # calibrating the prony pipeline would tune constants it never reads
-    assert _exit_code(["calibrate", "--grid", "g.json", "--n", "64",
-                         "--k", "3", "--pipeline", "prony"]) == 2
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"C0": [0.125]}))
+    assert _exit_code(["calibrate", "--grid", str(grid), "--n", "64",
+                       "--k", "3", "--pipeline", "prony",
+                       "--out", str(tmp_path / "calib")]) == 2
+    assert "the prony pipeline reads no ensemble config" in \
+        capsys.readouterr().err
+    assert not any((tmp_path / "calib").iterdir())
     # --spec once silently won over the spec flags
     assert _exit_code(["bench", "--spec", "spec.json", "--n", "64",
                          "--out", str(tmp_path)]) == 2
@@ -370,7 +376,7 @@ def test_decode_takes_one_signals_measurements_as_a_batch_of_one(tmp_path):
     (["bench", "--n", "512", "--k", "4", "--trials", "1", "--workers", "-3"],
      "--workers must be >= 1, got -3"),
     (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
-      "--trials", "1", "--target", "nan"], "--target must be a rate in [0, 1]"),
+      "--trials", "1", "--target", "nan"], "must be a rate in [0, 1], got nan"),
     (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
       "--trials", "1", "--target", "-0.5"], "got -0.5"),
     (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
@@ -387,3 +393,59 @@ def test_dimensions_workers_and_targets_out_of_range_are_usage_errors(
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
     assert not (tmp_path / "out" / "calibration.json").exists()
+    assert not (tmp_path / "out" / "defaults.json").exists()
+
+
+@pytest.mark.parametrize("signals, message", [
+    (np.ones((2, 256), dtype=np.complex128), "signal must be real"),
+    (np.where(np.arange(256) == 7, np.nan, 1.0), "signal must be finite"),
+], ids=["complex", "nan"])
+def test_sense_refuses_a_signal_apply_phaseless_refuses(tmp_path, capsys,
+                                                        signals, message):
+    # a complex batch once exited 1 with a note of sense's own, and a NaN
+    # ended in an EnsembleError traceback with exit status 1
+    np.savez_compressed(tmp_path / "sig.npz", signals=signals)
+    out = tmp_path / "sensed"
+    assert _exit_code(["sense", "--signals", str(tmp_path / "sig.npz"),
+                       "--k", "3", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_decode_refuses_a_header_build_ensemble_refuses(tmp_path, capsys):
+    # Measurements.load checks the header's types only; the rebuild once
+    # raised its EnsembleError as a traceback with exit status 1
+    config = EnsembleConfig().resolve(10)
+    Measurements(np.zeros(16), 64, 10, 0, config).save(tmp_path / "m.npz")
+    out = tmp_path / "dec"
+    assert _exit_code(["decode", "--measurements", str(tmp_path / "m.npz"),
+                       "--out", str(out)]) == 2
+    assert "k=10 too large for n=64" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_decode_records_a_row_it_cannot_decode_and_goes_on(tmp_path, capsys):
+    x, ens = _one_signal()
+    y = apply_phaseless(ens, x).y
+    Measurements(np.stack([y, -y]), ens.n, ens.k, ens.seed,
+                 ens.config).save(tmp_path / "two.npz")
+    dec = tmp_path / "dec"
+    assert main(["decode", "--measurements", str(tmp_path / "two.npz"),
+                 "--out", str(dec)]) == 1
+    assert (dec / "result_y00000.json").read_text() == \
+        decode(ens, apply_phaseless(ens, x)).to_json()
+    assert json.loads((dec / "result_y00001.json").read_text()) == {
+        "error": "EnsembleError: measurements must be finite and nonnegative"}
+    assert "decoded 2 measurement vectors (1 failures)" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_at_or_under_a_regular_file_is_a_usage_error(tmp_path, capsys,
+                                                          out):
+    # mkdir once raised FileExistsError or NotADirectoryError as a traceback
+    (tmp_path / "file").write_text("")
+    assert _exit_code(["gen", "--n", "64", "--k", "2", "--trials", "1",
+                       "--out", str(tmp_path / out)]) == 2
+    assert "--out: " in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == ""

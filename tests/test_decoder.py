@@ -342,18 +342,23 @@ def sense_by_support(ens, support, values):
     return Measurements(np.abs(y), ens.n, ens.k, ens.seed, ens.config)
 
 
-@pytest.mark.parametrize("n", [2 ** 54, (1 << 63) // 5],
-                         ids=["2^54", "largest"])
+@pytest.mark.parametrize("n", [2 ** 49 + 1, 2 ** 54, 2 ** 60 + 1,
+                               (1 << 63) // 5],
+                         ids=["2^49+1", "2^54", "2^60+1", "largest"])
 def test_decode_past_2_53_returns_the_exact_support(n):
     # identification once assembled each bucket's index as a float64 sum,
     # which rounds past 2^53: 1 of 10 supports decoded exactly at 2^54, 0
-    # of 10 at 2^60. The second n is the largest build_ensemble accepts
-    # with its 5 hash repetitions.
+    # of 10 at 2^60. The A block once took its index width as a float
+    # ceil(log2 n), one bit short at n = 2^j + 1 for j >= 49, so column
+    # n - 1, which every support here holds, was never identified. The
+    # last n is the largest build_ensemble accepts with its 5 hash
+    # repetitions.
     k = 10
     ens = build_ensemble(n, k, rng_seed=54)
     rng = np.random.default_rng(54)
     for _ in range(10):
-        support = np.unique(rng.integers(0, n, size=k, dtype=np.int64))
+        support = np.unique(np.append(
+            rng.integers(0, n - 1, size=k - 1, dtype=np.int64), n - 1))
         values = rng.choice([-1.0, 1.0], support.size) * rng.uniform(
             1.0, 2.0, support.size)
         res = decode(ens, sense_by_support(ens, support, values))

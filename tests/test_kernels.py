@@ -179,7 +179,7 @@ def test_apply_is_one_bincount_in_column_order_across_chunks():
     spikes = np.zeros(WIDE)
     spikes[rng.choice(WIDE, 10, replace=False)] = rng.standard_normal(10)
     for block in (SparseSignMatrix.bernoulli(6, 90, WIDE, 0.03),
-                  build_hh_block(7, WIDE, 40, 13, 3),
+                  build_hh_block(7, WIDE, 40, 3),
                   build_countsketch_block(8, WIDE, 64, 5)):
         for v in (full, middle, scattered, spikes, full):
             rows, signs, owners = column_entries(block, np.flatnonzero(v))
@@ -198,7 +198,7 @@ def test_a_dense_signal_is_cut_at_every_aligned_range(monkeypatch):
     assert all(np.count_nonzero(v[lo:lo + CHUNK]) < CHUNK
                for lo in range(0, WIDE, CHUNK))
     for block in (SparseSignMatrix.bernoulli(6, 90, WIDE, 0.03),
-                  build_hh_block(7, WIDE, 40, 13, 3),
+                  build_hh_block(7, WIDE, 40, 3),
                   build_countsketch_block(8, WIDE, 64, 5)):
         rows, signs, owners = column_entries(block, cols)
         want = np.bincount(rows, weights=v[owners] * signs,
@@ -256,7 +256,7 @@ def test_a_sparse_signal_is_one_request_per_block(monkeypatch):
 def test_hash_blocks_apply_matches_dense_oracle():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(300)
-    for block in (build_hh_block(3, 300, 7, 9, 4),
+    for block in (build_hh_block(3, 300, 7, 4),
                   build_countsketch_block(4, 300, 16, 5)):
         assert np.allclose(apply_blocks([block], v), dense_block(block) @ v,
                            atol=1e-10)
@@ -270,7 +270,8 @@ def test_hash_block_rows_follow_the_stream_words():
     bucket = (words % np.uint64(buckets)).astype(np.int64)
     sign = (words >> np.uint64(63)).astype(np.int8) * 2 - 1
     B = build_countsketch_block(17, n, buckets, reps)
-    A = build_hh_block(17, n, buckets, bits, reps)
+    A = build_hh_block(17, n, buckets, reps)
+    assert A.n_bits == bits
     stride = 2 * bits + 1
     for i in (0, 5, 199):
         rows, signs, _ = column_entries(B, [i])

@@ -419,6 +419,18 @@ def test_recover_flags_inconsistent_measurements():
         det_recover(scheme, y)
 
 
+def test_recover_refuses_a_y_no_leaf_re_measures_to():
+    # |z_0| off by 1% passes every check on y alone and leaves a phase
+    # chain to walk, but no kept leaf's fit re-measures to y
+    scheme = DeterministicScheme(64, 3)
+    x, _ = random_complex_sparse(np.random.default_rng(0), 64, 3)
+    y = det_measure(scheme, x)
+    y[0] *= 0.99
+    with pytest.raises(InconsistentMeasurements,
+                       match="^no branch re-measures to the given y"):
+        det_recover(scheme, y)
+
+
 # -- streamed phase chain -----------------------------------------------------
 
 def chain_chunks(scheme, x):

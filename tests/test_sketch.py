@@ -16,7 +16,7 @@ from helpers import identify_heavy_reference, tail_sq
 
 
 def make_block(key, n, K, reps=5):
-    return build_hh_block(key, n, 2 * K, int(np.ceil(np.log2(n))), reps)
+    return build_hh_block(key, n, 2 * K, reps)
 
 
 def estimate_one(block, y, i):
@@ -43,7 +43,7 @@ def test_countsketch_sign_is_not_a_function_of_the_bucket():
 
 
 @pytest.mark.parametrize("block", [
-    build_hh_block(3, 1000, 24, 10, 4),
+    build_hh_block(3, 1000, 24, 4),
     build_countsketch_block(4, 1000, 64, 5),
 ], ids=["A", "B"])
 def test_bucket_rows_are_the_whole_bucket_rows_of_entries(block):
@@ -160,7 +160,7 @@ def test_one_live_repetition_confirms_an_index():
 
 def test_the_cap_breaks_ties_in_the_median_by_lower_index():
     n, K = 4096, 2
-    block = build_hh_block(8, n, 256, 12, 3)
+    block = build_hh_block(8, n, 256, 3)
     rng = np.random.default_rng(8)
     picks = []
     taken = np.zeros((block.reps, block.n_buckets), dtype=bool)
