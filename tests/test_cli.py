@@ -375,8 +375,11 @@ def test_decode_takes_one_signals_measurements_as_a_batch_of_one(tmp_path):
      "--workers must be >= 1, got 0"),
     (["bench", "--n", "512", "--k", "4", "--trials", "1", "--workers", "-3"],
      "--workers must be >= 1, got -3"),
-    (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
-      "--trials", "1", "--target", "nan"], "must be a rate in [0, 1], got nan"),
+    # the id is the one this case had while the CLI tested --target itself
+    pytest.param(["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
+                  "--trials", "1", "--target", "nan"],
+                 "target_rate must be a rate in [0, 1], got nan",
+                 id="argv7---target must be a rate in [0, 1]"),
     (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
       "--trials", "1", "--target", "-0.5"], "got -0.5"),
     (["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
