@@ -98,10 +98,12 @@ def cmd_decode(args) -> int:
         batch = Measurements.load(Path(args.measurements))
         ensemble = build_ensemble(batch.n, batch.k, config=batch.config,
                                   rng_seed=batch.seed)
+        ys = np.atleast_2d(batch.y)
+        if len(ys):  # the rows share one length: the first shows a misfit
+            ensemble.check(replace(batch, y=ys[0]))
     except (OSError, ValueError) as exc:
         args.error(f"--measurements: {exc}")
     failures = 0
-    ys = np.atleast_2d(batch.y)
     for t, y in enumerate(ys):
         path = args.out / f"result_y{t:05d}.json"
         try:

@@ -21,14 +21,14 @@ smallest values lie, and the values are the least-squares fit of the 2k
 coefficients there. The walk factors each Hankel block once, for every
 leaf that shares it: a leaf's leading m x m block H_m holds coefficients
 0 .. 2m-2, so a chunk's leaves form a prefix tree, and each distinct
-prefix borders its parent's H_{m-1}^-1 and det H_{m-1} into H_m^-1 and
-det H_m by one Schur step, for m = 1 .. k-1. One more step per k x k
-system, which siblings differing only in the last coefficient share,
-solves it. Under a prefix whose leading block fails the determinant
-screen at any order, each system is solved by a pivoted LU. The walk
-fits only leaves whose k-th smallest value is far below the (k+1)-th,
-takes the first fit that re-measures within BRANCH_TOL of y, and polishes
-it by Gauss-Newton on the 4k-1 magnitudes.
+prefix borders its parent's H_{m-1}^-1 and det H_{m-1} by one Schur
+step into det H_m and, for m < k, H_m^-1; at m = k the step solves the
+k x k system that siblings differing only in the last coefficient share.
+A system with a leading block that fails the determinant screen at any
+order is left to a pivoted LU. The walk fits only leaves whose k-th
+smallest value is far below the (k+1)-th, takes the first fit that
+re-measures within BRANCH_TOL of y, and polishes it by Gauss-Newton on
+the 4k-1 magnitudes.
 
 The result is exact up to a global phase times the conjugate reflection
 (t -> -t mod n with conjugated values), which no magnitude can tell apart.
@@ -126,6 +126,8 @@ def prony_solve(fourier_coeffs: np.ndarray, n: int, k: int) -> ComplexSignal:
     g = np.asarray(fourier_coeffs, dtype=np.complex128)
     if g.shape != (2 * k,):
         raise ValueError(f"need exactly 2k = {2 * k} coefficients, got {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("coefficients must be finite")
     if np.max(np.abs(g)) == 0:
         return ComplexSignal(np.zeros(n, dtype=np.complex128))
     values = np.abs(_null_vectors(g, k) @ _grid_basis(n, k))
@@ -280,7 +282,7 @@ def _screened(dets: np.ndarray, scale: float, order: int) -> np.ndarray:
 
 
 def _direct_solutions(heads: np.ndarray, scale: float, k: int):
-    """Each head's (2, k) solutions (see _bordered_solutions) from its own
+    """Each head's (2, k) solutions (see _hankel_solutions) from its own
     k x k leading block, by a pivoted LU, and whether the block passes the
     screen."""
     lead = np.lib.stride_tricks.sliding_window_view(
@@ -298,10 +300,10 @@ def _direct_solutions(heads: np.ndarray, scale: float, k: int):
     return sol.swapaxes(1, 2), solvable
 
 
-def _leading_inverses(leaves: np.ndarray, shares, scale: float, k: int):
-    """-H_{k-1}^-1 and det H_{k-1} of each run of ``shares[2k-4]`` leaves,
-    whose leading (k-1) x (k-1) Hankel block H_{k-1} they share, and
-    whether each of the run's blocks H_1 .. H_{k-1} passes the screen.
+def _hankel_solutions(leaves: np.ndarray, shares, scale: float, k: int):
+    """Each head's solutions of H p = -e_k and H p = -[g[k .. 2k-2], 0], as
+    (heads, 2, k), and whether its blocks H_1 .. H_k all pass the screen,
+    for the heads of runs of ``shares[2k-2]`` leaves, which share H = H_k.
 
     H_m = [[H_{m-1}, b], [b^T, d]], with b = g[m-1 .. 2m-3] and d = g[2m-2],
     is read from the prefix g[0 .. 2m-2], so the runs of each order refine
@@ -309,58 +311,42 @@ def _leading_inverses(leaves: np.ndarray, shares, scale: float, k: int):
     by one Schur step. With v = [-H_{m-1}^-1 b, 1], the pivot is s = v^T
     g[m-1 .. 2m-2] = d - b^T H_{m-1}^-1 b, det H_m = s det H_{m-1}, and
     H_m^-1 = [[H_{m-1}^-1, 0], [0, 0]] + v v^T / s (Golub, Van Loan,
-    Matrix Computations, 4.7). A failed prefix's pivot is replaced by 1,
-    so no pivot that failed the screen is read; its runs are left to the
-    direct solve."""
+    Matrix Computations, 4.7). At m < k the step grows -H_m^-1; at m = k
+    it gives the solutions -v / s and -[H_{k-1}^-1 g[k .. 2k-2], 0] -
+    v (v^T [g[k .. 2k-2], 0]) / s, and no k x k inverse. A failed prefix's
+    pivot is replaced by 1, so no pivot that failed the screen is read;
+    its heads are left to the direct solve."""
     neg_inv = np.zeros((1, 0, 0), dtype=np.complex128)  # H_0: the whole chunk
     det = np.ones(1, dtype=np.complex128)
     passed = np.ones(1, dtype=bool)
-    for m in range(1, k):
+    for m in range(1, k + 1):
         prefixes = leaves[:: shares[2 * m - 2]]
         parents = neg_inv.shape[0]
         children = prefixes.shape[0] // parents
-        v = np.ones((prefixes.shape[0], m), dtype=np.complex128)
-        np.matmul(prefixes[:, m - 1: 2 * m - 2].reshape(parents, children, m - 1),
-                  neg_inv, out=v.reshape(parents, children, m)[..., : m - 1])
+        # b, and at order k also g[k .. 2k-2], times -H_{m-1}^-1
+        rhs = 1 if m < k else 2
+        windows = prefixes[:, m - 1 + np.add.outer(np.arange(rhs),
+                                                   np.arange(m - 1))]
+        sol = np.empty((prefixes.shape[0], rhs, m), dtype=np.complex128)
+        np.matmul(windows.reshape(parents, children * rhs, m - 1), neg_inv,
+                  out=sol.reshape(parents, children * rhs, m)[..., : m - 1])
+        v = sol[:, 0]
+        v[:, m - 1] = 1.0
         s = np.einsum("pi,pi->p", v, prefixes[:, m - 1: 2 * m - 1])
         det = np.repeat(det, children) * s
         passed = np.repeat(passed, children) & _screened(det, scale, m)
         s[~passed] = 1.0
+        if m == k:
+            break
         grown = v[:, :, None] * (v / -s[:, None])[:, None, :]
         grown.reshape(parents, children, m, m)[..., : m - 1, : m - 1] += \
             neg_inv[:, None]
         neg_inv = grown
-    return neg_inv, det, passed
-
-
-def _bordered_solutions(heads: np.ndarray, neg_inv: np.ndarray,
-                        det: np.ndarray, scale: float, k: int):
-    """Each head's solutions of H p = -e_k and H p = -[g[k .. 2k-2], 0],
-    as (heads, 2, k), and whether H passes the screen, for runs of heads
-    that share coefficients 0 .. 2k-4, and so the leading (k-1) x (k-1)
-    block A of H = [[A, b], [b^T, d]], with b = g[k-1 .. 2k-3] and d =
-    g[2k-2], given each run's -A^-1 and det A. The Schur step of
-    _leading_inverses for each head, with v = [-A^-1 b, 1] and s = v^T
-    g[k-1 .. 2k-2], gives det H = s det A and H^-1 = [[A^-1, 0], [0, 0]] +
-    v v^T / s. So the first solution is -v / s, and the second is -[A^-1
-    g[k .. 2k-2], 0] - v (v^T [g[k .. 2k-2], 0]) / s. A head whose s fails
-    the screen has its pivot replaced by 1; its solutions are not read."""
-    runs = heads.reshape(neg_inv.shape[0], -1, 2 * k)
-    # each head's b and g[k .. 2k-2]: its coefficients k-1 .. 2k-3 and k .. 2k-2
-    windows = runs[..., k - 1 + np.add.outer(np.arange(2), np.arange(k - 1))]
-    sol = np.empty(windows.shape[:3] + (k,), dtype=np.complex128)
-    np.matmul(windows.reshape(runs.shape[0], 2 * runs.shape[1], k - 1), neg_inv,
-              out=sol.reshape(runs.shape[0], 2 * runs.shape[1], k)[..., : k - 1])
-    v, base = sol[..., 0, :], sol[..., 1, :]
-    v[..., k - 1], base[..., k - 1] = 1.0, 0.0
-    # v^T b and v^T [g[k .. 2k-2], 0]
-    dots = np.einsum("gpi,gpji->gpj", v[..., : k - 1], windows)
-    schur = runs[..., 2 * k - 2] + dots[..., 0]
-    solvable = _screened(det[:, None] * schur, scale, k)
-    schur[~solvable] = 1.0
-    v /= -schur[..., None]
-    base += dots[..., 1, None] * v
-    return sol.reshape(-1, 2, k), solvable.ravel()
+    sol[:, 1, k - 1] = 0.0
+    dot = np.einsum("pi,pi->p", v[:, : k - 1], windows[:, 1])
+    v /= -s[:, None]
+    sol[:, 1] += dot[:, None] * v
+    return sol, passed
 
 
 def _grid_annihilator_filter(leaves: np.ndarray, shares,
@@ -370,25 +356,21 @@ def _grid_annihilator_filter(leaves: np.ndarray, shares,
 
     The leading k x k Hankel block of a leaf holds every coefficient but the
     last, so it is solved once per head, a run of ``shares[2k-2]`` leaves
-    (see _phase_chain): from the inverse of its leading (k-1) x (k-1)
-    block, built up the chunk's prefixes by _leading_inverses, by the
-    bordered solve of _bordered_solutions, or by the direct solve when one
-    of that block's leading blocks fails the screen. The last coefficient
-    enters the recurrence linearly: p = p0 + z_last * q. Such a leaf is
-    kept when its k-th smallest |P| is at most _GAP_RATIO times the
-    (k+1)-th. A leaf whose leading block is singular takes its Hankel null
-    vector instead and is always kept, ahead of the others: a signal
-    sparser than k has no gap at order k, and is the preimage to prefer.
+    (see _phase_chain): by the Schur walk up the chunk's prefixes of
+    _hankel_solutions, or by the direct solve when one of the block's
+    leading blocks fails the screen there. The last coefficient enters the
+    recurrence linearly: p = p0 + z_last * q. Such a leaf is kept when its
+    k-th smallest |P| is at most _GAP_RATIO times the (k+1)-th. A leaf
+    whose leading block is singular takes its Hankel null vector instead
+    and is always kept, ahead of the others: a signal sparser than k has
+    no gap at order k, and is the preimage to prefer.
     """
-    k, rows, scale = grid.k, leaves.shape[0], grid.scale
-    siblings = shares[2 * k - 2]
-    heads = leaves[::siblings]
-    neg_inv, det, passed = _leading_inverses(leaves, shares, scale, k)
-    sol, solvable = _bordered_solutions(heads, neg_inv, det, scale, k)
-    direct = np.repeat(~passed, heads.shape[0] // passed.size)
+    k, rows, siblings = grid.k, leaves.shape[0], shares[2 * grid.k - 2]
+    sol, solvable = _hankel_solutions(leaves, shares, grid.scale, k)
+    direct = ~solvable
     if direct.any():
         sol[direct], solvable[direct] = _direct_solutions(
-            heads[direct], scale, k)
+            leaves[::siblings][direct], grid.scale, k)
     poly = grid.poly[:rows]
     by_head = poly.reshape(-1, siblings, k + 1)
     np.multiply(leaves.reshape(-1, siblings, 2 * k)[..., -1:], sol[:, None, 0],

@@ -29,9 +29,13 @@ For the deterministic scheme it hashes the ``det_recover`` values and
 drawn as ``bench --pipeline prony`` draws them. So that its error paths
 show too, it hashes the outcome of every one-spike input at n = 64, k in
 {1, 2, 3, 4, 6, 8}, measured as is and with one running sum scaled by
-1.5: values and ``leaves``, or the error's type without its message. It
-also hashes the rates of ``edge_error_experiment`` at n = 2048, k = 12
-over four values of C0.
+1.5: values and ``leaves``, or the error's type without its message. At
+k = 4 and 8 it hashes the same outcome, with the error's message, of 10
+(k-1)-sparse signals, whose true leaf's k x k Hankel block is singular
+while its smaller leading blocks are not, and of 10 k-sparse signals that
+sum to zero, whose g_0 = 0 fails the determinant screen at the first
+order. It also hashes the rates of ``edge_error_experiment`` at n = 2048,
+k = 12 over four values of C0.
 
 It hashes the block names and keys of ``build_ensemble`` over n in
 {1024, 4096, 65536}, k in {1, 3, 10} and four seeds, so a change to the
@@ -80,6 +84,7 @@ SEED = 20261019
 LARGE_N, LARGE_K, SCATTERED = 65536, 10, 500
 PRONY_N, PRONY_KS, PRONY_TRIALS = 64, range(1, 9), 30
 SPIKE_KS, SPIKE_SUM_SCALE = (1, 2, 3, 4, 6, 8), 1.5
+SCREEN_KS, SCREEN_TRIALS = (4, 8), 10
 SAMPLER_SLACKS, SAMPLER_REQUESTS = (0.0, 1.0, 4.0), 60
 EDGE_C0S = (0.125, 0.25, 0.5, 1.0)
 KEPT_N, KEPT_K, KEPT_SIGNALS = 16384, 10, 3
@@ -188,6 +193,30 @@ def prony_digest(k: int) -> str:
     return h.hexdigest()
 
 
+def screen_digest() -> str:
+    """``det_recover`` outcomes at n = 64 of (k-1)-sparse signals and of
+    k-sparse signals with x.sum() = 0: values and leaves, or the error."""
+    h = hashlib.sha256()
+    for k in SCREEN_KS:
+        scheme = DeterministicScheme(PRONY_N, k)
+        for t in range(SCREEN_TRIALS):
+            rng = np.random.default_rng([SEED, k, t])
+            for s in (k - 1, k):
+                x = np.zeros(PRONY_N, dtype=np.complex128)
+                support = rng.choice(PRONY_N, s, replace=False)
+                x[support] = rng.standard_normal(s) + \
+                    1j * rng.standard_normal(s)
+                if s == k:
+                    x[support[-1]] -= x.sum()
+                try:
+                    out = det_recover(scheme, det_measure(scheme, x))
+                    h.update(out.values.tobytes())
+                    h.update(str(out.leaves).encode())
+                except Exception as exc:
+                    h.update(f"{type(exc).__name__}: {exc}".encode())
+    return h.hexdigest()
+
+
 def spike_digest() -> str:
     """``det_recover`` outcomes of every spike at n = 64, measured as is and
     with running sum t mod (2k - 1) scaled: values and leaves, or the error
@@ -272,6 +301,8 @@ def main() -> None:
               for k in PRONY_KS]
     cases += [(f"det_recover n={PRONY_N} one spike, k in {SPIKE_KS}",
                spike_digest)]
+    cases += [(f"det_recover n={PRONY_N} (k-1)-sparse and zero-sum, "
+               f"k in {SCREEN_KS}", screen_digest)]
     cases += [("edge_error_experiment n=2048 k=12", edge_digest),
               (f"n={KEPT_N} k={KEPT_K} {KEPT_SIGNALS} dense senses",
                kept_digest),

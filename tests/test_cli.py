@@ -427,6 +427,21 @@ def test_decode_refuses_a_header_build_ensemble_refuses(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_decode_refuses_rows_its_headers_ensemble_cannot_read(tmp_path,
+                                                              capsys):
+    # such a file once wrote one EnsembleError file per row and exited 1
+    config = EnsembleConfig().resolve(10)
+    Measurements(np.zeros((3, 16)), 4096, 10, 0, config).save(
+        tmp_path / "m.npz")
+    out = tmp_path / "dec"
+    assert _exit_code(["decode", "--measurements", str(tmp_path / "m.npz"),
+                       "--out", str(out)]) == 2
+    rows = build_ensemble(4096, 10, config=config, rng_seed=0).total_rows
+    assert f"measurements have 16 rows, the ensemble {rows}" in \
+        capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_decode_records_a_row_it_cannot_decode_and_goes_on(tmp_path, capsys):
     x, ens = _one_signal()
     y = apply_phaseless(ens, x).y

@@ -119,6 +119,17 @@ def test_prony_solve_refuses_what_the_scheme_refuses():
     assert np.all(prony_solve(np.zeros(4, complex), 8, 2).values == 0)
 
 
+@pytest.mark.parametrize("at, bad", [(2, np.nan), (2, np.inf), (0, np.inf),
+                                     (5, complex(0, -np.inf))])
+def test_prony_solve_refuses_non_finite_coefficients(at, bad):
+    # these once reached the Hankel SVD, which raised numpy's LinAlgError
+    # ("SVD did not converge") or, with g_0 = inf, ran for minutes
+    g = fourier_prefix(np.eye(64, dtype=complex)[5], 3)
+    g[at] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        prony_solve(g, 64, 3)
+
+
 def brute_force_recover(g, n, k):
     """Enumerate supports of size <= k, least-squares, pick zero residual."""
     F = np.exp(-2j * np.pi * np.outer(np.arange(2 * k), np.arange(n)) / n)
@@ -508,11 +519,15 @@ def test_shared_block_filter_matches_the_per_leaf_solve(monkeypatch):
     rng = np.random.default_rng(13)
     cases = [(k, random_complex_sparse(rng, n, k)[0])
              for k in range(1, 9) for _ in range(3)]
+    generic = set(range(len(cases)))
     x = np.zeros(n, complex)
     x[[5, 21]] = [1.0, -1.0]                  # sum 0: g_0 = 0 at k = 2
     cases.append((2, x))
+    short_by_one = set()
     for k in (4, 8):                           # sparser than k
         for s in (1, 2, k - 1):
+            if s == k - 1:
+                short_by_one.add(len(cases))
             cases.append((k, random_complex_sparse(rng, n, s)[0]))
     # sum 0 at k = 4 and 8: H_1 = g_0 = 0 fails the screen while H_{k-1}
     # passes, so only the screen at every order sends them to the
@@ -556,6 +571,11 @@ def test_shared_block_filter_matches_the_per_leaf_solve(monkeypatch):
     # so do the zero-sum signals' g_0 = 0
     assert any(k >= 3 for k, _ in direct_calls)
     assert {case for _, case in direct_calls} >= set(zero_sum)
+    # the (k-1)-sparse signals' true heads pass the screen up to H_{k-1} and
+    # fail it at H_k alone, which sends them to the direct solve too; no
+    # generic k-sparse signal's head fails it
+    assert {case for _, case in direct_calls} >= short_by_one
+    assert not {case for _, case in direct_calls} & generic
 
 
 def test_grid_filter_works_in_the_recoverys_one_workspace():

@@ -7,6 +7,7 @@ ground truth computed exactly (tail norms by sorting), never per-instance.
 import numpy as np
 import pytest
 
+from phaseless.ensemble import build_ensemble
 from phaseless.sketch import (CANDIDATE_CAP_FACTOR, SketchError,
                               build_countsketch_block, build_hh_block,
                               estimate_magnitudes, identify_heavy, median)
@@ -346,11 +347,9 @@ def test_estimates_keep_a_nan_repetition():
 
 
 def test_identification_reads_scale_sublinearly():
-    """The A block read by identify_heavy shrinks relative to n as n grows."""
-    K, reps = 20, 4
-    fractions = []
-    for n in [1024, 4096, 16384]:
-        bits = int(np.ceil(np.log2(n)))
-        rows = 2 * K * (2 * bits + 1) * reps
-        fractions.append(rows / n)
-    assert fractions[0] > fractions[1] > fractions[2]
+    """The A block, all that identify_heavy reads, shrinks relative to n as
+    n grows: each quadrupling of n adds two bit pairs per bucket."""
+    ns = [1024, 4096, 16384]
+    rows = [build_ensemble(n, 10).blocks["A"].n_rows for n in ns]
+    assert rows[1] - rows[0] == rows[2] - rows[1] > 0
+    assert rows[0] / ns[0] > rows[1] / ns[1] > rows[2] / ns[2]
