@@ -338,8 +338,12 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
     count ascending). Writes the winner as a config file (``to_json``) when
     a winner exists and out_path is given.
     """
-    if not isinstance(grid, dict) or not grid or any(len(v) == 0 for v in grid.values()):
+    if not isinstance(grid, dict) or not grid:
         raise ValueError(f"empty calibration grid or not a JSON object: {grid!r}")
+    for field, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"empty calibration grid or not a list of "
+                             f"values: {field} = {values!r}")
     if base_spec.pipeline == "prony":
         raise ValueError("the prony pipeline reads no ensemble config")
     if not 0.0 <= target_rate <= 1.0:   # NaN too: no success rate meets it

@@ -235,6 +235,9 @@ class SensingEnsemble:
         rows, sensed by an ensemble with this (n, k, seed, config). Values
         are compared, not objects: a rebuild reproduces the ensemble
         exactly."""
+        if not isinstance(measurements, Measurements):
+            raise EnsembleError(f"measurements must be Measurements, got "
+                                f"{type(measurements).__name__}")
         mine = (self.n, self.k, self.seed, self.config)
         theirs = (measurements.n, measurements.k, measurements.seed,
                   measurements.config)
@@ -298,7 +301,8 @@ class Measurements:
             if not {"header", "y"} <= set(data.files):
                 raise EnsembleError("not a measurements container")
             header = json.loads(bytes(data["header"]).decode())
-            if header.pop("format", None) != cls.FORMAT:
+            if not isinstance(header, dict) or \
+                    header.pop("format", None) != cls.FORMAT:
                 raise EnsembleError("not a measurements container")
             version = header.pop("version", None)
             if version != cls.VERSION:
@@ -331,7 +335,8 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
     2^31 (c_F too large) raises EnsembleError naming the level, and so does
     an ensemble whose total rows reach 2^31, the bound each block has, and
     an n whose hash words overflow int64: n at or above 2^63, or
-    max(hh_reps, countsketch_reps) * n above 2^63."""
+    max(hh_reps, countsketch_reps) * n above 2^63, and a config that is
+    neither an EnsembleConfig nor None."""
     n, k, seed = (_integer(name, value) for name, value in
                   (("n", n), ("k", k), ("rng_seed", rng_seed)))
     if n < 1 or k < 1:
@@ -340,6 +345,9 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
         raise EnsembleError(f"k={k} too large for n={n} (need k <= n/20)")
     if seed < 0:
         raise EnsembleError(f"rng_seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(config, (EnsembleConfig, type(None))):
+        raise EnsembleError(f"config must be an EnsembleConfig or None, got "
+                            f"{type(config).__name__}")
     cfg = (config or EnsembleConfig()).resolve(k)
     # a hash block keys column i of repetition r at the int64 word i + r n
     reps = max(cfg.hh_reps, cfg.countsketch_reps)

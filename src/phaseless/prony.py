@@ -9,9 +9,9 @@ z_j down to at most two candidates (the law-of-cosines angle up to sign).
 These checks depend on y alone, so they are made once and prune no branch:
 the leaves are the sign vectors over the coefficients that split, 4^(k-1)
 for a generic signal, walked depth first in prefix-aligned chunks of at
-most _CHUNK_LEAVES. At n=64 on one x86 core (BENCH_grid-chunk.json),
-k = 9, 10, 11 took a median 0.020, 0.16, 0.75 s. BRANCH_CAP is checked
-before walking, so every k >= 12 raises NumericalFailure at once.
+most max(_GRID_VALUES / n, 1) leaves. On one x86 core (BENCH_grid-chunk.json),
+k = 9, 10, 11 at n=64 took a median 0.020, 0.16, 0.75 s. BRANCH_CAP is
+checked before walking, so every k >= 12 raises NumericalFailure at once.
 
 A leaf becomes a signal one way, annihilating-filter support recovery
 (Vetterli, Marziliano, Blu, IEEE TSP 2002), which is all prony_solve does:
@@ -65,7 +65,7 @@ __all__ = [
 ZERO_TOL = 1e-9       # relative to max(y): first-nonzero detection
 BRANCH_TOL = 1e-6     # relative to max(y): running-sum consistency
 BRANCH_CAP = 4 ** 10  # phase-chain leaves one recovery may walk
-_CHUNK_LEAVES = 1024  # leaves filtered and solved at once
+_GRID_VALUES = 1 << 16  # |P| values on the grid one chunk of leaves holds
 # k-th over (k+1)-th smallest |annihilator| on the grid. A true leaf built at
 # a tangent step sits a few BRANCH_TOL off the truth, which lifts |P| at its
 # roots: the true leaves of two valid n=64, k=8 signals read 2.6e-3 and 2.6e-2.
@@ -169,9 +169,9 @@ def conjugate_reflection(x: np.ndarray) -> np.ndarray:
 
 def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
                  sum_mag: np.ndarray, anchor: int, tol_zero: float,
-                 tol_branch: float):
+                 tol_branch: float, chunk: int):
     """Every coefficient sequence consistent with every magnitude measurement,
-    yielded as (leaves, shares) chunks of at most _CHUNK_LEAVES leaves.
+    yielded in (leaves, shares) chunks of at most ``chunk``, a power of two.
 
     In the frame of the running sum S_{j-1}, the law of cosines on the
     measured |S_{j-1}|, |z_j| and |S_j| gives z_j = |z_j| (cos +- i sin):
@@ -236,7 +236,7 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
     base, flip = contrib.sum(axis=0), -2 * contrib[splits]
     # a chunk's leaves differ only at its low splits, whose phases are
     # exponentiated once; the high splits turn a chunk by one phase vector
-    low = min(len(splits), _CHUNK_LEAVES.bit_length() - 1)
+    low = min(len(splits), chunk.bit_length() - 1)
     high = len(splits) - low
     # leaves of a chunk in a row that share g[0 .. c]: 2 to the number of
     # its splits after c
@@ -254,15 +254,15 @@ def _phase_chain(scheme: DeterministicScheme, z_mag: np.ndarray,
 class _Grid:
     """Per-recovery workspace: the grid basis (see _grid_basis), and for
     every row of a chunk its annihilator, P's values on the grid and |P|,
-    16 (k + 1) + 24 n bytes (1.6 MiB for 1024 rows at n=64, k=8). It is
-    one allocation, made once per det_recover call: glibc's malloc raises
-    its heap-trim threshold to twice the largest block it has mapped and
-    freed, so separate buffers or temporaries per chunk were trimmed and
-    faulted in again several times per recovery. Over 60 n=64, k=8
-    recoveries, ru_minflt read 0.6k, against 29k when the workspace held
-    256 rows' values at a time. It also holds the determinant screen's
-    scale, the largest coefficient magnitude: every leaf has the measured
-    magnitudes, so one number serves every block of the recovery."""
+    16 (k + 1) + 24 n bytes a row: 1.5 MiB of P and |P| at n <= 2^16, and
+    1.6 MiB in all at n=64, k=8. It is one allocation, made before the walk:
+    glibc's malloc raises its heap-trim threshold to twice the largest
+    block it has mapped and freed, so separate buffers or temporaries per
+    chunk were trimmed and faulted in again several times per recovery.
+    Over 60 n=64, k=8 recoveries, ru_minflt read 0.6k, against 29k when
+    the workspace held 256 rows' values at a time. It also holds the
+    determinant screen's scale, the largest coefficient magnitude: every
+    leaf has the measured magnitudes, so one number serves the recovery."""
 
     def __init__(self, rows: int, n: int, k: int, scale: float):
         self.k = k
@@ -415,12 +415,11 @@ def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
         raise NumericalFailure(
             f"phase search may walk 2^{nonzero.size - 2} leaves > BRANCH_CAP")
 
-    walked, grid = 0, None
+    # the most leaves, a power of two, whose |P| fit _GRID_VALUES: at least 1
+    chunk = 1 << (max(_GRID_VALUES // scheme.n, 1).bit_length() - 1)
+    walked, grid = 0, _Grid(chunk, scheme.n, scheme.k, float(np.max(z_mag)))
     for leaves, shares in _phase_chain(scheme, z_mag, sum_mag, anchor,
-                                       tol_zero, tol_branch):
-        if grid is None:  # every chunk has the first one's rows
-            grid = _Grid(leaves.shape[0], scheme.n, scheme.k,
-                         float(np.max(z_mag)))
+                                       tol_zero, tol_branch, chunk):
         walked += leaves.shape[0]
         for idx, support in zip(*_grid_annihilator_filter(
                 leaves, shares, grid)):

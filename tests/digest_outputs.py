@@ -34,7 +34,12 @@ k = 4 and 8 it hashes the same outcome, with the error's message, of 10
 (k-1)-sparse signals, whose true leaf's k x k Hankel block is singular
 while its smaller leading blocks are not, and of 10 k-sparse signals that
 sum to zero, whose g_0 = 0 fails the determinant screen at the first
-order. It also hashes the rates of ``edge_error_experiment`` at n = 2048,
+order. Past n = 64, where a chunk holds fewer leaves, it hashes the
+support of ``det_recover`` (the sorted indices of its k largest
+magnitudes, or the error's type) for 10 random k-sparse signals per
+n in {256, 1024}, k in {4, 6}: the values and ``leaves`` there move with
+the chunk size, at round-off and in count, while the support does not.
+It also hashes the rates of ``edge_error_experiment`` at n = 2048,
 k = 12 over four values of C0.
 
 It hashes the block names and keys of ``build_ensemble`` over n in
@@ -85,6 +90,7 @@ LARGE_N, LARGE_K, SCATTERED = 65536, 10, 500
 PRONY_N, PRONY_KS, PRONY_TRIALS = 64, range(1, 9), 30
 SPIKE_KS, SPIKE_SUM_SCALE = (1, 2, 3, 4, 6, 8), 1.5
 SCREEN_KS, SCREEN_TRIALS = (4, 8), 10
+SUPPORT_NS, SUPPORT_KS, SUPPORT_TRIALS = (256, 1024), (4, 6), 10
 SAMPLER_SLACKS, SAMPLER_REQUESTS = (0.0, 1.0, 4.0), 60
 EDGE_C0S = (0.125, 0.25, 0.5, 1.0)
 KEPT_N, KEPT_K, KEPT_SIGNALS = 16384, 10, 3
@@ -240,6 +246,27 @@ def spike_digest() -> str:
     return h.hexdigest()
 
 
+def support_digest() -> str:
+    """``det_recover`` supports past n = 64: the sorted indices of the k
+    largest magnitudes of each recovery, or the error type."""
+    h = hashlib.sha256()
+    for n in SUPPORT_NS:
+        for k in SUPPORT_KS:
+            scheme = DeterministicScheme(n, k)
+            for t in range(SUPPORT_TRIALS):
+                rng = np.random.default_rng([SEED, n, k, t])
+                x = np.zeros(n, dtype=np.complex128)
+                x[rng.choice(n, k, replace=False)] = \
+                    rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                try:
+                    out = det_recover(scheme, det_measure(scheme, x))
+                    top = np.argsort(np.abs(out.values))[-k:]
+                    h.update(np.sort(top).astype(np.int64).tobytes())
+                except Exception as exc:
+                    h.update(type(exc).__name__.encode())
+    return h.hexdigest()
+
+
 def edge_digest() -> str:
     """``edge_error_experiment`` rates, as their float reprs."""
     rates = [edge_error_experiment(2048, 12, EnsembleConfig(C0=c0), trials=10,
@@ -303,6 +330,8 @@ def main() -> None:
                spike_digest)]
     cases += [(f"det_recover n={PRONY_N} (k-1)-sparse and zero-sum, "
                f"k in {SCREEN_KS}", screen_digest)]
+    cases += [(f"det_recover supports n in {SUPPORT_NS}, k in {SUPPORT_KS}",
+               support_digest)]
     cases += [("edge_error_experiment n=2048 k=12", edge_digest),
               (f"n={KEPT_N} k={KEPT_K} {KEPT_SIGNALS} dense senses",
                kept_digest),

@@ -215,6 +215,11 @@ def test_calibrate_rejects_empty_grid():
     # a grid file holding a list once failed with an AttributeError
     with pytest.raises(ValueError, match="not a JSON object"):
         calibrate([{"C0": [0.5]}], TrialSpec(n=64, k=2, trials=1), 0.5)
+    # a value that is not a list once failed with a TypeError from len()
+    for value in (0.5, None, "0.5", {"a": 0.5}):
+        with pytest.raises(ValueError, match="^empty calibration grid or not "
+                           "a list of values: C0 = "):
+            calibrate({"C0": value}, TrialSpec(n=64, k=2, trials=1), 0.5)
 
 
 def test_calibrate_grid_names_unknown_keys():

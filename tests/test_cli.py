@@ -234,6 +234,19 @@ def test_decode_refuses_a_file_that_holds_no_measurements(tmp_path, capsys):
     assert "none.npz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [[1, 2], "x", None])
+def test_decode_refuses_a_header_that_is_not_an_object(tmp_path, capsys,
+                                                       header):
+    # each once ended in a TypeError or AttributeError traceback
+    path = tmp_path / "bad.npz"
+    np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
+                                        dtype=np.uint8), y=np.zeros(3))
+    assert _exit_code(["decode", "--measurements", str(path),
+                       "--out", str(tmp_path)]) == 2
+    assert "not a measurements container" in capsys.readouterr().err
+    assert not list(tmp_path.glob("result_*.json"))
+
+
 # version 5 files hold the rows of the E block, which no ensemble builds
 # now, and their config names its C1 and rep_log_n; version 6 files key the
 # blocks by other stream words, so a rebuild would decode them into garbage
@@ -263,6 +276,8 @@ def test_decode_refuses_a_version_5_or_6_file(tmp_path, capsys, version):
     ({"nope": [1]}, 64, 2, "unknown config keys: ['nope']"),
     ({"C0": [-1]}, 64, 2, "C0 must be finite and > 0, got -1"),
     ({"C0": [0.125]}, 100, 50, "k=50 too large for n=100"),
+    ({"C0": 0.5}, 64, 2, "not a list of values: C0 = 0.5"),
+    ({"C0": None}, 64, 2, "not a list of values: C0 = None"),
 ])
 def test_calibrate_refuses_a_grid_or_n_and_k_as_a_usage_error(
         tmp_path, capsys, grid, n, k, message):

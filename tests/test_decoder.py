@@ -579,6 +579,19 @@ def test_decode_refuses_a_y_that_is_not_an_array():
         estimate_tail_energy(ensembles[0], listed, np.arange(K))
 
 
+def test_decode_refuses_a_bare_y_in_place_of_measurements():
+    # a bare array once failed with "'numpy.ndarray' object has no
+    # attribute 'n'"
+    ensembles, measurements, _ = amplified_setup(23, reps=1)
+    y = measurements[0].y
+    with pytest.raises(EnsembleError, match="got ndarray"):
+        decode(ensembles[0], y)
+    with pytest.raises(EnsembleError, match="got ndarray"):
+        estimate_tail_energy(ensembles[0], y, np.arange(K))
+    with pytest.raises(EnsembleError, match="got ndarray"):
+        decode_amplified(ensembles, [y])
+
+
 def test_amplified_refuses_replicas_of_another_n():
     # such a replica once raised a bare IndexError, or voted with columns
     # of another signal length when S2 lay below its n

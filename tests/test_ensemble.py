@@ -125,6 +125,13 @@ def test_build_rejects_bad_dimensions():
         build_ensemble(100, 6)  # k > n/20
 
 
+@pytest.mark.parametrize("config", [{"C0": 1}, "C0=1", 0.5])
+def test_build_refuses_a_config_that_is_not_an_ensemble_config(config):
+    # a dict once failed with "'dict' object has no attribute 'resolve'"
+    with pytest.raises(EnsembleError, match=type(config).__name__):
+        build_ensemble(4096, 10, config)
+
+
 def test_build_refuses_an_f_level_it_cannot_sample():
     # C0=200 once built F8 with 2,678,782,986 rows, past the int32 rows the
     # sampler returns; C0=0.001 makes F2's density exceed 1
@@ -450,6 +457,18 @@ def test_measurements_load_rejects_a_bad_identity(tmp_path, ens, key, value):
     np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
                                         dtype=np.uint8), y=y)
     with pytest.raises(EnsembleError, match=f"{key} must be an integer"):
+        Measurements.load(path)
+
+
+@pytest.mark.parametrize("header", [[1, 2], "phaseless-measurements", None, 3])
+def test_measurements_load_refuses_a_header_that_is_not_an_object(tmp_path,
+                                                                  header):
+    # a list once raised a TypeError from header.pop, a string or null an
+    # AttributeError
+    path = tmp_path / "bad.npz"
+    np.savez(path, header=np.frombuffer(json.dumps(header).encode(),
+                                        dtype=np.uint8), y=np.zeros(3))
+    with pytest.raises(EnsembleError, match="^not a measurements container$"):
         Measurements.load(path)
 
 

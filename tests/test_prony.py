@@ -444,15 +444,18 @@ def test_recover_refuses_a_y_no_leaf_re_measures_to():
 
 # -- streamed phase chain -----------------------------------------------------
 
-def chain_chunks(scheme, x):
-    """The (leaves, shares) chunks det_recover walks for x."""
+def chain_chunks(scheme, x, chunk=None):
+    """The (leaves, shares) chunks of at most ``chunk`` leaves that the walk
+    yields for x; by default _GRID_VALUES / n, which at a power-of-two
+    n <= 2^16 is det_recover's chunk."""
     y = det_measure(scheme, x)
     scale = float(np.max(y))
     z_mag, sum_mag = y[: 2 * scheme.k], y[2 * scheme.k:]
     anchor = int(np.where(z_mag > prony.ZERO_TOL * scale)[0][0])
     return list(prony._phase_chain(scheme, z_mag, sum_mag, anchor,
                                    prony.ZERO_TOL * scale,
-                                   prony.BRANCH_TOL * scale))
+                                   prony.BRANCH_TOL * scale,
+                                   chunk or prony._GRID_VALUES // scheme.n))
 
 
 def sorted_rows(leaves):
@@ -469,7 +472,7 @@ def test_chunks_are_bounded_and_keep_siblings_together():
     seen = [set() for _ in range(2 * k)]
     for leaves, shares in chunks:
         rows = leaves.shape[0]
-        assert rows <= prony._CHUNK_LEAVES
+        assert rows * 64 <= prony._GRID_VALUES
         assert len(shares) == 2 * k and shares[-1] == 1
         assert shares[2 * k - 2] == 2        # this signal's last step splits
         assert shares[2 * k - 4] == 8        # and so do the two before it
@@ -586,7 +589,7 @@ def test_grid_filter_works_in_the_recoverys_one_workspace():
     x, _ = random_complex_sparse(np.random.default_rng(14), n, k)
     leaves, shares = chain_chunks(scheme, x)[0]
     rows = leaves.shape[0]
-    assert rows == prony._CHUNK_LEAVES
+    assert rows * n == prony._GRID_VALUES
     grid = prony._Grid(rows, n, k, float(np.max(np.abs(leaves[0]))))
     tracemalloc.start()
     try:
@@ -597,7 +600,7 @@ def test_grid_filter_works_in_the_recoverys_one_workspace():
     assert peak < rows * n * 16, peak
 
 
-def test_chunks_union_is_the_one_chunk_walk(monkeypatch):
+def test_chunks_union_is_the_one_chunk_walk():
     # fails at the parent, which has no chunks
     rng = np.random.default_rng(9)
     k = 6
@@ -605,10 +608,55 @@ def test_chunks_union_is_the_one_chunk_walk(monkeypatch):
     x, _ = random_complex_sparse(rng, 64, k)
     streamed = np.concatenate([leaves
                                for leaves, *_ in chain_chunks(scheme, x)])
-    monkeypatch.setattr(prony, "_CHUNK_LEAVES", 4 ** (k - 1))
-    (whole, *_), = chain_chunks(scheme, x)
+    (whole, *_), = chain_chunks(scheme, x, chunk=4 ** (k - 1))
     assert whole.shape[0] == 4 ** (k - 1)
     assert np.array_equal(sorted_rows(streamed), sorted_rows(whole))
+    # smaller chunks, down to the one leaf a chunk holds at n > 2^16, walk
+    # the same leaves in the same order; a leaf's phase is summed in
+    # another order, so they agree to round-off
+    for chunk in (16, 1):
+        streamed = np.concatenate(
+            [leaves for leaves, *_ in chain_chunks(scheme, x, chunk)])
+        assert np.allclose(streamed, whole, rtol=0, atol=1e-14 * 4 * k)
+
+
+def test_chunk_is_the_most_leaves_whose_grid_values_fit_the_budget(
+        monkeypatch):
+    # det_recover sizes its one workspace and cuts its chunks by one count
+    sizes = []
+    grid, chain = prony._Grid, prony._phase_chain
+    monkeypatch.setattr(prony, "_Grid", lambda rows, *args: (
+        sizes.append([rows]) or grid(rows, *args)))
+    monkeypatch.setattr(prony, "_phase_chain", lambda *args: (
+        sizes[-1].append(args[-1]) or chain(*args)))
+    rng = np.random.default_rng(16)
+    ns = (4, 64, 100, 1000, 4096, 1 << 17)
+    for n in ns:
+        scheme = DeterministicScheme(n, 2)
+        x, _ = random_complex_sparse(rng, n, 2)
+        out = det_recover(scheme, det_measure(scheme, x))
+        assert twin_phase_error(out.values, x) < 1e-8 * np.linalg.norm(x)
+    for n, (rows, chunk) in zip(ns, sizes, strict=True):
+        assert rows == chunk and rows & (rows - 1) == 0, (n, rows)
+        assert rows * n <= prony._GRID_VALUES or rows == 1, (n, rows)
+        assert 2 * rows * n > prony._GRID_VALUES, (n, rows)
+    assert [rows for rows, _ in sizes][:2] == [1 << 14, 1024]
+
+
+def test_recovery_workspace_is_bounded_at_n4096():
+    # fails at the parent, whose 1024-leaf chunks peaked at 97.4 MiB here
+    n, k = 4096, 6
+    scheme = DeterministicScheme(n, k)
+    x, _ = random_complex_sparse(np.random.default_rng(17), n, k)
+    y = det_measure(scheme, x)
+    tracemalloc.start()
+    try:
+        out = det_recover(scheme, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert twin_phase_error(out.values, x) < 1e-8 * np.linalg.norm(x)
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_every_leaf_meets_every_magnitude():
@@ -637,7 +685,8 @@ def test_broken_running_sum_raises_before_any_chunk():
     sum_mag[-1] = sum_mag[-2] + z_mag[-1] + 1.0  # past the triangle bound
     scale = float(np.max(y))
     chain = prony._phase_chain(scheme, z_mag, sum_mag, 0,
-                               prony.ZERO_TOL * scale, prony.BRANCH_TOL * scale)
+                               prony.ZERO_TOL * scale, prony.BRANCH_TOL * scale,
+                               prony._GRID_VALUES // 64)
     with pytest.raises(InconsistentMeasurements):
         next(chain)
 
