@@ -91,7 +91,8 @@ class TrialSpec:
         if self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.tail_norm < 0 or self.spike_energy_ratio <= 0:
-            raise ValueError("invalid signal-model parameters")
+            raise ValueError(f"need tail_norm >= 0 and spike_energy_ratio > 0, "
+                             f"got {self.tail_norm} and {self.spike_energy_ratio}")
         # the deterministic scheme draws exactly sparse complex signals and
         # builds no randomized ensemble
         if self.pipeline == "prony" and (self.signal_model != "exact-sparse"

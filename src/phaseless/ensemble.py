@@ -232,9 +232,9 @@ class SensingEnsemble:
 
     def check(self, measurements: "Measurements") -> None:
         """Raise EnsembleError unless ``measurements`` hold one signal's
-        rows, sensed by an ensemble with this (n, k, seed, config). Values
-        are compared, not objects: a rebuild reproduces the ensemble
-        exactly."""
+        rows, as a floating-point array, sensed by an ensemble with this
+        (n, k, seed, config). Values are compared, not objects: a rebuild
+        reproduces the ensemble exactly."""
         if not isinstance(measurements, Measurements):
             raise EnsembleError(f"measurements must be Measurements, got "
                                 f"{type(measurements).__name__}")
@@ -250,6 +250,9 @@ class SensingEnsemble:
         if not isinstance(measurements.y, np.ndarray):
             raise EnsembleError(f"y must be a numpy array, got "
                                 f"{type(measurements.y).__name__}")
+        if not np.issubdtype(measurements.y.dtype, np.floating):
+            raise EnsembleError(f"y must be a floating-point array, got "
+                                f"dtype {measurements.y.dtype}")
         shape = measurements.y.shape
         if len(shape) != 1:
             raise EnsembleError(f"decoding takes one signal's measurements, "
@@ -392,16 +395,21 @@ def build_ensemble(n: int, k: int, config: EnsembleConfig | None = None,
 
 def apply_phaseless(ensemble: SensingEnsemble, x: np.ndarray) -> Measurements:
     """Sense a real signal: y = |Phi x| over every block, concatenated.
-    One ``sparse.apply_blocks`` pass over the stacked blocks senses it,
-    with at most ``APPLY_CHUNK`` (block, column) pairs per request."""
+    The signal is cut down to its nonzero columns and their values here,
+    once, and one ``sparse.apply_blocks`` pass over the stacked blocks
+    senses those, with at most ``APPLY_CHUNK`` (block, column) pairs per
+    request. NaN and inf are nonzero, so checking the sensed values for
+    finiteness refuses every non-finite signal."""
     if np.iscomplexobj(x):
         raise EnsembleError("signal must be real, got a complex array")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ensemble.n,):
         raise EnsembleError(f"signal shape {x.shape} != ({ensemble.n},)")
-    if not np.all(np.isfinite(x)):
+    columns = np.flatnonzero(x)
+    values = x[columns]
+    if not np.all(np.isfinite(values)):
         raise EnsembleError("signal must be finite")
-    y = apply_blocks(list(ensemble.blocks.values()), x)
+    y = apply_blocks(list(ensemble.blocks.values()), columns, values)
     np.abs(y, out=y)
     return Measurements(y, ensemble.n, ensemble.k, ensemble.seed, ensemble.config)
 

@@ -65,6 +65,9 @@ __all__ = [
 ZERO_TOL = 1e-9       # relative to max(y): first-nonzero detection
 BRANCH_TOL = 1e-6     # relative to max(y): running-sum consistency
 BRANCH_CAP = 4 ** 10  # phase-chain leaves one recovery may walk
+# (k + 1) n values of the grid basis a recovery evaluates on: 256 MiB of
+# complex128. DeterministicScheme refuses a larger (n, k).
+GRID_CAP = 1 << 24
 _GRID_VALUES = 1 << 16  # |P| values on the grid one chunk of leaves holds
 # k-th over (k+1)-th smallest |annihilator| on the grid. A true leaf built at
 # a tangent step sits a few BRANCH_TOL off the truth, which lifts |P| at its
@@ -89,7 +92,9 @@ class ComplexSignal:
 
 @dataclass(frozen=True)
 class DeterministicScheme:
-    """Fixed measurement operator for (n, k); always exactly 4k-1 rows."""
+    """Fixed measurement operator for (n, k); always exactly 4k-1 rows.
+    An (n, k) whose grid basis, (k + 1) n values, passes GRID_CAP is
+    refused: recovery could not hold it."""
 
     n: int
     k: int
@@ -99,6 +104,9 @@ class DeterministicScheme:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= 2 * self.k <= self.n:
             raise ValueError(f"need 1 <= 2k <= n, got n={self.n}, k={self.k}")
+        if (self.k + 1) * self.n > GRID_CAP:
+            raise ValueError(f"(k + 1) n = {(self.k + 1) * self.n} grid values "
+                             f"exceed GRID_CAP = 2^24 (n={self.n}, k={self.k})")
 
     @property
     def n_measurements(self) -> int:

@@ -14,15 +14,15 @@ grouped by column in the order asked and with rows increasing within a
 column; that is a block's whole interface. ``sample_bernoulli`` draws the
 entries of a sequence of Bernoulli blocks, one or several, in one walk;
 a block checks its density and row count once, when it is made.
-``apply_blocks`` senses a signal through a stack of blocks in one pass
-(one block is ``apply_blocks([block], v)``). ``APPLY_CHUNK`` bounds each
-request it makes, counted in (block, column) pairs, so a k-sparse signal
-is one sampler walk for every Bernoulli block, and sensing a dense
-signal, cut at every aligned range of ``APPLY_CHUNK`` columns, never
-holds more than one range's entries of one block in temporaries. A range
-with no zero entry is asked for whole; a Bernoulli block keeps its
-entries in about 17 bits each and reuses them, its rows then in a
-narrower unsigned dtype than int32.
+``apply_blocks`` senses a signal, given as its sorted nonzero columns and
+their values, through a stack of blocks in one pass, with no length-n array.
+``APPLY_CHUNK`` bounds each request it makes, counted in (block, column)
+pairs, so a k-sparse signal is one sampler walk for every Bernoulli block,
+and sensing a dense signal, cut at every aligned range of ``APPLY_CHUNK``
+columns, never holds more than one range's entries of one block in
+temporaries. A range with no zero entry is asked for whole; a Bernoulli
+block keeps its entries in about 17 bits each and reuses them, its rows
+then in a narrower unsigned dtype than int32.
 """
 
 from __future__ import annotations
@@ -162,54 +162,54 @@ def apply_signed(out: np.ndarray, rows: np.ndarray, signs: np.ndarray,
     np.add.at(out, rows, values)
 
 
-def apply_blocks(blocks, v: np.ndarray) -> np.ndarray:
+def apply_blocks(blocks, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Signed row sums of the blocks stacked in the order given (the first
-    block's rows first) over the entries of v's nonzero columns.
+    block's rows first) over the entries of a signal's sorted nonzero int64
+    ``columns`` with their float64 ``values``; a column outside a block's
+    0 .. n_cols - 1 raises ValueError.
 
-    The nonzero columns are found and cut once: fewer than ``APPLY_CHUNK``
-    are one piece, more are cut at every multiple of ``APPLY_CHUNK``, one
-    piece per aligned range they touch. Each hash block makes one
-    ``entries`` request per piece, and the Bernoulli blocks are sampled
-    together, as many per ``sample_bernoulli`` walk as keep the widest
-    piece within ``APPLY_CHUNK`` (block, column) pairs; a block alone in
-    its walk makes an ``entries`` request, which keeps a whole aligned
-    range. Each request is scattered into its blocks' rows of one output;
-    the requests go block by block, each block's pieces in increasing
-    column order, so every row adds its entries in column order and no
-    temporary outgrows one request's entries.
+    The columns are cut once: fewer than ``APPLY_CHUNK`` are one piece, more
+    are cut at every multiple of ``APPLY_CHUNK``, one piece per aligned range
+    they touch. Each hash block makes one ``entries`` request per piece, and
+    the Bernoulli blocks are sampled together, as many per
+    ``sample_bernoulli`` walk as keep the widest piece within ``APPLY_CHUNK``
+    (block, column) pairs; a block alone in its walk makes an ``entries``
+    request, which keeps a whole aligned range. Each request is scattered into
+    its blocks' rows of one output; the requests go block by block, each
+    block's pieces in increasing column order, so every row adds its entries
+    in column order and no temporary outgrows one request's entries.
     """
-    for block in blocks:
-        if v.shape[0] != block.n_cols:
-            raise ValueError(f"vector length {v.shape[0]} != n_cols {block.n_cols}")
+    if columns.size and not 0 <= columns.min() <= columns.max() < min(
+            block.n_cols for block in blocks):
+        raise ValueError(f"columns {columns.min()} .. {columns.max()} are "
+                         f"not all within a block's 0 .. n_cols - 1")
     start = np.cumsum([0] + [block.n_rows for block in blocks])
     out = np.zeros(start[-1])
-    cols = np.flatnonzero(v)
-    pieces = [cols]
-    if cols.size >= APPLY_CHUNK:
-        # cutting a sparse signal too would cost a walk per range
-        pieces = np.split(cols, np.searchsorted(
-            cols, np.arange(APPLY_CHUNK, v.shape[0], APPLY_CHUNK)))
+    cuts = []   # cutting a sparse signal too would cost a walk per range
+    if columns.size >= APPLY_CHUNK:
+        ranges = columns // APPLY_CHUNK
+        cuts = np.flatnonzero(ranges[1:] != ranges[:-1]) + 1
+    pieces = (list(zip(np.split(columns, cuts), np.split(values, cuts)))
+              if columns.size else [])
     bernoulli = [b for b, block in enumerate(blocks)
                  if isinstance(block, SparseSignMatrix)]
-    per_walk = APPLY_CHUNK // max(max(piece.size for piece in pieces), 1)
+    per_walk = APPLY_CHUNK // max((cols.size for cols, _ in pieces), default=1)
     requests = ([[b] for b in range(len(blocks)) if b not in bernoulli]
                 + [bernoulli[lo:lo + per_walk]
                    for lo in range(0, len(bernoulli), per_walk)])
     for group in requests:
-        for piece in pieces:
-            if not piece.size:
-                continue
+        for cols, vals in pieces:
             if len(group) == 1:
                 b, = group
-                counts, rows, signs = blocks[b].entries(piece)
+                counts, rows, signs = blocks[b].entries(cols)
                 apply_signed(out[start[b]:start[b + 1]], rows, signs,
-                             np.repeat(v[piece], counts))
+                             np.repeat(vals, counts))
             else:
                 counts, rows, signs = sample_bernoulli(
-                    [blocks[b] for b in group], piece)
+                    [blocks[b] for b in group], cols)
                 per_block = counts.reshape(len(group), -1).sum(axis=1)
                 apply_signed(out, rows + np.repeat(start[group], per_block),
-                             signs, np.repeat(np.tile(v[piece], len(group)), counts))
+                             signs, np.repeat(np.tile(vals, len(group)), counts))
     return out
 
 

@@ -19,6 +19,13 @@ def column_entries(block, columns):
     return rows, signs, np.repeat(columns, counts)
 
 
+def support(v):
+    """A dense signal as ``apply_blocks`` reads it: its nonzero columns and
+    their values."""
+    columns = np.flatnonzero(v)
+    return columns, v[columns]
+
+
 def block_entries(block):
     """Every column's (rows, signs, owners)."""
     return column_entries(block, np.arange(block.n_cols))

@@ -25,6 +25,12 @@ def test_exact_sparse_signal_has_zero_tail():
     assert np.count_nonzero(x) == 10
 
 
+def test_tail_of_k_at_least_the_length_is_zero():
+    x = np.array([3.0, -1.0, 2.0])
+    assert tail_norm_sq(x, 2) == 1.0
+    assert tail_norm_sq(x, 3) == tail_norm_sq(x, 4) == 0.0
+
+
 def test_spikes_plus_tail_normalization():
     spec = TrialSpec(n=512, k=10, signal_model="spikes-plus-tail", trials=1,
                      seed=2, tail_norm=0.7)
@@ -70,7 +76,8 @@ def test_trial_spec_validation_and_json():
     ("n", 64.0), ("k", "2"), ("trials", 2.5), ("trials", True), ("seed", -1),
     ("seed", None), ("tail_norm", "1"), ("spike_energy_ratio", False),
     ("decay", float("nan")), ("config", None), ("config", {"C0": 0.5}),
-    ("n", 0), ("k", 0), ("k", -1), ("k", 65),
+    ("n", 0), ("k", 0), ("k", -1), ("k", 65), ("tail_norm", -0.5),
+    ("spike_energy_ratio", 0.0),
 ])
 def test_trial_spec_refuses_a_malformed_field_by_name(field, value):
     # each once failed later with a TypeError, or made every trial fail;

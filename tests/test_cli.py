@@ -457,6 +457,23 @@ def test_decode_refuses_rows_its_headers_ensemble_cannot_read(tmp_path,
     assert not any(out.iterdir())
 
 
+def test_decode_refuses_a_file_of_integer_rows(tmp_path, capsys):
+    # such a file once passed the row check, and each row's decode failed
+    # with an OverflowError recorded in its result file, exit status 1
+    x, ens = _one_signal()
+    Measurements(apply_phaseless(ens, x).y, ens.n, ens.k, ens.seed,
+                 ens.config).save(tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as data:
+        header, y = data["header"], data["y"]
+    np.savez_compressed(tmp_path / "int.npz", header=header,
+                        y=np.rint(y * 1000).astype(np.int64))
+    out = tmp_path / "dec"
+    assert _exit_code(["decode", "--measurements", str(tmp_path / "int.npz"),
+                       "--out", str(out)]) == 2
+    assert "got dtype int64" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_decode_records_a_row_it_cannot_decode_and_goes_on(tmp_path, capsys):
     x, ens = _one_signal()
     y = apply_phaseless(ens, x).y

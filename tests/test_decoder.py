@@ -330,18 +330,6 @@ def test_decode_diagnostics_counters_positive():
     assert d.index_reads == expect
 
 
-def sense_by_support(ens, support, values):
-    """The measurements of the signal holding ``values`` at ``support``: each
-    block's entries of the support scattered through ``apply_signed``, as a
-    dense x of length n cannot exist at the n below."""
-    y = np.zeros(ens.total_rows)
-    for name, block in ens.blocks.items():
-        counts, rows, signs = block.entries(support)
-        sparse.apply_signed(y[ens.rows(name)], rows, signs,
-                            np.repeat(values, counts))
-    return Measurements(np.abs(y), ens.n, ens.k, ens.seed, ens.config)
-
-
 @pytest.mark.parametrize("n", [2 ** 49 + 1, 2 ** 54, 2 ** 60 + 1,
                                (1 << 63) // 5],
                          ids=["2^49+1", "2^54", "2^60+1", "largest"])
@@ -352,7 +340,8 @@ def test_decode_past_2_53_returns_the_exact_support(n):
     # ceil(log2 n), one bit short at n = 2^j + 1 for j >= 49, so column
     # n - 1, which every support here holds, was never identified. The
     # last n is the largest build_ensemble accepts with its 5 hash
-    # repetitions.
+    # repetitions. No dense x of length n can exist here, so the library's
+    # one sensing pass reads each support and its values.
     k = 10
     ens = build_ensemble(n, k, rng_seed=54)
     rng = np.random.default_rng(54)
@@ -361,7 +350,9 @@ def test_decode_past_2_53_returns_the_exact_support(n):
             rng.integers(0, n - 1, size=k - 1, dtype=np.int64), n - 1))
         values = rng.choice([-1.0, 1.0], support.size) * rng.uniform(
             1.0, 2.0, support.size)
-        res = decode(ens, sense_by_support(ens, support, values))
+        y = np.abs(sparse.apply_blocks(list(ens.blocks.values()), support,
+                                       values))
+        res = decode(ens, Measurements(y, n, k, ens.seed, ens.config))
         assert np.array_equal(res.S2, support)
 
 
@@ -577,6 +568,25 @@ def test_decode_refuses_a_y_that_is_not_an_array():
         decode(ensembles[0], listed)
     with pytest.raises(EnsembleError, match="numpy array"):
         estimate_tail_energy(ensembles[0], listed, np.arange(K))
+
+
+def test_decode_refuses_an_integer_y():
+    # an int64 y once passed every check, and decode failed in
+    # estimate_magnitudes with "cannot convert float infinity to integer"
+    ens = build_ensemble(256, 3, rng_seed=5)
+    x, _ = exact_sparse(np.random.default_rng(5), 256, 3)
+    y = apply_phaseless(ens, x).y
+    for dtype in (np.int64, np.bool_, np.complex128):
+        meas = Measurements(np.rint(y * 1000).astype(dtype), ens.n, ens.k,
+                            ens.seed, ens.config)
+        message = f"floating-point array, got dtype {np.dtype(dtype)}"
+        with pytest.raises(EnsembleError, match=message):
+            decode(ens, meas)
+        with pytest.raises(EnsembleError, match=message):
+            decode_amplified([ens], [meas])
+        with pytest.raises(EnsembleError, match=message):
+            estimate_tail_energy(ens, meas, np.arange(3))
+    assert decode(ens, dataclasses.replace(meas, y=y.astype(np.float32))).S2.size
 
 
 def test_decode_refuses_a_bare_y_in_place_of_measurements():

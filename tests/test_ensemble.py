@@ -15,7 +15,7 @@ from phaseless import (EnsembleConfig, EnsembleError, Measurements,
                        apply_phaseless, build_ensemble, decode, row_count)
 from phaseless.sparse import APPLY_CHUNK, SparseSignMatrix, apply_blocks
 
-from helpers import block_entries, exact_sparse
+from helpers import block_entries, exact_sparse, support
 
 N, K, SEED = 1024, 8, 314
 
@@ -46,7 +46,7 @@ def test_sensing_applies_the_blocks_to_the_signal_itself(ens):
     scattered = np.zeros(N)
     scattered[rng.choice(N, 500, replace=False)] = rng.standard_normal(500)
     for x in (exact_sparse(rng, N, K)[0], rng.standard_normal(N), scattered):
-        want = np.concatenate([np.abs(apply_blocks([blk], x))
+        want = np.concatenate([np.abs(apply_blocks([blk], *support(x)))
                                for blk in ens.blocks.values()])
         assert np.array_equal(apply_phaseless(ens, x).y, want)
 

@@ -8,7 +8,7 @@ from phaseless.sketch import build_countsketch_block, build_hh_block
 from phaseless.sparse import (SparseSignMatrix, apply_blocks, sample_bernoulli,
                               splitmix64)
 
-from helpers import column_entries, dense_block
+from helpers import column_entries, dense_block, support
 
 
 def test_sampler_is_deterministic():
@@ -121,12 +121,13 @@ def test_apply_matches_dense_oracle():
         v = rng.standard_normal(WIDE)
         sparse_v = v * (rng.random(WIDE) < 0.02)
         # a signal with zero entries samples its nonzero columns ...
-        assert np.allclose(apply_blocks([block], sparse_v), dense @ sparse_v,
-                           atol=1e-10)
+        assert np.allclose(apply_blocks([block], *support(sparse_v)),
+                           dense @ sparse_v, atol=1e-10)
         assert block._kept.keys() == (kept or {}).keys()
         # ... and one with none keeps each aligned full chunk for the next
         # such call; the partial last chunk is sampled every time
-        assert np.allclose(apply_blocks([block], v), dense @ v, atol=1e-10)
+        assert np.allclose(apply_blocks([block], *support(v)), dense @ v,
+                           atol=1e-10)
         assert sorted(block._kept) == [0, CHUNK]
         if kept is not None:
             assert all(block._kept[lo] is kept[lo] for lo in kept)
@@ -136,7 +137,7 @@ def test_apply_matches_dense_oracle():
 def test_a_zero_entry_samples_only_its_own_chunk(monkeypatch):
     block = SparseSignMatrix.bernoulli(12, 60, WIDE, 0.05)
     v = np.random.default_rng(4).standard_normal(WIDE)
-    apply_blocks([block], v)
+    apply_blocks([block], *support(v))
     kept = dict(block._kept)
     v[5] = 0.0
     asked = recorded_requests(monkeypatch, block)
@@ -144,7 +145,7 @@ def test_a_zero_entry_samples_only_its_own_chunk(monkeypatch):
     rows, signs, owners = column_entries(fresh, np.flatnonzero(v))
     want = np.bincount(rows, weights=v[owners] * signs, minlength=60)
     walks = counted_walks(monkeypatch)
-    assert np.array_equal(apply_blocks([block], v), want)
+    assert np.array_equal(apply_blocks([block], *support(v)), want)
     # the chunk holding the zero and the partial chunk sample; the chunk at
     # CHUNK is still asked for whole and reads its kept result, no walk
     assert [cols.size for cols, _ in asked] == [CHUNK - 1, CHUNK, 37]
@@ -185,7 +186,7 @@ def test_apply_is_one_bincount_in_column_order_across_chunks():
             rows, signs, owners = column_entries(block, np.flatnonzero(v))
             want = np.bincount(rows, weights=v[owners] * signs,
                                minlength=block.n_rows)
-            assert np.array_equal(apply_blocks([block], v), want)
+            assert np.array_equal(apply_blocks([block], *support(v)), want)
 
 
 def test_a_dense_signal_is_cut_at_every_aligned_range(monkeypatch):
@@ -204,7 +205,7 @@ def test_a_dense_signal_is_cut_at_every_aligned_range(monkeypatch):
         want = np.bincount(rows, weights=v[owners] * signs,
                            minlength=block.n_rows)
         asked = recorded_requests(monkeypatch, block)
-        assert np.array_equal(apply_blocks([block], v), want)
+        assert np.array_equal(apply_blocks([block], *support(v)), want)
         assert [(c[0] // CHUNK, c[-1] // CHUNK) for c, _ in asked] == \
             [(0, 0), (1, 1), (2, 2)]
         assert np.array_equal(np.concatenate([c for c, _ in asked]), cols)
@@ -258,8 +259,8 @@ def test_hash_blocks_apply_matches_dense_oracle():
     v = rng.standard_normal(300)
     for block in (build_hh_block(3, 300, 7, 4),
                   build_countsketch_block(4, 300, 16, 5)):
-        assert np.allclose(apply_blocks([block], v), dense_block(block) @ v,
-                           atol=1e-10)
+        assert np.allclose(apply_blocks([block], *support(v)),
+                           dense_block(block) @ v, atol=1e-10)
 
 
 def test_hash_block_rows_follow_the_stream_words():
@@ -287,17 +288,27 @@ def test_hash_block_rows_follow_the_stream_words():
         assert signs.tolist() == np.repeat(sign[:, i], bits + 1).tolist()
 
 
+def test_apply_refuses_a_column_outside_every_block():
+    blocks = [SparseSignMatrix.bernoulli(8, 50, 40, 0.01),
+              build_countsketch_block(9, 40, 16, 5)]
+    for columns in ([-1, 3], [3, 40], [0, 2 ** 62]):
+        with pytest.raises(ValueError, match="n_cols"):
+            apply_blocks(blocks, np.array(columns), np.ones(2))
+    assert apply_blocks(blocks, np.array([0, 39]), np.ones(2)).shape == (130,)
+
+
 def test_apply_empty_rows_are_zero():
     m = SparseSignMatrix.bernoulli(8, 50, 40, 0.01)
     empty = ~dense_block(SparseSignMatrix.bernoulli(8, 50, 40, 0.01)).any(axis=1)
     assert empty.any()
-    y = apply_blocks([m], np.ones(40))
+    y = apply_blocks([m], np.arange(40), np.ones(40))
     assert np.all(y[empty] == 0)
 
 
 def test_cached_columns_match_on_the_fly_sample(monkeypatch):
     cached = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
-    apply_blocks([cached], np.ones(WIDE))   # every column: each full chunk kept
+    # every column: each full chunk kept
+    apply_blocks([cached], np.arange(WIDE), np.ones(WIDE))
     kept = dict(cached._kept)
     assert sorted(kept) == [0, CHUNK]
     fresh = SparseSignMatrix.bernoulli(11, 123, WIDE, 0.07)
@@ -340,9 +351,9 @@ def test_kept_rows_take_the_narrowest_dtype(n_rows, dtype):
     # entries in the same order: y equals a fresh block's, byte for byte
     block = SparseSignMatrix.bernoulli(21, n_rows, WIDE, 40 / n_rows)
     v = np.random.default_rng(21).standard_normal(WIDE)
-    first = apply_blocks([block], v)
+    first = apply_blocks([block], *support(v))
     assert all(kept[1].dtype == dtype for kept in block._kept.values())
-    again = apply_blocks([block], v)
-    fresh = apply_blocks([SparseSignMatrix.bernoulli(21, n_rows, WIDE,
-                                                     40 / n_rows)], v)
+    again = apply_blocks([block], *support(v))
+    other = SparseSignMatrix.bernoulli(21, n_rows, WIDE, 40 / n_rows)
+    fresh = apply_blocks([other], *support(v))
     assert again.tobytes() == first.tobytes() == fresh.tobytes()

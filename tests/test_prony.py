@@ -33,6 +33,13 @@ def test_det_measure_matches_dense_matrix():
         assert np.allclose(det_measure(scheme, x), oracle, atol=1e-12)
 
 
+def test_det_measure_refuses_a_signal_of_the_wrong_shape():
+    scheme = DeterministicScheme(64, 2)
+    for shape in ((63,), (65,), (1, 64), ()):
+        with pytest.raises(ValueError, match="signal shape"):
+            det_measure(scheme, np.zeros(shape))
+
+
 def test_det_measure_zero_and_impulse():
     scheme = DeterministicScheme(32, 2)
     assert np.all(det_measure(scheme, np.zeros(32, complex)) == 0)
@@ -56,6 +63,27 @@ def test_global_phase_invariance():
 def test_scheme_rejects_bad_sizes():
     with pytest.raises(ValueError):
         DeterministicScheme(8, 5)  # 2k > n
+
+
+@pytest.mark.parametrize("n", [2 ** 40, 2 ** 62])
+def test_scheme_refuses_a_grid_past_its_cap(n):
+    # both were accepted, and recovery then failed in the grid basis with a
+    # MemoryError ("Unable to allocate 8.00 TiB") or numpy's "array is too
+    # big"; the refusal allocates nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GRID_CAP = 2\\^24"):
+            DeterministicScheme(n, 2)
+        with pytest.raises(ValueError, match="GRID_CAP"):
+            prony_solve(np.ones(4, complex), n, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    cap = prony.GRID_CAP
+    assert DeterministicScheme(cap // 3, 2).n == cap // 3
+    with pytest.raises(ValueError, match="GRID_CAP"):
+        DeterministicScheme(cap // 3 + 1, 2)
 
 
 def test_scheme_takes_integer_sizes_only():
@@ -117,6 +145,13 @@ def test_prony_solve_refuses_what_the_scheme_refuses():
         with pytest.raises(ValueError):
             prony_solve(np.ones(2 * int(k), complex), n, k)
     assert np.all(prony_solve(np.zeros(4, complex), 8, 2).values == 0)
+
+
+def test_prony_solve_takes_exactly_2k_coefficients():
+    g = fourier_prefix(np.eye(64, dtype=complex)[5], 3)
+    for wrong in (g[:5], np.append(g, 0)):
+        with pytest.raises(ValueError, match="exactly 2k = 6 coefficients"):
+            prony_solve(wrong, 64, 3)
 
 
 @pytest.mark.parametrize("at, bad", [(2, np.nan), (2, np.inf), (0, np.inf),

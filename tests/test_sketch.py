@@ -13,7 +13,7 @@ from phaseless.sketch import (CANDIDATE_CAP_FACTOR, SketchError,
                               estimate_magnitudes, identify_heavy, median)
 from phaseless.sparse import apply_blocks
 
-from helpers import identify_heavy_reference, tail_sq
+from helpers import identify_heavy_reference, support, tail_sq
 
 
 def make_block(key, n, K, reps=5):
@@ -61,7 +61,7 @@ def test_single_spike_is_identified():
     block = make_block(1, n, K=10)
     x = np.zeros(n)
     x[1] = 1.0
-    S0 = identify_heavy(block, 10, np.abs(apply_blocks([block], x)))
+    S0 = identify_heavy(block, 10, np.abs(apply_blocks([block], *support(x))))
     assert 1 in S0
 
 
@@ -72,7 +72,7 @@ def test_equal_spikes_zero_tail_all_identified():
     pos = rng.choice(n, 10, replace=False)
     x = np.zeros(n)
     x[pos] = 1.0
-    S0 = identify_heavy(block, 100, np.abs(apply_blocks([block], x)))
+    S0 = identify_heavy(block, 100, np.abs(apply_blocks([block], *support(x))))
     assert np.isin(pos, S0).all()
     assert S0.size <= CANDIDATE_CAP_FACTOR * 100
 
@@ -115,7 +115,8 @@ def test_identification_matches_the_per_candidate_rule(n, K, reps):
         block = make_block(int(rng.integers(2 ** 62)), n, K, reps)
         x = rng.standard_normal(n) * 0.1
         x[rng.choice(n, K, replace=False)] = rng.uniform(1.0, 10.0, K)
-        assert identified(block, K, np.abs(apply_blocks([block], x))).size > 0
+        y = np.abs(apply_blocks([block], *support(x)))
+        assert identified(block, K, y).size > 0
         noise = rng.exponential(size=block.n_rows)
         noise[rng.random(block.n_rows) < 0.2] = 0.0
         identified(block, K, noise)
@@ -194,7 +195,7 @@ def test_containment_rate_planted_heavy():
         x[pos] = rng.choice([-1.0, 1.0], K // 2) * rng.uniform(3.0, 6.0, K // 2)
         threshold = tail_sq(x, K) / K
         heavy = [i for i in range(n) if x[i] ** 2 > threshold]
-        S0 = identify_heavy(block, K, np.abs(apply_blocks([block], x)))
+        S0 = identify_heavy(block, K, np.abs(apply_blocks([block], *support(x))))
         trials += len(heavy)
         misses += int(np.sum(~np.isin(heavy, S0)))
     assert trials > 4000
@@ -204,7 +205,7 @@ def test_containment_rate_planted_heavy():
 def test_estimate_zero_signal():
     n = 256
     block = build_countsketch_block(5, n, 128, 5)
-    y = np.abs(apply_blocks([block], np.zeros(n)))
+    y = np.abs(apply_blocks([block], *support(np.zeros(n))))
     for i in [0, 100, 255]:
         assert estimate_one(block, y, i) == 0.0
 
@@ -214,7 +215,7 @@ def test_estimate_single_spike_exact():
     block = build_countsketch_block(6, n, 128, 5)
     x = np.zeros(n)
     x[3] = 5.0
-    y = np.abs(apply_blocks([block], x))
+    y = np.abs(apply_blocks([block], *support(x)))
     assert estimate_one(block, y, 3) == 5.0
 
 
@@ -241,7 +242,7 @@ def test_estimate_error_bound_planted_spikes():
         g = rng.standard_normal(n - k)
         x[off] = g / np.linalg.norm(g) * 0.5
         block = build_countsketch_block(40_000 + t, n, 1024, 5)
-        y = np.abs(apply_blocks([block], x))
+        y = np.abs(apply_blocks([block], *support(x)))
         est = estimate_magnitudes(block, y, pos)
         for i, e in zip(pos, est):
             total += 1
@@ -254,8 +255,8 @@ def test_estimates_are_sign_blind():
     block = build_countsketch_block(9, n, 256, 5)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(n)
-    ya = np.abs(apply_blocks([block], x))
-    yb = np.abs(apply_blocks([block], -x))
+    ya = np.abs(apply_blocks([block], *support(x)))
+    yb = np.abs(apply_blocks([block], *support(-x)))
     idx = np.arange(0, n, 37)
     assert np.array_equal(estimate_magnitudes(block, ya, idx),
                           estimate_magnitudes(block, yb, idx))
@@ -266,7 +267,7 @@ def test_median_absorbs_single_corrupted_repetition():
     block = build_countsketch_block(11, n, W, reps)
     x = np.zeros(n)
     x[7] = 2.0
-    y = np.abs(apply_blocks([block], x))
+    y = np.abs(apply_blocks([block], *support(x)))
     clean = estimate_one(block, y, 7)
     y_corrupt = y.copy()
     y_corrupt[:W] = 1e6  # wipe out repetition 0 entirely
@@ -340,7 +341,7 @@ def test_estimates_keep_a_nan_repetition():
     block = build_countsketch_block(10, 256, 128, 5)
     x = np.zeros(256)
     x[3] = 2.0
-    y = np.abs(apply_blocks([block], x))
+    y = np.abs(apply_blocks([block], *support(x)))
     y[block.hash(np.array([3]))[0][0, 2] + 2 * 128] = np.nan
     est = estimate_magnitudes(block, y, [3, 4])
     assert np.isnan(est[0]) and not np.isnan(est[1])
