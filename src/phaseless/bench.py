@@ -162,7 +162,12 @@ def gen_signal(spec: TrialSpec, trial_index: int) -> np.ndarray:
 
 def tail_norm_sq(x: np.ndarray, k: int) -> float:
     """||x_tail(k)||_2^2: energy outside the k largest magnitudes."""
-    a = np.abs(x) ** 2
+    if k < 0 or np.ndim(x) != 1:
+        raise ValueError(f"need k >= 0 and a 1-D x, got k = {k}, shape {np.shape(x)}")
+    with np.errstate(over="ignore"):   # an |x| past 1e154 squares to inf
+        a = np.abs(x) ** 2
+    if k == 0:          # all of x is tail
+        return float(np.sum(a))
     if k >= a.size:
         return 0.0
     idx = np.argpartition(a, a.size - k)[: a.size - k]
@@ -196,10 +201,10 @@ def sign_accuracy(x: np.ndarray, indices: np.ndarray, values: np.ndarray
     return 1.0 - errors / int(mask.sum()), errors
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96
-                    ) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96                # the 95% interval
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -304,8 +309,12 @@ class TrialReport:
 
 
 def run_trials(spec: TrialSpec, workers: int = 1) -> TrialReport:
-    """Run every trial in the spec; per-trial failures are recorded, not
-    raised. Records are deterministic given the spec, whatever ``workers``."""
+    """Run every trial in the spec on min(workers, trials) processes;
+    per-trial failures are recorded, not raised. Records are deterministic
+    given the spec, whatever ``workers``."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, spec.trials)
     if workers > 1:
         import multiprocessing as mp
 
@@ -330,15 +339,11 @@ def _config_grid(grid: dict[str, list], base: EnsembleConfig
     return configs
 
 
-def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
-              out_path=None) -> tuple[EnsembleConfig | None, list[dict]]:
+def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float
+              ) -> tuple[EnsembleConfig | None, list[dict]]:
     """Smallest-measurement config on the grid meeting the target rate.
-    The grid varies ``base_spec.config`` one field per grid key.
-
-    Returns (winner or None, per-config summaries, sorted by measurement
-    count ascending). Writes the winner as a config file (``to_json``) when
-    a winner exists and out_path is given.
-    """
+    The grid varies ``base_spec.config`` one field per grid key. Returns
+    (winner or None, per-config summaries sorted by measurement count)."""
     if not isinstance(grid, dict) or not grid:
         raise ValueError(f"empty calibration grid or not a JSON object: {grid!r}")
     for field, values in grid.items():
@@ -362,15 +367,11 @@ def calibrate(grid: dict[str, list], base_spec: TrialSpec, target_rate: float,
         if winner is None and agg["success_rate"] >= target_rate:
             winner = cfg.resolve(base_spec.k)
             break
-    if winner is not None and out_path is not None:
-        with open(out_path, "w") as fh:
-            fh.write(winner.to_json())
     return winner, summaries
 
 
 def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
-                          seed: int, tail_norm: float = 1.0,
-                          spike_energy_ratio: float = 100.0) -> float:
+                          seed: int, spike_energy_ratio: float = 100.0) -> float:
     """Fraction of sign-graph votes that contradict the planted signs: an
     agree vote (+1) on a cross-sign pair or a differ vote (-1) on a
     same-sign pair.
@@ -381,8 +382,7 @@ def edge_error_experiment(n: int, k: int, config: EnsembleConfig, trials: int,
     picks. Used to check that raising C0 lowers vote noise.
     """
     spec = TrialSpec(n=n, k=k, signal_model="spikes-plus-tail", trials=trials,
-                     seed=seed, config=config, tail_norm=tail_norm,
-                     spike_energy_ratio=spike_energy_ratio)
+                     seed=seed, config=config, spike_energy_ratio=spike_energy_ratio)
     wrong = total = 0
     for t in range(trials):
         x = gen_signal(spec, t)

@@ -120,9 +120,10 @@ def cmd_bench(args) -> int:
         args.error("--spec replaces the spec flags; give one or the other")
     if args.spec is None and (args.n is None or args.k is None):
         args.error("--n and --k are required without --spec")
-    if args.workers < 1:
-        args.error(f"--workers must be >= 1, got {args.workers}")
-    report = run_trials(_trial_spec(args), workers=args.workers)
+    try:  # _trial_spec exits on its own refusals
+        report = run_trials(_trial_spec(args), workers=args.workers)
+    except ValueError as exc:
+        args.error(str(exc))
     (args.out / "report.csv").write_text(report.to_csv())
     (args.out / "report.json").write_text(report.to_json())
     agg = report.aggregates()
@@ -138,8 +139,7 @@ def cmd_calibrate(args) -> int:
         args.error(f"--grid: {exc}")
     # trials record their own errors: a ValueError is a refused input
     try:
-        winner, summaries = calibrate(grid, spec, args.target,
-                                      out_path=args.out / "defaults.json")
+        winner, summaries = calibrate(grid, spec, args.target)
     except ValueError as exc:
         args.error(str(exc))
     (args.out / "calibration.json").write_text(json.dumps(summaries, indent=2))
@@ -147,6 +147,7 @@ def cmd_calibrate(args) -> int:
         best = max((s["success_rate"] for s in summaries), default=0.0)
         print(f"no config met target {args.target}; best rate {best}")
         return 1
+    (args.out / "defaults.json").write_text(winner.to_json())
     print(f"calibrated config written to {args.out / 'defaults.json'}")
     return 0
 

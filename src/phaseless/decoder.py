@@ -39,7 +39,7 @@ import numpy as np
 from .ensemble import EnsembleError, Measurements, SensingEnsemble, \
     f_inverse_density
 from .signs import SignGraph, build_sign_graph, recover_communities
-from .sketch import estimate_magnitudes, identify_heavy, median
+from .sketch import estimate_magnitudes, identify_heavy
 
 __all__ = [
     "TailEnergyEstimate",
@@ -74,9 +74,6 @@ class DecodeDiagnostics:
     def total_touches(self) -> int:
         return self.y_reads + self.index_reads
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RecoveryResult:
@@ -105,7 +102,7 @@ class RecoveryResult:
             "L": self.tail_energy.L,
             "L_per_rep": [float(v) for v in self.tail_energy.per_rep],
             "signs_failed": self.signs_failed,
-            "diagnostics": self.diagnostics.as_dict(),
+            "diagnostics": asdict(self.diagnostics),
         }, indent=2)
 
 
@@ -141,10 +138,11 @@ def estimate_tail_energy(ensemble: SensingEnsemble, measurements: Measurements,
         raise TailEstimationError(
             f"S1 hit every bucket of B (|S1|={len(S1)}); increase "
             "countsketch_rows")
-    sums = np.where(missed, yB ** 2, 0.0).sum(axis=1)
+    with np.errstate(over="ignore"):   # a y past 1e154 squares to inf
+        sums = np.where(missed, yB ** 2, 0.0).sum(axis=1)
     scale = ensemble.config.c1 * block.n_buckets / ensemble.k
     per_rep = scale * (sums[kept] / count[kept])
-    return TailEnergyEstimate(L=float(median(per_rep)), per_rep=per_rep)
+    return TailEnergyEstimate(L=float(np.median(per_rep)), per_rep=per_rep)
 
 
 def prune(estimates: np.ndarray, L: float, k: int, C0: float) -> np.ndarray:

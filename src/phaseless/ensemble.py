@@ -99,8 +99,8 @@ class EnsembleConfig:
     heavy_K          heaviness parameter of the identification block
                      (default 4k).
     top_select       candidate cap after magnitude estimation (default 2k;
-                     any value in [k, 5k] is supported, smaller keeps the
-                     tail-estimate rows cheaper).
+                     any value in [k, 5k] is supported): it bounds S1 and
+                     the top of the F ladder.
     hh_bucket_factor buckets per unit of heavy_K in the identification block
                      (default 1.25).
     hh_reps          identification repetitions (default 5 at every n, so

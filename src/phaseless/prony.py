@@ -118,6 +118,8 @@ def det_measure(scheme: DeterministicScheme, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (scheme.n,):
         raise ValueError(f"signal shape {x.shape} != ({scheme.n},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal must be finite")
     z = np.fft.fft(x)[: 2 * scheme.k] / math.sqrt(scheme.n)
     running = np.cumsum(z)
     return np.concatenate([np.abs(z), np.abs(running[1:])])
@@ -400,12 +402,17 @@ def _grid_annihilator_filter(leaves: np.ndarray, shares,
 
 def det_recover(scheme: DeterministicScheme, y: np.ndarray) -> ComplexSignal:
     """Invert det_measure up to global phase (times conjugate reflection)."""
+    if np.iscomplexobj(y):
+        raise ValueError("measurements must be real")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (scheme.n_measurements,):
         raise ValueError(
             f"need {scheme.n_measurements} measurements, got {y.shape}")
-    if not np.all(np.isfinite(y) & (y >= 0)):
-        raise ValueError("measurements must be finite and nonnegative")
+    # the walk's squares and order-k determinants must stay finite
+    bound = 960 // max(scheme.k, 2)
+    if not np.all((y >= 0) & (y <= 2.0 ** bound)):   # NaN fails both
+        raise ValueError(f"measurements must be finite, nonnegative and at "
+                         f"most 2^{bound} at k = {scheme.k}")
     two_k = 2 * scheme.k
     scale = float(np.max(y))
     tol_zero = ZERO_TOL * scale

@@ -38,7 +38,6 @@ __all__ = [
     "build_countsketch_block",
     "identify_heavy",
     "estimate_magnitudes",
-    "median",
 ]
 
 CANDIDATE_CAP_FACTOR = 2  # |S0| <= this * K
@@ -95,7 +94,11 @@ class HashBlock:
         return (u % np.uint64(self.n_buckets)).astype(np.int64)
 
     def bucket_rows(self, columns: np.ndarray) -> np.ndarray:
-        """Row of each column's whole bucket in every repetition."""
+        """Row of each column's whole bucket in every repetition; refuses a
+        column outside [0, n_cols)."""
+        outside = columns[(columns < 0) | (columns >= self.n_cols)]
+        if outside.size:
+            raise SketchError(f"index {outside[0]} out of range [0, {self.n_cols})")
         reps = np.arange(self.reps)
         return (reps * self.n_buckets
                 + self.bucket_in(columns[:, None], reps)) * self.stride
@@ -125,6 +128,19 @@ def build_countsketch_block(key: int, n: int, n_buckets: int,
     return HashBlock(int(key), n, n_buckets, reps)
 
 
+def _check_slice(block: HashBlock, y: np.ndarray, name: str) -> None:
+    """Refuse a ``y`` that is not a floating array of the block's rows or
+    that holds a negative magnitude (NaN passes)."""
+    if not (isinstance(y, np.ndarray) and y.dtype.kind == "f"):
+        raise SketchError(f"{name}-block slice must be a floating-point array, "
+                          f"got {getattr(y, 'dtype', type(y).__name__)}")
+    if y.shape != (block.n_rows,):
+        raise SketchError(f"{name}-block slice has shape {y.shape}, "
+                          f"expected ({block.n_rows},)")
+    if (y < 0).any():
+        raise SketchError(f"{name}-block slice holds a negative magnitude")
+
+
 def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     """Candidate superset of the heavy coordinates, from the measurements
     ``yA`` of the identification block ``block``.
@@ -136,8 +152,7 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     bucket; only when more than 2K are kept, one per repetition for each,
     to rank them by their median whole-bucket magnitude.
     """
-    if yA.shape != (block.n_rows,):
-        raise SketchError(f"A-block slice has {yA.shape}, expected ({block.n_rows},)")
+    _check_slice(block, yA, "A")
     # bucket h of repetition r owns row r * n_buckets + h of (rows, stride):
     # its whole bucket, then its bit j = 0 and = 1 sub-buckets at 2j + 1
     # and 2j + 2. One contiguous pass sets slot t to yA[t + 1] > yA[t]; the
@@ -160,7 +175,7 @@ def identify_heavy(block: HashBlock, K: int, yA: np.ndarray) -> np.ndarray:
     candidates = confirmed[first]
     cap = CANDIDATE_CAP_FACTOR * K
     if candidates.size > cap:
-        est = median(yA[block.bucket_rows(candidates)])
+        est = np.median(yA[block.bucket_rows(candidates)], axis=-1)
         keep = np.argsort(-est, kind="stable")[:cap]
         candidates = np.sort(candidates[keep])
     return candidates
@@ -172,10 +187,8 @@ def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
     repetitions in which no other of ``indices`` shares that bucket (over
     all repetitions when there is none), as a float array aligned to
     ``indices``. NaN when a repetition it reads is NaN."""
+    _check_slice(B_block, yB, "B")
     indices = np.asarray(indices, dtype=np.int64)
-    outside = indices[(indices < 0) | (indices >= B_block.n_cols)]
-    if outside.size:
-        raise SketchError(f"index {outside[0]} out of range [0, {B_block.n_cols})")
     rows = B_block.bucket_rows(indices)
     values = yB[rows]
     shared = np.bincount(rows.ravel(), minlength=yB.size)[rows] > 1
@@ -192,17 +205,3 @@ def estimate_magnitudes(B_block: HashBlock, yB: np.ndarray,
     last = s[:, -1]
     return np.where(np.isnan(last), last, mid)
 
-
-def median(a: np.ndarray) -> np.ndarray:
-    """``np.median(a, axis=-1)`` from one sort: the middle value of an odd
-    count, (a + b) / 2 of the two middle values of an even one, and NaN
-    for a row holding NaN (NaN sorts last). Adding 0.0 makes a zero median
-    +0.0, as np.median's mean does."""
-    s = np.sort(a, axis=-1)
-    half = s.shape[-1] // 2
-    if s.shape[-1] % 2:
-        mid = s[..., half] + 0.0
-    else:
-        mid = (s[..., half - 1] + s[..., half] + 0.0) / 2
-    last = s[..., -1]
-    return np.where(np.isnan(last), last, mid)

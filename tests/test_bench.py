@@ -127,6 +127,46 @@ def test_zero_signal_trial_succeeds():
     assert amp["touches"] > rec["touches"]
 
 
+def test_tail_of_k_zero_is_all_the_energy_and_negative_k_is_refused():
+    # k = 0 once raised numpy's "kth(=3) out of bounds (3)"
+    x = np.array([3.0, -1.0, 2.0])
+    assert tail_norm_sq(x, 0) == 14.0
+    with pytest.raises(ValueError, match="need k >= 0 and a 1-D x, got k = -1"):
+        tail_norm_sq(x, -1)
+
+
+def test_run_trials_pool_has_a_process_per_trial_at_most(monkeypatch):
+    # bench --trials 1 --workers 64 once started 64 processes for one
+    # trial, and --workers 0 ran serially
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:        # starts no process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, jobs):
+            return [func(*job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    spec = TrialSpec(n=512, k=4, trials=3, seed=21)
+    serial = strip_time(run_trials(spec).records)
+    assert strip_time(run_trials(spec, workers=64).records) == serial
+    one = run_trials(replace(spec, trials=1), workers=64)
+    assert strip_time(one.records) == serial[:1]
+    assert sizes == [3]        # one trial runs in this process
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_trials(spec, workers=workers)
+
+
 def test_run_trials_is_deterministic_and_pool_invariant():
     spec = TrialSpec(n=512, k=4, trials=4, seed=21)
     serial = run_trials(spec)
@@ -163,17 +203,18 @@ def test_prony_pipeline_records_leaves_walked():
     assert "leaves" in report.to_csv().splitlines()[0].split(",")
 
 
-def test_calibrate_single_config_meets_target(tmp_path):
+def test_calibrate_single_config_meets_target(tmp_path, monkeypatch):
+    # calibrate returns the winner and writes no file; the CLI writes it
+    monkeypatch.chdir(tmp_path)
     grid = {"C0": [0.125]}
     base = TrialSpec(n=512, k=4, trials=5, seed=23)
-    winner, summaries = calibrate(grid, base, target_rate=0.2,
-                                  out_path=tmp_path / "defaults.json")
+    winner, summaries = calibrate(grid, base, target_rate=0.2)
     assert winner is not None
-    # the defaults file is a plain config file
-    assert EnsembleConfig.from_json((tmp_path / "defaults.json").read_text()) \
-        == winner
+    assert winner == winner.resolve(4)
+    assert EnsembleConfig.from_json(winner.to_json()) == winner
     assert winner.C0 == 0.125
     assert len(summaries) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calibrate_unattainable_target_reports_best():

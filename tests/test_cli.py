@@ -86,7 +86,9 @@ def test_calibrate_exit_codes(tmp_path):
     assert main(["calibrate", "--grid", str(grid), "--n", "512", "--k", "4",
                  "--trials", "3", "--seed", "4", "--target", "0.1",
                  "--out", str(out)]) == 0
-    assert (out / "defaults.json").exists()
+    # the CLI writes the winner as a plain config file
+    winner = EnsembleConfig.from_json((out / "defaults.json").read_text())
+    assert winner.C0 == 0.125 and winner == winner.resolve(4)
 
     # c1 = 1e6 makes prune keep nothing, so no trial with a tail succeeds
     # and no config meets a target of 1
@@ -386,10 +388,13 @@ def test_decode_takes_one_signals_measurements_as_a_batch_of_one(tmp_path):
     (["bench", "--n", "64", "--k", "100", "--trials", "1"], "k must be <= n"),
     (["calibrate", "--grid", "grid.json", "--n", "64", "--k", "-2",
       "--trials", "1"], "k must be >= 1, got -2"),
-    (["bench", "--n", "512", "--k", "4", "--trials", "1", "--workers", "0"],
-     "--workers must be >= 1, got 0"),
-    (["bench", "--n", "512", "--k", "4", "--trials", "1", "--workers", "-3"],
-     "--workers must be >= 1, got -3"),
+    # these ids are the ones the cases had while the CLI tested --workers
+    pytest.param(["bench", "--n", "512", "--k", "4", "--trials", "1",
+                  "--workers", "0"], "workers must be >= 1, got 0",
+                 id="argv5---workers must be >= 1, got 0"),
+    pytest.param(["bench", "--n", "512", "--k", "4", "--trials", "1",
+                  "--workers", "-3"], "workers must be >= 1, got -3",
+                 id="argv6---workers must be >= 1, got -3"),
     # the id is the one this case had while the CLI tested --target itself
     pytest.param(["calibrate", "--grid", "grid.json", "--n", "512", "--k", "4",
                   "--trials", "1", "--target", "nan"],

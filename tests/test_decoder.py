@@ -14,6 +14,7 @@ from phaseless.bench import (AMPLIFIED_REPLICAS, SUCCESS_FACTOR, TrialSpec,
                              _ensemble_seed, _run_one, gen_signal,
                              min_flip_error_sq, tail_norm_sq)
 from phaseless.signs import SignGraph, build_sign_graph, recover_communities
+from phaseless.sketch import SketchError
 
 from helpers import column_entries, exact_sparse, spikes_plus_tail
 
@@ -103,6 +104,15 @@ def test_tail_energy_with_a_nan_band_is_nan():
     tail = estimate_tail_energy(ens, dataclasses.replace(meas, y=y), pos)
     assert np.isnan(tail.per_rep).sum() == 1    # B's first repetition only
     assert math.isnan(tail.L)
+
+
+@pytest.mark.parametrize("S1", [[-3, 5], [5, 10 ** 6]])
+def test_tail_energy_refuses_columns_outside_the_signal(S1):
+    # both once returned L = 1.505, hashing columns that do not exist
+    ens = build_ensemble(256, 3, rng_seed=0)
+    meas = apply_phaseless(ens, np.eye(256)[5])
+    with pytest.raises(SketchError, match="out of range"):
+        estimate_tail_energy(ens, meas, S1)
 
 
 def test_tail_energy_all_blocks_excluded_raises():
@@ -496,7 +506,7 @@ def test_amplified_counts_every_replicas_reads():
     base = decode(ensembles[0], measurements[0])
     assert base.S2.size > 1
     estimates = np.abs(base.values)   # aligned to base.S2
-    expect = base.diagnostics.as_dict()
+    expect = dataclasses.asdict(base.diagnostics)
     level = min(math.ceil(math.log2(base.S2.size)), ensembles[0].f_top_level)
     for ens, meas in zip(ensembles[1:], measurements[1:]):
         name = f"F{2 ** level}"
@@ -506,7 +516,7 @@ def test_amplified_counts_every_replicas_reads():
             expect[counter] += graph.pair_rows
         expect["index_reads"] += graph.entries
     amp = decode_amplified(ensembles, measurements)
-    assert amp.diagnostics.as_dict() == expect
+    assert dataclasses.asdict(amp.diagnostics) == expect
 
 
 def test_amplified_replicas_without_evidence_do_not_vote():

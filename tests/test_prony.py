@@ -40,6 +40,37 @@ def test_det_measure_refuses_a_signal_of_the_wrong_shape():
             det_measure(scheme, np.zeros(shape))
 
 
+def test_det_measure_refuses_a_non_finite_signal():
+    # a NaN signal once measured to NaN
+    scheme = DeterministicScheme(64, 2)
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        x = np.zeros(64, complex)
+        x[3] = bad
+        with pytest.raises(ValueError, match="signal must be finite"):
+            det_measure(scheme, x)
+
+
+def test_det_recover_refuses_complex_measurements():
+    # a complex y lost its imaginary parts with only a ComplexWarning, and
+    # the walk went on
+    scheme = DeterministicScheme(64, 3)
+    x, _ = random_complex_sparse(np.random.default_rng(0), 64, 3)
+    with pytest.raises(ValueError, match="measurements must be real"):
+        det_recover(scheme, det_measure(scheme, x) + 1e-3j)
+
+
+def test_det_recover_refuses_a_y_its_products_overflow():
+    # y = 1e300 overflowed the law of cosines' squares (OverflowError)
+    scheme = DeterministicScheme(8, 1)
+    with pytest.raises(ValueError, match=r"and at most 2\^480 at k = 1"):
+        det_recover(scheme, np.array([1e300, 1e300, 0.09]))
+    x, _ = random_complex_sparse(np.random.default_rng(1), 64, 4)
+    scheme = DeterministicScheme(64, 4)
+    y = det_measure(scheme, x)
+    big = det_recover(scheme, y * 2.0 ** 200)    # 2^240 bounds k = 4
+    assert twin_phase_error(big.values / 2.0 ** 200, x) < 1e-8
+
+
 def test_det_measure_zero_and_impulse():
     scheme = DeterministicScheme(32, 2)
     assert np.all(det_measure(scheme, np.zeros(32, complex)) == 0)

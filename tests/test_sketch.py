@@ -10,7 +10,7 @@ import pytest
 from phaseless.ensemble import build_ensemble
 from phaseless.sketch import (CANDIDATE_CAP_FACTOR, SketchError,
                               build_countsketch_block, build_hh_block,
-                              estimate_magnitudes, identify_heavy, median)
+                              estimate_magnitudes, identify_heavy)
 from phaseless.sparse import apply_blocks
 
 from helpers import identify_heavy_reference, support, tail_sq
@@ -81,6 +81,26 @@ def test_identification_rejects_malformed_slice():
     block = make_block(3, 256, K=5)
     with pytest.raises(SketchError):
         identify_heavy(block, 5, np.zeros(7))
+
+
+def test_identification_refuses_a_complex_slice():
+    # a complex yA was once identified from, by numpy's ordering of complex
+    block = build_ensemble(256, 3, rng_seed=0).blocks["A"]
+    yA = np.ones(block.n_rows) + 1e-3j
+    with pytest.raises(SketchError, match="array, got complex128"):
+        identify_heavy(block, 3, yA)
+
+
+def test_stages_refuse_a_negative_magnitude():
+    # -inf beside inf in a median's middle pair made NaN with a warning
+    A, B = (build_ensemble(256, 3, rng_seed=0).blocks[name] for name in "AB")
+    for name, block, call in (
+            ("A", A, lambda y: identify_heavy(A, 3, y)),
+            ("B", B, lambda y: estimate_magnitudes(B, y, [1]))):
+        y = np.ones(block.n_rows)
+        y[1] = -np.inf
+        with pytest.raises(SketchError, match=f"{name}-block slice holds a neg"):
+            call(y)
 
 
 def identified(block, K, yA):
@@ -219,6 +239,24 @@ def test_estimate_single_spike_exact():
     assert estimate_one(block, y, 3) == 5.0
 
 
+@pytest.mark.parametrize("rows", [315, 640])
+def test_estimate_refuses_a_slice_of_another_length(rows):
+    # a 315- or 640-row yB against B's 320 rows once returned [3., 2.]
+    block = build_ensemble(256, 3, rng_seed=0).blocks["B"]
+    assert block.n_rows == 320
+    with pytest.raises(SketchError, match=rf"\({rows},\), expected \(320,\)"):
+        estimate_magnitudes(block, np.ones(rows), [3, 7])
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.int64])
+def test_estimate_refuses_a_slice_that_is_not_floating(dtype):
+    # a complex yB once gave complex estimates, and an int64 one raised
+    # OverflowError ("cannot convert float infinity to integer")
+    block = build_ensemble(256, 3, rng_seed=0).blocks["B"]
+    with pytest.raises(SketchError, match=f"got {np.dtype(dtype)}"):
+        estimate_magnitudes(block, np.ones(block.n_rows, dtype=dtype), [3, 7])
+
+
 def test_estimate_out_of_range():
     block = build_countsketch_block(6, 64, 32, 3)
     y = np.zeros(block.n_rows)
@@ -307,33 +345,6 @@ def test_a_candidate_sharing_every_repetition_reads_them_all():
     y = np.arange(1.0, block.n_rows + 1)
     est = estimate_magnitudes(block, y, [a, b])
     assert est[0] == est[1] == estimate_one(block, y, a)
-
-
-def bits_of(a):
-    a = np.asarray(a)
-    return a.shape, a.dtype, a.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (8,), (6, 1), (9, 4),
-                                   (9, 5), (3, 8)])
-def test_median_is_np_median_bit_for_bit(shape):
-    rng = np.random.default_rng(list(shape))
-    for a in (rng.standard_normal(shape),
-              rng.exponential(size=shape),
-              rng.choice([0.0, -0.0, 1.5, 2.0], shape),   # ties, signed zeros
-              np.full(shape, 0.1)):
-        assert bits_of(median(a)) == bits_of(np.median(a, axis=-1))
-
-
-def test_median_of_a_row_holding_nan_is_nan():
-    rng = np.random.default_rng(3)
-    for reps in (5, 6):
-        a = rng.exponential(size=(4, reps))
-        a[1, 0] = np.nan    # sorts last, away from the middle
-        a[3] = np.nan
-        got = median(a)
-        assert np.isnan(got[[1, 3]]).all()
-        assert bits_of(got) == bits_of(np.median(a, axis=-1))
 
 
 def test_estimates_keep_a_nan_repetition():
